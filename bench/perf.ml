@@ -373,12 +373,18 @@ let kernel_ns json =
    regression.  2× is deliberately loose — micro-benchmark noise on
    shared machines is real — so tripping it means the kernel genuinely
    lost its edge.  Guarded: every spatial kernel — the event-core ones
-   (PR 4/6) and the grid/scan/sharded scale ones (PR 10) — plus the
-   Newton/batch solver kernels (PR 9). *)
+   (PR 4/6) and the grid/scan/sharded scale ones (PR 10) — the
+   Newton/batch solver kernels (PR 9), and the warm and cold serving
+   kernels, whose time is mostly request parsing and reply rendering. *)
 let guarded_kernel name =
-  (String.length name >= 7 && String.sub name 0 7 = "spatial")
-  || name = "newton_cold_n50"
-  || name = "batch_sweep_cw64"
+  String.starts_with ~prefix:"spatial" name
+  || List.mem name
+       [
+         "newton_cold_n50";
+         "batch_sweep_cw64";
+         "serve_handle_line_warm";
+         "serve_handle_line_cold";
+       ]
 
 (* Checked-in baselines are named BENCH_PR<N>.json; the newest (highest N)
    is the regression reference, so landing BENCH_PR10.json automatically

@@ -7,10 +7,213 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+(* {1 Rendering} *)
+
+(* 10^i for i = 0 .. 18, every power an OCaml int holds. *)
+let pow10 =
+  let a = Array.make 19 1 in
+  for i = 1 to 18 do
+    a.(i) <- a.(i - 1) * 10
+  done;
+  a
+
+(* 10^i for i = 0 .. 22, every power a double holds exactly. *)
+let pow10f =
+  let a = Array.make 23 1. in
+  for i = 1 to 22 do
+    a.(i) <- a.(i - 1) *. 10.
+  done;
+  a
+
+let rec ndigits d = if d < 10 then 1 else 1 + ndigits (d / 10)
+
+(* The [n] low decimal digits of [d >= 0], zero-padded, with a '.' in
+   front of digit [point] (counting from the left from 0; pass -1 for no
+   point).  Recursing to the most significant digit first writes them in
+   order without a scratch buffer. *)
+let rec add_digits buf d n point =
+  if n > 1 then add_digits buf (d / 10) (n - 1) point;
+  if n - 1 = point then Buffer.add_char buf '.';
+  Buffer.add_char buf (Char.unsafe_chr (48 + (d mod 10)))
+
+let add_int buf i =
+  if i = min_int then Buffer.add_string buf (string_of_int i)
+  else begin
+    if i < 0 then Buffer.add_char buf '-';
+    let a = abs i in
+    add_digits buf a (ndigits a) (-1)
+  end
+
+(* C's [%.<p>g] layout of the [p]-digit significand [d] times
+   10^(x-p+1): trailing zeros dropped, positional when -4 <= x < p,
+   otherwise d.ddde±XX. *)
+let add_g buf p d x =
+  let d = ref d and nd = ref p in
+  while !nd > 1 && !d mod 10 = 0 do
+    d := !d / 10;
+    decr nd
+  done;
+  let d = !d and nd = !nd in
+  if x < -4 || x >= p then begin
+    add_digits buf d nd (if nd > 1 then 1 else -1);
+    Buffer.add_char buf 'e';
+    Buffer.add_char buf (if x < 0 then '-' else '+');
+    let ax = abs x in
+    if ax < 10 then Buffer.add_char buf '0';
+    add_digits buf ax (ndigits ax) (-1)
+  end
+  else if x >= 0 then begin
+    if nd <= x + 1 then begin
+      add_digits buf d nd (-1);
+      for _ = nd to x do
+        Buffer.add_char buf '0'
+      done
+    end
+    else add_digits buf d nd (x + 1)
+  end
+  else begin
+    Buffer.add_string buf "0.";
+    for _ = 2 to -x do
+      Buffer.add_char buf '0'
+    done;
+    add_digits buf d nd (-1)
+  end
+
+(* The exact window: normal doubles with 2^exact_lo <= |f| < 2^(exact_hi+1),
+   about 1.5e-11 to 1.1e12.  There the decimal exponent floor(log10 |f|)
+   lies in [-11, 12], the digits come from |f|·10^k = m·5^k / 2^s with
+   k in [5, 27] (5^k fits three limbs), and the 12-digit round-trip test
+   scales by at most 10^22, the largest power of ten a double holds
+   exactly.  Outside it the Printf rule runs. *)
+let exact_lo = -36
+let exact_hi = 39
+
+(* 31-bit limbs: a limb product plus two limbs of carry fits an OCaml int. *)
+let mask31 = (1 lsl 31) - 1
+
+(* 5^k for k = 0 .. 27 as three little-endian limbs. *)
+let pow5_limbs =
+  let a = Array.make (3 * 28) 0 in
+  let l0 = ref 1 and l1 = ref 0 and l2 = ref 0 in
+  for k = 0 to 27 do
+    a.(3 * k) <- !l0;
+    a.((3 * k) + 1) <- !l1;
+    a.((3 * k) + 2) <- !l2;
+    let c0 = !l0 * 5 in
+    let c1 = (!l1 * 5) + (c0 lsr 31) in
+    l0 := c0 land mask31;
+    l1 := c1 land mask31;
+    l2 := (!l2 * 5) + (c1 lsr 31)
+  done;
+  a
+
+(* floor(B / 2^s) for B = b0 + b1·2^31 + b2·2^62 + b3·2^93 and s < 62,
+   when the quotient is below 2^62. *)
+let shift_right b0 b1 b2 b3 s =
+  if s < 31 then (b0 lsr s) lor (b1 lsl (31 - s)) lor (b2 lsl (62 - s))
+  else
+    let o = s - 31 in
+    (b1 lsr o) lor (b2 lsl (31 - o)) lor (b3 lsl (62 - o))
+
+(* Whether B mod 2^s <> 0, for s < 62. *)
+let low_bits b0 b1 s =
+  if s < 31 then b0 land ((1 lsl s) - 1) <> 0
+  else b0 <> 0 || b1 land ((1 lsl (s - 31)) - 1) <> 0
+
+(* [t] with its [j] low decimal digits dropped, rounded half to even.
+   [t] is the integer part of the exact value; [half] is the first
+   fractional bit and [rest] whether any later one is set. *)
+let round_drop t ~half ~rest j =
+  if j = 0 then if half && (rest || t land 1 = 1) then t + 1 else t
+  else
+    let p = pow10.(j) in
+    let q = t / p and r = t mod p in
+    let hp = p / 2 in
+    if r > hp || (r = hp && (half || rest || q land 1 = 1)) then q + 1 else q
+
+(* [f] = ±m·2^(e2-52) with 2^52 <= m < 2^53 and e2 in the window. *)
+let add_exact buf f ~m ~e2 =
+  if f < 0. then Buffer.add_char buf '-';
+  let a = Float.abs f in
+  (* floor(e2·log10 2), exact over the window; X is x0 or x0 + 1. *)
+  let x0 = (e2 * 78913) asr 18 in
+  let k = 16 - x0 in
+  (* B = m·5^k, so that |f|·10^k = B / 2^s. *)
+  let s = 52 - e2 - k in
+  let m0 = m land mask31 and m1 = m lsr 31 in
+  let p0 = pow5_limbs.(3 * k)
+  and p1 = pow5_limbs.((3 * k) + 1)
+  and p2 = pow5_limbs.((3 * k) + 2) in
+  (* Column sums stay below 2^63, so [lsr] reads them unsigned. *)
+  let c = m0 * p0 in
+  let b0 = c land mask31 in
+  let c = (m0 * p1) + (m1 * p0) + (c lsr 31) in
+  let b1 = c land mask31 in
+  let c = (m0 * p2) + (m1 * p1) + (c lsr 31) in
+  let b2 = c land mask31 in
+  let b3 = (m1 * p2) + (c lsr 31) in
+  (* Integer part t (17 or 18 digits), first fractional bit, the rest. *)
+  let t2 = shift_right b0 b1 b2 b3 (s - 1) in
+  let t = t2 lsr 1 and half = t2 land 1 = 1 in
+  let rest = low_bits b0 b1 (s - 1) in
+  let wide = t >= pow10.(17) in
+  let x = if wide then x0 + 1 else x0 in
+  let nd = if wide then 18 else 17 in
+  let d12 = round_drop t ~half ~rest (nd - 12) in
+  let carry = d12 = pow10.(12) in
+  let x12 = if carry then x + 1 else x in
+  let d12 = if carry then pow10.(11) else d12 in
+  (* Clinger: d12 < 2^53 and 10^|q| are exact, so one IEEE operation
+     rounds d12·10^q exactly as strtod would. *)
+  let q = x12 - 11 in
+  let back =
+    if q >= 0 then float_of_int d12 *. pow10f.(q)
+    else float_of_int d12 /. pow10f.(-q)
+  in
+  if back = a then add_g buf 12 d12 x12
+  else
+    let d17 = round_drop t ~half ~rest (nd - 17) in
+    let carry = d17 = pow10.(17) in
+    add_g buf 17
+      (if carry then pow10.(16) else d17)
+      (if carry then x + 1 else x)
+
+(* Integral |f| < 1e15: C's "%.1f", i.e. the integer and ".0". *)
+let add_integral buf f =
+  if Float.sign_bit f then Buffer.add_char buf '-';
+  let i = int_of_float (Float.abs f) in
+  add_digits buf i (ndigits i) (-1);
+  Buffer.add_string buf ".0"
+
+(* The values add_float cannot render exactly: "%.12g" when strtod reads
+   it back as [f], else "%.17g". *)
+let add_printf buf f =
+  let s = Printf.sprintf "%.12g" f in
+  Buffer.add_string buf
+    (if float_of_string s = f then s else Printf.sprintf "%.17g" f)
+
+(* "%.1f" for integral |f| < 1e15, else the shortest of "%.12g" and
+   "%.17g" that round-trips; non-finite floats are [null].  Task keys,
+   cache entries and store checksums hash these bytes, so they never
+   change. *)
+let add_float buf f =
+  if not (Float.is_finite f) then Buffer.add_string buf "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then add_integral buf f
+  else
+    let bits = Int64.to_int (Int64.bits_of_float f) in
+    let e2 = ((bits lsr 52) land 0x7FF) - 1023 in
+    if e2 < exact_lo || e2 > exact_hi then add_printf buf f
+    else add_exact buf f ~e2 ~m:(bits land ((1 lsl 52) - 1) lor (1 lsl 52))
+
 let escape buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
+  let n = String.length s in
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || c < ' ' then begin
+      if i > !run then Buffer.add_substring buf s !run (i - !run);
+      run := i + 1;
       match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
@@ -19,201 +222,304 @@ let escape buf s =
       | '\t' -> Buffer.add_string buf "\\t"
       | '\b' -> Buffer.add_string buf "\\b"
       | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c ->
+          Buffer.add_string buf "\\u00";
+          Buffer.add_char buf (if Char.code c < 16 then '0' else '1');
+          Buffer.add_char buf "0123456789abcdef".[Char.code c land 15]
+    end
+  done;
+  if n > !run then Buffer.add_substring buf s !run (n - !run);
   Buffer.add_char buf '"'
-
-let float_repr f =
-  if Float.is_nan f || Float.abs f = infinity then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else
-    (* Shortest representation that round-trips. *)
-    let s = Printf.sprintf "%.12g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f -> Buffer.add_string buf (float_repr f)
+  | Int i -> add_int buf i
+  | Float f -> add_float buf f
   | String s -> escape buf s
-  | List items ->
+  | List [] -> Buffer.add_string buf "[]"
+  | List (item :: items) ->
       Buffer.add_char buf '[';
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_char buf ',';
-          write buf item)
-        items;
+      write buf item;
+      write_items buf items;
       Buffer.add_char buf ']'
-  | Obj fields ->
+  | Obj [] -> Buffer.add_string buf "{}"
+  | Obj (field :: fields) ->
       Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          escape buf k;
-          Buffer.add_char buf ':';
-          write buf v)
-        fields;
+      write_field buf field;
+      write_fields buf fields;
       Buffer.add_char buf '}'
+
+and write_items buf = function
+  | [] -> ()
+  | item :: items ->
+      Buffer.add_char buf ',';
+      write buf item;
+      write_items buf items
+
+and write_field buf (k, v) =
+  escape buf k;
+  Buffer.add_char buf ':';
+  write buf v
+
+and write_fields buf = function
+  | [] -> ()
+  | field :: fields ->
+      Buffer.add_char buf ',';
+      write_field buf field;
+      write_fields buf fields
 
 let to_string v =
   let buf = Buffer.create 256 in
   write buf v;
   Buffer.contents buf
 
+(* {1 Parsing} *)
+
 exception Parse_error of string
 
-let parse s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let error msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while
-      !pos < n
-      && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      advance ()
-    done
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> error (Printf.sprintf "expected %C" c)
-  in
-  let literal word value =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      value
+type cursor = { s : string; mutable pos : int }
+
+let error c msg =
+  raise (Parse_error (Printf.sprintf "%s at offset %d" msg c.pos))
+
+let at_end c = c.pos >= String.length c.s
+
+(* The byte under the cursor; callers check [at_end] first. *)
+let peek c = String.unsafe_get c.s c.pos
+
+let skip_ws c =
+  while
+    (not (at_end c))
+    && match peek c with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+  do
+    c.pos <- c.pos + 1
+  done
+
+let expect c ch =
+  if at_end c || peek c <> ch then error c (Printf.sprintf "expected %C" ch);
+  c.pos <- c.pos + 1
+
+let literal c word value =
+  let l = String.length word in
+  if c.pos + l > String.length c.s then error c ("expected " ^ word);
+  for i = 0 to l - 1 do
+    if String.unsafe_get c.s (c.pos + i) <> word.[i] then
+      error c ("expected " ^ word)
+  done;
+  c.pos <- c.pos + l;
+  value
+
+let hex_digit ch =
+  match ch with
+  | '0' .. '9' -> Char.code ch - 48
+  | 'a' .. 'f' -> Char.code ch - 87
+  | 'A' .. 'F' -> Char.code ch - 55
+  | _ -> -1
+
+(* Exactly four hex digits after "\u". *)
+let hex4 c =
+  if c.pos + 4 > String.length c.s then error c "truncated \\u escape";
+  let v = ref 0 in
+  for i = 0 to 3 do
+    let d = hex_digit (String.unsafe_get c.s (c.pos + i)) in
+    if d < 0 then error c "bad \\u escape";
+    v := (!v * 16) + d
+  done;
+  c.pos <- c.pos + 4;
+  !v
+
+(* One "\u" escape, the backslash and 'u' already consumed: a BMP code
+   point, or a surrogate pair combined into one supplementary one. *)
+let unicode_escape c buf =
+  let u = hex4 c in
+  let code =
+    if u >= 0xD800 && u <= 0xDBFF then begin
+      if
+        c.pos + 2 <= String.length c.s
+        && peek c = '\\'
+        && String.unsafe_get c.s (c.pos + 1) = 'u'
+      then c.pos <- c.pos + 2
+      else error c "unpaired surrogate";
+      let lo = hex4 c in
+      if lo < 0xDC00 || lo > 0xDFFF then error c "unpaired surrogate";
+      0x10000 + ((u - 0xD800) lsl 10) + (lo - 0xDC00)
     end
-    else error (Printf.sprintf "expected %s" word)
+    else if u >= 0xDC00 && u <= 0xDFFF then error c "unpaired surrogate"
+    else u
   in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then error "unterminated string"
-      else begin
-        let c = s.[!pos] in
-        advance ();
-        match c with
-        | '"' -> Buffer.contents buf
-        | '\\' ->
-            (if !pos >= n then error "unterminated escape"
-             else begin
-               let e = s.[!pos] in
-               advance ();
-               match e with
-               | '"' -> Buffer.add_char buf '"'
-               | '\\' -> Buffer.add_char buf '\\'
-               | '/' -> Buffer.add_char buf '/'
-               | 'n' -> Buffer.add_char buf '\n'
-               | 'r' -> Buffer.add_char buf '\r'
-               | 't' -> Buffer.add_char buf '\t'
-               | 'b' -> Buffer.add_char buf '\b'
-               | 'f' -> Buffer.add_char buf '\012'
-               | 'u' ->
-                   if !pos + 4 > n then error "truncated \\u escape";
-                   let code =
-                     try int_of_string ("0x" ^ String.sub s !pos 4)
-                     with _ -> error "bad \\u escape"
-                   in
-                   pos := !pos + 4;
-                   (* Encode the BMP code point as UTF-8. *)
-                   if code < 0x80 then Buffer.add_char buf (Char.chr code)
-                   else if code < 0x800 then begin
-                     Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                     Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                   end
-                   else begin
-                     Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                     Buffer.add_char buf
-                       (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                     Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                   end
-               | _ -> error "unknown escape"
-             end);
-            go ()
-        | c -> Buffer.add_char buf c; go ()
-      end
-    in
-    go ()
+  Buffer.add_utf_8_uchar buf (Uchar.unsafe_of_int code)
+
+(* Bytes that end a run of string content: the quote, a backslash, and
+   the control bytes RFC 8259 forbids raw. *)
+let plain ch = ch <> '"' && ch <> '\\' && ch >= ' '
+
+let skip_plain c =
+  while (not (at_end c)) && plain (peek c) do
+    c.pos <- c.pos + 1
+  done
+
+let rec escaped_string c buf =
+  let run = c.pos in
+  skip_plain c;
+  Buffer.add_substring buf c.s run (c.pos - run);
+  if at_end c then error c "unterminated string";
+  match peek c with
+  | '"' ->
+      c.pos <- c.pos + 1;
+      Buffer.contents buf
+  | '\\' ->
+      c.pos <- c.pos + 1;
+      if at_end c then error c "unterminated escape";
+      let e = peek c in
+      c.pos <- c.pos + 1;
+      (match e with
+      | '"' -> Buffer.add_char buf '"'
+      | '\\' -> Buffer.add_char buf '\\'
+      | '/' -> Buffer.add_char buf '/'
+      | 'n' -> Buffer.add_char buf '\n'
+      | 'r' -> Buffer.add_char buf '\r'
+      | 't' -> Buffer.add_char buf '\t'
+      | 'b' -> Buffer.add_char buf '\b'
+      | 'f' -> Buffer.add_char buf '\012'
+      | 'u' -> unicode_escape c buf
+      | _ -> error c "unknown escape");
+      escaped_string c buf
+  | _ -> error c "control character in string"
+
+(* A string with no escapes is one slice of the input. *)
+let string_lit c =
+  expect c '"';
+  let start = c.pos in
+  skip_plain c;
+  if (not (at_end c)) && peek c = '"' then begin
+    c.pos <- c.pos + 1;
+    String.sub c.s start (c.pos - 1 - start)
+  end
+  else begin
+    let buf = Buffer.create (c.pos - start + 16) in
+    c.pos <- start;
+    escaped_string c buf
+  end
+
+let is_digit ch = ch >= '0' && ch <= '9'
+
+(* At least one digit; returns how many. *)
+let digits c what =
+  let start = c.pos in
+  while (not (at_end c)) && is_digit (peek c) do
+    c.pos <- c.pos + 1
+  done;
+  if c.pos = start then error c ("expected a digit " ^ what);
+  c.pos - start
+
+(* RFC 8259: an optional '-', then 0 or a digit run without a leading
+   zero, then optionally '.' and digits, then optionally e or E, a sign
+   and digits.  An integral literal that fits is an [Int]; anything else a
+   finite [Float]. *)
+let number c =
+  let start = c.pos in
+  let negative = peek c = '-' in
+  if negative then c.pos <- c.pos + 1;
+  let int_start = c.pos in
+  let n_int =
+    if (not (at_end c)) && peek c = '0' then begin
+      c.pos <- c.pos + 1;
+      1
+    end
+    else digits c "in the number"
   in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && is_num_char s.[!pos] do
-      advance ()
+  let integral = ref true in
+  if (not (at_end c)) && peek c = '.' then begin
+    integral := false;
+    c.pos <- c.pos + 1;
+    ignore (digits c "after '.'")
+  end;
+  if (not (at_end c)) && (peek c = 'e' || peek c = 'E') then begin
+    integral := false;
+    c.pos <- c.pos + 1;
+    if (not (at_end c)) && (peek c = '+' || peek c = '-') then
+      c.pos <- c.pos + 1;
+    ignore (digits c "in the exponent")
+  end;
+  if !integral && n_int <= 18 then begin
+    let v = ref 0 in
+    for i = int_start to c.pos - 1 do
+      v := (!v * 10) + (Char.code (String.unsafe_get c.s i) - 48)
     done;
-    let text = String.sub s start (!pos - start) in
-    match int_of_string_opt text with
+    Int (if negative then - !v else !v)
+  end
+  else
+    let text = String.sub c.s start (c.pos - start) in
+    match if !integral then int_of_string_opt text else None with
     | Some i -> Int i
-    | None -> (
-        match float_of_string_opt text with
-        | Some f -> Float f
-        | None -> error (Printf.sprintf "bad number %S" text))
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> error "unexpected end of input"
-    | Some '"' -> String (parse_string ())
-    | Some 'n' -> literal "null" Null
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          List []
-        end
-        else begin
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); items (v :: acc)
-            | Some ']' -> advance (); List (List.rev (v :: acc))
-            | _ -> error "expected ',' or ']'"
-          in
-          items []
-        end
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec fields acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); fields ((k, v) :: acc)
-            | Some '}' -> advance (); Obj (List.rev ((k, v) :: acc))
-            | _ -> error "expected ',' or '}'"
-          in
-          fields []
-        end
-    | Some _ -> parse_number ()
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then error "trailing garbage";
+    | None ->
+        let f = float_of_string text in
+        if Float.is_finite f then Float f
+        else error c (Printf.sprintf "number %s out of range" text)
+
+let rec value c =
+  skip_ws c;
+  if at_end c then error c "unexpected end of input";
+  match peek c with
+  | '"' -> String (string_lit c)
+  | 'n' -> literal c "null" Null
+  | 't' -> literal c "true" (Bool true)
+  | 'f' -> literal c "false" (Bool false)
+  | '[' ->
+      c.pos <- c.pos + 1;
+      skip_ws c;
+      if (not (at_end c)) && peek c = ']' then begin
+        c.pos <- c.pos + 1;
+        List []
+      end
+      else List (items c [])
+  | '{' ->
+      c.pos <- c.pos + 1;
+      skip_ws c;
+      if (not (at_end c)) && peek c = '}' then begin
+        c.pos <- c.pos + 1;
+        Obj []
+      end
+      else Obj (fields c [])
+  | '-' | '0' .. '9' -> number c
+  | ch -> error c (Printf.sprintf "unexpected character %C" ch)
+
+and items c acc =
+  let v = value c in
+  skip_ws c;
+  if at_end c then error c "expected ',' or ']'";
+  match peek c with
+  | ',' ->
+      c.pos <- c.pos + 1;
+      items c (v :: acc)
+  | ']' ->
+      c.pos <- c.pos + 1;
+      List.rev (v :: acc)
+  | _ -> error c "expected ',' or ']'"
+
+and fields c acc =
+  skip_ws c;
+  let k = string_lit c in
+  skip_ws c;
+  expect c ':';
+  let v = value c in
+  skip_ws c;
+  if at_end c then error c "expected ',' or '}'";
+  match peek c with
+  | ',' ->
+      c.pos <- c.pos + 1;
+      fields c ((k, v) :: acc)
+  | '}' ->
+      c.pos <- c.pos + 1;
+      List.rev ((k, v) :: acc)
+  | _ -> error c "expected ',' or '}'"
+
+let parse s =
+  let c = { s; pos = 0 } in
+  let v = value c in
+  skip_ws c;
+  if not (at_end c) then error c "trailing garbage";
   v
 
 let member key = function

@@ -17,13 +17,21 @@ type t =
   | Obj of (string * t) list
 
 val to_string : t -> string
-(** Compact one-line rendering (no trailing newline). *)
+(** Compact one-line rendering (no trailing newline).  A [Float f] renders
+    as C's ["%.1f"] when [f] is integral and [|f| < 1e15], otherwise as
+    ["%.12g"] when that reads back as [f], otherwise as ["%.17g"].  Task
+    keys, cache entries and store checksums hash these bytes, so the rule
+    never changes. *)
 
 exception Parse_error of string
 
 val parse : string -> t
-(** Parse one complete JSON document.  @raise Parse_error on malformed
-    input or trailing garbage. *)
+(** Parse one complete RFC 8259 JSON document: numbers without a leading
+    [+], a leading zero, or a bare ['.'], and finite; strings without raw
+    control bytes, with exactly four hex digits per [\u] escape and
+    surrogates only in pairs (decoded to UTF-8).  Everything {!to_string}
+    emits parses back.  @raise Parse_error on malformed input or trailing
+    garbage. *)
 
 val member : string -> t -> t option
 (** [member key json] is the field [key] of an [Obj]; [None] for other

@@ -1,18 +1,25 @@
+module Names = Map.Make (String)
+
+type span_cells = { seconds : Metric.histogram; calls : Metric.counter }
+
 type t = {
   label : string;
   clock : unit -> float;
   mutex : Mutex.t;
-      (* Guards the metric tables, the sink list, sink emission and the
-         span-depth counter, so instrumented code may run on any domain
-         (the experiment runner executes tasks on a Domain pool).  Metric
-         *updates* (incr/observe) are deliberately left outside the lock:
-         they are single-field stores, racy-but-memory-safe, and locking
-         them would tax every hot loop. *)
+      (* Guards the metric tables, the sink list and sink emission, so
+         instrumented code may run on any domain (the experiment runner
+         executes tasks on a Domain pool).  Metric *updates* (incr/observe)
+         are deliberately left outside the lock: they are single-field
+         stores, racy-but-memory-safe, and locking them would tax every
+         hot loop. *)
   mutable sinks : Sink.t list;
   counters : (string, Metric.counter) Hashtbl.t;
   gauges : (string, Metric.gauge) Hashtbl.t;
   histograms : (string, Metric.histogram) Hashtbl.t;
-  mutable depth : int;
+  spans : span_cells Names.t Atomic.t;
+      (* Immutable, replaced under the lock: span lookups read it without
+         locking. *)
+  depth : int Atomic.t;
 }
 
 let create ?(label = "registry") ?(clock = Unix.gettimeofday) () =
@@ -24,7 +31,8 @@ let create ?(label = "registry") ?(clock = Unix.gettimeofday) () =
     counters = Hashtbl.create 16;
     gauges = Hashtbl.create 16;
     histograms = Hashtbl.create 16;
-    depth = 0;
+    spans = Atomic.make Names.empty;
+    depth = Atomic.make 0;
   }
 
 let default = create ~label:"default" ()
@@ -37,20 +45,38 @@ let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
+(* Callers hold the lock. *)
+let find_or_add table make name =
+  match Hashtbl.find_opt table name with
+  | Some m -> m
+  | None ->
+      let m = make () in
+      Hashtbl.add table name m;
+      m
+
 let get_or_create t table make name =
-  locked t (fun () ->
-      match Hashtbl.find_opt table name with
-      | Some m -> m
-      | None ->
-          let m = make () in
-          Hashtbl.add table name m;
-          m)
+  locked t (fun () -> find_or_add table make name)
 
 let counter t name = get_or_create t t.counters Metric.counter name
 
 let gauge t name = get_or_create t t.gauges Metric.gauge name
 
 let histogram t name = get_or_create t t.histograms Metric.histogram name
+
+let span_cells t name =
+  match Names.find name (Atomic.get t.spans) with
+  | cells -> cells
+  | exception Not_found ->
+      locked t (fun () ->
+          let cells =
+            {
+              seconds =
+                find_or_add t.histograms Metric.histogram (name ^ ".seconds");
+              calls = find_or_add t.counters Metric.counter (name ^ ".calls");
+            }
+          in
+          Atomic.set t.spans (Names.add name cells (Atomic.get t.spans));
+          cells)
 
 let add_sink t sink = locked t (fun () -> t.sinks <- sink :: t.sinks)
 
@@ -74,15 +100,13 @@ let emit t name fields =
 
 let flush t = locked t (fun () -> List.iter Sink.flush t.sinks)
 
-let enter_span t =
-  locked t (fun () ->
-      let d = t.depth in
-      t.depth <- d + 1;
-      d)
+let enter_span t = Atomic.fetch_and_add t.depth 1
 
-let leave_span t = locked t (fun () -> t.depth <- Stdlib.max 0 (t.depth - 1))
+let rec leave_span t =
+  let d = Atomic.get t.depth in
+  if d > 0 && not (Atomic.compare_and_set t.depth d (d - 1)) then leave_span t
 
-let depth t = t.depth
+let depth t = Atomic.get t.depth
 
 let sorted t table =
   locked t (fun () -> Hashtbl.fold (fun name m acc -> (name, m) :: acc) table [])
@@ -99,4 +123,5 @@ let reset t =
       Hashtbl.reset t.counters;
       Hashtbl.reset t.gauges;
       Hashtbl.reset t.histograms;
-      t.depth <- 0)
+      Atomic.set t.spans Names.empty;
+      Atomic.set t.depth 0)

@@ -11,12 +11,12 @@
     counters and Welford histograms are cheap enough to leave on.
 
     Registries are safe to share across domains: metric lookup, sink
-    management, event emission and span nesting are mutex-protected (the
-    experiment runner executes instrumented tasks on a Domain pool, all
-    falling back to {!default}).  Metric {e updates} are intentionally
-    unlocked — single-field stores that stay memory-safe under races, at
-    worst dropping a count — and span depths recorded from concurrently
-    running tasks reflect interleaved nesting. *)
+    management and event emission are mutex-protected, span nesting is an
+    atomic counter (the experiment runner executes instrumented tasks on a
+    Domain pool, all falling back to {!default}).  Metric {e updates} are
+    intentionally unlocked — single-field stores that stay memory-safe
+    under races, at worst dropping a count — and span depths recorded from
+    concurrently running tasks reflect interleaved nesting. *)
 
 type t
 
@@ -37,6 +37,14 @@ val counter : t -> string -> Metric.counter
 val gauge : t -> string -> Metric.gauge
 
 val histogram : t -> string -> Metric.histogram
+
+type span_cells = { seconds : Metric.histogram; calls : Metric.counter }
+
+val span_cells : t -> string -> span_cells
+(** [span_cells t name] is [histogram t (name ^ ".seconds")] and
+    [counter t (name ^ ".calls")], the cells a completed span feeds.  After
+    the first call for a name (until {!reset}) it neither allocates nor
+    takes the lock. *)
 
 val add_sink : t -> Sink.t -> unit
 

@@ -273,7 +273,9 @@ let test_nonconverged_surfaces_at_every_layer =
     ~count:30
     QCheck.(pair (int_range 16 256) (int_range 16 256))
     (fun (w_a, w_b) ->
-      QCheck.assume (w_a <> w_b);
+      (* Nearly uniform pairs (windows within ~2% of each other, e.g. 196
+         and 198) converge in one step: they are not hostile. *)
+      QCheck.assume (16 * abs (w_a - w_b) >= min w_a w_b);
       let profile = Array.concat [ Array.make 3 w_a; Array.make 3 w_b ] in
       (* Solver layer. *)
       let classes = [ (min w_a w_b, 3); (max w_a w_b, 3) ] in

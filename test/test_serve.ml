@@ -264,6 +264,128 @@ let test_malformed_inputs_never_raise () =
   Alcotest.(check bool) "blank line yields no reply" true
     (Serve.Server.handle_line server "   " = None)
 
+let test_non_json_number_is_error_reply () =
+  let server, _, count = fresh () in
+  let reply = reply_of_line server {|{"op":"tau","n":+2,"w":16}|} in
+  Alcotest.(check bool) "refused" true (not (is_ok reply));
+  Alcotest.(check bool) "as malformed JSON" true
+    (String.starts_with ~prefix:"malformed JSON" (error_text reply));
+  Alcotest.(check int) "counted as error" 1 (count "serve.errors")
+
+(* {1 Fuzzing the request boundary}
+
+   Mutations (byte flips, inserts, deletes, truncation) of the lines the
+   service and its store actually see: the serving benchmark's request
+   mix, store entry lines and telemetry event lines.  Only the typed
+   errors may escape, every non-blank line gets a reply, and whatever the
+   parser accepts renders back to the same value. *)
+
+let seed_lines =
+  let requests =
+    List.concat_map
+      (fun n ->
+        List.concat_map
+          (fun w ->
+            [
+              Printf.sprintf {|{"op":"tau","n":%d,"w":%d}|} n w;
+              Printf.sprintf {|{"op":"welfare","n":%d,"w":%d}|} n w;
+            ])
+          [ 16; 32; 64; 128; 256 ])
+      [ 2; 5; 10; 20 ]
+    @ [
+        {|{"op":"payoff","profile":[16,32,32,64]}|};
+        {|{"op":"payoff","profile":[32,32,32,64,128]}|};
+        {|{"id":"b","op":"batch","requests":[{"id":1,"op":"tau","n":3,"w":64},{"op":"payoff","profile":[16,{"cw":32,"aifs":2,"txop":3}]}],"deadline_ms":250.5}|};
+      ]
+  in
+  let store_lines =
+    [
+      Store.Codec.encode ~key:"default|payoff|16,32,32,64"
+        (Jx.List [ Jx.Float (1. /. 3.); Jx.Float 1e-5; Jx.Float (-0.15625) ]);
+      Store.Codec.encode ~key:"default|ne|n=5"
+        (Jx.Obj
+           [
+             ("w_lo", Jx.Int 40); ("w_hi", Jx.Int 90); ("w_star", Jx.Int 64);
+             ("welfare", Jx.Float 2.718281828459045);
+           ]);
+    ]
+  in
+  let event_lines =
+    List.map Telemetry.Event.to_line
+      [
+        Telemetry.Event.make ~at:1760000000.123456 ~name:"span"
+          [
+            ("name", Jx.String "serve.request");
+            ("seconds", Jx.Float 2.1e-6);
+            ("depth", Jx.Int 0);
+          ];
+        Telemetry.Event.make ~at:1760000000.5 ~name:"run_summary"
+          [
+            ("label", Jx.String "quote \" tab \t nul \000 \xc3\xa9 \xf0\x9f\x98\x80");
+            ("shares", Jx.List [ Jx.Float 0.25; Jx.Null; Jx.Bool true ]);
+            ("nested", Jx.Obj [ ("empty", Jx.List []); ("o", Jx.Obj []) ]);
+          ];
+      ]
+  in
+  Array.of_list (requests @ store_lines @ event_lines)
+
+(* Bytes a mutation inserts or writes: the grammar's own punctuation,
+   digits and escape letters, control bytes and high bytes. *)
+let interesting = "{}[]:,\"\\/u0123456789+-.eEntfrbx \t\n\r\000\001\031\127\200\237\255"
+
+let mutate st line =
+  let int n = Random.State.int st n in
+  let byte () =
+    if Random.State.bool st then interesting.[int (String.length interesting)]
+    else Char.chr (int 256)
+  in
+  let once s =
+    let n = String.length s in
+    let at = int (n + 1) in
+    match int 5 with
+    | 0 when n > 0 ->
+        let b = Bytes.of_string s in
+        let i = int n in
+        Bytes.set b i (byte ());
+        Bytes.to_string b
+    | 1 when n > 0 ->
+        let b = Bytes.of_string s in
+        let i = int n in
+        Bytes.set b i (Char.chr (Char.code s.[i] lxor (1 lsl int 8)));
+        Bytes.to_string b
+    | 2 -> String.sub s 0 at ^ String.make 1 (byte ()) ^ String.sub s at (n - at)
+    | 3 when at < n -> String.sub s 0 at ^ String.sub s (at + 1) (n - at - 1)
+    | _ -> String.sub s 0 at
+  in
+  let rec go s k = if k = 0 then s else go (once s) (k - 1) in
+  go line (1 + int 4)
+
+let gen_mutant st = mutate st seed_lines.(Random.State.int st (Array.length seed_lines))
+
+let fuzz_server = lazy (let server, _, _ = fresh () in server)
+
+let test_fuzz_request_boundary =
+  QCheck.Test.make ~count:3000 ~name:"mutated lines: typed errors only"
+    (QCheck.make ~print:String.escaped gen_mutant)
+    (fun line ->
+      (match Jx.parse line with
+      | v ->
+          let again =
+            try Jx.parse (Jx.to_string v)
+            with Jx.Parse_error msg ->
+              QCheck.Test.fail_reportf "render of an accepted value rejected: %s"
+                msg
+          in
+          if again <> v then
+            QCheck.Test.fail_reportf "parse (to_string v) <> v for %s"
+              (Jx.to_string v)
+      | exception Jx.Parse_error _ -> ());
+      (match Serve.Request.of_line line with Ok _ | Error _ -> ());
+      ignore (Store.Codec.decode line);
+      match Serve.Server.handle_line (Lazy.force fuzz_server) line with
+      | Some reply -> Jx.member "ok" (Jx.parse reply) <> None
+      | None -> String.trim line = "")
+
 let test_salvaged_id () =
   let server, _, _ = fresh () in
   let reply = reply_of_line server {|{"id":"req-9","op":"frobnicate"}|} in
@@ -375,8 +497,11 @@ let () =
           quick "expired deadline is refused" test_deadline_expired;
           quick "malformed inputs never raise" test_malformed_inputs_never_raise;
           quick "id salvaged from a bad envelope" test_salvaged_id;
+          quick "non-JSON number is an error reply"
+            test_non_json_number_is_error_reply;
           quick "tier counters account every leaf" test_tier_accounting;
         ] );
+      ("fuzz", [ QCheck_alcotest.to_alcotest test_fuzz_request_boundary ]);
       ( "persistence",
         [ quick "NE rows survive a server restart" test_ne_store_roundtrip ] );
       ("socket", [ quick "socket round-trip" test_socket_roundtrip ]);

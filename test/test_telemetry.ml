@@ -247,6 +247,283 @@ let test_jsonx_parse_rejects_garbage () =
       | exception T.Jsonx.Parse_error _ -> ())
     [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "\"unterminated"; "1 2" ]
 
+(* {1 The strict grammar} *)
+
+let rejects s =
+  match T.Jsonx.parse s with
+  | v -> Alcotest.failf "accepted %S as %s" s (T.Jsonx.to_string v)
+  | exception T.Jsonx.Parse_error _ -> ()
+
+let parses_to s expected =
+  match T.Jsonx.parse s with
+  | v ->
+      if v <> expected then
+        Alcotest.failf "%S parsed as %s" s (T.Jsonx.to_string v)
+  | exception T.Jsonx.Parse_error msg -> Alcotest.failf "rejected %S: %s" s msg
+
+let test_jsonx_strict_numbers () =
+  List.iter rejects
+    [
+      "+1"; ".5"; "01"; "-01"; "1."; "-"; "--1"; "1e"; "1e+"; "1.e5"; "0x10";
+      "1_000"; "[01]"; "{\"n\":+2}"; "1e400"; "-1e400"; "NaN"; "Infinity";
+    ];
+  List.iter
+    (fun (s, v) -> parses_to s v)
+    T.Jsonx.
+      [
+        ("0", Int 0);
+        ("-0", Int 0);
+        ("42", Int 42);
+        ("-7", Int (-7));
+        ("4611686018427387903", Int max_int);
+        ("-4611686018427387904", Int min_int);
+        ("4611686018427387904", Float 4611686018427387904.);
+        ("0.5", Float 0.5);
+        ("-0.0", Float (-0.));
+        ("1e5", Float 1e5);
+        ("1E+5", Float 1e5);
+        ("2.5e-3", Float 2.5e-3);
+        ("[0,-1.5e-7]", List [ Int 0; Float (-1.5e-7) ]);
+      ]
+
+let test_jsonx_strict_strings () =
+  List.iter rejects
+    [
+      {|"\u1_23"|};
+      {|"\u12"|};
+      {|"\u12g4"|};
+      {|"\x41"|};
+      (* lone surrogates: high at the end, high before a non-escape, high
+         before a non-surrogate escape, low on its own *)
+      {|"\ud83d"|};
+      {|"\ud83dx"|};
+      "\"\\ud83d\\u0041\"";
+      {|"\ude00"|};
+      "\"raw\001byte\"";
+      "\"raw\ttab\"";
+      "\"raw\nnewline\"";
+    ];
+  List.iter
+    (fun (s, v) -> parses_to s (T.Jsonx.String v))
+    [
+      ("\"\\u0041\\u00e9\\u20ac\"", "A\xc3\xa9\xe2\x82\xac");
+      (* a surrogate pair is one 4-byte UTF-8 sequence, not CESU-8 *)
+      ("\"\\ud83d\\ude00\"", "\xf0\x9f\x98\x80");
+      ("\"\\uDBFF\\uDFFF\"", "\xf4\x8f\xbf\xbf");
+      ({|"a\/b"|}, "a/b");
+      ("\"del\127 and \xff raw\"", "del\127 and \xff raw");
+      ({|"\u0000"|}, "\000");
+    ]
+
+(* {1 Rendering is a contract}
+
+   Task keys ([Runner.Task.key_of]) are rendered with Jsonx and seed the
+   task RNG streams; cache entries and store checksums hash rendered
+   bytes.  These outputs were captured from the Printf-based renderer and
+   must never change. *)
+
+let pinned_floats =
+  [
+    (0., "0.0");
+    (-0., "-0.0");
+    (5e-324, "4.94065645841e-324");
+    (-5e-324, "-4.94065645841e-324");
+    (2.2250738585072014e-308, "2.2250738585072014e-308");
+    (max_float, "1.7976931348623157e+308");
+    (-.max_float, "-1.7976931348623157e+308");
+    (1e-5, "1e-05");
+    (1e-4, "0.0001");
+    (1.5e-5, "1.5e-05");
+    (0.00012345, "0.00012345");
+    (1e15, "1e+15");
+    (1e16, "1e+16");
+    (1e17, "1e+17");
+    (0.1, "0.1");
+    (1. /. 3., "0.33333333333333331");
+    (2. /. 3., "0.66666666666666663");
+    (0.1 +. 0.2, "0.30000000000000004");
+    (0.1 +. 0.7, "0.79999999999999993");
+    (9.9999999999995, "9.9999999999995008");
+    (123456789012.5, "123456789012.5");
+    (999999999999.5, "999999999999.5");
+    (1e12, "1000000000000.0");
+    (100000000000.25, "100000000000.25");
+    (0.0009765625, "0.0009765625");
+    (0.001953125, "0.001953125");
+    (0.000244140625, "0.000244140625");
+    (* exact 18-digit expansions: the 17-digit ties round to even *)
+    (0x1p-25, "2.9802322387695312e-08");
+    (0x3p-25, "8.9406967163085938e-08");
+    (100001. /. 262144., "0.38147354125976562");
+    (* an exact 13-digit expansion: a 12-digit tie, so no round trip *)
+    (1001. /. 8192., "0.1221923828125");
+    (1e15 +. 0.5, "1000000000000000.5");
+    (4503599627370495.5, "4503599627370495.5");
+    (1e-7, "1e-07");
+    (1e-11, "1e-11");
+    (9.99999999999e-12, "9.99999999999e-12");
+    (0x1p-36, "1.4551915228366852e-11");
+    (0x1.fffffffffffffp-37, "1.455191522836685e-11");
+    (0x1.fffffffffffffp+39, "1099511627775.9999");
+    (1099511627775.5, "1099511627775.5");
+    (1e22, "1e+22");
+    (1e23, "1e+23");
+    (-2.5, "-2.5");
+    (100.5, "100.5");
+    (1e-300, "1e-300");
+    (-1.5e308, "-1.5e+308");
+  ]
+
+let test_pinned_float_bytes () =
+  List.iter
+    (fun (f, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "bytes of %h" f)
+        expected
+        (T.Jsonx.to_string (T.Jsonx.Float f)))
+    pinned_floats
+
+let test_pinned_key_and_entry () =
+  let key =
+    Runner.Task.key_of ~family:"pin.sweep"
+      T.Jsonx.
+        [
+          ("w", Int 64);
+          ("p", Float 0.1);
+          ("tau", Float (1. /. 3.));
+          ("elapsed", Float 0.0009765625);
+          ("d", Float 1e-5);
+          ("big", Float 1e16);
+        ]
+  in
+  Alcotest.(check string)
+    "task key"
+    {|pin.sweep:{"big":1e+16,"d":1e-05,"elapsed":0.0009765625,"p":0.1,"tau":0.33333333333333331,"w":64}|}
+    key;
+  let task =
+    Runner.Task.make ~key ~encode:(fun () -> T.Jsonx.Null)
+      ~decode:(fun _ -> Some ())
+      (fun _ -> ())
+  in
+  Alcotest.(check string)
+    "task fingerprint" "85546f66bbf818db"
+    (Runner.Task.fingerprint task);
+  let payoffs =
+    [
+      0x1.5555555555555p-2; 0x1.0624dd2f1a9fcp-10; 0x1.999999999999ap-4;
+      -0x1.4p-3; 12.0;
+    ]
+  in
+  Alcotest.(check string)
+    "store entry line"
+    {|88bc60caa639bec5:{"k":"default|payoff|16,32,32,64","v":[0.33333333333333331,0.001,0.1,-0.15625,12.0]}|}
+    (Store.Codec.encode ~key:"default|payoff|16,32,32,64"
+       (T.Jsonx.List (List.map (fun u -> T.Jsonx.Float u) payoffs)))
+
+(* The rule the renderer used to apply with Printf, kept here only as the
+   reference the exact formatter is held to. *)
+let printf_rule f =
+  if Float.is_nan f || Float.abs f = infinity then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else
+    let s = Printf.sprintf "%.12g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+(* Doubles from the families where decimal formatting goes wrong: raw bit
+   patterns, dyadics k/2^j, short decimals, a few ulps either side of a
+   power of ten, subnormals and signed zeros. *)
+let gen_double st =
+  let int n = Random.State.int st n in
+  let f =
+    match int 6 with
+    | 0 -> Int64.float_of_bits (Random.State.bits64 st)
+    | 1 -> float_of_int (Random.State.bits st) /. Float.ldexp 1. (int 64)
+    | 2 ->
+        let digits = 1 + int 17 in
+        float_of_string
+          (Printf.sprintf "%de%d"
+             (Random.State.full_int st (int_of_float (10. ** float_of_int digits)))
+             (int 50 - 30))
+    | 3 ->
+        let p = float_of_string (Printf.sprintf "1e%d" (int 60 - 30)) in
+        Int64.float_of_bits
+          (Int64.add (Int64.bits_of_float p) (Int64.of_int (int 9 - 4)))
+    | 4 ->
+        Int64.float_of_bits
+          (Int64.logand (Random.State.bits64 st) 0xF_FFFF_FFFF_FFFFL)
+    | _ -> 0.
+  in
+  if Random.State.bool st then -.f else f
+
+let batch = 1000
+
+let test_exact_formatter_matches_printf =
+  QCheck.Test.make ~count:1000
+    ~name:"renderer = Printf rule on 10^6 doubles, and parses back bit for bit"
+    (QCheck.make (QCheck.Gen.array_size (QCheck.Gen.return batch) gen_double))
+    (fun doubles ->
+      Array.iter
+        (fun f ->
+          let got = T.Jsonx.to_string (T.Jsonx.Float f) in
+          let want = printf_rule f in
+          if got <> want then
+            QCheck.Test.fail_reportf "%h: rendered %s, Printf rule %s" f got
+              want;
+          (* Integral values past 1e15 may print without a point and come
+             back as [Int]; the number is still exact. *)
+          if Float.is_finite f then
+            let v = T.Jsonx.parse got in
+            match T.Jsonx.to_float_opt v with
+            | Some g
+              when Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+              ->
+                ()
+            | _ ->
+                QCheck.Test.fail_reportf "%h: %s parsed back as %s" f got
+                  (T.Jsonx.to_string v))
+        doubles;
+      true)
+
+(* Strings are key bytes as much as floats are: the per-character
+   escaping rule the renderer has always applied, as the reference. *)
+let reference_string s =
+  let buf = Buffer.create 16 in
+  Buffer.add_char buf '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\b' -> Buffer.add_string buf "\\b"
+      | '\012' -> Buffer.add_string buf "\\f"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
+let test_string_bytes_match_reference =
+  QCheck.Test.make ~count:2000 ~name:"string escaping = per-character rule"
+    QCheck.(string_gen Gen.char)
+    (fun s -> T.Jsonx.to_string (T.Jsonx.String s) = reference_string s)
+
+let test_span_cells_are_the_named_metrics () =
+  let r = registry () in
+  let cells = T.Registry.span_cells r "io" in
+  T.Span.with_span ~registry:r "io" ignore;
+  Alcotest.(check bool) "histogram io.seconds" true
+    (cells.seconds == T.Registry.histogram r "io.seconds");
+  Alcotest.(check bool) "counter io.calls" true
+    (cells.calls == T.Registry.counter r "io.calls");
+  Alcotest.(check int) "one call" 1 (T.Metric.count cells.calls);
+  T.Registry.reset r;
+  T.Span.with_span ~registry:r "io" ignore;
+  Alcotest.(check int) "reset drops the cached cells too" 1
+    (T.Metric.count (T.Registry.counter r "io.calls"))
+
 let test_registry_isolation () =
   let a = registry () and b = registry () in
   T.Metric.incr (T.Registry.counter a "shared.name");
@@ -400,6 +677,8 @@ let () =
           Alcotest.test_case "nesting depth" `Quick test_span_nesting_depth;
           Alcotest.test_case "exception safety" `Quick
             test_span_survives_exception;
+          Alcotest.test_case "span cells" `Quick
+            test_span_cells_are_the_named_metrics;
         ] );
       ( "events",
         [
@@ -417,6 +696,17 @@ let () =
           Alcotest.test_case "registry isolation" `Quick
             test_registry_isolation;
           Alcotest.test_case "report renders" `Quick test_report_renders;
+        ] );
+      ( "jsonx",
+        [
+          Alcotest.test_case "strict numbers" `Quick test_jsonx_strict_numbers;
+          Alcotest.test_case "strict strings" `Quick test_jsonx_strict_strings;
+          Alcotest.test_case "pinned float bytes" `Quick
+            test_pinned_float_bytes;
+          Alcotest.test_case "pinned key and store entry" `Quick
+            test_pinned_key_and_entry;
+          QCheck_alcotest.to_alcotest test_exact_formatter_matches_printf;
+          QCheck_alcotest.to_alcotest test_string_bytes_match_reference;
         ] );
       ( "instrumentation",
         [
