@@ -373,9 +373,9 @@ let kernel_ns json =
    regression.  2× is deliberately loose — micro-benchmark noise on
    shared machines is real — so tripping it means the kernel genuinely
    lost its edge.  Guarded: every spatial kernel — the event-core ones
-   (PR 4/6) and the grid/scan/sharded scale ones (PR 10) — the
-   Newton/batch solver kernels (PR 9), and the warm and cold serving
-   kernels, whose time is mostly request parsing and reply rendering. *)
+   and the grid/scan/sharded scale ones — the Newton/batch solver
+   kernels, and the warm and cold serving kernels, whose time is mostly
+   request parsing and reply rendering. *)
 let guarded_kernel name =
   String.starts_with ~prefix:"spatial" name
   || List.mem name
