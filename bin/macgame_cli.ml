@@ -549,15 +549,15 @@ let sim_cmd =
         r.per_node
     end
   in
-  let run mode m n w aifs txop rate duration seed shards area range cs_range
-      () =
+  let simulate mode m n w aifs txop rate duration seed shards area range
+      cs_range =
     let params = params_of mode m in
     let s =
       { Macgame.Strategy_space.cw = w; aifs; txop_frames = txop; rate }
     in
     (match Macgame.Strategy_space.validate ~cw_max:params.Dcf.Params.cw_max s with
     | Ok () -> ()
-    | Error e -> raise (Invalid_argument ("sim: " ^ e)));
+    | Error e -> invalid_arg e);
     let strategies =
       if Macgame.Strategy_space.is_degenerate s then None
       else Some (Array.make n s)
@@ -589,6 +589,18 @@ let sim_cmd =
             "model: tau=%.5f p=%.4f payoff=%.4f | sim welfare %.4f\n"
             v.taus.(0) v.ps.(0) v.utilities.(0) r.welfare_rate
     end
+  in
+  (* Bad geometry or strategies surface as [Invalid_argument] from the
+     simulators: one line and exit 2, not cmdliner's uncaught-exception
+     report. *)
+  let run mode m n w aifs txop rate duration seed shards area range cs_range
+      () =
+    try
+      simulate mode m n w aifs txop rate duration seed shards area range
+        cs_range
+    with Invalid_argument msg ->
+      Printf.eprintf "sim: %s\n" msg;
+      exit 2
   in
   Cmd.v
     (Cmd.info "sim" ~doc:"Packet-level simulation (slotted, or spatial with --shards)")

@@ -8,17 +8,21 @@ type t = {
   slot_idx : int array; (* position inside that cell's bucket *)
   buckets : int array array; (* members as a dense prefix of each row *)
   lens : int array;
+  mutable scratch : int array; (* {!query}'s buffer, sized on first use *)
   mutable candidates : int;
   mutable rebuckets : int;
 }
 
-let floor_div t v =
-  let c = int_of_float (Float.floor (v /. t.cell)) in
-  if c < 0 then 0 else c
+(* Cell index of coordinate [v] along an axis of [cells] cells, clamped to
+   the grid.  The clamp happens on the float floor, so an unbounded query
+   box (an infinite radius) still maps to the edge cells. *)
+let[@inline] axis t cells v =
+  let c = Float.floor (v /. t.cell) in
+  if c <= 0. then 0
+  else if c >= float_of_int (cells - 1) then cells - 1
+  else int_of_float c
 
-let col_of t x = Stdlib.min (t.cols - 1) (floor_div t x)
-let row_of t y = Stdlib.min (t.rows - 1) (floor_div t y)
-let cell_of t i = (row_of t t.ys.(i) * t.cols) + col_of t t.xs.(i)
+let cell_of t i = (axis t t.rows t.ys.(i) * t.cols) + axis t t.cols t.xs.(i)
 
 let bucket_push t b i =
   let len = t.lens.(b) in
@@ -54,14 +58,20 @@ let remove t i =
 
 let mem t i = t.cell_idx.(i) >= 0
 
+(* NaN fails every comparison, so the checks are written to pass only
+   finite, non-negative coordinates. *)
+let valid (p : Geom.point) =
+  p.x >= 0. && p.y >= 0. && Float.is_finite p.x && Float.is_finite p.y
+
 let create ?(fill = true) ~cell points =
-  if cell <= 0. then invalid_arg "Grid.create: cell must be positive";
+  if not (cell > 0. && Float.is_finite cell) then
+    invalid_arg "Grid.create: cell must be positive and finite";
   let n = Array.length points in
   let maxx = ref 0. and maxy = ref 0. in
   Array.iter
     (fun (p : Geom.point) ->
-      if p.x < 0. || p.y < 0. then
-        invalid_arg "Grid.create: coordinates must be non-negative";
+      if not (valid p) then
+        invalid_arg "Grid.create: coordinates must be finite and non-negative";
       if p.x > !maxx then maxx := p.x;
       if p.y > !maxy then maxy := p.y)
     points;
@@ -78,6 +88,7 @@ let create ?(fill = true) ~cell points =
       slot_idx = Array.make n 0;
       buckets = Array.make (cols * rows) [||];
       lens = Array.make (cols * rows) 0;
+      scratch = [||];
       candidates = 0;
       rebuckets = 0;
     }
@@ -93,8 +104,8 @@ let cell_size t = t.cell
 let position t i = { Geom.x = t.xs.(i); y = t.ys.(i) }
 
 let move t i (p : Geom.point) =
-  if p.x < 0. || p.y < 0. then
-    invalid_arg "Grid.move: coordinates must be non-negative";
+  if not (valid p) then
+    invalid_arg "Grid.move: coordinates must be finite and non-negative";
   t.xs.(i) <- p.x;
   t.ys.(i) <- p.y;
   let old = t.cell_idx.(i) in
@@ -108,37 +119,49 @@ let move t i (p : Geom.point) =
   end
 
 (* The candidate box is the padded axis-aligned square of half-width
-   [radius] around (x, y): a superset of the disk, so callers filter with
+   [radius] around id [i]: a superset of the disk, so callers filter with
    an exact predicate.  The pad absorbs the rounding of [x -. radius]
    against a bucket boundary — a member at distance exactly [radius] can
    otherwise fall one cell outside a box computed in floats. *)
-let iter_candidates t ~radius x y f =
-  if radius < 0. then invalid_arg "Grid.iter_candidates: negative radius";
+let gather t ~radius i buf =
+  if not (radius >= 0.) then invalid_arg "Grid.gather: negative radius";
+  let x = t.xs.(i) and y = t.ys.(i) in
   let r = radius +. (t.cell *. 1e-9) in
-  let c0 = col_of t (x -. r) and c1 = col_of t (x +. r) in
-  let r0 = row_of t (y -. r) and r1 = row_of t (y +. r) in
-  let offered = ref 0 in
+  let c0 = axis t t.cols (x -. r) and c1 = axis t t.cols (x +. r) in
+  let r0 = axis t t.rows (y -. r) and r1 = axis t t.rows (y +. r) in
+  let len = ref 0 in
   for row = r0 to r1 do
     let base = row * t.cols in
-    for col = c0 to c1 do
-      let b = base + col in
+    for b = base + c0 to base + c1 do
       let bucket = t.buckets.(b) in
-      let len = t.lens.(b) in
-      offered := !offered + len;
-      for k = 0 to len - 1 do
-        f bucket.(k)
+      for k = 0 to t.lens.(b) - 1 do
+        buf.(!len) <- bucket.(k);
+        incr len
       done
     done
   done;
-  t.candidates <- t.candidates + !offered
+  t.candidates <- t.candidates + !len;
+  !len
+
+let neighbours t ~radius i buf =
+  let k = gather t ~radius i buf in
+  let x = t.xs.(i) and y = t.ys.(i) and r2 = radius *. radius in
+  let m = ref 0 in
+  for c = 0 to k - 1 do
+    let j = buf.(c) in
+    let dx = x -. t.xs.(j) and dy = y -. t.ys.(j) in
+    if j <> i && (dx *. dx) +. (dy *. dy) <= r2 then begin
+      buf.(!m) <- j;
+      incr m
+    end
+  done;
+  Prelude.Util.sort_ints buf !m;
+  !m
 
 let query t ~radius i =
-  let p = position t i in
-  let acc = ref [] in
-  iter_candidates t ~radius p.x p.y (fun j ->
-      if j <> i && Geom.within ~range:radius p (position t j) then
-        acc := j :: !acc);
-  List.sort_uniq compare !acc
+  if Array.length t.scratch = 0 then t.scratch <- Array.make (length t) 0;
+  let buf = t.scratch in
+  List.init (neighbours t ~radius i buf) (Array.get buf)
 
 let candidates t = t.candidates
 let rebuckets t = t.rebuckets

@@ -7,11 +7,12 @@
     structure serves both a static node index (filled once) and a sparse
     airborne-transmitter set (members come and go per frame).
 
-    Queries return a {e superset} of the requested disk — the cells
-    overlapping the padded bounding square — and callers apply the exact
-    {!Geom.within} predicate.  {!query} does that filtering itself and is
-    the reference for the property tests; {!iter_candidates} leaves it to
-    the caller's hot loop.
+    {!gather} returns a {e superset} of the requested disk — the members of
+    the cells overlapping the padded bounding square — and callers apply
+    an exact predicate; {!neighbours} applies the {!Geom.within} predicate
+    itself, and {!query} is its list form, the reference for the property
+    tests.  Both array queries write into a caller-owned buffer, so a hot
+    loop that reuses one buffer allocates nothing.
 
     The structure is not thread-safe; shard it (one grid per domain)
     rather than sharing it. *)
@@ -24,8 +25,9 @@ val create : ?fill:bool -> cell:float -> Geom.point array -> t
     [~fill:false] builds an empty index over the same coordinates (the
     airborne set).  Cell count is derived from the coordinate extent.
 
-    @raise Invalid_argument on a non-positive [cell] or negative
-    coordinates (the grid origin is pinned at (0,0)). *)
+    @raise Invalid_argument on a [cell] that is not positive and finite,
+    or coordinates that are not finite and non-negative (the grid origin
+    is pinned at (0,0)). *)
 
 val length : t -> int
 (** Number of ids (present or not). *)
@@ -48,25 +50,32 @@ val move : t -> int -> Geom.point -> unit
     changes — the incremental path for waypoint walkers, counted by
     {!rebuckets}.  An absent id just has its coordinates updated.
 
-    @raise Invalid_argument on negative coordinates. *)
+    @raise Invalid_argument on coordinates that are not finite and
+    non-negative. *)
 
-val iter_candidates : t -> radius:float -> float -> float -> (int -> unit) -> unit
-(** [iter_candidates t ~radius x y f] applies [f] to every {e present} id
-    in the cells overlapping the padded square of half-width [radius]
-    around [(x, y)] — a superset of the ids within [radius]; the caller
-    filters exactly.  Ids offered (pre-filter) accumulate into
-    {!candidates}.
+val gather : t -> radius:float -> int -> int array -> int
+(** [gather t ~radius i buf] writes every {e present} id in the cells
+    overlapping the padded square of half-width [radius] around id [i]'s
+    coordinates — a superset of the ids within [radius], [i] included
+    when present — into [buf]'s prefix and returns their count; the
+    caller filters exactly.  A [buf] of {!length} entries always
+    suffices.  Ids offered accumulate into {!candidates}.
 
-    @raise Invalid_argument on a negative radius. *)
+    @raise Invalid_argument on a negative or NaN radius. *)
+
+val neighbours : t -> radius:float -> int -> int array -> int
+(** [neighbours t ~radius i buf] writes the present ids within exactly
+    [radius] ({!Geom.within}) of id [i], excluding [i] itself, into
+    [buf]'s prefix in increasing order and returns their count — the
+    neighbour arrays of {!Topology.adjacency} when the grid holds every
+    id.  Same buffer contract and errors as {!gather}. *)
 
 val query : t -> radius:float -> int -> int list
-(** Present ids within exactly [radius] ({!Geom.within}) of id [i],
-    excluding [i] itself, in increasing order — matches the neighbour
-    lists of {!Topology.adjacency} when the grid holds every id. *)
+(** {!neighbours} as a list, through a buffer the grid owns. *)
 
 val candidates : t -> int
-(** Cumulative ids offered to query callbacks (pre-filter), the measure of
-    how selective the cells are. *)
+(** Cumulative ids offered by {!gather} (pre-filter), the measure of how
+    selective the cells are. *)
 
 val rebuckets : t -> int
 (** Cumulative cell crossings performed by {!move}. *)

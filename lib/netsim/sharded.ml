@@ -47,14 +47,19 @@ let run ?(telemetry = Telemetry.Registry.default) ?(retry_limit = max_int)
   | Some ss when Array.length ss <> n ->
       invalid_arg "Sharded.run: strategies length mismatch"
   | _ -> ());
-  if range <= 0. then invalid_arg "Sharded.run: range must be positive";
-  if cs_range < range then
-    invalid_arg "Sharded.run: cs_range must be >= range";
+  (* Written so NaN fails them too. *)
+  if not (range > 0. && Float.is_finite range) then
+    invalid_arg "Sharded.run: range must be positive and finite";
+  if not (cs_range >= range && Float.is_finite cs_range) then
+    invalid_arg "Sharded.run: cs_range must be finite and >= range";
   let halo = Option.value halo ~default:(Stdlib.max cs_range (2. *. range)) in
-  if halo < 0. then invalid_arg "Sharded.run: halo must be >= 0";
+  if not (halo >= 0. && Float.is_finite halo) then
+    invalid_arg "Sharded.run: halo must be finite and >= 0";
   let xmin = ref infinity and xmax = ref neg_infinity in
   Array.iter
     (fun (p : Mobility.Geom.point) ->
+      if not (Float.is_finite p.x && Float.is_finite p.y) then
+        invalid_arg "Sharded.run: coordinates must be finite";
       if p.x < !xmin then xmin := p.x;
       if p.x > !xmax then xmax := p.x)
     positions;

@@ -77,4 +77,6 @@ val run :
     (a = strip index, b = members simulated).
 
     @raise Invalid_argument on inconsistent sizes, [shards < 1], a
-    non-positive [range], [cs_range < range], or a negative [halo]. *)
+    [range] that is not positive and finite, a [cs_range] that is not
+    finite and [>= range], a [halo] that is not finite and [>= 0], or a
+    non-finite coordinate (NaN fails every one of these checks). *)

@@ -103,6 +103,9 @@ let run ?(telemetry = Telemetry.Registry.default) ?(bianchi_ticks = false)
     Array.map (fun (t : Dcf.Strategy_space.times) -> t.payload) times
   in
   let master = Prelude.Rng.create seed in
+  (* Trace events are built only under [tracing]: each costs a record and
+     a boxed float, a collision also a list of its colliders. *)
+  let tracing = Option.is_some trace in
   let emit event =
     match trace with None -> () | Some t -> Trace.record t event
   in
@@ -191,12 +194,14 @@ let run ?(telemetry = Telemetry.Registry.default) ?(bianchi_ticks = false)
             winner.drops <- winner.drops + 1;
             winner.retries <- 0;
             winner.stage <- 0;
-            emit (Trace.Drop { time = !time; node = winner.id })
+            if tracing then
+              emit (Trace.Drop { time = !time; node = winner.id })
           end
           else winner.stage <- Stdlib.min (winner.stage + 1) m;
           time := !time +. sts1.(winner.id);
           error_airtime := !error_airtime +. sts1.(winner.id);
-          emit (Trace.Channel_error { time = !time; node = winner.id })
+          if tracing then
+            emit (Trace.Channel_error { time = !time; node = winner.id })
       | [ winner ] ->
           winner.attempts <- winner.attempts + 1;
           winner.success_accesses <- winner.success_accesses + 1;
@@ -206,7 +211,8 @@ let run ?(telemetry = Telemetry.Registry.default) ?(bianchi_ticks = false)
           winner.retries <- 0;
           time := !time +. sts.(winner.id);
           success_airtime := !success_airtime +. sts.(winner.id);
-          emit (Trace.Success { time = !time; node = winner.id })
+          if tracing then
+            emit (Trace.Success { time = !time; node = winner.id })
       | colliders ->
           List.iter
             (fun nd ->
@@ -219,7 +225,7 @@ let run ?(telemetry = Telemetry.Registry.default) ?(bianchi_ticks = false)
                 nd.drops <- nd.drops + 1;
                 nd.retries <- 0;
                 nd.stage <- 0;
-                emit (Trace.Drop { time = !time; node = nd.id })
+                if tracing then emit (Trace.Drop { time = !time; node = nd.id })
               end
               else nd.stage <- Stdlib.min (nd.stage + 1) m)
             colliders;
@@ -232,9 +238,13 @@ let run ?(telemetry = Telemetry.Registry.default) ?(bianchi_ticks = false)
           in
           time := !time +. tc_busy;
           collision_airtime := !collision_airtime +. tc_busy;
-          emit
-            (Trace.Collision
-               { time = !time; nodes = List.map (fun nd -> nd.id) colliders }));
+          if tracing then
+            emit
+              (Trace.Collision
+                 {
+                   time = !time;
+                   nodes = List.map (fun nd -> nd.id) colliders;
+                 }));
       if bianchi_ticks then
         (* Markov-chain convention: the busy virtual slot also ticks the
            frozen stations' counters (transmitters are at 0 and resample

@@ -109,10 +109,15 @@ let equal_result (a : result) (b : result) =
   && Array.length a.per_node = Array.length b.per_node
   && Array.for_all2 equal_stats a.per_node b.per_node
 
-(* Event kinds, packed with time and node id into a single calendar int:
-   [((t * 4 + kind) * n) + id] sorts by time, then kind, then node id —
-   exactly the intra-slot processing order the reference loop implies
-   (resolutions, then channel releases, then backoff expiries). *)
+(* [Stdlib.min] and [max] are polymorphic: on the hot path they would
+   compare through a C call. *)
+let imin (a : int) b = if a < b then a else b
+let imax (a : int) b = if a > b then a else b
+
+(* Event kinds, in intra-slot processing order — exactly the order the
+   reference loop's phases imply (resolutions, then channel releases, then
+   backoff expiries).  Within a slot the calendar drains events by
+   (kind, node id). *)
 let kind_resolve = 0
 let kind_busy_release = 1
 let kind_nav_release = 2
@@ -155,13 +160,12 @@ type neighborhoods =
     }
 
 (* Grid-backed state threaded into the event core when neighbourhoods are
-   geometric: the airborne-transmitter index, the coordinates to query
-   around, and a flush that folds both grids' candidate/rebucket tallies
-   into the registry counters once per run (the grids count into plain
-   ints so the hot loop never takes the registry lock). *)
+   geometric: the airborne-transmitter index, the radius to query it at,
+   and a flush that folds both grids' candidate/rebucket tallies into the
+   registry counters once per run (the grids count into plain ints so the
+   hot loop never takes the registry lock). *)
 type geo_state = {
   g_air : Mobility.Grid.t;
-  g_positions : Mobility.Geom.point array;
   g_radius : float;
   g_flush : Telemetry.Registry.t -> unit;
 }
@@ -176,7 +180,8 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
     if n = 0 then invalid_arg "Spatial.run: empty network";
     if Array.length cws <> n then
       invalid_arg "Spatial.run: cws length mismatch";
-    if duration <= 0. then invalid_arg "Spatial.run: duration must be positive";
+    if not (duration > 0.) then
+      invalid_arg "Spatial.run: duration must be positive";
     Array.iter
       (fun w -> if w < 1 then invalid_arg "Spatial.run: window must be >= 1")
       cws
@@ -230,10 +235,11 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
     | Geo { positions; range; cs_range; grid } ->
         let n = Array.length positions in
         validate_scalars n;
-        if range <= 0. then
-          invalid_arg "Spatial.run_grid: range must be positive";
-        if cs_range < range then
-          invalid_arg "Spatial.run_grid: cs_range must be >= range";
+        (* Written so NaN fails them too. *)
+        if not (range > 0. && Float.is_finite range) then
+          invalid_arg "Spatial.run_grid: range must be positive and finite";
+        if not (cs_range >= range && Float.is_finite cs_range) then
+          invalid_arg "Spatial.run_grid: cs_range must be finite and >= range";
         let g =
           match grid with
           | None -> Mobility.Grid.create ~cell:range positions
@@ -252,17 +258,31 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
         in
         let candidates0 = Mobility.Grid.candidates g in
         let rebuckets0 = Mobility.Grid.rebuckets g in
+        (* The exact unit-disk predicate of {!Mobility.Geom.within}, on
+           unboxed coordinates. *)
+        let xs = Array.map (fun (p : Mobility.Geom.point) -> p.x) positions in
+        let ys = Array.map (fun (p : Mobility.Geom.point) -> p.y) positions in
+        let range2 = range *. range and cs_range2 = cs_range *. cs_range in
+        let within r2 i j =
+          let dx = xs.(i) -. xs.(j) and dy = ys.(i) -. ys.(j) in
+          (dx *. dx) +. (dy *. dy) <= r2
+        in
+        (* Carrier-sense neighbours come sorted from the grid; the decode
+           neighbours are the ones among them within [range], order kept. *)
         let neighbors = Array.make n [||] in
         let cs_neighbors = Array.make n [||] in
+        let buf = Array.make n 0 in
         for i = 0 to n - 1 do
-          let cands = Mobility.Grid.query g ~radius:cs_range i in
-          cs_neighbors.(i) <- Array.of_list cands;
-          neighbors.(i) <-
-            Array.of_list
-              (List.filter
-                 (fun j ->
-                   Mobility.Geom.within ~range positions.(i) positions.(j))
-                 cands)
+          let k = Mobility.Grid.neighbours g ~radius:cs_range i buf in
+          cs_neighbors.(i) <- Array.sub buf 0 k;
+          let m = ref 0 in
+          for c = 0 to k - 1 do
+            if within range2 i buf.(c) then begin
+              buf.(!m) <- buf.(c);
+              incr m
+            end
+          done;
+          neighbors.(i) <- Array.sub buf 0 !m
         done;
         (* Airborne-transmitter index: every pair the eager corruption
            marking can couple (src→receiver→other src) spans at most two
@@ -285,20 +305,9 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
         ( n,
           neighbors,
           cs_neighbors,
-          (fun i j ->
-            i <> j
-            && Mobility.Geom.within ~range positions.(i) positions.(j)),
-          (fun i j ->
-            i <> j
-            && Mobility.Geom.within ~range:cs_range positions.(i)
-                 positions.(j)),
-          Some
-            {
-              g_air = air;
-              g_positions = positions;
-              g_radius = 2. *. range;
-              g_flush = flush;
-            } )
+          (fun i j -> i <> j && within range2 i j),
+          (fun i j -> i <> j && within cs_range2 i j),
+          Some { g_air = air; g_radius = 2. *. range; g_flush = flush } )
   in
   let strategies =
     match strategies with
@@ -358,8 +367,6 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
     Array.map (fun (s : Dcf.Strategy_space.t) -> s.txop_frames) strategies
   in
   let horizon = int_of_float (Float.ceil (duration /. sigma)) in
-  if horizon + 1 > max_int / (4 * n) then
-    invalid_arg "Spatial.run: horizon too large for event packing";
   let master = Prelude.Rng.create seed in
   let nodes =
     Array.init n (fun i ->
@@ -421,7 +428,7 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
   let covered_until = ref 0 in
   let clip t = if t > horizon then horizon else t in
   let cover a b =
-    let from = Stdlib.max a !covered_until in
+    let from = imax a !covered_until in
     if b > from then begin
       busy_slots := !busy_slots + (b - from);
       covered_until := b
@@ -430,6 +437,9 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
   let backoff_reset node =
     node.counter <- Prelude.Rng.int node.rng (node.window lsl node.stage)
   in
+  (* Trace events are built only under [tracing]: constructing one costs
+     a record, a boxed float and, for collisions, a list. *)
+  let tracing = Option.is_some trace in
   let emit event =
     match trace with None -> () | Some t -> Trace.record t event
   in
@@ -450,8 +460,54 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
     ref (fun nd _ _ -> nd.tx)
   in
   let register : (node -> tx -> unit) ref = ref (fun _ _ -> ()) in
-  let iter_airborne : (node -> int -> (tx -> unit) -> unit) ref =
+  (* [mark_airborne node now tx] offers every frame that may still be on
+     the air to [mark]. *)
+  let mark_airborne : (node -> int -> tx -> unit) ref =
     ref (fun _ _ _ -> ())
+  in
+  (* Eager corruption marking of [node]'s new frame [tx] against one
+     [other] frame.  Marking only ORs flags, so drivers may offer frames in
+     any order, and offering one that is no longer on the air is a no-op. *)
+  let mark now node tx other =
+    if other != tx && nodes.(other.src).busy_until > now then begin
+      (* [other]'s frame is still on the air. *)
+      if other.src <> node.id && is_neighbor tx.dest other.src then begin
+        if in_cs node.id other.src then tx.corrupted_local <- true
+        else tx.corrupted_hidden <- true
+      end;
+      (* Symmetrically, the new frame may corrupt [other] if other is still
+         in its vulnerable window and we are audible at its receiver — or
+         if we ARE its receiver and just went deaf by transmitting
+         ourselves (same-slot start, so other's dest-busy check could not
+         see it). *)
+      if (not other.resolved) && now < other.vuln_end then begin
+        if other.dest = node.id then other.corrupted_local <- true
+        else if is_neighbor other.dest node.id then
+          if in_cs other.src node.id then other.corrupted_local <- true
+          else other.corrupted_hidden <- true
+      end
+    end
+  in
+  (* The CTS (and the data exchange) silences a neighbourhood until the
+     ACK completes. *)
+  let silence now ~src ~finish neighbors =
+    for k = 0 to Array.length neighbors - 1 do
+      let j = neighbors.(k) in
+      if j <> src then begin
+        let nd = nodes.(j) in
+        if finish > nd.nav_until then begin
+          !raise_nav now nd finish;
+          if tracing then
+            emit
+              (Trace.Nav_defer
+                 {
+                   time = float_of_int now *. sigma;
+                   node = j;
+                   until = float_of_int finish *. sigma;
+                 })
+        end
+      end
+    done
   in
   let resolve now tx =
     tx.resolved <- true;
@@ -470,18 +526,20 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
       else src.hidden_failures <- src.hidden_failures + 1;
       if rec_on then
         Telemetry.Recorder.instant recorder nid_collision now tx.src;
-      emit
-        (Trace.Collision
-           { time = float_of_int now *. sigma; nodes = [ tx.src ] });
+      if tracing then
+        emit
+          (Trace.Collision
+             { time = float_of_int now *. sigma; nodes = [ tx.src ] });
       src.retries <- src.retries + 1;
       if src.retries > retry_limit then begin
         src.drops <- src.drops + 1;
         src.retries <- 0;
         src.stage <- 0;
         if rec_on then Telemetry.Recorder.instant recorder nid_drop now tx.src;
-        emit (Trace.Drop { time = float_of_int now *. sigma; node = tx.src })
+        if tracing then
+          emit (Trace.Drop { time = float_of_int now *. sigma; node = tx.src })
       end
-      else src.stage <- Stdlib.min (src.stage + 1) m
+      else src.stage <- imin (src.stage + 1) m
     end
     else begin
       let finish = started + ts_slots_a.(tx.src) in
@@ -494,40 +552,26 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
       success_tx_slots := !success_tx_slots + (clip finish - clip started);
       cover (clip now) (clip finish);
       if rec_on then Telemetry.Recorder.instant recorder nid_success now tx.src;
-      emit (Trace.Success { time = float_of_int now *. sigma; node = tx.src });
+      if tracing then
+        emit
+          (Trace.Success { time = float_of_int now *. sigma; node = tx.src });
       src.stage <- 0;
       src.retries <- 0;
-      (match params.mode with
+      match params.mode with
       | Dcf.Params.Basic -> ()
       | Dcf.Params.Rts_cts ->
-          (* The CTS (and the data exchange) silences both neighbourhoods
-             until the ACK completes. *)
-          emit
-            (Trace.Cts
-               {
-                 time = float_of_int now *. sigma;
-                 src = tx.dest;
-                 dest = tx.src;
-               });
+          if tracing then
+            emit
+              (Trace.Cts
+                 {
+                   time = float_of_int now *. sigma;
+                   src = tx.dest;
+                   dest = tx.src;
+                 });
           let dest = nodes.(tx.dest) in
           !raise_busy now dest finish;
-          let silence j =
-            if j <> tx.src then begin
-              let nd = nodes.(j) in
-              if finish > nd.nav_until then begin
-                !raise_nav now nd finish;
-                emit
-                  (Trace.Nav_defer
-                     {
-                       time = float_of_int now *. sigma;
-                       node = j;
-                       until = float_of_int finish *. sigma;
-                     })
-              end
-            end
-          in
-          Array.iter silence dest.neighbors;
-          Array.iter silence src.neighbors)
+          silence now ~src:tx.src ~finish dest.neighbors;
+          silence now ~src:tx.src ~finish src.neighbors
     end;
     backoff_reset src
   in
@@ -546,36 +590,16 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
       (match params.mode with
       | Dcf.Params.Basic -> ()
       | Dcf.Params.Rts_cts ->
-          emit
-            (Trace.Rts
-               { time = float_of_int now *. sigma; src = node.id; dest }));
+          if tracing then
+            emit
+              (Trace.Rts
+                 { time = float_of_int now *. sigma; src = node.id; dest }));
       let tx = !obtain node dest now in
-      (* Eager corruption marking against every other airborne frame. *)
-      let dest_node = nodes.(dest) in
-      if dest_node.busy_until > now then
+      if nodes.(dest).busy_until > now then
         (* Receiver itself is transmitting and will miss the frame; it is a
            neighbour, so this counts as a local loss. *)
         tx.corrupted_local <- true;
-      !iter_airborne node now (fun other ->
-          if other != tx && nodes.(other.src).busy_until > now then begin
-            (* [other]'s frame is still on the air. *)
-            if other.src <> node.id && is_neighbor dest other.src then begin
-              if in_cs node.id other.src then tx.corrupted_local <- true
-              else tx.corrupted_hidden <- true
-            end;
-            (* Symmetrically, the new frame may corrupt [other] if other is
-               still in its vulnerable window and we are audible at its
-               receiver — or if we ARE its receiver and just went deaf by
-               transmitting ourselves (same-slot start, so other's dest-busy
-               check could not see it). *)
-            if (not other.resolved) && now < other.vuln_end then begin
-              if other.dest = node.id then other.corrupted_local <- true
-              else if is_neighbor other.dest node.id then
-                if in_cs other.src node.id then
-                  other.corrupted_local <- true
-                else other.corrupted_hidden <- true
-            end
-          end);
+      !mark_airborne node now tx;
       !register node tx
     end
   in
@@ -600,7 +624,8 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
              corrupted_hidden = false;
            });
       (register := fun _node tx -> active := tx :: !active);
-      (iter_airborne := fun _node _now f -> List.iter f !active);
+      (mark_airborne :=
+         fun node now tx -> List.iter (mark now node tx) !active);
       (* A node senses the channel idle when it is not transmitting, has no
          NAV, and no neighbour is transmitting. *)
       let senses_idle now node =
@@ -687,16 +712,87 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
         (fun tx -> if not tx.resolved then resolve tx.vuln_end tx)
         !active
   | Event_core ->
-      (* Allocation-free event core: a packed-int calendar replaces the
-         per-boundary node/active scans.  Intra-slot order (resolve, busy
-         release, NAV release, fire) and node-id order within each kind
-         reproduce the reference loop's phases bit-for-bit. *)
-      let cal = Prelude.Heap.create ~capacity:(4 * n) () in
-      let pack t kind id = (((t * 4) + kind) * n) + id in
-      let time_of e = e / (4 * n) in
-      let push_event t kind id =
-        if t < horizon then Prelude.Heap.push cal (pack t kind id)
+      (* Allocation-free event core: a timing wheel replaces the
+         per-boundary node/active scans.  Every event lands between one
+         slot and [reach] slots ahead of [now]: a fire at most the longest
+         AIFS plus backoff window away, a release or resolution at most
+         the longest Ts/Tc/vulnerable window.  Events at or past the
+         horizon are dropped, so the horizon caps [reach] too.  A wheel of
+         [span] > [reach] slots therefore never holds two different times
+         in one slot, and slot [t land mask] is simply "time t". *)
+      let longest a = Array.fold_left imax 0 a in
+      let reach =
+        let backoff =
+          longest
+            (Array.map
+               (fun w ->
+                 if m >= 62 || w > horizon asr m then horizon else w lsl m)
+               cws)
+        in
+        imin horizon
+          (backoff + imin horizon (longest aifs_a)
+          + imin horizon
+              (imax (longest vuln_slots_a)
+                 (imax (longest ts_slots_a) (longest tc_slots_a))))
       in
+      let span =
+        let s = ref 1 in
+        while !s <= reach do
+          s := 2 * !s
+        done;
+        !s
+      in
+      let mask = span - 1 in
+      (* A node has at most one pending event of each kind: scheduling one
+         replaces the pending one, which the node's state has just made
+         obsolete (a later busy or NAV end, a backoff expiry a freeze
+         voided).  So the events live in one pooled int store of 4n cells,
+         cell [4 id + kind], chained per slot through [next] and [prev]
+         ([prev] is [-1 - s] at the head of slot [s], [unlinked] off the
+         wheel): scheduling and cancelling are O(1), the store never
+         grows, and a drain meets only events that were still current
+         when their slot came up — the checks in the drain catch the ones
+         replaced while it runs. *)
+      let unlinked = min_int in
+      let heads = Array.make span (-1) in
+      let next = Array.make (4 * n) (-1) in
+      let prev = Array.make (4 * n) unlinked in
+      let pending = ref 0 in
+      let now = ref (-1) in
+      let cancel c =
+        let p = prev.(c) in
+        if p <> unlinked then begin
+          let nx = next.(c) in
+          if p >= 0 then next.(p) <- nx else heads.(-1 - p) <- nx;
+          if nx >= 0 then prev.(nx) <- p;
+          prev.(c) <- unlinked;
+          decr pending
+        end
+      in
+      let schedule t kind id =
+        let c = (4 * id) + kind in
+        cancel c;
+        if t < horizon then begin
+          assert (t > !now && t - !now <= span);
+          let s = t land mask in
+          let head = heads.(s) in
+          next.(c) <- head;
+          prev.(c) <- -1 - s;
+          if head >= 0 then prev.(head) <- c;
+          heads.(s) <- c;
+          incr pending
+        end
+      in
+      (* A drained slot's events as sort keys, (kind, node id) order. *)
+      let id_bits =
+        let b = ref 0 in
+        while 1 lsl !b < n do
+          incr b
+        done;
+        !b
+      in
+      let id_mask = (1 lsl id_bits) - 1 in
+      let due = Array.make (4 * n) 0 in
       (* Airborne transmissions, one slot per node (a node carries at most
          one outstanding frame); stale entries are pruned lazily while
          marking. *)
@@ -711,9 +807,10 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
             (* Only slots past the defer end are consumed backoff; a
                freeze inside the defer keeps the backoff whole (the defer
                re-arms in full at the next unfreeze). *)
-            nd.counter <- nd.expiry - Stdlib.max t nd.defer_end;
+            nd.counter <- nd.expiry - imax t nd.defer_end;
             nd.expiry <- -1
-          end
+          end;
+          cancel ((4 * nd.id) + kind_fire)
         end
       in
       let try_unfreeze t nd =
@@ -730,8 +827,8 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
           end
           else begin
             nd.defer_end <- t + a;
-            nd.expiry <- nd.defer_end + Stdlib.max nd.counter 0;
-            push_event nd.expiry kind_fire nd.id
+            nd.expiry <- nd.defer_end + imax nd.counter 0;
+            schedule nd.expiry kind_fire nd.id
           end
         end
       in
@@ -749,13 +846,13 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
                done
              end;
              freeze t nd;
-             push_event v kind_busy_release nd.id
+             schedule v kind_busy_release nd.id
            end);
       (raise_nav :=
          fun t nd v ->
            nd.nav_until <- v;
            freeze t nd;
-           push_event v kind_nav_release nd.id);
+           schedule v kind_nav_release nd.id);
       (obtain :=
          fun node dest now ->
            let tx = node.tx in
@@ -775,48 +872,45 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
                  bag.(!bag_len) <- node.id;
                  incr bag_len
                end;
-               push_event tx.vuln_end kind_resolve node.id);
-          iter_airborne :=
-            fun _node now f ->
+               schedule tx.vuln_end kind_resolve node.id);
+          mark_airborne :=
+            fun node now tx ->
               let k = ref 0 in
               while !k < !bag_len do
                 let id = bag.(!k) in
-                let tx = nodes.(id).tx in
-                if tx.resolved && tx.finish <= now then begin
+                let other = nodes.(id).tx in
+                if other.resolved && other.finish <= now then begin
                   nodes.(id).in_bag <- false;
                   decr bag_len;
                   bag.(!k) <- bag.(!bag_len)
                 end
                 else begin
-                  f tx;
+                  mark now node tx other;
                   incr k
                 end
               done
-      | Some { g_air = air; g_positions = positions; g_radius; _ } ->
+      | Some { g_air = air; g_radius; _ } ->
           (* The global bag becomes the airborne grid: registration inserts
-             the transmitter's cell, marking queries only the cells within
+             the transmitter's cell, marking gathers only the cells within
              the interference radius, and stale members are pruned lazily
-             as queries meet them.  Candidates are staged through [scratch]
-             because pruning mutates the bucket being iterated. *)
+             as marking meets them.  Candidates are staged through
+             [scratch] because pruning mutates the bucket being read. *)
           let scratch = Array.make n 0 in
           (register :=
              fun node tx ->
                Mobility.Grid.add air node.id;
-               push_event tx.vuln_end kind_resolve node.id);
-          iter_airborne :=
-            fun node now f ->
-              let p = positions.(node.id) in
-              let len = ref 0 in
-              Mobility.Grid.iter_candidates air ~radius:g_radius p.x p.y
-                (fun j ->
-                  scratch.(!len) <- j;
-                  incr len);
-              for k = 0 to !len - 1 do
+               schedule tx.vuln_end kind_resolve node.id);
+          mark_airborne :=
+            fun node now tx ->
+              let len =
+                Mobility.Grid.gather air ~radius:g_radius node.id scratch
+              in
+              for k = 0 to len - 1 do
                 let id = scratch.(k) in
-                let tx = nodes.(id).tx in
-                if tx.resolved && tx.finish <= now then
+                let other = nodes.(id).tx in
+                if other.resolved && other.finish <= now then
                   Mobility.Grid.remove air id
-                else f tx
+                else mark now node tx other
               done);
       (* Seed the calendar: every node that can transmit starts unfrozen
          with its initial AIFS defer and backoff pending. *)
@@ -825,70 +919,75 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
           if nd.can_tx then begin
             nd.defer_end <- aifs_a.(nd.id);
             nd.expiry <- nd.defer_end + nd.counter;
-            push_event nd.expiry kind_fire nd.id
+            schedule nd.expiry kind_fire nd.id
           end
           else nd.frozen <- true)
         nodes;
-      while not (Prelude.Heap.is_empty cal) do
-        let t = time_of (Prelude.Heap.min_elt cal) in
-        n_starters := 0;
-        (* Drain every event in this slot; the packed order already yields
-           resolutions, then busy releases, then NAV releases, then fires,
-           each in ascending node id. *)
-        while
-          (not (Prelude.Heap.is_empty cal)) && time_of (Prelude.Heap.min_elt cal) = t
-        do
-          let e = Prelude.Heap.pop_min cal in
-          let id = e mod n in
-          let kind = e / n land 3 in
-          if rec_detail then
-            Telemetry.Recorder.instant recorder nid_event.(kind) t id;
-          let nd = nodes.(id) in
-          if kind = kind_resolve then begin
-            let tx = nd.tx in
-            if (not tx.resolved) && tx.vuln_end = t then resolve t tx
-          end
-          else if kind = kind_busy_release then begin
-            if nd.on_air && nd.busy_until = t then begin
-              nd.on_air <- false;
-              let cs = nd.cs_neighbors in
-              for k = 0 to Array.length cs - 1 do
-                let p = nodes.(cs.(k)) in
-                p.audible <- p.audible - 1;
-                try_unfreeze t p
-              done;
-              try_unfreeze t nd
-            end
-          end
-          else if kind = kind_nav_release then begin
-            if nd.nav_until = t then try_unfreeze t nd
-          end
-          else if (not nd.frozen) && nd.expiry = t then begin
-            (* Fire: the backoff expired while still idle-sensing. *)
-            nd.expiry <- -1;
-            starters.(!n_starters) <- id;
-            incr n_starters
-          end
-        done;
-        (* Launch this slot's starters in node-id order against the
-           post-resolution channel snapshot — same-slot starters cannot
-           sense each other, so each starts regardless of what the ones
-           before it just did. *)
-        for i = 1 to !n_starters - 1 do
-          let v = starters.(i) in
-          let j = ref (i - 1) in
-          while !j >= 0 && starters.(!j) > v do
-            starters.(!j + 1) <- starters.(!j);
-            decr j
+      while !pending > 0 do
+        incr now;
+        let t = !now in
+        let s = t land mask in
+        if heads.(s) >= 0 then begin
+          (* Detach the slot's chain, then drain it in key order:
+             resolutions, then busy releases, then NAV releases, then
+             fires, each in ascending node id. *)
+          let k = ref 0 in
+          let c = ref heads.(s) in
+          heads.(s) <- -1;
+          while !c >= 0 do
+            let cell = !c in
+            due.(!k) <- ((cell land 3) lsl id_bits) lor (cell lsr 2);
+            incr k;
+            c := next.(cell);
+            prev.(cell) <- unlinked
           done;
-          starters.(!j + 1) <- v
-        done;
-        for k = 0 to !n_starters - 1 do
-          let nd = nodes.(starters.(k)) in
-          nd.frozen <- true;
-          nd.expiry <- -1;
-          start_transmission t nd
-        done
+          pending := !pending - !k;
+          Prelude.Util.sort_ints due !k;
+          n_starters := 0;
+          for e = 0 to !k - 1 do
+            let key = due.(e) in
+            let kind = key lsr id_bits and id = key land id_mask in
+            if rec_detail then
+              Telemetry.Recorder.instant recorder nid_event.(kind) t id;
+            let nd = nodes.(id) in
+            if kind = kind_resolve then begin
+              let tx = nd.tx in
+              if (not tx.resolved) && tx.vuln_end = t then resolve t tx
+            end
+            else if kind = kind_busy_release then begin
+              if nd.on_air && nd.busy_until = t then begin
+                nd.on_air <- false;
+                let cs = nd.cs_neighbors in
+                for k = 0 to Array.length cs - 1 do
+                  let p = nodes.(cs.(k)) in
+                  p.audible <- p.audible - 1;
+                  try_unfreeze t p
+                done;
+                try_unfreeze t nd
+              end
+            end
+            else if kind = kind_nav_release then begin
+              if nd.nav_until = t then try_unfreeze t nd
+            end
+            else if (not nd.frozen) && nd.expiry = t then begin
+              (* Fire: the backoff expired while still idle-sensing. *)
+              nd.expiry <- -1;
+              starters.(!n_starters) <- id;
+              incr n_starters
+            end
+          done;
+          (* Launch this slot's starters in node-id order against the
+             post-resolution channel snapshot — same-slot starters cannot
+             sense each other, so each starts regardless of what the ones
+             before it just did. *)
+          Prelude.Util.sort_ints starters !n_starters;
+          for k = 0 to !n_starters - 1 do
+            let nd = nodes.(starters.(k)) in
+            nd.frozen <- true;
+            nd.expiry <- -1;
+            start_transmission t nd
+          done
+        end
       done;
       (* Frames still unresolved carry a vulnerable window past the horizon
          (in-horizon resolutions all had calendar entries); resolve them so

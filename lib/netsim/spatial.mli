@@ -9,11 +9,12 @@
 
     The model is slot-quantised: time advances in σ-slots and frame
     durations are rounded to whole slots.  Scheduling is event-driven: a
-    packed-int calendar ({!Prelude.Heap}) orders backoff expiries,
-    vulnerable-window closes and busy/NAV releases by (slot, kind, node
-    id), so a channel-state transition costs O(log events) instead of a
-    scan over all nodes and airborne frames — and the steady-state loop
-    does not allocate.  {!run_reference} keeps the original
+    slot-indexed timing wheel orders backoff expiries, vulnerable-window
+    closes and busy/NAV releases by (slot, kind, node id), so a
+    channel-state transition costs a constant plus its share of sorting
+    its slot's few events, instead of a scan over all nodes and airborne
+    frames — and the steady-state loop does not allocate.
+    {!run_reference} keeps the original
     boundary-scanning loop; both produce bit-identical results under the
     determinism contract (per-node RNG streams, starters launched in
     node-id order within a slot).
@@ -194,8 +195,10 @@ val run_grid :
     Each run folds the index's tallies into the [netsim.grid.candidates]
     and [netsim.grid.rebuckets] counters on [telemetry].
 
-    @raise Invalid_argument on inconsistent sizes, a non-positive [range],
-    [cs_range < range], or a [grid] disagreeing with [positions]. *)
+    @raise Invalid_argument on inconsistent sizes, a [range] that is not
+    positive and finite, a [cs_range] that is not finite and [>= range]
+    (NaN fails both), coordinates {!Mobility.Grid.create} rejects, or a
+    [grid] disagreeing with [positions]. *)
 
 val equal_result : result -> result -> bool
 (** Bit-exact equality (floats compared by their IEEE-754 bits), used by

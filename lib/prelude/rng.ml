@@ -1,16 +1,28 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 counter lives unboxed in an 8-byte buffer: a
+   [mutable state : int64] record field would box a fresh Int64, and take
+   the write barrier, on every draw. *)
+type t = Bytes.t
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state state =
+  let t = Bytes.create 8 in
+  set_state t 0 state;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
+
+let copy = Bytes.copy
 
 (* SplitMix64 output function: advance by the golden gamma, then apply the
-   variant-13 mix of the counter. *)
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+   variant-13 mix of the counter.  Inlined into the drawing functions
+   below so the 64-bit intermediates stay in registers. *)
+let[@inline] bits64 t =
+  let z = Int64.add (get_state t 0) golden_gamma in
+  set_state t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -18,7 +30,7 @@ let bits64 t =
 let split t =
   (* The mixed output seeds the child; mixing prevents correlated lattices
      between parent and child streams. *)
-  { state = bits64 t }
+  of_state (bits64 t)
 
 let of_key ~seed key =
   (* A stream derived from (seed, key) alone: equal pairs give equal
@@ -26,25 +38,23 @@ let of_key ~seed key =
      which is what makes parallel sweeps bit-identical to serial ones.
      The FNV hash of the key is xored into a gamma-scaled seed; SplitMix's
      output mixing takes care of any residual structure. *)
-  {
-    state =
-      Int64.logxor
-        (Int64.mul (Int64.of_int seed) golden_gamma)
-        (Util.fnv1a64 key);
-  }
+  of_state
+    (Int64.logxor
+       (Int64.mul (Int64.of_int seed) golden_gamma)
+       (Util.fnv1a64 key))
 
 (* 62 uniform bits as a non-negative OCaml int. *)
-let bits t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
+let[@inline] bits t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   let max = (1 lsl 62) - 1 in
   let limit = max - (max mod bound) in
-  let rec draw () =
-    let v = bits t in
-    if v >= limit then draw () else v mod bound
-  in
-  draw ()
+  let v = ref (bits t) in
+  while !v >= limit do
+    v := bits t
+  done;
+  !v mod bound
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";

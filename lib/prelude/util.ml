@@ -55,3 +55,47 @@ let fnv1a64 s =
   !h
 
 let hex64 h = Printf.sprintf "%016Lx" h
+
+(* Sift [v] down from the hole at [i] in the max-heap [a.(0 .. size-1)]. *)
+let sift_down (a : int array) size i v =
+  let hole = ref i and fin = ref false in
+  while not !fin do
+    let l = (2 * !hole) + 1 in
+    if l >= size then fin := true
+    else begin
+      let c = if l + 1 < size && a.(l + 1) > a.(l) then l + 1 else l in
+      if a.(c) > v then begin
+        a.(!hole) <- a.(c);
+        hole := c
+      end
+      else fin := true
+    end
+  done;
+  a.(!hole) <- v
+
+(* Insertion sort for the short runs the simulators sort (a slot's events,
+   a node's neighbours); heapsort past 32 elements keeps a dense worst case
+   at O(len log len).  Neither allocates. *)
+let sort_ints (a : int array) len =
+  if len < 0 || len > Array.length a then
+    invalid_arg "Util.sort_ints: length out of bounds";
+  if len <= 32 then
+    for i = 1 to len - 1 do
+      let v = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > v do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- v
+    done
+  else begin
+    for i = (len / 2) - 1 downto 0 do
+      sift_down a len i a.(i)
+    done;
+    for last = len - 1 downto 1 do
+      let v = a.(last) in
+      a.(last) <- a.(0);
+      sift_down a last 0 v
+    done
+  end

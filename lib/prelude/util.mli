@@ -40,3 +40,8 @@ val fnv1a64 : string -> int64
 
 val hex64 : int64 -> string
 (** 16-digit lower-case hex rendering of a 64-bit value. *)
+
+val sort_ints : int array -> int -> unit
+(** [sort_ints a len] sorts [a.(0 .. len-1)] ascending in place, without
+    allocating.
+    @raise Invalid_argument unless [0 <= len <= Array.length a]. *)

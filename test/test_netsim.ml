@@ -452,6 +452,141 @@ let test_spatial_event_core_matches_reference_random_25 () =
         (Netsim.Spatial.equal_result fast slow))
     [ ("basic", default); ("rts", rts_cts) ]
 
+(* The calendar's longest delays: windows up to 1024 at m = 5 draw
+   backoffs of up to 32 767 slots, AIFS adds defer slots and TXOP bursts
+   stretch Ts, so the timing wheel spans 2^16 slots (3.3 s at
+   σ = 50 µs) and a 12 s horizon wraps it more than three times. *)
+let test_spatial_event_core_long_delays () =
+  let long p = { p with Dcf.Params.cw_max = 1024; max_backoff_stage = 5 } in
+  (* A centre and four leaves that only hear the centre: the leaves are
+     mutually hidden, so they keep failing into the high backoff stages. *)
+  let star5 = [| [ 1; 2; 3; 4 ]; [ 0 ]; [ 0 ]; [ 0 ]; [ 0 ] |] in
+  let windows = [| 1024; 16; 512; 64; 1024 |] in
+  List.iter
+    (fun (label, adjacency, cs_adjacency) ->
+      let n = Array.length adjacency in
+      let cws = Array.init n (fun i -> windows.(i mod Array.length windows)) in
+      let knobs =
+        Array.mapi
+          (fun i w ->
+            {
+              (Dcf.Strategy_space.of_cw w) with
+              aifs = 2 * (i mod 3);
+              txop_frames = 1 + (i mod 2);
+            })
+          cws
+      in
+      List.iter
+        (fun (mode, params) ->
+          List.iter
+            (fun retry_limit ->
+              List.iter
+                (fun strategies ->
+                  let config =
+                    {
+                      Netsim.Spatial.params;
+                      adjacency;
+                      cws;
+                      duration = 12.;
+                      seed = 5;
+                    }
+                  in
+                  let fast =
+                    Netsim.Spatial.run ~telemetry:(quiet ()) ?cs_adjacency
+                      ?retry_limit ?strategies config
+                  in
+                  let slow =
+                    Netsim.Spatial.run_reference ~telemetry:(quiet ())
+                      ?cs_adjacency ?retry_limit ?strategies config
+                  in
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s/%s retry=%s%s bit-identical" label mode
+                       (match retry_limit with
+                       | None -> "inf"
+                       | Some r -> string_of_int r)
+                       (if Option.is_none strategies then "" else " aifs+txop"))
+                    true
+                    (Netsim.Spatial.equal_result fast slow))
+                [ None; Some knobs ])
+            [ None; Some 0 ])
+        [ ("basic", long default); ("rts", long rts_cts) ])
+    [
+      ("hidden3", hidden_chain, None);
+      ("star5", star5, None);
+      ("clique4", complete_graph 4, None);
+      ("cs-bridge", fst cs_bridge, snd cs_bridge);
+    ]
+
+(* {1 Allocation} *)
+
+let attempts_of (r : Netsim.Spatial.result) =
+  Array.fold_left
+    (fun acc (s : Netsim.Spatial.node_stats) -> acc + s.attempts)
+    0 r.per_node
+
+(* The same seeded run at horizons T and 2T does the same set-up and
+   builds a result of the same size, so the extra minor words over the
+   extra attempts is what the event loop itself allocates per attempt. *)
+let check_allocation_free label run t =
+  let measure duration =
+    let w0 = Gc.minor_words () in
+    let r = run duration in
+    (Gc.minor_words () -. w0, attempts_of r)
+  in
+  let w1, a1 = measure t in
+  let w2, a2 = measure (2. *. t) in
+  let extra_words = w2 -. w1 and extra_attempts = a2 - a1 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.0f extra minor words over %d extra attempts" label
+       extra_words extra_attempts)
+    true
+    (extra_attempts > 1000 && extra_words <= float_of_int extra_attempts)
+
+let test_event_core_allocation_free () =
+  (* The shadow reference run of the differential mode allocates by
+     design; the guard measures the event core alone. *)
+  (match Sys.getenv_opt "NETSIM_SPATIAL_DIFF" with
+  | None | Some "" | Some "0" -> ()
+  | Some _ -> Alcotest.skip ());
+  (* Basic access on the constant-density substrate of the scale bench:
+     decode 120 m, carrier sense 180 m, mean degree ~12. *)
+  let n = 400 and range = 120. in
+  let side = sqrt (float_of_int n *. Float.pi *. range *. range /. 12.) in
+  let positions =
+    Mobility.Waypoint.positions
+      (Mobility.Waypoint.create ~seed:3
+         { width = side; height = side; speed_min = 0.; speed_max = 5. }
+         ~n)
+  in
+  check_allocation_free "run_grid"
+    (fun duration ->
+      Netsim.Spatial.run_grid ~telemetry:(quiet ()) ~params:default ~positions
+        ~range ~cs_range:180. ~cws:(Array.make n 128) ~duration ~seed:3 ())
+    1.;
+  (* RTS/CTS with AIFS and TXOP strategies on the random-25 topology. *)
+  let w =
+    Mobility.Waypoint.create ~seed:21
+      { width = 500.; height = 500.; speed_min = 0.; speed_max = 5. }
+      ~n:25
+  in
+  let adjacency =
+    Mobility.Topology.snapshot ~connect_attempts:50 w ~range:180.
+  in
+  let cws = Array.make 25 32 in
+  let strategies =
+    Array.init 25 (fun i ->
+        {
+          (Dcf.Strategy_space.of_cw 32) with
+          aifs = i mod 3;
+          txop_frames = 1 + (i mod 2);
+        })
+  in
+  check_allocation_free "run"
+    (fun duration ->
+      Netsim.Spatial.run ~telemetry:(quiet ()) ~strategies
+        { params = rts_cts; adjacency; cws; duration; seed = 13 })
+    4.
+
 (* {1 Airtime conservation} *)
 
 (* Random symmetric graph with decode ⊆ carrier-sense: each pair gets a
@@ -699,6 +834,73 @@ let test_sharded_close_to_single () =
     (Printf.sprintf "delivery within 25%% (rel %.3f)" rel)
     true (rel < 0.25)
 
+(* NaN fails every comparison, so "<= 0." style checks let it through;
+   each geometric entry point must reject it, and the infinities, with
+   [Invalid_argument]. *)
+let test_non_finite_geometry_rejected () =
+  let rejects label f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: accepted" label
+  in
+  let pt x y = { Mobility.Geom.x; y } in
+  let pts = [| pt 0. 0.; pt 50. 50.; pt 100. 0. |] in
+  let bad = [ nan; infinity; neg_infinity ] in
+  List.iter
+    (fun v ->
+      let label what = Printf.sprintf "%s %h" what v in
+      rejects (label "Grid.create ~cell") (fun () ->
+          Mobility.Grid.create ~cell:v pts);
+      rejects (label "Grid.create x") (fun () ->
+          Mobility.Grid.create ~cell:10. [| pt v 0. |]);
+      rejects (label "Grid.create y") (fun () ->
+          Mobility.Grid.create ~cell:10. [| pt 0. v |]);
+      let g = Mobility.Grid.create ~cell:10. pts in
+      rejects (label "Grid.move x") (fun () ->
+          Mobility.Grid.move g 0 (pt v 1.));
+      rejects (label "Grid.move y") (fun () ->
+          Mobility.Grid.move g 0 (pt 1. v));
+      Alcotest.(check (list int)) (label "rejected move leaves the grid") [ 1 ]
+        (Mobility.Grid.query g ~radius:75. 0);
+      let run_grid ?(cs_range = 180.) range =
+        Netsim.Spatial.run_grid ~telemetry:(quiet ()) ~params:default
+          ~positions:pts ~range ~cs_range ~cws:(Array.make 3 16)
+          ~duration:0.01 ~seed:1 ()
+      in
+      rejects (label "run_grid ~range") (fun () -> run_grid v);
+      rejects (label "run_grid ~cs_range") (fun () ->
+          run_grid ~cs_range:v 120.);
+      let sharded ?halo ?(positions = pts) ?(cs_range = 180.) range =
+        Netsim.Sharded.run ~telemetry:(quiet ()) ?halo ~shards:1
+          {
+            Netsim.Sharded.params = default;
+            positions;
+            range;
+            cs_range;
+            cws = Array.make 3 16;
+            duration = 0.01;
+            seed = 1;
+          }
+      in
+      rejects (label "Sharded.run ~range") (fun () -> sharded v);
+      rejects (label "Sharded.run ~cs_range") (fun () ->
+          sharded ~cs_range:v 120.);
+      rejects (label "Sharded.run ~halo") (fun () -> sharded ~halo:v 120.);
+      rejects (label "Sharded.run positions") (fun () ->
+          sharded ~positions:[| pt 0. 0.; pt v 0.; pt 10. 0. |] 120.))
+    bad;
+  rejects "Grid.gather ~radius nan" (fun () ->
+      Mobility.Grid.gather (Mobility.Grid.create ~cell:10. pts) ~radius:nan 0
+        (Array.make 3 0));
+  rejects "run_grid negative range" (fun () ->
+      Netsim.Spatial.run_grid ~telemetry:(quiet ()) ~params:default
+        ~positions:pts ~range:(-3.) ~cws:(Array.make 3 16) ~duration:0.01
+        ~seed:1 ());
+  rejects "run_grid nan duration" (fun () ->
+      Netsim.Spatial.run_grid ~telemetry:(quiet ()) ~params:default
+        ~positions:pts ~range:120. ~cws:(Array.make 3 16) ~duration:nan
+        ~seed:1 ())
+
 let suite_scale =
   [
     QCheck_alcotest.to_alcotest test_grid_query_matches_scan;
@@ -711,6 +913,8 @@ let suite_scale =
       test_sharded_deterministic_across_workers;
     Alcotest.test_case "sharded close to single-domain" `Quick
       test_sharded_close_to_single;
+    Alcotest.test_case "non-finite geometry rejected" `Quick
+      test_non_finite_geometry_rejected;
   ]
 
 let suite_slotted =
@@ -751,6 +955,10 @@ let suite_spatial =
       test_spatial_event_core_matches_reference;
     Alcotest.test_case "event core = reference (random 25)" `Slow
       test_spatial_event_core_matches_reference_random_25;
+    Alcotest.test_case "event core = reference (long delays)" `Quick
+      test_spatial_event_core_long_delays;
+    Alcotest.test_case "event core allocates nothing per attempt" `Quick
+      test_event_core_allocation_free;
     QCheck_alcotest.to_alcotest test_spatial_airtime_conservation;
     Alcotest.test_case "airtime clipped at horizon" `Quick
       test_spatial_airtime_clipped_at_horizon;

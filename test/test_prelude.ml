@@ -144,6 +144,29 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "shuffle is a permutation" (Array.init 50 Fun.id) sorted
 
+(* SplitMix64 outputs pinned against the boxed-state generator the
+   unboxed one replaced: any change to the stream shows here first. *)
+let test_rng_known_answers () =
+  let hex =
+    Alcotest.testable (fun ppf v -> Format.fprintf ppf "%016Lx" v) Int64.equal
+  in
+  let r = Rng.create 0 in
+  List.iter
+    (fun want -> Alcotest.check hex "create 0" want (Rng.bits64 r))
+    [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL ];
+  let parent = Rng.create 42 in
+  let child = Rng.split parent in
+  Alcotest.check hex "split child" 0x57e1faba65107204L (Rng.bits64 child);
+  Alcotest.check hex "parent after split" 0x28efe333b266f103L
+    (Rng.bits64 parent);
+  let k = Rng.of_key ~seed:7 "netsim.sharded.node|3" in
+  let f = Rng.float k 1.0 in
+  let i = Rng.int k 1000 in
+  let b = Rng.bits64 k in
+  Alcotest.(check (float 0.)) "of_key float" 0x1.0fa155a08b18p-7 f;
+  Alcotest.(check int) "of_key int" 933 i;
+  Alcotest.check hex "of_key bits64" 0x73c0243eb8d9ac2fL b
+
 (* {1 Stats} *)
 
 let test_stats_empty () =
@@ -385,6 +408,7 @@ let suite_rng =
     Alcotest.test_case "normal moments" `Quick test_rng_normal_moments;
     Alcotest.test_case "pick membership" `Quick test_rng_pick;
     Alcotest.test_case "shuffle is permutation" `Quick test_rng_shuffle_permutation;
+    Alcotest.test_case "known answers" `Quick test_rng_known_answers;
   ]
 
 let suite_stats =
@@ -402,8 +426,25 @@ let suite_stats =
     QCheck_alcotest.to_alcotest test_welford_matches_naive;
   ]
 
+let test_sort_ints_matches_sort =
+  (* Lengths straddle the insertion-sort/heapsort switch at 32; the tail
+     past [len] must stay untouched. *)
+  QCheck.Test.make ~name:"sort_ints = Array.sort on the prefix" ~count:300
+    QCheck.(
+      pair (list_of_size Gen.(int_range 0 120) (int_range (-50) 50)) small_nat)
+    (fun (xs, cut) ->
+      let a = Array.of_list xs in
+      let len = cut mod (Array.length a + 1) in
+      let want = Array.copy a in
+      let head = Array.sub want 0 len in
+      Array.sort compare head;
+      Array.blit head 0 want 0 len;
+      Util.sort_ints a len;
+      a = want)
+
 let suite_util =
   [
+    QCheck_alcotest.to_alcotest test_sort_ints_matches_sort;
     Alcotest.test_case "clamp" `Quick test_clamp;
     Alcotest.test_case "approx_equal" `Quick test_approx_equal;
     Alcotest.test_case "linspace" `Quick test_linspace;
@@ -426,72 +467,10 @@ let suite_render =
     Alcotest.test_case "plot constant series" `Quick test_plot_constant_series;
   ]
 
-(* {1 Heap} *)
-
-let drain heap =
-  let out = ref [] in
-  while not (Prelude.Heap.is_empty heap) do
-    out := Prelude.Heap.pop_min heap :: !out
-  done;
-  List.rev !out
-
-let test_heap_basic () =
-  let h = Prelude.Heap.create () in
-  Alcotest.(check bool) "fresh heap empty" true (Prelude.Heap.is_empty h);
-  List.iter (Prelude.Heap.push h) [ 5; 3; 9; 1; 7; 1 ];
-  Alcotest.(check int) "length counts duplicates" 6 (Prelude.Heap.length h);
-  Alcotest.(check int) "min visible without popping" 1 (Prelude.Heap.min_elt h);
-  Alcotest.(check int) "min_elt does not pop" 6 (Prelude.Heap.length h);
-  Alcotest.(check (list int)) "drains sorted" [ 1; 1; 3; 5; 7; 9 ] (drain h);
-  Alcotest.(check bool) "empty after drain" true (Prelude.Heap.is_empty h)
-
-let test_heap_validation () =
-  Alcotest.check_raises "bad capacity"
-    (Invalid_argument "Heap.create: capacity must be >= 1") (fun () ->
-      ignore (Prelude.Heap.create ~capacity:0 ()));
-  let h = Prelude.Heap.create () in
-  Alcotest.check_raises "min of empty"
-    (Invalid_argument "Heap.min_elt: empty heap") (fun () ->
-      ignore (Prelude.Heap.min_elt h));
-  Alcotest.check_raises "pop of empty"
-    (Invalid_argument "Heap.pop_min: empty heap") (fun () ->
-      ignore (Prelude.Heap.pop_min h))
-
-let test_heap_interleaved () =
-  (* Start at capacity 1 so pushes exercise growth, and interleave pops so
-     sift-down runs against a mutating array. *)
-  let h = Prelude.Heap.create ~capacity:1 () in
-  List.iter (Prelude.Heap.push h) [ 4; 2; 8 ];
-  Alcotest.(check int) "first pop" 2 (Prelude.Heap.pop_min h);
-  List.iter (Prelude.Heap.push h) [ 1; 6 ];
-  Alcotest.(check int) "new min wins" 1 (Prelude.Heap.pop_min h);
-  Alcotest.(check int) "then old elements" 4 (Prelude.Heap.pop_min h);
-  Prelude.Heap.clear h;
-  Alcotest.(check bool) "clear empties" true (Prelude.Heap.is_empty h);
-  Prelude.Heap.push h 3;
-  Alcotest.(check (list int)) "reusable after clear" [ 3 ] (drain h)
-
-let test_heap_matches_sort =
-  QCheck.Test.make ~name:"heap drain = List.sort" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Prelude.Heap.create () in
-      List.iter (Prelude.Heap.push h) xs;
-      drain h = List.sort compare xs)
-
-let suite_heap =
-  [
-    Alcotest.test_case "push/pop basics" `Quick test_heap_basic;
-    Alcotest.test_case "validation" `Quick test_heap_validation;
-    Alcotest.test_case "interleaved ops and growth" `Quick test_heap_interleaved;
-    QCheck_alcotest.to_alcotest test_heap_matches_sort;
-  ]
-
 let () =
   Alcotest.run "prelude"
     [
       ("rng", suite_rng);
-      ("heap", suite_heap);
       ("stats", suite_stats);
       ("util", suite_util);
       ("render", suite_render);
