@@ -832,9 +832,14 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
           end
         end
       in
+      (* A busy or NAV interval that ends by the current slot is empty:
+         it silences nobody (the reference loop's sensing ignores it), so
+         it freezes nobody and schedules nothing.  It arises only when
+         Ts rounds to no more slots than the RTS, i.e. frames shorter
+         than half a slot. *)
       (raise_busy :=
          fun t nd v ->
-           if v > nd.busy_until then begin
+           if v > nd.busy_until && v > t then begin
              nd.busy_until <- v;
              if not nd.on_air then begin
                nd.on_air <- true;
@@ -850,9 +855,11 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
            end);
       (raise_nav :=
          fun t nd v ->
-           nd.nav_until <- v;
-           freeze t nd;
-           schedule v kind_nav_release nd.id);
+           if v > t then begin
+             nd.nav_until <- v;
+             freeze t nd;
+             schedule v kind_nav_release nd.id
+           end);
       (obtain :=
          fun node dest now ->
            let tx = node.tx in

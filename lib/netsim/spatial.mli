@@ -140,9 +140,9 @@ val run :
     the same inputs and fails unless the two results are bit-identical —
     the differential harness for the event core.
 
-    @raise Invalid_argument on inconsistent sizes, windows < 1,
-    non-positive duration, an asymmetric adjacency, or a [cs_adjacency]
-    missing an [adjacency] edge.
+    @raise Invalid_argument on inconsistent sizes, windows < 1, a
+    non-positive or NaN duration, an asymmetric adjacency, or a
+    [cs_adjacency] missing an [adjacency] edge.
     @raise Failure on a conservation-audit or differential failure. *)
 
 val run_reference :

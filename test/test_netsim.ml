@@ -517,6 +517,46 @@ let test_spatial_event_core_long_delays () =
       ("cs-bridge", fst cs_bridge, snd cs_bridge);
     ]
 
+(* Frames shorter than half a slot: with 1 s slots every frame rounds to
+   one slot, so an RTS/CTS exchange ends in the slot its RTS resolves and
+   its CTS silences nobody.  The event core must not freeze (and so
+   re-arm the AIFS defer of) the neighbours the reference loop leaves
+   counting. *)
+let test_spatial_event_core_sub_slot_frames () =
+  let params = { rts_cts with Dcf.Params.sigma = 1.0 } in
+  List.iter
+    (fun (label, adjacency) ->
+      let n = Array.length adjacency in
+      let cws = Array.make n 8 in
+      let aifs =
+        Array.map (fun w -> { (Dcf.Strategy_space.of_cw w) with aifs = 2 }) cws
+      in
+      List.iter
+        (fun strategies ->
+          let config =
+            {
+              Netsim.Spatial.params;
+              adjacency;
+              cws;
+              duration = 2000.;
+              seed = 3;
+            }
+          in
+          let fast =
+            Netsim.Spatial.run ~telemetry:(quiet ()) ?strategies config
+          in
+          let slow =
+            Netsim.Spatial.run_reference ~telemetry:(quiet ()) ?strategies
+              config
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s%s bit-identical" label
+               (if Option.is_none strategies then "" else " aifs"))
+            true
+            (Netsim.Spatial.equal_result fast slow))
+        [ None; Some aifs ])
+    [ ("hidden3", hidden_chain); ("clique4", complete_graph 4) ]
+
 (* {1 Allocation} *)
 
 let attempts_of (r : Netsim.Spatial.result) =
@@ -957,6 +997,8 @@ let suite_spatial =
       test_spatial_event_core_matches_reference_random_25;
     Alcotest.test_case "event core = reference (long delays)" `Quick
       test_spatial_event_core_long_delays;
+    Alcotest.test_case "event core = reference (sub-slot frames)" `Quick
+      test_spatial_event_core_sub_slot_frames;
     Alcotest.test_case "event core allocates nothing per attempt" `Quick
       test_event_core_allocation_free;
     QCheck_alcotest.to_alcotest test_spatial_airtime_conservation;
