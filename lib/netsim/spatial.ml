@@ -366,7 +366,12 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
   let txop_a =
     Array.map (fun (s : Dcf.Strategy_space.t) -> s.txop_frames) strategies
   in
-  let horizon = int_of_float (Float.ceil (duration /. sigma)) in
+  (* Slots are counted in ints; past 2^52 slots (or at an infinite
+     duration) the float horizon no longer converts exactly. *)
+  let horizon_f = Float.ceil (duration /. sigma) in
+  if not (horizon_f < 0x1p52) then
+    invalid_arg "Spatial.run: duration too long for the slot clock";
+  let horizon = int_of_float horizon_f in
   let master = Prelude.Rng.create seed in
   let nodes =
     Array.init n (fun i ->

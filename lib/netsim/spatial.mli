@@ -141,8 +141,9 @@ val run :
     the differential harness for the event core.
 
     @raise Invalid_argument on inconsistent sizes, windows < 1, a
-    non-positive or NaN duration, an asymmetric adjacency, or a
-    [cs_adjacency] missing an [adjacency] edge.
+    non-positive or NaN duration or one of 2{^52} slots or more, an
+    asymmetric adjacency, or a [cs_adjacency] missing an [adjacency]
+    edge.
     @raise Failure on a conservation-audit or differential failure. *)
 
 val run_reference :

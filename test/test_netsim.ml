@@ -936,10 +936,13 @@ let test_non_finite_geometry_rejected () =
       Netsim.Spatial.run_grid ~telemetry:(quiet ()) ~params:default
         ~positions:pts ~range:(-3.) ~cws:(Array.make 3 16) ~duration:0.01
         ~seed:1 ());
-  rejects "run_grid nan duration" (fun () ->
-      Netsim.Spatial.run_grid ~telemetry:(quiet ()) ~params:default
-        ~positions:pts ~range:120. ~cws:(Array.make 3 16) ~duration:nan
-        ~seed:1 ())
+  List.iter
+    (fun duration ->
+      rejects (Printf.sprintf "run_grid duration %h" duration) (fun () ->
+          Netsim.Spatial.run_grid ~telemetry:(quiet ()) ~params:default
+            ~positions:pts ~range:120. ~cws:(Array.make 3 16) ~duration
+            ~seed:1 ()))
+    [ nan; infinity ]
 
 let suite_scale =
   [
