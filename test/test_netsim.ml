@@ -459,7 +459,8 @@ let test_spatial_event_core_matches_reference_random_25 () =
 let test_spatial_event_core_long_delays () =
   let long p = { p with Dcf.Params.cw_max = 1024; max_backoff_stage = 5 } in
   (* A centre and four leaves that only hear the centre: the leaves are
-     mutually hidden, so they keep failing into the high backoff stages. *)
+     mutually hidden, so they keep failing into stage 5 and draw backoffs
+     above 32 000 slots. *)
   let star5 = [| [ 1; 2; 3; 4 ]; [ 0 ]; [ 0 ]; [ 0 ]; [ 0 ] |] in
   let windows = [| 1024; 16; 512; 64; 1024 |] in
   List.iter
