@@ -52,33 +52,51 @@ let analytic_equilibrium () =
         [ 2; 5; 10; 20; 50 ])
     [ ("basic", Dcf.Params.default); ("rts", Dcf.Params.rts_cts) ]
 
-let slotted_record ~id ?(bianchi_ticks = true) ?retry_limit ?(per = 0.) ~params
-    ~cws ~seed () =
+let slotted_record ~id ?(bianchi_ticks = true) ?retry_limit ?(per = 0.)
+    ?(duration = 2.) ?strategies ~params ~cws ~seed () =
   let result =
-    Netsim.Slotted.run ~bianchi_ticks ?retry_limit ~per
-      { Netsim.Slotted.params; cws; duration = 2.; seed }
+    Netsim.Slotted.run ~bianchi_ticks ?retry_limit ~per ?strategies
+      { Netsim.Slotted.params; cws; duration; seed }
   in
   let per_node f =
     Array.map f result.Netsim.Slotted.per_node
   in
+  let strategy_fields =
+    (* Per-node rates pin the TXOP frame counts and per-rate payloads that
+       the counters above do not show. *)
+    match strategies with
+    | None -> []
+    | Some _ ->
+        [
+          ( "payoff_rates",
+            floats
+              (per_node (fun (s : Netsim.Slotted.node_stats) -> s.payoff_rate))
+          );
+          ( "throughputs",
+            floats
+              (per_node (fun (s : Netsim.Slotted.node_stats) -> s.throughput))
+          );
+        ]
+  in
   Obj
-    [
-      ("id", String id);
-      ("slots", Int result.slots);
-      ( "attempts",
-        ints (per_node (fun (s : Netsim.Slotted.node_stats) -> s.attempts)) );
-      ( "successes",
-        ints (per_node (fun (s : Netsim.Slotted.node_stats) -> s.successes)) );
-      ( "collisions",
-        ints (per_node (fun (s : Netsim.Slotted.node_stats) -> s.collisions)) );
-      ("drops", ints (per_node (fun (s : Netsim.Slotted.node_stats) -> s.drops)));
-      ("total_throughput", Float result.total_throughput);
-      ("welfare_rate", Float result.welfare_rate);
-      ("idle_fraction", Float result.airtime.idle_fraction);
-      ("success_fraction", Float result.airtime.success_fraction);
-      ("collision_fraction", Float result.airtime.collision_fraction);
-      ("error_fraction", Float result.airtime.error_fraction);
-    ]
+    ([
+       ("id", String id);
+       ("slots", Int result.slots);
+       ( "attempts",
+         ints (per_node (fun (s : Netsim.Slotted.node_stats) -> s.attempts)) );
+       ( "successes",
+         ints (per_node (fun (s : Netsim.Slotted.node_stats) -> s.successes)) );
+       ( "collisions",
+         ints (per_node (fun (s : Netsim.Slotted.node_stats) -> s.collisions)) );
+       ("drops", ints (per_node (fun (s : Netsim.Slotted.node_stats) -> s.drops)));
+       ("total_throughput", Float result.total_throughput);
+       ("welfare_rate", Float result.welfare_rate);
+       ("idle_fraction", Float result.airtime.idle_fraction);
+       ("success_fraction", Float result.airtime.success_fraction);
+       ("collision_fraction", Float result.airtime.collision_fraction);
+       ("error_fraction", Float result.airtime.error_fraction);
+     ]
+    @ strategy_fields)
 
 let slotted_sim () =
   [
@@ -91,6 +109,93 @@ let slotted_sim () =
     slotted_record ~id:"basic.realfreeze.n5.w79.seed45" ~bianchi_ticks:false
       ~params:Dcf.Params.default ~cws:(Array.make 5 79) ~seed:45 ();
   ]
+
+(* Twenty nodes cycling through windows 32/64/128, AIFS 0-2 and TXOP 1-3,
+   so every (AIFS, TXOP) pair occurs; retry limit 3 makes drops common. *)
+let slotted_strategies () =
+  let n = 20 in
+  let strategies =
+    Array.init n (fun i ->
+        {
+          (Dcf.Strategy_space.of_cw (32 lsl (i mod 3))) with
+          aifs = i mod 3;
+          txop_frames = 1 + (i / 3 mod 3);
+        })
+  in
+  let cws =
+    Array.map (fun (s : Dcf.Strategy_space.t) -> s.cw) strategies
+  in
+  [
+    slotted_record ~id:"basic.n20.aifs.txop.retry3.seed46" ~retry_limit:3
+      ~duration:5. ~strategies ~params:Dcf.Params.default ~cws ~seed:46 ();
+    slotted_record ~id:"basic.realfreeze.n20.aifs.txop.retry3.per10.seed47"
+      ~bianchi_ticks:false ~retry_limit:3 ~per:0.1 ~duration:5. ~strategies
+      ~params:Dcf.Params.default ~cws ~seed:47 ();
+  ]
+
+let unsaturated_record ~id ~params ~cws ~arrival_rates ~seed =
+  let result =
+    Netsim.Unsaturated.run
+      { Netsim.Unsaturated.params; cws; arrival_rates; duration = 10.; seed }
+  in
+  let per_node f = Array.map f result.Netsim.Unsaturated.per_node in
+  Obj
+    [
+      ("id", String id);
+      ("arrival_rates", floats arrival_rates);
+      ("time", Float result.time);
+      ("total_delivered", Int result.total_delivered);
+      ("welfare_rate", Float result.welfare_rate);
+      ( "arrivals",
+        ints (per_node (fun (s : Netsim.Unsaturated.node_stats) -> s.arrivals))
+      );
+      ( "delivered",
+        ints
+          (per_node (fun (s : Netsim.Unsaturated.node_stats) -> s.delivered)) );
+      ( "backlog",
+        ints (per_node (fun (s : Netsim.Unsaturated.node_stats) -> s.backlog))
+      );
+      ( "mean_sojourn",
+        floats
+          (per_node (fun (s : Netsim.Unsaturated.node_stats) -> s.mean_sojourn))
+      );
+      ( "mean_queue_length",
+        floats
+          (per_node
+             (fun (s : Netsim.Unsaturated.node_stats) -> s.mean_queue_length))
+      );
+      ( "busy_fraction",
+        floats
+          (per_node
+             (fun (s : Netsim.Unsaturated.node_stats) -> s.busy_fraction)) );
+      ( "payoff_rates",
+        floats
+          (per_node (fun (s : Netsim.Unsaturated.node_stats) -> s.payoff_rate))
+      );
+    ]
+
+(* Ten nodes on W = 128 below (0.5) and above (1.2) the per-node
+   saturation rate, then mixed windows and loads with one silent node. *)
+let unsaturated_sim () =
+  let params = Dcf.Params.default in
+  let saturation = Netsim.Unsaturated.saturation_rate params ~n:10 ~w:128 in
+  List.map
+    (fun (rho, seed) ->
+      unsaturated_record
+        ~id:(Printf.sprintf "basic.n10.w128.load%g.seed%d" rho seed)
+        ~params ~cws:(Array.make 10 128)
+        ~arrival_rates:(Array.make 10 (rho *. saturation))
+        ~seed)
+    [ (0.5, 48); (1.2, 49) ]
+  @ [
+      unsaturated_record ~id:"basic.mixed.n6.zero-rate.seed50" ~params
+        ~cws:[| 16; 32; 64; 128; 256; 512 |]
+        ~arrival_rates:
+          (Array.map
+             (fun rho -> rho *. saturation)
+             [| 0.; 0.3; 0.9; 1.5; 0.6; 2.0 |])
+        ~seed:50;
+    ]
 
 let chain n =
   Array.init n (fun i ->
@@ -188,6 +293,18 @@ let snapshots () =
       generate = analytic_equilibrium;
     };
     { name = "slotted_sim"; tier = Check.Fast; policy = Exact; generate = slotted_sim };
+    {
+      name = "slotted_strategies";
+      tier = Check.Fast;
+      policy = Exact;
+      generate = slotted_strategies;
+    };
+    {
+      name = "unsaturated_sim";
+      tier = Check.Fast;
+      policy = Exact;
+      generate = unsaturated_sim;
+    };
     { name = "spatial_sim"; tier = Check.Fast; policy = Exact; generate = spatial_sim };
     {
       name = "multihop_quasi";
