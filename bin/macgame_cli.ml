@@ -216,10 +216,20 @@ let backend_of backend replicates duration seed =
   | `Slotted -> Macgame.Oracle.Sim_slotted cfg
   | `Spatial -> Macgame.Oracle.Sim_spatial cfg
 
+(* A bad sim configuration surfaces as [Invalid_argument] from
+   [Oracle.create]: one line and exit 2, not cmdliner's uncaught-exception
+   report. *)
+let create_oracle ?store ?warm_start backend replicates duration seed params =
+  try
+    Macgame.Oracle.create
+      ~backend:(backend_of backend replicates duration seed)
+      ?store ?warm_start params
+  with Invalid_argument msg ->
+    Printf.eprintf "invalid backend: %s\n" msg;
+    exit 2
+
 let oracle_of backend replicates duration seed params =
-  Macgame.Oracle.create
-    ~backend:(backend_of backend replicates duration seed)
-    params
+  create_oracle backend replicates duration seed params
 
 (* Evaluates to [Dcf.Params.t -> Macgame.Oracle.t]: the subcommand builds
    its params from --mode/-m first, then closes the oracle over them. *)
@@ -233,9 +243,8 @@ let oracle_term =
 let serving_oracle_term =
   Term.(
     const (fun backend replicates duration seed store warm_start params ->
-        Macgame.Oracle.create
-          ~backend:(backend_of backend replicates duration seed)
-          ?store ~warm_start params)
+        create_oracle ?store ~warm_start backend replicates duration seed
+          params)
     $ backend_t $ replicates_t $ sim_duration_t $ sim_seed_t)
 
 (* {1 solve} *)

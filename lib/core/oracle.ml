@@ -82,8 +82,10 @@ let validate_backend = function
   | Analytic -> ()
   | Sim_slotted { duration; replicates; _ }
   | Sim_spatial { duration; replicates; _ } ->
-      if duration <= 0. then
+      if not (duration > 0.) then
         invalid_arg "Oracle.create: sim duration must be positive";
+      if not (Float.is_finite duration) then
+        invalid_arg "Oracle.create: sim duration must be finite";
       if replicates < 1 then
         invalid_arg "Oracle.create: need replicates >= 1"
 

@@ -76,7 +76,7 @@
       saving, measured). *)
 
 type sim_config = {
-  duration : float;   (** simulated seconds per replicate *)
+  duration : float;   (** simulated seconds per replicate, finite and > 0 *)
   replicates : int;   (** independent runs averaged per evaluation, ≥ 1 *)
   seed : int;         (** master seed; per-replicate streams are derived *)
 }
@@ -157,7 +157,10 @@ val create :
     [solver_max_iter] (≥ 1) bounds the analytic class solver's iteration
     budget (the Brent uniform path is unaffected).  Solves that exhaust
     it raise {!Non_converged} instead of answering — the oracle never
-    memoizes, persists, or serves a non-converged fixed point. *)
+    memoizes, persists, or serves a non-converged fixed point.
+
+    @raise Invalid_argument on a sim backend whose duration is not finite
+    and positive or whose replicates are < 1. *)
 
 val analytic : ?telemetry:Telemetry.Registry.t -> ?p_hn:float -> Dcf.Params.t -> t
 (** [analytic params] = [create ~backend:Analytic params]. *)

@@ -52,14 +52,39 @@ type node_state = {
 let draw_backoff node =
   Prelude.Rng.int node.rng (node.window lsl node.stage)
 
+(* A failed access (collision or channel error): the node backs off one
+   stage, or past [retry_limit] retransmissions discards the head-of-line
+   packet, and the saturated queue offers the next one at stage 0.
+   Returns whether it dropped. *)
+let fail ~retry_limit ~m nd =
+  nd.attempts <- nd.attempts + 1;
+  nd.frames <- nd.frames + 1;
+  nd.retries <- nd.retries + 1;
+  if nd.retries > retry_limit then begin
+    nd.drops <- nd.drops + 1;
+    nd.retries <- 0;
+    nd.stage <- 0;
+    true
+  end
+  else begin
+    let s = nd.stage + 1 in
+    nd.stage <- (if s < m then s else m);
+    false
+  end
+
 let run ?(telemetry = Telemetry.Registry.default) ?(bianchi_ticks = false)
     ?(retry_limit = max_int) ?(per = 0.) ?trace ?strategies
     { params; cws; duration; seed } =
   if retry_limit < 0 then invalid_arg "Slotted.run: retry_limit must be >= 0";
-  if per < 0. || per >= 1. then invalid_arg "Slotted.run: per must be in [0, 1)";
+  (* Written so that NaN fails them. *)
+  if not (per >= 0. && per < 1.) then
+    invalid_arg "Slotted.run: per must be in [0, 1)";
   let n = Array.length cws in
   if n = 0 then invalid_arg "Slotted.run: empty network";
-  if duration <= 0. then invalid_arg "Slotted.run: duration must be positive";
+  if not (duration > 0.) then
+    invalid_arg "Slotted.run: duration must be positive";
+  if not (Float.is_finite duration) then
+    invalid_arg "Slotted.run: duration must be finite";
   Array.iter
     (fun w -> if w < 1 then invalid_arg "Slotted.run: window must be >= 1")
     cws;
@@ -132,6 +157,10 @@ let run ?(telemetry = Telemetry.Registry.default) ?(bianchi_ticks = false)
         node)
       cws
   in
+  let sigma = params.sigma in
+  (* The clock and the airtime sums are locals that no closure captures,
+     so they stay unboxed; the loop below calls no closure and allocates
+     nothing unless [trace] is given. *)
   let time = ref 0. in
   let slots = ref 0 in
   (* Channel-airtime accounting, updated incrementally as the simulation
@@ -140,69 +169,75 @@ let run ?(telemetry = Telemetry.Registry.default) ?(bianchi_ticks = false)
   let success_airtime = ref 0. in
   let collision_airtime = ref 0. in
   let error_airtime = ref 0. in
+  (* The current slot's transmitters, in ascending id order. *)
+  let tx = Array.make n 0 in
   (* Per virtual slot: skip ahead by the smallest counter (idle slots), then
-     resolve the transmission slot. *)
+     resolve the transmission slot.  Every defer is permanently 0 on the
+     degenerate subspace, so the per-slot defer bookkeeping is gated
+     behind [has_aifs] and the hot loop keeps the CW-only shape. *)
   while !time < duration do
-    (* Every defer is permanently 0 on the degenerate subspace, so the
-       per-slot defer bookkeeping is gated behind [has_aifs] and the hot
-       loop keeps the CW-only shape. *)
-    let idle =
-      if has_aifs then
-        Array.fold_left
-          (fun acc nd -> Stdlib.min acc (nd.defer + nd.counter))
-          max_int nodes
-      else
-        Array.fold_left
-          (fun acc nd -> Stdlib.min acc nd.counter)
-          max_int nodes
-    in
+    let idle = ref max_int in
+    if has_aifs then
+      for i = 0 to n - 1 do
+        let nd = nodes.(i) in
+        let c = nd.defer + nd.counter in
+        if c < !idle then idle := c
+      done
+    else
+      for i = 0 to n - 1 do
+        let c = nodes.(i).counter in
+        if c < !idle then idle := c
+      done;
+    let idle = !idle in
     if idle > 0 then begin
-      let dt = float_of_int idle *. params.sigma in
+      let dt = float_of_int idle *. sigma in
       time := !time +. dt;
       idle_airtime := !idle_airtime +. dt;
-      slots := !slots + idle;
-      if has_aifs then
-        Array.iter
-          (fun nd ->
-            (* AIFS defer slots are consumed before backoff slots. *)
-            let d = if nd.defer < idle then nd.defer else idle in
-            nd.defer <- nd.defer - d;
-            nd.counter <- nd.counter - (idle - d))
-          nodes
-      else Array.iter (fun nd -> nd.counter <- nd.counter - idle) nodes
+      slots := !slots + idle
     end;
+    (* Tick the idle slots off (AIFS defer slots before backoff slots) and
+       gather the nodes left at zero. *)
+    let ntx = ref 0 in
+    if has_aifs then
+      for i = 0 to n - 1 do
+        let nd = nodes.(i) in
+        let d = if nd.defer < idle then nd.defer else idle in
+        nd.defer <- nd.defer - d;
+        nd.counter <- nd.counter - (idle - d);
+        if nd.defer = 0 && nd.counter = 0 then begin
+          tx.(!ntx) <- i;
+          incr ntx
+        end
+      done
+    else
+      for i = 0 to n - 1 do
+        let nd = nodes.(i) in
+        let c = nd.counter - idle in
+        nd.counter <- c;
+        if c = 0 then begin
+          tx.(!ntx) <- i;
+          incr ntx
+        end
+      done;
+    let ntx = !ntx in
     if !time < duration then begin
-      let transmitters =
-        if has_aifs then
-          Array.to_list nodes
-          |> List.filter (fun nd -> nd.defer = 0 && nd.counter = 0)
-        else Array.to_list nodes |> List.filter (fun nd -> nd.counter = 0)
-      in
       incr slots;
-      (match transmitters with
-      | [] -> assert false
-      | [ winner ] when per > 0. && Prelude.Rng.bernoulli winner.rng per ->
+      if ntx = 1 then begin
+        let winner = nodes.(tx.(0)) in
+        if per > 0. && Prelude.Rng.bernoulli winner.rng per then begin
           (* Channel error: the lone winner's first frame went out in full
              but arrived corrupted, so the channel is held for one whole
              frame time — not the collision time Tc, which models
              truncated overlapping frames.  The missing ACK aborts any
              TXOP continuation, so the burst never happens. *)
-          winner.attempts <- winner.attempts + 1;
-          winner.frames <- winner.frames + 1;
-          winner.retries <- winner.retries + 1;
-          if winner.retries > retry_limit then begin
-            winner.drops <- winner.drops + 1;
-            winner.retries <- 0;
-            winner.stage <- 0;
-            if tracing then
-              emit (Trace.Drop { time = !time; node = winner.id })
-          end
-          else winner.stage <- Stdlib.min (winner.stage + 1) m;
+          if fail ~retry_limit ~m winner && tracing then
+            emit (Trace.Drop { time = !time; node = winner.id });
           time := !time +. sts1.(winner.id);
           error_airtime := !error_airtime +. sts1.(winner.id);
           if tracing then
             emit (Trace.Channel_error { time = !time; node = winner.id })
-      | [ winner ] ->
+        end
+        else begin
           winner.attempts <- winner.attempts + 1;
           winner.success_accesses <- winner.success_accesses + 1;
           winner.successes <- winner.successes + txop.(winner.id);
@@ -213,53 +248,46 @@ let run ?(telemetry = Telemetry.Registry.default) ?(bianchi_ticks = false)
           success_airtime := !success_airtime +. sts.(winner.id);
           if tracing then
             emit (Trace.Success { time = !time; node = winner.id })
-      | colliders ->
-          List.iter
-            (fun nd ->
-              nd.attempts <- nd.attempts + 1;
-              nd.frames <- nd.frames + 1;
-              nd.retries <- nd.retries + 1;
-              if nd.retries > retry_limit then begin
-                (* Discard the head-of-line packet; the saturated queue
-                   offers the next one at a fresh backoff stage. *)
-                nd.drops <- nd.drops + 1;
-                nd.retries <- 0;
-                nd.stage <- 0;
-                if tracing then emit (Trace.Drop { time = !time; node = nd.id })
-              end
-              else nd.stage <- Stdlib.min (nd.stage + 1) m)
-            colliders;
-          (* Overlapping frames hold the channel for the longest collider's
-             Tc (equal to the common Tc on the degenerate subspace). *)
-          let tc_busy =
-            List.fold_left
-              (fun acc nd -> Float.max acc stc.(nd.id))
-              0. colliders
-          in
-          time := !time +. tc_busy;
-          collision_airtime := !collision_airtime +. tc_busy;
-          if tracing then
-            emit
-              (Trace.Collision
-                 {
-                   time = !time;
-                   nodes = List.map (fun nd -> nd.id) colliders;
-                 }));
+        end
+      end
+      else begin
+        assert (ntx > 1);
+        (* Overlapping frames hold the channel for the longest collider's
+           Tc (equal to the common Tc on the degenerate subspace). *)
+        let tc_busy = ref 0. in
+        for k = 0 to ntx - 1 do
+          let nd = nodes.(tx.(k)) in
+          if fail ~retry_limit ~m nd && tracing then
+            emit (Trace.Drop { time = !time; node = nd.id });
+          if stc.(nd.id) > !tc_busy then tc_busy := stc.(nd.id)
+        done;
+        time := !time +. !tc_busy;
+        collision_airtime := !collision_airtime +. !tc_busy;
+        if tracing then
+          emit
+            (Trace.Collision
+               { time = !time; nodes = List.init ntx (fun k -> tx.(k)) })
+      end;
       if bianchi_ticks then
         (* Markov-chain convention: the busy virtual slot also ticks the
            frozen stations' counters (transmitters are at 0 and resample
            below; their fresh counter first ticks in the next slot).  The
            chain has no AIFS state, so the tick applies to backoff
            counters only. *)
-        Array.iter
-          (fun nd -> if nd.counter > 0 then nd.counter <- nd.counter - 1)
-          nodes;
-      List.iter (fun nd -> nd.counter <- draw_backoff nd) transmitters;
+        for i = 0 to n - 1 do
+          let nd = nodes.(i) in
+          if nd.counter > 0 then nd.counter <- nd.counter - 1
+        done;
+      for k = 0 to ntx - 1 do
+        let nd = nodes.(tx.(k)) in
+        nd.counter <- draw_backoff nd
+      done;
       (* Every node heard the busy period and defers AIFS slots before
-         resuming its countdown; a no-op on the degenerate subspace. *)
-      Array.iter
-        (fun nd -> if aifs.(nd.id) > 0 then nd.defer <- aifs.(nd.id))
-        nodes
+         resuming its countdown. *)
+      if has_aifs then
+        for i = 0 to n - 1 do
+          if aifs.(i) > 0 then nodes.(i).defer <- aifs.(i)
+        done
     end
   done;
   let elapsed = !time in

@@ -108,8 +108,9 @@ val run :
     (a few percent on τ) is precisely the known accuracy limit of Bianchi's
     model, which the validation tests pin down.
 
-    @raise Invalid_argument on an empty network, a non-positive duration or
-    a window < 1. *)
+    @raise Invalid_argument on an empty network, a duration that is not
+    finite and positive, a window < 1, a [per] outside [0, 1) or NaN, or
+    a negative [retry_limit]. *)
 
 val estimates :
   ?telemetry:Telemetry.Registry.t ->

@@ -39,8 +39,9 @@ type result = {
 }
 
 val run : config -> result
-(** @raise Invalid_argument on length mismatches, negative rates, windows
-    < 1 or non-positive duration. *)
+(** @raise Invalid_argument on length mismatches, rates that are negative,
+    infinite or NaN, windows < 1, or a duration that is not finite and
+    positive. *)
 
 val saturation_rate : Dcf.Params.t -> n:int -> w:int -> float
 (** The per-node saturation departure rate τ(1−p)/T̄slot (packets/s) — the
@@ -49,4 +50,5 @@ val saturation_rate : Dcf.Params.t -> n:int -> w:int -> float
 val utilization : Dcf.Params.t -> n:int -> w:int -> arrival_rate:float -> float
 (** Offered-load heuristic ρ = λ / {!saturation_rate}; queues are stable
     roughly when ρ < 1 (the saturation service rate is pessimistic below
-    saturation, so ρ < 1 is conservative). *)
+    saturation, so ρ < 1 is conservative).
+    @raise Invalid_argument on a negative, infinite or NaN rate. *)

@@ -73,11 +73,13 @@ let bernoulli t p = float t 1.0 < p
 
 let exponential t rate =
   if rate <= 0. then invalid_arg "Rng.exponential: rate must be positive";
-  let rec positive () =
-    let u = float t 1.0 in
-    if u > 0. then u else positive ()
-  in
-  -.log (positive ()) /. rate
+  (* Redraw a zero; a loop, not a per-call closure, so nothing allocates
+     but the result. *)
+  let u = ref (float t 1.0) in
+  while not (!u > 0.) do
+    u := float t 1.0
+  done;
+  -.log !u /. rate
 
 let normal t ~mean ~stddev =
   let rec positive () =

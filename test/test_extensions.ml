@@ -748,17 +748,45 @@ let test_slotted_per_validation () =
            { params = default; cws = [| 8 |]; duration = 1.; seed = 0 }))
 
 let test_unsaturated_validation () =
+  let run ?(duration = 1.) rate =
+    ignore
+      (Netsim.Unsaturated.run
+         {
+           params = default;
+           cws = [| 8; 8 |];
+           arrival_rates = [| 1.; rate |];
+           duration;
+           seed = 0;
+         })
+  in
   Alcotest.check_raises "negative rate"
     (Invalid_argument "Unsaturated.run: negative arrival rate") (fun () ->
-      ignore
-        (Netsim.Unsaturated.run
-           {
-             params = default;
-             cws = [| 8 |];
-             arrival_rates = [| -1. |];
-             duration = 1.;
-             seed = 0;
-           }))
+      run (-1.));
+  (* A NaN rate used to loop forever, an infinite one to grow its queue
+     until the heap ran out, and a NaN duration to return NaN stats. *)
+  List.iter
+    (fun rate ->
+      Alcotest.check_raises
+        (Printf.sprintf "rate %h" rate)
+        (Invalid_argument "Unsaturated.run: arrival rate must be finite")
+        (fun () -> run rate))
+    [ nan; infinity ];
+  Alcotest.check_raises "nan duration"
+    (Invalid_argument "Unsaturated.run: duration must be positive") (fun () ->
+      run ~duration:nan 1.);
+  Alcotest.check_raises "infinite duration"
+    (Invalid_argument "Unsaturated.run: duration must be finite") (fun () ->
+      run ~duration:infinity 1.);
+  List.iter
+    (fun rate ->
+      Alcotest.check_raises
+        (Printf.sprintf "utilization %h" rate)
+        (Invalid_argument "Unsaturated.utilization: rate must be finite")
+        (fun () ->
+          ignore
+            (Netsim.Unsaturated.utilization default ~n:5 ~w:32
+               ~arrival_rate:rate)))
+    [ nan; infinity ]
 
 (* {1 Netsim.Trace} *)
 

@@ -127,7 +127,20 @@ let test_slotted_validation () =
       ignore (Netsim.Slotted.run { params = default; cws = [| 8 |]; duration = 0.; seed = 0 }));
   Alcotest.check_raises "bad window"
     (Invalid_argument "Slotted.run: window must be >= 1") (fun () ->
-      ignore (slotted [| 0 |]))
+      ignore (slotted [| 0 |]));
+  (* Non-finite inputs: NaN used to run as PER 0 or return NaN stats, and
+     an infinite horizon never returned. *)
+  Alcotest.check_raises "nan duration"
+    (Invalid_argument "Slotted.run: duration must be positive") (fun () ->
+      ignore (slotted ~duration:nan [| 8 |]));
+  Alcotest.check_raises "infinite duration"
+    (Invalid_argument "Slotted.run: duration must be finite") (fun () ->
+      ignore (slotted ~duration:infinity [| 8 |]));
+  Alcotest.check_raises "nan per"
+    (Invalid_argument "Slotted.run: per must be in [0, 1)") (fun () ->
+      ignore
+        (Netsim.Slotted.run ~per:nan
+           { params = default; cws = [| 8 |]; duration = 1.; seed = 0 }))
 
 let test_payoff_oracle_positive_near_optimum () =
   let u =
@@ -567,21 +580,23 @@ let attempts_of (r : Netsim.Spatial.result) =
 
 (* The same seeded run at horizons T and 2T does the same set-up and
    builds a result of the same size, so the extra minor words over the
-   extra attempts is what the event loop itself allocates per attempt. *)
-let check_allocation_free label run t =
+   extra units of work (attempts, or delivered packets) is what the loop
+   itself allocates per unit; at most [limit] are allowed. *)
+let check_allocation_free ?(limit = 1.) ?(unit = "attempts") label count run
+    t =
   let measure duration =
     let w0 = Gc.minor_words () in
     let r = run duration in
-    (Gc.minor_words () -. w0, attempts_of r)
+    (Gc.minor_words () -. w0, count r)
   in
   let w1, a1 = measure t in
   let w2, a2 = measure (2. *. t) in
-  let extra_words = w2 -. w1 and extra_attempts = a2 - a1 in
+  let extra_words = w2 -. w1 and extra = a2 - a1 in
   Alcotest.(check bool)
-    (Printf.sprintf "%s: %.0f extra minor words over %d extra attempts" label
-       extra_words extra_attempts)
+    (Printf.sprintf "%s: %.0f extra minor words over %d extra %s" label
+       extra_words extra unit)
     true
-    (extra_attempts > 1000 && extra_words <= float_of_int extra_attempts)
+    (extra > 1000 && extra_words <= limit *. float_of_int extra)
 
 let test_event_core_allocation_free () =
   (* The shadow reference run of the differential mode allocates by
@@ -599,7 +614,7 @@ let test_event_core_allocation_free () =
          { width = side; height = side; speed_min = 0.; speed_max = 5. }
          ~n)
   in
-  check_allocation_free "run_grid"
+  check_allocation_free "run_grid" attempts_of
     (fun duration ->
       Netsim.Spatial.run_grid ~telemetry:(quiet ()) ~params:default ~positions
         ~range ~cs_range:180. ~cws:(Array.make n 128) ~duration ~seed:3 ())
@@ -622,11 +637,55 @@ let test_event_core_allocation_free () =
           txop_frames = 1 + (i mod 2);
         })
   in
-  check_allocation_free "run"
+  check_allocation_free "run" attempts_of
     (fun duration ->
       Netsim.Spatial.run ~telemetry:(quiet ()) ~strategies
         { params = rts_cts; adjacency; cws; duration; seed = 13 })
     4.
+
+let test_contention_loops_allocation_free () =
+  let slotted_attempts (r : Netsim.Slotted.result) =
+    Array.fold_left
+      (fun acc (s : Netsim.Slotted.node_stats) -> acc + s.attempts)
+      0 r.per_node
+  in
+  (* AIFS 0-2 and TXOP 1-3 strategies over mixed windows, then a large
+     CW-only network. *)
+  let strategies =
+    Array.init 20 (fun i ->
+        {
+          (Dcf.Strategy_space.of_cw (32 lsl (i mod 3))) with
+          aifs = i mod 3;
+          txop_frames = 1 + (i mod 3);
+        })
+  in
+  let cws = Array.map (fun (s : Dcf.Strategy_space.t) -> s.cw) strategies in
+  check_allocation_free "Slotted.run strategies" slotted_attempts
+    (fun duration ->
+      Netsim.Slotted.run ~telemetry:(quiet ()) ~strategies ~retry_limit:3
+        { params = default; cws; duration; seed = 5 })
+    15.;
+  check_allocation_free "Slotted.run n=50" slotted_attempts
+    (fun duration ->
+      Netsim.Slotted.run ~telemetry:(quiet ())
+        { params = default; cws = Array.make 50 128; duration; seed = 6 })
+    10.;
+  (* Below saturation, where queues stay short: what remains are the
+     floats Rng.exponential returns. *)
+  let rate = 0.6 *. Netsim.Unsaturated.saturation_rate default ~n:10 ~w:128 in
+  check_allocation_free ~limit:12. ~unit:"delivered packets"
+    "Unsaturated.run load 0.6"
+    (fun (r : Netsim.Unsaturated.result) -> r.total_delivered)
+    (fun duration ->
+      Netsim.Unsaturated.run
+        {
+          params = default;
+          cws = Array.make 10 128;
+          arrival_rates = Array.make 10 rate;
+          duration;
+          seed = 7;
+        })
+    30.
 
 (* {1 Airtime conservation} *)
 
@@ -977,6 +1036,8 @@ let suite_slotted =
     Alcotest.test_case "per occupies Ts" `Quick test_slotted_per_occupies_ts;
     Alcotest.test_case "per coexists with collisions" `Quick
       test_slotted_per_coexists_with_collisions;
+    Alcotest.test_case "contention loops allocate nothing per attempt" `Quick
+      test_contention_loops_allocation_free;
   ]
 
 let suite_spatial =

@@ -216,6 +216,20 @@ let test_validation () =
              (Macgame.Oracle.Sim_spatial
                 { duration = 0.; replicates = 1; seed = 0 })
            params));
+  (* A NaN duration used to yield NaN payoffs, an infinite one to hang. *)
+  List.iter
+    (fun (duration, msg) ->
+      Alcotest.check_raises
+        (Printf.sprintf "bad duration %h" duration)
+        (Invalid_argument ("Oracle.create: sim duration must be " ^ msg))
+        (fun () ->
+          ignore
+            (Macgame.Oracle.create
+               ~backend:
+                 (Macgame.Oracle.Sim_slotted
+                    { duration; replicates = 1; seed = 0 })
+               params)))
+    [ (nan, "positive"); (infinity, "finite"); (-1., "positive") ];
   Alcotest.check_raises "bad p_hn"
     (Invalid_argument "Oracle.create: p_hn must be in (0, 1]") (fun () ->
       ignore (Macgame.Oracle.create ~p_hn:0. params))

@@ -165,7 +165,12 @@ let test_rng_known_answers () =
   let b = Rng.bits64 k in
   Alcotest.(check (float 0.)) "of_key float" 0x1.0fa155a08b18p-7 f;
   Alcotest.(check int) "of_key int" 933 i;
-  Alcotest.check hex "of_key bits64" 0x73c0243eb8d9ac2fL b
+  Alcotest.check hex "of_key bits64" 0x73c0243eb8d9ac2fL b;
+  let e = Rng.create 11 in
+  List.iter
+    (fun want ->
+      Alcotest.(check (float 0.)) "exponential" want (Rng.exponential e 2.0))
+    [ 0x1.26b7a9a0ab2p-1; 0x1.5688599c1b0d6p-1; 0x1.cc229263021f4p-3 ]
 
 (* {1 Stats} *)
 
