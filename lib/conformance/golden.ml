@@ -78,25 +78,26 @@ let slotted_record ~id ?(bianchi_ticks = true) ?retry_limit ?(per = 0.)
           );
         ]
   in
-  Obj
-    ([
-       ("id", String id);
-       ("slots", Int result.slots);
-       ( "attempts",
-         ints (per_node (fun (s : Netsim.Slotted.node_stats) -> s.attempts)) );
-       ( "successes",
-         ints (per_node (fun (s : Netsim.Slotted.node_stats) -> s.successes)) );
-       ( "collisions",
-         ints (per_node (fun (s : Netsim.Slotted.node_stats) -> s.collisions)) );
-       ("drops", ints (per_node (fun (s : Netsim.Slotted.node_stats) -> s.drops)));
-       ("total_throughput", Float result.total_throughput);
-       ("welfare_rate", Float result.welfare_rate);
-       ("idle_fraction", Float result.airtime.idle_fraction);
-       ("success_fraction", Float result.airtime.success_fraction);
-       ("collision_fraction", Float result.airtime.collision_fraction);
-       ("error_fraction", Float result.airtime.error_fraction);
-     ]
-    @ strategy_fields)
+  let counters =
+    [
+      ("id", String id);
+      ("slots", Int result.slots);
+      ( "attempts",
+        ints (per_node (fun (s : Netsim.Slotted.node_stats) -> s.attempts)) );
+      ( "successes",
+        ints (per_node (fun (s : Netsim.Slotted.node_stats) -> s.successes)) );
+      ( "collisions",
+        ints (per_node (fun (s : Netsim.Slotted.node_stats) -> s.collisions)) );
+      ("drops", ints (per_node (fun (s : Netsim.Slotted.node_stats) -> s.drops)));
+      ("total_throughput", Float result.total_throughput);
+      ("welfare_rate", Float result.welfare_rate);
+      ("idle_fraction", Float result.airtime.idle_fraction);
+      ("success_fraction", Float result.airtime.success_fraction);
+      ("collision_fraction", Float result.airtime.collision_fraction);
+      ("error_fraction", Float result.airtime.error_fraction);
+    ]
+  in
+  Obj (counters @ strategy_fields)
 
 let slotted_sim () =
   [
@@ -110,8 +111,9 @@ let slotted_sim () =
       ~params:Dcf.Params.default ~cws:(Array.make 5 79) ~seed:45 ();
   ]
 
-(* Twenty nodes cycling through windows 32/64/128, AIFS 0-2 and TXOP 1-3,
-   so every (AIFS, TXOP) pair occurs; retry limit 3 makes drops common. *)
+(* Twenty nodes cycling through (window, AIFS) = (32, 0), (64, 1),
+   (128, 2) and TXOP 1-3, so every (AIFS, TXOP) pair occurs; retry limit 3
+   adds drops. *)
 let slotted_strategies () =
   let n = 20 in
   let strategies =

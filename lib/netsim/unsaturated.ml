@@ -26,7 +26,11 @@ type result = {
 (* Queued arrival timestamps: a ring of unboxed floats that doubles when
    full, so a packet costs no cons cell and no boxed float. *)
 module Fifo = struct
-  type t = { mutable buf : Float.Array.t; mutable head : int; mutable len : int }
+  type t = {
+    mutable buf : Float.Array.t;
+    mutable head : int;
+    mutable len : int;
+  }
 
   let create () = { buf = Float.Array.make 16 0.; head = 0; len = 0 }
 
@@ -35,7 +39,8 @@ module Fifo = struct
     let cap = Float.Array.length q.buf in
     let buf = Float.Array.make (2 * cap) 0. in
     for i = 0 to q.len - 1 do
-      Float.Array.set buf i (Float.Array.get q.buf ((q.head + i) land (cap - 1)))
+      Float.Array.set buf i
+        (Float.Array.get q.buf ((q.head + i) land (cap - 1)))
     done;
     q.buf <- buf;
     q.head <- 0
@@ -191,7 +196,9 @@ let run { params; cws; arrival_rates; duration; seed } =
       let arrival_slots =
         if next_arrival = infinity then max_int
         else
-          let s = int_of_float (Float.ceil ((next_arrival -. !time) /. sigma)) in
+          let s =
+            int_of_float (Float.ceil ((next_arrival -. !time) /. sigma))
+          in
           if s > 0 then s else 0
       in
       (* An arrival landing mid-countdown cuts the idle run short: burn
