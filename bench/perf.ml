@@ -373,13 +373,16 @@ let kernel_ns json =
    regression.  2× is deliberately loose — micro-benchmark noise on
    shared machines is real — so tripping it means the kernel genuinely
    lost its edge.  Guarded: every spatial kernel — the event-core ones
-   and the grid/scan/sharded scale ones — the Newton/batch solver
-   kernels, and the warm and cold serving kernels, whose time is mostly
-   request parsing and reply rendering. *)
+   and the grid/scan/sharded scale ones — the slotted and unsaturated
+   contention loops, the Newton/batch solver kernels, and the warm and
+   cold serving kernels, whose time is mostly request parsing and reply
+   rendering. *)
 let guarded_kernel name =
   String.starts_with ~prefix:"spatial" name
   || List.mem name
        [
+         "slotted_sim_1s_n10";
+         "unsaturated_sim_1s_n10";
          "newton_cold_n50";
          "batch_sweep_cw64";
          "serve_handle_line_warm";

@@ -219,7 +219,7 @@ let backend_of backend replicates duration seed =
 (* A bad sim configuration surfaces as [Invalid_argument] from
    [Oracle.create]: one line and exit 2, not cmdliner's uncaught-exception
    report. *)
-let create_oracle ?store ?warm_start backend replicates duration seed params =
+let oracle_of ?store ?warm_start backend replicates duration seed params =
   try
     Macgame.Oracle.create
       ~backend:(backend_of backend replicates duration seed)
@@ -228,14 +228,13 @@ let create_oracle ?store ?warm_start backend replicates duration seed params =
     Printf.eprintf "invalid backend: %s\n" msg;
     exit 2
 
-let oracle_of backend replicates duration seed params =
-  create_oracle backend replicates duration seed params
-
 (* Evaluates to [Dcf.Params.t -> Macgame.Oracle.t]: the subcommand builds
    its params from --mode/-m first, then closes the oracle over them. *)
 let oracle_term =
   Term.(
-    const oracle_of $ backend_t $ replicates_t $ sim_duration_t $ sim_seed_t)
+    const (fun backend replicates duration seed ->
+        oracle_of backend replicates duration seed)
+    $ backend_t $ replicates_t $ sim_duration_t $ sim_seed_t)
 
 (* The serving variant additionally threads a store and the warm-start
    switch into the oracle (plain, not optional, arguments — optional args
@@ -243,8 +242,7 @@ let oracle_term =
 let serving_oracle_term =
   Term.(
     const (fun backend replicates duration seed store warm_start params ->
-        create_oracle ?store ~warm_start backend replicates duration seed
-          params)
+        oracle_of ?store ~warm_start backend replicates duration seed params)
     $ backend_t $ replicates_t $ sim_duration_t $ sim_seed_t)
 
 (* {1 solve} *)

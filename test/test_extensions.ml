@@ -753,8 +753,8 @@ let test_unsaturated_validation () =
       (Netsim.Unsaturated.run
          {
            params = default;
-           cws = [| 8; 8 |];
-           arrival_rates = [| 1.; rate |];
+           cws = [| 8 |];
+           arrival_rates = [| rate |];
            duration;
            seed = 0;
          })

@@ -1036,7 +1036,7 @@ let suite_slotted =
     Alcotest.test_case "per occupies Ts" `Quick test_slotted_per_occupies_ts;
     Alcotest.test_case "per coexists with collisions" `Quick
       test_slotted_per_coexists_with_collisions;
-    Alcotest.test_case "contention loops allocate nothing per attempt" `Quick
+    Alcotest.test_case "slotted and unsaturated allocation guard" `Quick
       test_contention_loops_allocation_free;
   ]
 
