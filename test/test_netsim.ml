@@ -670,8 +670,9 @@ let test_contention_loops_allocation_free () =
       Netsim.Slotted.run ~telemetry:(quiet ())
         { params = default; cws = Array.make 50 128; duration; seed = 6 })
     10.;
-  (* Below saturation, where queues stay short: what remains are the
-     floats Rng.exponential returns. *)
+  (* Below saturation, where queues stay short: what remains per arrival
+     are the two floats Rng.exponential boxes (its uniform draw and its
+     result). *)
   let rate = 0.6 *. Netsim.Unsaturated.saturation_rate default ~n:10 ~w:128 in
   check_allocation_free ~limit:12. ~unit:"delivered packets"
     "Unsaturated.run load 0.6"
