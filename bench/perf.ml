@@ -249,10 +249,6 @@ let tests =
                      (Macgame.Repeated.all_tft ~n:5
                         ~initials:[| 100; 90; 110; 95; 105 |])
                    ~stages:5)));
-      (* Deviation analysis kernel. *)
-      Test.make ~name:"deviant_solve_n20"
-        (Staged.stage (fun () ->
-             ignore (Dcf.Solver.solve_with_deviant params ~n:20 ~w:339 ~w_dev:100)));
       (* Coalition kernel: a 3-class fixed point. *)
       Test.make ~name:"class_solve_3classes"
         (Staged.stage (fun () ->

@@ -343,7 +343,7 @@ let ne_multi_cmd =
     Array.iteri
       (fun i s ->
         Printf.printf "player %d: %s  payoff %+.4f /s\n" i
-          (Format.asprintf "%a" Macgame.Strategy_space.pp s)
+          (Format.asprintf "%a" Dcf.Strategy_space.pp s)
           payoffs.(i))
       out.equilibrium
   in
@@ -560,13 +560,13 @@ let sim_cmd =
       cs_range =
     let params = params_of mode m in
     let s =
-      { Macgame.Strategy_space.cw = w; aifs; txop_frames = txop; rate }
+      { Dcf.Strategy_space.cw = w; aifs; txop_frames = txop; rate }
     in
-    (match Macgame.Strategy_space.validate ~cw_max:params.Dcf.Params.cw_max s with
+    (match Dcf.Strategy_space.validate ~cw_max:params.Dcf.Params.cw_max s with
     | Ok () -> ()
     | Error e -> invalid_arg e);
     let strategies =
-      if Macgame.Strategy_space.is_degenerate s then None
+      if Dcf.Strategy_space.is_degenerate s then None
       else Some (Array.make n s)
     in
     if shards > 0 then

@@ -230,7 +230,7 @@ let create ?(telemetry = Telemetry.Registry.default) ?p_hn
       invalid_arg "Oracle.create: solver_max_iter must be >= 1"
   | _ -> ());
   (match p_hn with
-  | Some f when f <= 0. || f > 1. ->
+  | Some f when not (f > 0. && f <= 1.) ->
       invalid_arg "Oracle.create: p_hn must be in (0, 1]"
   | _ -> ());
   let store_prefix = lazy (store_prefix_of ~params ~p_hn ~backend) in
@@ -539,8 +539,6 @@ let uniform_strategy_outcome t ~n (s : Dcf.Strategy_space.t) =
           store_put t (fun () -> uniform_store_key t ~n ~s)
             (view_to_json view);
           (view, Cold))
-
-let uniform_strategy t ~n s = fst (uniform_strategy_outcome t ~n s)
 
 let uniform_outcome t ~n ~w =
   uniform_strategy_outcome t ~n (Dcf.Strategy_space.of_cw w)

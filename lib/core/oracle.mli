@@ -187,23 +187,12 @@ val backend_name : backend -> string
     vocabulary. *)
 
 val uniform : t -> n:int -> w:int -> uniform_view
-(** The memoized uniform-profile evaluation ((n, w) fast path) — the
-    CW-only shorthand for {!uniform_strategy} on the degenerate
-    strategy. *)
+(** The memoized uniform-profile evaluation ((n, w) fast path).  Uniform
+    multi-knob profiles take the same memo through {!payoffs_profile}. *)
 
 val uniform_outcome : t -> n:int -> w:int -> uniform_view * tier
 (** Like {!uniform}, also reporting which tier answered — the serving
     layer's entry point. *)
-
-val uniform_strategy : t -> n:int -> Dcf.Strategy_space.t -> uniform_view
-(** The memoized uniform evaluation of [n] players all on the given
-    multi-knob strategy.  Degenerate strategies take the exact CW-only
-    solve path, so [uniform_strategy t ~n (Strategy_space.of_cw w)] is
-    bit-identical to [uniform t ~n ~w]. *)
-
-val uniform_strategy_outcome :
-  t -> n:int -> Dcf.Strategy_space.t -> uniform_view * tier
-(** Like {!uniform_strategy}, also reporting which tier answered. *)
 
 val payoff_uniform : t -> n:int -> w:int -> float
 (** Per-node payoff rate u of the uniform profile (w, …, w) — what the

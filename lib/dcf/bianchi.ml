@@ -14,10 +14,7 @@ let dtau_dp ~w ~m p =
   (* τ = 2/D with D(p) = 1 + W + p·W·Σ_{j<m}(2p)^j
                        = 1 + W + W·Σ_{j<m} 2^j p^(j+1),
      so dD/dp = W·Σ_{j<m} (j+1)·(2p)^j and dτ/dp = −2·dD/dp / D².  Both
-     sums accumulate incrementally (no pow call): this derivative sits in
-     the Newton solver's innermost loop, and unlike τ itself it carries no
-     bit-stability contract — it only steers the iterate path, whose
-     destination the convergence test on τ pins. *)
+     sums accumulate incrementally (no pow call). *)
   let geom = ref 0. and s = ref 0. and pow = ref 1. in
   for j = 0 to m - 1 do
     geom := !geom +. !pow;
@@ -26,20 +23,6 @@ let dtau_dp ~w ~m p =
   done;
   let d = 1. +. wf +. (p *. wf *. !geom) in
   -2. *. wf *. !s /. (d *. d)
-
-let dtau_dp_at_tau ~w ~m ~tau p =
-  (* Same derivative, cheaper: τ = 2/D means 1/D² = τ²/4, so when the
-     caller already holds τ = τB(w, p) — the solver's map evaluation does —
-     dτ/dp = −2·W·S/D² collapses to −W·S·τ²/2 and only the stage sum
-     S = Σ_{j<m}(j+1)·(2p)^j remains.  This sits in the Newton solver's
-     innermost loop; like {!dtau_dp} it carries no bit-stability contract. *)
-  let wf = float_of_int w in
-  let s = ref 0. and pow = ref 1. in
-  for j = 0 to m - 1 do
-    s := !s +. (float_of_int (j + 1) *. !pow);
-    pow := !pow *. 2. *. p
-  done;
-  -0.5 *. wf *. !s *. tau *. tau
 
 let tau_of_p_ratio_form ~w ~m p =
   check_args ~w ~m p;

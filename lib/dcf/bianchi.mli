@@ -20,15 +20,9 @@ val dtau_dp : w:int -> m:int -> float -> float
 (** [dtau_dp ~w ~m p] is the analytic derivative of {!tau_of_p} in [p]:
     with D(p) = 1 + W + W·Σ_{j=0}^{m−1} 2^j·p^(j+1) the value is
     −2·W·Σ_{j=0}^{m−1}(j+1)(2p)^j / D².  Always ≤ 0 (τ decreases in p).
-    Feeds the Newton Jacobian of the coupled τ/p fixed point. *)
-
-val dtau_dp_at_tau : w:int -> m:int -> tau:float -> float -> float
-(** [dtau_dp_at_tau ~w ~m ~tau p] equals {!dtau_dp} up to round-off when
-    [tau = tau_of_p ~w ~m p]: since τ = 2/D, the derivative −2·W·S/D²
-    collapses to −W·S·τ²/2 with S = Σ_{j<m}(j+1)(2p)^j, skipping the D
-    recomputation.  The fast path for Jacobian assembly when the caller
-    already evaluated the map at [p]; garbage in ([tau] not matching [p])
-    gives garbage out. *)
+    Since τ = 2/D this equals −W·S·τ²/2 with S = Σ_{j<m}(j+1)(2p)^j, the
+    τ form {!Solver}'s Newton step evaluates from the τ it already
+    holds. *)
 
 val tau_of_p_ratio_form : w:int -> m:int -> float -> float
 (** The paper's first printed form 2(1−2p)/((1−2p)(W+1)+pW(1−(2p)^m)).

@@ -164,22 +164,3 @@ let homogeneous ?p_hn (params : Params.t) ~n ~w =
 
 let homogeneous_welfare ?p_hn params ~n ~w =
   float_of_int n *. (homogeneous ?p_hn params ~n ~w).utility
-
-type deviation_view = {
-  deviant : node_view;
-  conformer : node_view;
-  converged : bool;
-}
-
-let with_deviant ?p_hn (params : Params.t) ~n ~w ~w_dev =
-  let sol = Solver.solve_with_deviant params ~n ~w ~w_dev in
-  let tau_dev, p_dev = sol.deviant in
-  let tau, p = sol.conformer in
-  let taus = Array.make n tau in
-  taus.(0) <- tau_dev;
-  let metrics = Metrics.of_taus params taus in
-  {
-    deviant = view_of ?p_hn params metrics ~tau:tau_dev ~p:p_dev ~index:0;
-    conformer = view_of ?p_hn params metrics ~tau ~p ~index:1;
-    converged = sol.converged;
-  }

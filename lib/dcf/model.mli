@@ -77,16 +77,3 @@ val homogeneous : ?p_hn:float -> Params.t -> n:int -> w:int -> node_view
 val homogeneous_welfare : ?p_hn:float -> Params.t -> n:int -> w:int -> float
 (** n·u for the symmetric network: the global payoff rate plotted in
     Figures 2–3 (up to the constant C). *)
-
-type deviation_view = {
-  deviant : node_view;
-  conformer : node_view;
-  converged : bool;
-}
-
-val with_deviant :
-  ?p_hn:float -> Params.t -> n:int -> w:int -> w_dev:int -> deviation_view
-(** Views of both classes when one node plays [w_dev] against n−1 nodes on
-    [w] (Lemma 4's configuration), via the fast two-class solve.
-    [converged] reports the underlying two-dimensional fixed point's real
-    outcome. *)

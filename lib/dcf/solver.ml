@@ -13,13 +13,6 @@ type class_solution = {
   converged : bool;
 }
 
-type deviant_solution = {
-  deviant : float * float;
-  conformer : float * float;
-  iterations : int;
-  converged : bool;
-}
-
 (* p_i = 1 − Π_{j≠i}(1 − τ_j), computed with prefix/suffix products so a
    node with τ_j = 1 (window 1, always transmitting) does not force a
    division by zero. *)
@@ -106,7 +99,7 @@ let solve_homogeneous ?(telemetry = Telemetry.Registry.default) ?iterations
   end
 
 (* ---------------------------------------------------------------- *)
-(* Class-space fixed points: shared Newton/Picard machinery.         *)
+(* Class-space fixed points: one engine for every class entry point. *)
 (* ---------------------------------------------------------------- *)
 
 (* x^k for the small integer class counts of the hot loops.  The k ≤ 1
@@ -144,102 +137,17 @@ let class_ps ~ks taus =
       in
       Prelude.Util.clamp ~lo:0. ~hi:1. (1. -. others))
 
-(* Newton step for the class-space map g_j(τ) = φ_j(p_j(τ)), exploiting
-   the rank-one structure of the Jacobian.  With O_j = Π_l(1−τ_l)^{k_l}
-   / (1−τ_j) and p_j = 1 − O_j,
-
-      ∂p_j/∂τ_i = (k_i − δ_ij)·O_j/(1−τ_i)
-      J_ji = φ'_j(p_j)·(k_i − δ_ij)·O_j/(1−τ_i) = u_j·v_i − δ_ij·u_j/(1−τ_j)
-
-   with u_j = φ'_j(p_j)·O_j and v_i = k_i/(1−τ_i).  The Newton system
-   (I − J)·δ = defect is therefore (D − u·vᵀ)·δ = defect with
-   D = diag(1 + u_j/(1−τ_j)), solved in O(c) by Sherman–Morrison:
-
-      δ = D⁻¹d + D⁻¹u·(vᵀD⁻¹d)/(1 − vᵀD⁻¹u).
-
-   [dphi ~j ~p_j ~phi_j] supplies φ'_j; for the CW-only map φ_j = τB so
-   φ' = dτ/dp, and the AIFS map adds the eligibility factor's product
-   rule.  Returns [None] near the τ = 1 boundary (where the product
-   shortcut and the derivative both degenerate), on a near-singular
-   diagonal or denominator, and on any non-finite intermediate — the
-   caller then takes one damped Picard sweep instead. *)
-let rank_one_newton_step ~ks ~dphi taus defect =
-  let c = Array.length taus in
-  let usable = ref true in
-  for j = 0 to c - 1 do
-    if not (Float.is_finite taus.(j)) || taus.(j) >= 1. then usable := false
-  done;
-  if not !usable then None
-  else begin
-    let product = ref 1. in
-    for j = 0 to c - 1 do
-      product := !product *. powk (1. -. taus.(j)) ks.(j)
-    done;
-    (* Single fused pass: the Sherman–Morrison dot products v·D⁻¹d and
-       v·D⁻¹u accumulate alongside the per-class diagonal solves, so the
-       step costs two array writes and no temporary beyond them. *)
-    let d_inv_defect = Array.make c 0. in
-    let d_inv_u = Array.make c 0. in
-    (try
-       let v_dot_d = ref 0. and v_dot_u = ref 0. in
-       for j = 0 to c - 1 do
-         let one_m = 1. -. taus.(j) in
-         let o_j = !product /. one_m in
-         let p_j = Prelude.Util.clamp ~lo:0. ~hi:1. (1. -. o_j) in
-         (* The map value at p_j is x_j + defect_j by construction (up to
-            one rounding), which lets dphi reuse it instead of re-deriving
-            τB(w, p_j) — a derivative-only shortcut, never a τ result. *)
-         let phi_j = taus.(j) +. defect.(j) in
-         let u_j = dphi ~j ~p_j ~phi_j *. o_j in
-         let d_j = 1. +. (u_j /. one_m) in
-         if (not (Float.is_finite d_j)) || Float.abs d_j < 1e-12 then
-           raise Exit;
-         let did = defect.(j) /. d_j in
-         let diu = u_j /. d_j in
-         d_inv_defect.(j) <- did;
-         d_inv_u.(j) <- diu;
-         let v_j = float_of_int ks.(j) /. one_m in
-         v_dot_d := !v_dot_d +. (v_j *. did);
-         v_dot_u := !v_dot_u +. (v_j *. diu)
-       done;
-       let denom = 1. -. !v_dot_u in
-       if (not (Float.is_finite denom)) || Float.abs denom < 1e-12 then
-         raise Exit;
-       let scale = !v_dot_d /. denom in
-       let delta = d_inv_defect in
-       for j = 0 to c - 1 do
-         delta.(j) <- delta.(j) +. (d_inv_u.(j) *. scale)
-       done;
-       Some delta
-     with Exit -> None)
-  end
-
-let run_class_fixed_point ?telemetry ~algo ~tol ~max_iter ~step ~newton_step x0
-    =
-  match algo with
-  | Picard ->
-      let o =
-        Numerics.Fixed_point.solve ?telemetry ~damping:0.5 ~tol ~max_iter step
-          x0
-      in
-      (o.value, o.iterations, o.converged)
-  | Newton ->
-      let o =
-        Numerics.Newton.solve ?telemetry ~damping:0.5 ~tol ~max_iter ~lo:0.
-          ~hi:1. ~step:newton_step step x0
-      in
-      (o.value, o.iterations, o.converged)
-
 (* Cold-start seed for the Newton path: pool the whole network into one
    homogeneous pseudo-class (count-weighted mean window) and Brent-solve
    its scalar fixed point to 1e-6, then seed every class at its own
    Bianchi response to the pooled collision probability.  That lands the
    iterate 2–3 decades closer to the solution than the no-collision
    2/(W+1) start and typically saves one or two quadratic steps — a
-   material fraction of a six-iteration solve.  The Picard path keeps the
-   legacy start untouched: it *is* the pre-Newton solver, bit for bit.
-   Returns [None] (caller falls back to 2/(W+1)) on trivial networks or
-   when the scalar proxy degenerates. *)
+   material fraction of a six-iteration solve.  The seed reads the CW
+   knob only: AIFS shapes the map, not the seed.  The Picard path keeps
+   the legacy start untouched: it *is* the pre-Newton solver, bit for
+   bit.  Returns [None] (caller falls back to 2/(W+1)) on trivial
+   networks or when the scalar proxy degenerates. *)
 let newton_cold_x0 ?telemetry (params : Params.t) ~ws ~ks =
   let c = Array.length ws in
   let n_total = Array.fold_left ( + ) 0 ks in
@@ -260,31 +168,63 @@ let newton_cold_x0 ?telemetry (params : Params.t) ~ws ~ks =
         else None
   end
 
-let solve_classes ?telemetry ?iterations ?tau_hint ?(tol = 1e-14)
-    ?(algo = Newton) ?(max_iter = 50_000) (params : Params.t) classes =
-  if classes = [] then invalid_arg "Solver.solve_classes: no classes";
-  List.iter
-    (fun (w, k) ->
-      if w < 1 then invalid_arg "Solver.solve_classes: window must be >= 1";
-      if k < 1 then invalid_arg "Solver.solve_classes: count must be >= 1")
-    classes;
+(* The class engine behind [solve_classes], [solve_strategy_classes] and
+   [solve_batch]: class j has [ks.(j)] members on window [ws.(j)] that
+   defer [aifs.(j)] extra slots (0 for CW-only classes).  AIFS enters the
+   coupled system through an eligibility factor: a node deferring a extra
+   slots after every busy period can only start in a slot if none of the
+   preceding a slots was busy for it, which in the mean-field model
+   happens with probability (1 − p)^a.  Its effective per-slot
+   transmission probability is therefore
+   φ_j(p) = (1 − p)^a · τB(W_j, p), and it is φ_j that other nodes see
+   when computing their collision probabilities.
+
+   [x0], when given, is owned by the engine: entries outside (0, 1) are
+   replaced in place by the no-collision start 2/(W+1), the rest seed
+   their class as given.  Without it Newton starts from the pooled proxy
+   and Picard from 2/(W+1). *)
+let solve_class_arrays ?telemetry ?iterations ?x0 ~tol ~algo ~max_iter
+    (params : Params.t) ~ws ~aifs ~ks =
   let m = params.max_backoff_stage in
-  let ws = Array.of_list (List.map fst classes) in
-  let ks = Array.of_list (List.map snd classes) in
   let c = Array.length ws in
   let step taus =
     let ps = class_ps ~ks taus in
-    Array.init c (fun j -> Bianchi.tau_of_p ~w:ws.(j) ~m ps.(j))
+    Array.init c (fun j ->
+        let p = ps.(j) in
+        let tau = Bianchi.tau_of_p ~w:ws.(j) ~m p in
+        if aifs.(j) = 0 then tau else powk (1. -. p) aifs.(j) *. tau)
   in
-  (* Specialised rank-one step for the CW-only map: the same algebra as
-     {!rank_one_newton_step} with φ' inlined in its τ form (−W·S·τ²/2,
-     cf. {!Bianchi.dtau_dp_at_tau}), saving a closure dispatch and a
-     clamp call per class in the innermost Jacobian loop — this is the
-     hot path of every cold heterogeneous solve.  Guards and fallback
-     behaviour are identical: any non-finite or near-singular
-     intermediate yields [None] and the caller takes a damped sweep. *)
+  (* Newton step for g_j(τ) = φ_j(p_j(τ)), exploiting the rank-one
+     structure of the Jacobian.  With O_j = Π_l(1−τ_l)^{k_l} / (1−τ_j)
+     and p_j = 1 − O_j,
+
+        ∂p_j/∂τ_i = (k_i − δ_ij)·O_j/(1−τ_i)
+        J_ji = φ'_j(p_j)·(k_i − δ_ij)·O_j/(1−τ_i) = u_j·v_i − δ_ij·u_j/(1−τ_j)
+
+     with u_j = φ'_j(p_j)·O_j and v_i = k_i/(1−τ_i).  The Newton system
+     (I − J)·δ = defect is therefore (D − u·vᵀ)·δ = defect with
+     D = diag(1 + u_j/(1−τ_j)), solved in O(c) by Sherman–Morrison:
+
+        δ = D⁻¹d + D⁻¹u·(vᵀD⁻¹d)/(1 − vᵀD⁻¹u).
+
+     φ'_j is taken in its τ form: τB = 2/D(p) gives
+     dτB/dp = −W·S·τB²/2 with S = Σ_{i<m}(i+1)(2p)^i, and the map value
+     φ_j = τ_j + defect_j is already in hand (up to one rounding), so no
+     τB is re-derived — a derivative-only shortcut, never a τ result.
+     AIFS classes add the eligibility factor's product rule,
+     φ'_j = (1−p)^a·dτB/dp − a·(1−p)^{a−1}·τB, with τB = φ_j/(1−p)^a
+     except where the factor underflows near p = 1.
+
+     Returns [None] near the τ = 1 boundary (where the product shortcut
+     and the derivative both degenerate), on a near-singular diagonal or
+     denominator, and on any non-finite intermediate — {!Numerics.Newton}
+     then takes one damped Picard sweep instead.  The step writes into
+     two buffers allocated once per solve; the solver reads [delta]
+     before the next step overwrites it. *)
+  let d_inv_defect = Array.make c 0. in
+  let d_inv_u = Array.make c 0. in
+  let some_delta = Some d_inv_defect in
   let newton_step taus defect =
-    let c = Array.length taus in
     let usable = ref true in
     for j = 0 to c - 1 do
       if not (Float.is_finite taus.(j)) || taus.(j) >= 1. then usable := false
@@ -295,8 +235,6 @@ let solve_classes ?telemetry ?iterations ?tau_hint ?(tol = 1e-14)
       for j = 0 to c - 1 do
         product := !product *. powk (1. -. taus.(j)) ks.(j)
       done;
-      let d_inv_defect = Array.make c 0. in
-      let d_inv_u = Array.make c 0. in
       try
         let v_dot_d = ref 0. and v_dot_u = ref 0. in
         for j = 0 to c - 1 do
@@ -309,8 +247,20 @@ let solve_classes ?telemetry ?iterations ?tau_hint ?(tol = 1e-14)
             s := !s +. (float_of_int (i + 1) *. !pow);
             pow := !pow *. 2. *. p_j
           done;
+          let a = aifs.(j) in
           let u_j =
-            -0.5 *. float_of_int ws.(j) *. !s *. phi_j *. phi_j *. o_j
+            if a = 0 then
+              -0.5 *. float_of_int ws.(j) *. !s *. phi_j *. phi_j *. o_j
+            else begin
+              let elig = powk (1. -. p_j) a in
+              let tau_b =
+                if elig > 1e-300 then phi_j /. elig
+                else Bianchi.tau_of_p ~w:ws.(j) ~m p_j
+              in
+              let d = -0.5 *. float_of_int ws.(j) *. !s *. tau_b *. tau_b in
+              let elig' = float_of_int a *. powk (1. -. p_j) (a - 1) in
+              ((elig *. d) -. (elig' *. tau_b)) *. o_j
+            end
           in
           let d_j = 1. +. (u_j /. one_m) in
           if (not (Float.is_finite d_j)) || Float.abs d_j < 1e-12 then
@@ -327,41 +277,47 @@ let solve_classes ?telemetry ?iterations ?tau_hint ?(tol = 1e-14)
         if (not (Float.is_finite denom)) || Float.abs denom < 1e-12 then
           raise Exit;
         let scale = !v_dot_d /. denom in
-        let delta = d_inv_defect in
         for j = 0 to c - 1 do
-          delta.(j) <- delta.(j) +. (d_inv_u.(j) *. scale)
+          d_inv_defect.(j) <- d_inv_defect.(j) +. (d_inv_u.(j) *. scale)
         done;
-        Some delta
+        some_delta
       with Exit -> None
     end
   in
-  (* Warm start: [tau_hint w] may seed a class with a τ from a
-     neighbouring solved problem; classes without a hint start at the
-     no-collision value 2/(W+1).  Both iterations contract to the same
-     fixed point from any interior start (a property the test suite
-     probes), so a hint changes the path, not the destination — at
-     tolerance level, which is why warm-started answers carry a
-     conformance anchor rather than a bit-identity claim. *)
-  let default_x0 w = 2. /. float_of_int (w + 1) in
+  (* Warm start: a hinted class starts from a τ of a neighbouring solved
+     problem.  Both iterations contract to the same fixed point from any
+     interior start (a property the test suite probes), so a hint changes
+     the path, not the destination — at tolerance level, which is why
+     warm-started answers carry a conformance anchor rather than a
+     bit-identity claim. *)
+  let default_x0 j = 2. /. float_of_int (ws.(j) + 1) in
   let x0 =
-    match tau_hint with
-    | None -> (
-        match algo with
-        | Newton -> (
-            match newton_cold_x0 ?telemetry params ~ws ~ks with
-            | Some x0 -> x0
-            | None -> Array.map default_x0 ws)
-        | Picard -> Array.map default_x0 ws)
-    | Some hint ->
-        Array.map
-          (fun w ->
-            match hint w with
-            | Some g when g > 0. && g < 1. -> g
-            | _ -> default_x0 w)
-          ws
+    match (x0, algo) with
+    | Some x0, _ ->
+        Array.iteri
+          (fun j g -> if not (g > 0. && g < 1.) then x0.(j) <- default_x0 j)
+          x0;
+        x0
+    | None, Newton -> (
+        match newton_cold_x0 ?telemetry params ~ws ~ks with
+        | Some x0 -> x0
+        | None -> Array.init c default_x0)
+    | None, Picard -> Array.init c default_x0
   in
   let taus, iters, converged =
-    run_class_fixed_point ?telemetry ~algo ~tol ~max_iter ~step ~newton_step x0
+    match algo with
+    | Picard ->
+        let o =
+          Numerics.Fixed_point.solve ?telemetry ~damping:0.5 ~tol ~max_iter
+            step x0
+        in
+        (o.value, o.iterations, o.converged)
+    | Newton ->
+        let o =
+          Numerics.Newton.solve ?telemetry ~damping:0.5 ~tol ~max_iter ~lo:0.
+            ~hi:1. ~step:newton_step step x0
+        in
+        (o.value, o.iterations, o.converged)
   in
   (match iterations with Some r -> r := iters | None -> ());
   let ps = class_ps ~ks taus in
@@ -371,18 +327,30 @@ let solve_classes ?telemetry ?iterations ?tau_hint ?(tol = 1e-14)
     converged;
   }
 
-(* Multi-knob class solver.  AIFS enters the coupled system through an
-   eligibility factor: a node deferring a extra slots after every busy
-   period can only start in a slot if none of the preceding a slots was
-   busy for it, which in the mean-field model happens with probability
-   (1 − p)^a.  Its *effective* per-slot transmission probability is
-   therefore τ' = (1 − p)^a · τ_bianchi(W, p), and it is τ' that other
-   nodes see when computing their collision probabilities.  TXOP and rate
-   do not change the contention fixed point (they change channel
-   occupancy and payoff, priced downstream); CW enters exactly as in
-   {!solve_classes}, so at a = 0 the iteration reduces to it. *)
-let solve_strategy_classes_core ?telemetry ?iterations ?tau_hint ?x0
-    ~tol ~algo ~max_iter (params : Params.t) classes =
+(* A hint lookup as an engine start vector: 0 marks a class without a
+   usable hint. *)
+let hinted_x0 tau_hint keys =
+  Option.map
+    (fun hint -> Array.map (fun key -> Option.value ~default:0. (hint key)) keys)
+    tau_hint
+
+let solve_classes ?telemetry ?iterations ?tau_hint ?(tol = 1e-14)
+    ?(algo = Newton) ?(max_iter = 50_000) (params : Params.t) classes =
+  if classes = [] then invalid_arg "Solver.solve_classes: no classes";
+  List.iter
+    (fun (w, k) ->
+      if w < 1 then invalid_arg "Solver.solve_classes: window must be >= 1";
+      if k < 1 then invalid_arg "Solver.solve_classes: count must be >= 1")
+    classes;
+  let ws = Array.of_list (List.map fst classes) in
+  let ks = Array.of_list (List.map snd classes) in
+  solve_class_arrays ?telemetry ?iterations ?x0:(hinted_x0 tau_hint ws) ~tol
+    ~algo ~max_iter params ~ws ~aifs:(Array.make (Array.length ws) 0) ~ks
+
+(* Validated strategy classes as engine arrays.  TXOP and rate do not
+   change the contention fixed point (they change channel occupancy and
+   payoff, priced downstream), so only CW and AIFS reach the engine. *)
+let strategy_arrays classes =
   if classes = [] then invalid_arg "Solver.solve_strategy_classes: no classes";
   List.iter
     (fun ((s : Strategy_space.t), k) ->
@@ -392,86 +360,17 @@ let solve_strategy_classes_core ?telemetry ?iterations ?tau_hint ?x0
       if k < 1 then
         invalid_arg "Solver.solve_strategy_classes: count must be >= 1")
     classes;
-  let m = params.max_backoff_stage in
   let ss = Array.of_list (List.map fst classes) in
-  let ks = Array.of_list (List.map snd classes) in
-  let c = Array.length ss in
-  let step taus =
-    let ps = class_ps ~ks taus in
-    Array.init c (fun j ->
-        let s = ss.(j) in
-        let p = ps.(j) in
-        let tau = Bianchi.tau_of_p ~w:s.Strategy_space.cw ~m p in
-        if s.Strategy_space.aifs = 0 then tau
-        else powk (1. -. p) s.Strategy_space.aifs *. tau)
-  in
-  (* φ_j(p) = (1−p)^a · τB(w, p), so the product rule gives
-     φ'_j = (1−p)^a·dτB/dp − a·(1−p)^{a−1}·τB. *)
-  let newton_step =
-    rank_one_newton_step ~ks ~dphi:(fun ~j ~p_j ~phi_j ->
-        let s = ss.(j) in
-        let w = s.Strategy_space.cw in
-        let a = s.Strategy_space.aifs in
-        if a = 0 then Bianchi.dtau_dp_at_tau ~w ~m ~tau:phi_j p_j
-        else
-          (* φ_j = (1−p)^a·τB, so the cheap τ-form derivative needs the
-             bare τB back out of the map value; near p = 1 the eligibility
-             factor underflows and we re-derive τB directly instead. *)
-          let elig = powk (1. -. p_j) a in
-          let tau_b =
-            if elig > 1e-300 then phi_j /. elig
-            else Bianchi.tau_of_p ~w ~m p_j
-          in
-          let d = Bianchi.dtau_dp_at_tau ~w ~m ~tau:tau_b p_j in
-          let elig' = float_of_int a *. powk (1. -. p_j) (a - 1) in
-          (elig *. d) -. (elig' *. tau_b))
-  in
-  let default_x0 (s : Strategy_space.t) = 2. /. float_of_int (s.cw + 1) in
-  let x0 =
-    match x0 with
-    | Some x0 ->
-        if Array.length x0 <> c then
-          invalid_arg "Solver.solve_strategy_classes: x0 length mismatch";
-        Array.mapi
-          (fun j g -> if g > 0. && g < 1. then g else default_x0 ss.(j))
-          x0
-    | None -> (
-        match tau_hint with
-        | None -> (
-            match algo with
-            | Newton -> (
-                (* Proxy seed on the CW knob only — AIFS shapes the map,
-                   not the seed, and a CW-only strategy profile must seed
-                   bit-identically to {!solve_classes} (the degenerate
-                   conformance group compares the two paths). *)
-                let cws = Array.map (fun (s : Strategy_space.t) -> s.cw) ss in
-                match newton_cold_x0 ?telemetry params ~ws:cws ~ks with
-                | Some x0 -> x0
-                | None -> Array.map default_x0 ss)
-            | Picard -> Array.map default_x0 ss)
-        | Some hint ->
-            Array.map
-              (fun s ->
-                match hint s with
-                | Some g when g > 0. && g < 1. -> g
-                | _ -> default_x0 s)
-              ss)
-  in
-  let taus, iters, converged =
-    run_class_fixed_point ?telemetry ~algo ~tol ~max_iter ~step ~newton_step x0
-  in
-  (match iterations with Some r -> r := iters | None -> ());
-  let ps = class_ps ~ks taus in
-  {
-    class_pairs = List.init c (fun j -> (taus.(j), ps.(j)));
-    iterations = iters;
-    converged;
-  }
+  ( ss,
+    Array.map (fun (s : Strategy_space.t) -> s.cw) ss,
+    Array.map (fun (s : Strategy_space.t) -> s.aifs) ss,
+    Array.of_list (List.map snd classes) )
 
 let solve_strategy_classes ?telemetry ?iterations ?tau_hint ?(tol = 1e-14)
     ?(algo = Newton) ?(max_iter = 50_000) (params : Params.t) classes =
-  solve_strategy_classes_core ?telemetry ?iterations ?tau_hint ~tol ~algo
-    ~max_iter params classes
+  let ss, ws, aifs, ks = strategy_arrays classes in
+  solve_class_arrays ?telemetry ?iterations ?x0:(hinted_x0 tau_hint ss) ~tol
+    ~algo ~max_iter params ~ws ~aifs ~ks
 
 let solve_batch ?telemetry ?(tol = 1e-14) ?(algo = Newton)
     ?(max_iter = 50_000) (params : Params.t) problems =
@@ -483,15 +382,14 @@ let solve_batch ?telemetry ?(tol = 1e-14) ?(algo = Newton)
   let prev : (class_solution * Strategy_space.t array) option ref = ref None in
   Array.map
     (fun classes ->
-      let ss = Array.of_list (List.map fst classes) in
+      let ss, ws, aifs, ks = strategy_arrays classes in
       let x0 =
         match !prev with
         | Some (sol, prev_ss) when Array.length prev_ss = Array.length ss ->
-            Some
-              (Array.of_list (List.map fst sol.class_pairs))
+            Some (Array.of_list (List.map fst sol.class_pairs))
         | Some (sol, prev_ss) ->
             (* Shape changed: carry over per-strategy matches, let the
-               core fill the rest with the cold default. *)
+               engine fill the rest with the cold default. *)
             let taus = Array.of_list (List.map fst sol.class_pairs) in
             Some
               (Array.map
@@ -507,8 +405,8 @@ let solve_batch ?telemetry ?(tol = 1e-14) ?(algo = Newton)
         | None -> None
       in
       let sol =
-        solve_strategy_classes_core ?telemetry ?x0 ~tol ~algo ~max_iter params
-          classes
+        solve_class_arrays ?telemetry ?x0 ~tol ~algo ~max_iter params ~ws
+          ~aifs ~ks
       in
       prev := Some (sol, ss);
       sol)
@@ -546,41 +444,3 @@ let solve_profile ?telemetry ?iterations ?tau_hint ?tol ?algo ?max_iter
   let taus = Array.map (fun w -> fst (Hashtbl.find by_window w)) cws in
   let ps = Array.map (fun w -> snd (Hashtbl.find by_window w)) cws in
   { taus; ps; iterations = !iters; converged = solved.converged }
-
-let solve_with_deviant ?telemetry ?(tol = 1e-14) ?(max_iter = 50_000)
-    (params : Params.t) ~n ~w ~w_dev =
-  if n < 2 then invalid_arg "Solver.solve_with_deviant: need n >= 2";
-  if w < 1 || w_dev < 1 then
-    invalid_arg "Solver.solve_with_deviant: windows must be >= 1";
-  let m = params.max_backoff_stage in
-  (* Two-class reduction: n−1 conformers at τ, one deviant at τ_d.
-     p_d = 1 − (1−τ)^{n−1};  p = 1 − (1−τ)^{n−2}·(1−τ_d). *)
-  let step x =
-    let tau = x.(0) and tau_dev = x.(1) in
-    let others = (1. -. tau) ** float_of_int (n - 2) in
-    let p = Prelude.Util.clamp ~lo:0. ~hi:1. (1. -. (others *. (1. -. tau_dev))) in
-    let p_dev =
-      Prelude.Util.clamp ~lo:0. ~hi:1. (1. -. (others *. (1. -. tau)))
-    in
-    [| Bianchi.tau_of_p ~w ~m p; Bianchi.tau_of_p ~w:w_dev ~m p_dev |]
-  in
-  let x0 = [| 2. /. float_of_int (w + 1); 2. /. float_of_int (w_dev + 1) |] in
-  let outcome =
-    Numerics.Fixed_point.solve ?telemetry ~damping:0.5 ~tol ~max_iter step x0
-  in
-  let tau = outcome.value.(0) and tau_dev = outcome.value.(1) in
-  let others = (1. -. tau) ** float_of_int (n - 2) in
-  (* Clamp like every other exit path: float round-off in the product must
-     not leak a collision probability epsilon-outside [0, 1]. *)
-  let p =
-    Prelude.Util.clamp ~lo:0. ~hi:1. (1. -. (others *. (1. -. tau_dev)))
-  in
-  let p_dev =
-    Prelude.Util.clamp ~lo:0. ~hi:1. (1. -. (others *. (1. -. tau)))
-  in
-  {
-    deviant = (tau_dev, p_dev);
-    conformer = (tau, p);
-    iterations = outcome.iterations;
-    converged = outcome.converged;
-  }

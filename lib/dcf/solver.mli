@@ -33,13 +33,6 @@ type class_solution = {
   converged : bool;  (** whether the final defect fell below [tol] *)
 }
 
-type deviant_solution = {
-  deviant : float * float;     (** (τ_dev, p_dev) of the deviant *)
-  conformer : float * float;   (** (τ, p) of each conformer *)
-  iterations : int;
-  converged : bool;
-}
-
 val solve :
   ?telemetry:Telemetry.Registry.t ->
   ?tol:float -> ?max_iter:int -> Params.t -> int array -> solution
@@ -69,18 +62,6 @@ val solve_homogeneous :
     {e not} bit level — callers that promise bit-stability (the memoized
     oracle's default path) must not pass a guess. *)
 
-val solve_with_deviant :
-  ?telemetry:Telemetry.Registry.t ->
-  ?tol:float -> ?max_iter:int -> Params.t -> n:int -> w:int -> w_dev:int ->
-  deviant_solution
-(** One deviant at window [w_dev] among [n ≥ 2] nodes whose other n−1
-    members use [w].  Solves the reduced 2-dimensional fixed point; used by
-    the deviation analyses (Lemma 4, Sec. V.D/V.E) where the full vector
-    solve would be wasteful.  All four returned probabilities are clamped
-    into [0, 1] (round-off in the final recomputation must not leak an
-    epsilon-outside value), and [converged] reports the underlying
-    fixed-point outcome instead of being assumed. *)
-
 val solve_classes :
   ?telemetry:Telemetry.Registry.t -> ?iterations:int ref ->
   ?tau_hint:(int -> float option) ->
@@ -96,9 +77,9 @@ val solve_classes :
     iteration count and the {e real} convergence flag.  This is what the
     coalition analyses use — a 3-class problem costs the same as n = 3.
     Windows must be ≥ 1 and counts ≥ 1; classes may repeat a window.
-    [algo] defaults to [Newton] (the Jacobian is computed from
-    {!Bianchi.dtau_dp} and the prefix/suffix product derivatives); pass
-    [Picard] to force the reference iteration.  [tau_hint w] may seed
+    [algo] defaults to [Newton] (rank-one Newton steps on the class
+    map, Picard fallback); pass [Picard] to force the reference
+    iteration.  [tau_hint w] may seed
     class [w]'s starting iterate with a τ from a neighbouring solved
     problem (warm start); hints outside (0, 1) are ignored.  Both
     iterations converge to the same fixed point from any interior start,
@@ -123,11 +104,9 @@ val solve_strategy_classes :
     and utility downstream).  Returns per-class [(τ'_c, p_c)] in input
     order.  [tau_hint s] warm-starts class [s] like {!solve_classes}'s
     window-keyed hint — this is the multi-knob end of the PR 7 warm-start
-    throughline.  At [aifs = 0] for every class the iteration map is the
-    {!solve_classes} map composed with a multiplication by 1.0 — callers
-    that need the bit-identity guarantee for the degenerate subspace
-    should branch to {!solve_classes} instead (as {!Model.solve_strategies}
-    does). *)
+    throughline.  Both entry points run one class engine, so CW-only
+    classes solve bit-identically to {!solve_classes} on their windows
+    (same pairs, iterations and [converged]). *)
 
 val solve_batch :
   ?telemetry:Telemetry.Registry.t ->

@@ -1,5 +1,5 @@
 let check_p_hn p_hn =
-  if p_hn <= 0. || p_hn > 1. then
+  if not (p_hn > 0. && p_hn <= 1.) then
     invalid_arg "Utility: p_hn must be in (0, 1]"
 
 let rate_of_node ?(p_hn = 1.) (params : Params.t) ~slot_time ~tau ~p =

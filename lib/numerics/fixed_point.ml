@@ -96,7 +96,3 @@ let solve ?(telemetry = Telemetry.Registry.default) ?(damping = 0.5)
               ])
       | None -> ());
       outcome)
-
-let solve_scalar ?damping ?tol ?max_iter f x0 =
-  let outcome = solve ?damping ?tol ?max_iter (fun x -> [| f x.(0) |]) [| x0 |] in
-  outcome.value.(0)

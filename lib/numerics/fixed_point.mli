@@ -34,8 +34,3 @@ val solve :
     convergence.  When a sink is attached, a ["residual_trajectory"] event
     carries the per-iteration residuals (capped at 512 entries); with no
     sink, the trajectory is never materialised. *)
-
-val solve_scalar :
-  ?damping:float -> ?tol:float -> ?max_iter:int ->
-  (float -> float) -> float -> float
-(** Scalar convenience wrapper; returns the fixed point value. *)

@@ -35,14 +35,3 @@ let hmin h = Prelude.Stats.min h.stats
 let hmax h = Prelude.Stats.max h.stats
 
 let total h = Prelude.Stats.sum h.stats
-
-let histogram_json h =
-  Jsonx.Obj
-    [
-      ("count", Jsonx.Int (observations h));
-      ("mean", Jsonx.Float (mean h));
-      ("stddev", Jsonx.Float (stddev h));
-      ("min", Jsonx.Float (if observations h = 0 then 0. else hmin h));
-      ("max", Jsonx.Float (if observations h = 0 then 0. else hmax h));
-      ("sum", Jsonx.Float (total h));
-    ]

@@ -46,7 +46,3 @@ val hmax : histogram -> float
 (** [neg_infinity] when empty. *)
 
 val total : histogram -> float
-
-val histogram_json : histogram -> Jsonx.t
-(** Summary object; min/max render as 0 when empty so the JSON stays
-    finite. *)

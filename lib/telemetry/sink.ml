@@ -4,8 +4,6 @@ type t = {
   close : unit -> unit;
 }
 
-let null = { emit = (fun _ -> ()); flush = (fun () -> ()); close = (fun () -> ()) }
-
 let memory () =
   let events = Queue.create () in
   let sink =
@@ -16,16 +14,6 @@ let memory () =
     }
   in
   (sink, fun () -> List.of_seq (Queue.to_seq events))
-
-let of_channel oc =
-  {
-    emit =
-      (fun e ->
-        output_string oc (Event.to_line e);
-        output_char oc '\n');
-    flush = (fun () -> Stdlib.flush oc);
-    close = (fun () -> Stdlib.flush oc);
-  }
 
 let jsonl path =
   let oc = open_out path in

@@ -1,9 +1,8 @@
 (** Pluggable event consumers.
 
     A sink is just three closures, so backends stay decoupled from the
-    registry: the in-memory sink backs tests, the JSONL sink backs the CLI
-    [--telemetry FILE] flag and the benches, and the null sink measures
-    instrumentation overhead. *)
+    registry: the in-memory sink backs tests and the JSONL sink backs the
+    CLI [--telemetry FILE] flag and the benches. *)
 
 type t = {
   emit : Event.t -> unit;
@@ -11,16 +10,9 @@ type t = {
   close : unit -> unit;
 }
 
-val null : t
-(** Swallows everything. *)
-
 val memory : unit -> t * (unit -> Event.t list)
 (** A sink buffering every event, and an accessor returning them in
     emission order. *)
-
-val of_channel : out_channel -> t
-(** Writes one JSON line per event; [close] flushes but does not close the
-    channel (the caller owns it). *)
 
 val jsonl : string -> t
 (** Opens [path] for writing and streams one JSON line per event.  [close]

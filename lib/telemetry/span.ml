@@ -18,8 +18,7 @@ let finish registry recorder name t0 depth nid rid parent fields =
         :: ("depth", Jsonx.Int depth)
         :: (if rid = 0 then []
             else [ ("span", Jsonx.Int rid); ("parent", Jsonx.Int parent) ])
-        @ (match fields with None -> [] | Some fields -> fields ()));
-  dt
+        @ (match fields with None -> [] | Some fields -> fields ()))
 
 let begin_recorded recorder name =
   if Recorder.enabled recorder then
@@ -35,33 +34,9 @@ let with_span ?(registry = Registry.default) ?(recorder = Recorder.default)
   let nid, rid = begin_recorded recorder name in
   match f () with
   | v ->
-      ignore (finish registry recorder name t0 depth nid rid parent fields);
+      finish registry recorder name t0 depth nid rid parent fields;
       v
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in
-      ignore (finish registry recorder name t0 depth nid rid parent fields);
+      finish registry recorder name t0 depth nid rid parent fields;
       Printexc.raise_with_backtrace e bt
-
-type timer = {
-  registry : Registry.t;
-  recorder : Recorder.t;
-  name : string;
-  t0 : float;
-  depth : int;
-  nid : int;
-  rid : int;
-  parent : int;
-}
-
-let start ?(registry = Registry.default) ?(recorder = Recorder.default) name =
-  let t0 = Registry.now registry in
-  let depth = Registry.enter_span registry in
-  let parent = Recorder.current_span recorder in
-  let nid, rid = begin_recorded recorder name in
-  { registry; recorder; name; t0; depth; nid; rid; parent }
-
-let id timer = timer.rid
-
-let stop ?fields timer =
-  finish timer.registry timer.recorder timer.name timer.t0 timer.depth
-    timer.nid timer.rid timer.parent fields

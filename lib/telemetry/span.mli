@@ -23,16 +23,3 @@ val with_span :
     recorder end-record, depth and open-span stack restored) even when
     [f] raises.  [fields] adds extra payload to the event and is only
     evaluated when a sink is attached. *)
-
-type timer
-(** A manually finished span, for regions that do not nest as a single
-    [fun] body. *)
-
-val start : ?registry:Registry.t -> ?recorder:Recorder.t -> string -> timer
-
-val id : timer -> int
-(** The timer's recorder span id; 0 when the recorder is disabled. *)
-
-val stop : ?fields:(unit -> (string * Jsonx.t) list) -> timer -> float
-(** Completes the span and returns the elapsed seconds.  Each [start]
-    must be matched by exactly one [stop], innermost first. *)

@@ -43,16 +43,26 @@ let read path : Recorder.dump =
   need 8 "magic";
   if String.sub s 0 8 <> magic then corrupt "bad magic (not a trace file)";
   pos := 8;
-  let i64 what =
+  (* Range checks run on the raw 64 bits: [Int64.to_int] drops bit 63,
+     which would wrap an out-of-range field into range. *)
+  let raw what =
     need 8 what;
-    let v = Int64.to_int (String.get_int64_le s !pos) in
+    let v = String.get_int64_le s !pos in
     pos := !pos + 8;
     v
   in
+  let i64 what =
+    let v = raw what in
+    let i = Int64.to_int v in
+    if not (Int64.equal (Int64.of_int i) v) then
+      corrupt "%s %Ld does not fit an int" what v;
+    i
+  in
   let u64 what =
-    let v = i64 what in
-    if v < 0 then corrupt "negative %s" what;
-    v
+    let v = raw what in
+    if Int64.compare v 0L < 0 || Int64.compare v (Int64.of_int max_int) > 0
+    then corrupt "%s %Lu out of range" what v;
+    Int64.to_int v
   in
   let n_names = u64 "name count" in
   let n_records = u64 "record count" in

@@ -17,5 +17,8 @@ val write : string -> Recorder.dump -> unit
 
 val read : string -> Recorder.dump
 (** @raise Corrupt when the file is not a well-formed trace (bad magic,
-    truncated, trailing bytes, or a record naming an out-of-range name
-    id).  I/O errors propagate as [Sys_error]. *)
+    truncated, trailing bytes, a field outside the OCaml int range — u64
+    fields must lie in [\[0, max_int\]] — or a record naming an
+    out-of-range name id).  Every file it accepts re-encodes
+    byte-identically through {!write}.  I/O errors propagate as
+    [Sys_error]. *)

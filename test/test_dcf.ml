@@ -233,22 +233,6 @@ let test_lemma1_ordering =
       && solved.taus.(0) < solved.taus.(1)
       && solved.utilities.(0) < solved.utilities.(1))
 
-let test_deviant_solver_matches_full =
-  QCheck.Test.make ~name:"two-class solver matches full vector solve" ~count:40
-    QCheck.(triple (int_range 2 20) (int_range 1 512) (int_range 1 512))
-    (fun (n, w, w_dev) ->
-      let sol = Dcf.Solver.solve_with_deviant default ~n ~w ~w_dev in
-      let tau_d, p_d = sol.deviant in
-      let tau, p = sol.conformer in
-      let cws = Array.make n w in
-      cws.(0) <- w_dev;
-      let s = Dcf.Solver.solve default cws in
-      Prelude.Util.approx_equal ~eps:1e-6 tau_d s.taus.(0)
-      && Prelude.Util.approx_equal ~eps:1e-6 p_d s.ps.(0)
-      && (n < 2
-         || Prelude.Util.approx_equal ~eps:1e-6 tau s.taus.(1)
-            && Prelude.Util.approx_equal ~eps:1e-6 p s.ps.(1)))
-
 let test_collision_probabilities_with_certain_transmitter () =
   (* A node with tau = 1 gives everyone else p = 1 without dividing by 0. *)
   let ps = Dcf.Solver.collision_probabilities [| 1.0; 0.1; 0.2 |] in
@@ -358,7 +342,9 @@ let test_utility_p_hn_scales_gain () =
 let test_utility_p_hn_validation () =
   let s = Dcf.Solver.solve default [| 64 |] in
   Alcotest.check_raises "p_hn = 0" (Invalid_argument "Utility: p_hn must be in (0, 1]")
-    (fun () -> ignore (Dcf.Utility.rates ~p_hn:0. default ~taus:s.taus ~ps:s.ps))
+    (fun () -> ignore (Dcf.Utility.rates ~p_hn:0. default ~taus:s.taus ~ps:s.ps));
+  Alcotest.check_raises "p_hn = nan" (Invalid_argument "Utility: p_hn must be in (0, 1]")
+    (fun () -> ignore (Dcf.Utility.rates ~p_hn:nan default ~taus:s.taus ~ps:s.ps))
 
 let test_stage_and_discounted () =
   check_close "stage = u*T" 42. (Dcf.Utility.stage default 4.2);
@@ -392,21 +378,25 @@ let test_model_homogeneous_view () =
   check_close "welfare = n*u" (5. *. v.utility)
     (Dcf.Model.homogeneous_welfare default ~n:5 ~w:79)
 
+(* One deviant among conformers (Lemma 4's configuration): the
+   class-reduced profile solve agrees with the full per-node solve. *)
 let test_model_deviant_view_consistency () =
-  let dv = Dcf.Model.with_deviant default ~n:5 ~w:128 ~w_dev:32 in
   let cws = Array.make 5 128 in
   cws.(0) <- 32;
+  let dv = Dcf.Model.solve_profile default cws in
   let solved = Dcf.Model.solve default cws in
-  check_close ~eps:1e-6 "deviant tau" solved.taus.(0) dv.deviant.tau;
-  check_close ~eps:1e-6 "conformer tau" solved.taus.(1) dv.conformer.tau;
-  check_close ~eps:1e-5 "deviant utility" solved.utilities.(0) dv.deviant.utility
+  check_close ~eps:1e-6 "deviant tau" solved.taus.(0) dv.taus.(0);
+  check_close ~eps:1e-6 "conformer tau" solved.taus.(1) dv.taus.(1);
+  check_close ~eps:1e-5 "deviant utility" solved.utilities.(0) dv.utilities.(0)
 
 let test_lemma2_own_window_payoff_unimodal () =
   (* U_i is concave in tau_i (Lemma 2), hence unimodal in W_i: scan a grid
      and check the sign pattern of differences changes at most once. *)
   let others = 128 in
   let payoff w_i =
-    (Dcf.Model.with_deviant default ~n:5 ~w:others ~w_dev:w_i).deviant.utility
+    let cws = Array.make 5 others in
+    cws.(0) <- w_i;
+    (Dcf.Model.solve_profile default cws).utilities.(0)
   in
   let ws = Array.init 100 (fun i -> 1 + (i * 5)) in
   let values = Array.map payoff ws in
@@ -534,9 +524,7 @@ let test_solver_reports_nonconvergence () =
     Dcf.Solver.solve_profile ~max_iter:1 default
       (Array.init 10 (fun i -> 32 + (32 * i)))
   in
-  Alcotest.(check bool) "solve_profile" false solution.converged;
-  let sol = Dcf.Solver.solve_with_deviant ~max_iter:1 default ~n:10 ~w:339 ~w_dev:16 in
-  Alcotest.(check bool) "solve_with_deviant" false sol.converged
+  Alcotest.(check bool) "solve_profile" false solution.converged
 
 let test_solve_batch_matches_cold () =
   (* A warm-started sweep column must agree with per-point cold solves at
@@ -577,6 +565,58 @@ let test_solve_batch_matches_cold () =
     true
     (batched_iters <= cold_iters + Array.length problems)
 
+(* Both class entry points run one engine: CW classes lifted to CW-only
+   strategies must solve bit for bit alike — pairs, iterations and
+   [converged] — whatever the algorithm, the hints or the budget. *)
+let test_cw_classes_one_engine =
+  let same_bits (a : Dcf.Solver.class_solution)
+      (b : Dcf.Solver.class_solution) =
+    let bits x = Int64.bits_of_float x in
+    a.iterations = b.iterations
+    && a.converged = b.converged
+    && List.equal
+         (fun (t, p) (t', p') ->
+           Int64.equal (bits t) (bits t') && Int64.equal (bits p) (bits p'))
+         a.class_pairs b.class_pairs
+  in
+  QCheck.Test.make ~name:"CW classes: strategy solver bit-identical"
+    ~count:200
+    QCheck.(
+      quad
+        (list_of_size Gen.(int_range 1 6)
+           (pair (int_range 1 1023) (int_range 1 12)))
+        (pair (int_range 0 7) bool)
+        (option (int_range 1 8))
+        (option (int_range 1 1000)))
+    (fun (classes, (m, newton), max_iter, salt) ->
+      let params = { default with max_backoff_stage = m } in
+      let algo = if newton then Dcf.Solver.Newton else Dcf.Solver.Picard in
+      (* Interior hints for most windows, none or out-of-range ones for the
+         rest, so both the hinted and the default starts are exercised. *)
+      let tau_hint =
+        Option.map
+          (fun salt w ->
+            match (w + salt) mod 5 with
+            | 0 -> None
+            | 1 -> Some 1.5
+            | _ -> Some (float_of_int (((w * salt) mod 997) + 1) /. 1000.))
+          salt
+      in
+      let cw = Dcf.Solver.solve_classes ?tau_hint ~algo ?max_iter params classes in
+      let lifted =
+        List.map (fun (w, k) -> (Dcf.Strategy_space.of_cw w, k)) classes
+      in
+      let tau_hint =
+        Option.map
+          (fun hint (s : Dcf.Strategy_space.t) -> hint s.cw)
+          tau_hint
+      in
+      let strategies =
+        Dcf.Solver.solve_strategy_classes ?tau_hint ~algo ?max_iter params
+          lifted
+      in
+      same_bits cw strategies)
+
 let suite_solver =
   [
     Alcotest.test_case "single node" `Quick test_single_node_never_collides;
@@ -584,7 +624,6 @@ let suite_solver =
     Alcotest.test_case "vector solve converges" `Quick test_vector_solve_converges;
     QCheck_alcotest.to_alcotest test_eq3_identity;
     QCheck_alcotest.to_alcotest test_lemma1_ordering;
-    QCheck_alcotest.to_alcotest test_deviant_solver_matches_full;
     Alcotest.test_case "tau=1 handled" `Quick test_collision_probabilities_with_certain_transmitter;
     Alcotest.test_case "empty product" `Quick test_collision_probabilities_empty_product;
     Alcotest.test_case "validation" `Quick test_solver_validation;
@@ -596,6 +635,7 @@ let suite_solver =
       test_solver_reports_nonconvergence;
     Alcotest.test_case "batched sweep matches cold" `Quick
       test_solve_batch_matches_cold;
+    QCheck_alcotest.to_alcotest test_cw_classes_one_engine;
   ]
 
 let suite_metrics =

@@ -183,15 +183,21 @@ let test_lemma4_deviation_ordering =
   QCheck.Test.make ~name:"lemma 4 payoff ordering" ~count:40
     QCheck.(pair (int_range 2 10) (int_range 16 256))
     (fun (n, w) ->
-      let uniform = Macgame.Oracle.payoff_uniform (Macgame.Oracle.analytic small) ~n ~w in
+      let oracle = Macgame.Oracle.analytic small in
+      let uniform = Macgame.Oracle.payoff_uniform oracle ~n ~w in
       let down = Stdlib.max 1 (w / 2) and up = Stdlib.min 512 (w * 2) in
       QCheck.assume (down < w && up > w);
-      let dv_down = Dcf.Model.with_deviant small ~n ~w ~w_dev:down in
-      let dv_up = Dcf.Model.with_deviant small ~n ~w ~w_dev:up in
-      dv_down.deviant.utility > uniform -. 1e-12
-      && dv_down.conformer.utility < uniform +. 1e-12
-      && dv_up.deviant.utility < uniform +. 1e-12
-      && dv_up.conformer.utility > uniform -. 1e-12)
+      (* The path Deviation and Equilibrium take: the deviant is node 0,
+         node 1 a conformer. *)
+      let deviate w_dev =
+        Macgame.Oracle.payoffs_profile oracle
+          (Macgame.Profile.with_deviant ~n ~w ~w_dev)
+      in
+      let dv_down = deviate down and dv_up = deviate up in
+      dv_down.(0) > uniform -. 1e-12
+      && dv_down.(1) < uniform +. 1e-12
+      && dv_up.(0) < uniform +. 1e-12
+      && dv_up.(1) > uniform -. 1e-12)
 
 let test_unilateral_gain_signs () =
   let w_star = Macgame.Equilibrium.efficient_cw (Macgame.Oracle.analytic default) ~n:5 in

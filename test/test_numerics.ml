@@ -56,8 +56,8 @@ let test_find_bracket_failure () =
 (* {1 Fixed_point} *)
 
 let test_fixed_point_cosine () =
-  let x = Fixed_point.solve_scalar cos 1. in
-  check_close ~eps:1e-9 "cos fixed point" 0.7390851332151607 x
+  let outcome = Fixed_point.solve (fun v -> [| cos v.(0) |]) [| 1. |] in
+  check_close ~eps:1e-9 "cos fixed point" 0.7390851332151607 outcome.value.(0)
 
 let test_fixed_point_vector () =
   (* x = (y+1)/2, y = x/2 has solution x = 2/3, y = 1/3. *)

@@ -232,7 +232,10 @@ let test_validation () =
     [ (nan, "positive"); (infinity, "finite"); (-1., "positive") ];
   Alcotest.check_raises "bad p_hn"
     (Invalid_argument "Oracle.create: p_hn must be in (0, 1]") (fun () ->
-      ignore (Macgame.Oracle.create ~p_hn:0. params))
+      ignore (Macgame.Oracle.create ~p_hn:0. params));
+  Alcotest.check_raises "nan p_hn"
+    (Invalid_argument "Oracle.create: p_hn must be in (0, 1]") (fun () ->
+      ignore (Macgame.Oracle.create ~p_hn:nan params))
 
 (* {1 Non-convergence refusal (PR 9)} *)
 

@@ -80,8 +80,8 @@ let test_parse_ok () =
   | Payoff { profile } ->
       Alcotest.(check bool)
         "strategy object parsed" true
-        (Macgame.Strategy_space.equal profile.(1)
-           { Macgame.Strategy_space.cw = 32; aifs = 2; txop_frames = 3;
+        (Dcf.Strategy_space.equal profile.(1)
+           { Dcf.Strategy_space.cw = 32; aifs = 2; txop_frames = 3;
              rate = 1.0 })
   | _ -> Alcotest.fail "mixed payoff profile lost");
   (match (ok {|{"op":"ne","n":4}|}).op with

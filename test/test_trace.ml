@@ -210,6 +210,89 @@ let test_corrupt_files_rejected () =
       let back = Telemetry.Trace_file.read path in
       Alcotest.(check int) "good file reads" 1 (Array.length back.records))
 
+(* Mutation fuzzer over real trace files: flip, overwrite, insert, delete
+   and truncate bytes of a trace recorded from a short spatial run.  Only
+   [Corrupt] may escape [read], and a file it accepts must re-encode
+   byte-identically — so no field can be wrapped into range. *)
+let recorded_trace =
+  lazy
+    (let adjacency =
+       Array.init 6 (fun i ->
+           List.filter (fun j -> j >= 0 && j < 6 && j <> i) [ i - 1; i + 1 ])
+     in
+     let config =
+       {
+         Netsim.Spatial.params = Dcf.Params.default;
+         adjacency;
+         cws = Array.make 6 16;
+         duration = 0.02;
+         seed = 3;
+       }
+     in
+     let registry = Telemetry.Registry.create () in
+     let recorder = Telemetry.Recorder.default in
+     ignore (Telemetry.Recorder.drain ~registry recorder);
+     Telemetry.Recorder.set_enabled recorder true;
+     ignore (Netsim.Spatial.run ~telemetry:registry config);
+     Telemetry.Recorder.set_enabled recorder false;
+     let dump = Telemetry.Recorder.drain ~registry recorder in
+     let path = Filename.temp_file "trace_seed" ".bin" in
+     Fun.protect
+       ~finally:(fun () -> Sys.remove path)
+       (fun () ->
+         Telemetry.Trace_file.write path dump;
+         In_channel.with_open_bin path In_channel.input_all))
+
+(* Bytes an overwrite or insert writes: the edges of a little-endian
+   field's top byte, where the sign and the int range live. *)
+let interesting = "\000\001\063\064\127\128\191\192\254\255"
+
+let mutate st bytes =
+  let int n = Random.State.int st n in
+  let byte () =
+    if Random.State.bool st then interesting.[int (String.length interesting)]
+    else Char.chr (int 256)
+  in
+  let once s =
+    let n = String.length s in
+    let at = int (n + 1) in
+    let set i c =
+      let b = Bytes.of_string s in
+      Bytes.set b i c;
+      Bytes.to_string b
+    in
+    match int 6 with
+    | 0 when n > 0 -> set (int n) (byte ())
+    | 1 when n > 0 ->
+        let i = int n in
+        set i (Char.chr (Char.code s.[i] lxor (1 lsl int 8)))
+    | 2 when n > 0 ->
+        (* The top bit: bit 63 when the byte ends a field. *)
+        let i = int n in
+        set i (Char.chr (Char.code s.[i] lxor 0x80))
+    | 3 -> String.sub s 0 at ^ String.make 1 (byte ()) ^ String.sub s at (n - at)
+    | 4 when at < n -> String.sub s 0 at ^ String.sub s (at + 1) (n - at - 1)
+    | _ -> String.sub s 0 at
+  in
+  let rec go s k = if k = 0 then s else go (once s) (k - 1) in
+  go bytes (1 + int 3)
+
+let test_fuzz_trace_file =
+  QCheck.Test.make ~count:3000 ~name:"mutated traces: Corrupt or exact"
+    (QCheck.make ~print:String.escaped (fun st ->
+         mutate st (Lazy.force recorded_trace)))
+    (fun bytes ->
+      let path = Filename.temp_file "trace_fuzz" ".bin" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          write_file path bytes;
+          match Telemetry.Trace_file.read path with
+          | exception Telemetry.Trace_file.Corrupt _ -> true
+          | dump ->
+              Telemetry.Trace_file.write path dump;
+              In_channel.with_open_bin path In_channel.input_all = bytes))
+
 (* {1 Views} *)
 
 (* Hand-build a dump through a recorder with a deterministic clock. *)
@@ -389,6 +472,7 @@ let () =
         [
           Alcotest.test_case "corrupt files rejected" `Quick
             test_corrupt_files_rejected;
+          QCheck_alcotest.to_alcotest test_fuzz_trace_file;
         ] );
       ( "views",
         [
