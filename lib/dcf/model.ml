@@ -147,20 +147,17 @@ type node_view = {
   slot_time : float;
 }
 
-let view_of ?p_hn (params : Params.t) (metrics : Metrics.t) ~tau ~p ~index =
+let homogeneous ?p_hn (params : Params.t) ~n ~w =
+  let tau, p = Solver.solve_homogeneous params ~n ~w in
+  let metrics = Metrics.of_taus params (Array.make n tau) in
   {
     tau;
     p;
     utility =
       Utility.rate_of_node ?p_hn params ~slot_time:metrics.slot_time ~tau ~p;
-    throughput = metrics.per_node_throughput.(index);
+    throughput = metrics.per_node_throughput.(0);
     slot_time = metrics.slot_time;
   }
-
-let homogeneous ?p_hn (params : Params.t) ~n ~w =
-  let tau, p = Solver.solve_homogeneous params ~n ~w in
-  let metrics = Metrics.of_taus params (Array.make n tau) in
-  view_of ?p_hn params metrics ~tau ~p ~index:0
 
 let homogeneous_welfare ?p_hn params ~n ~w =
   float_of_int n *. (homogeneous ?p_hn params ~n ~w).utility
