@@ -249,6 +249,20 @@ let tests =
                      (Macgame.Repeated.all_tft ~n:5
                         ~initials:[| 100; 90; 110; 95; 105 |])
                    ~stages:5)));
+      (* One memo hit on an analytic oracle holding 3 000 one-deviant
+         profiles (nine conformers at W = 16, one deviant at 17 … 3016):
+         the Lemma 4 shape that once shared one hash bucket, so a hit
+         walked every entry.  Flat in memo size when the hash reads every
+         strategy. *)
+      Test.make ~name:"oracle_memo_hit_3000"
+        (Staged.stage
+           (let oracle = Macgame.Oracle.analytic params in
+            let profile k = Array.append (Array.make 9 16) [| 17 + k |] in
+            for k = 0 to 2999 do
+              ignore (Macgame.Oracle.payoffs oracle (profile k))
+            done;
+            let hit = profile 1500 in
+            fun () -> ignore (Macgame.Oracle.payoffs oracle hit)));
       (* Coalition kernel: a 3-class fixed point. *)
       Test.make ~name:"class_solve_3classes"
         (Staged.stage (fun () ->
@@ -286,6 +300,26 @@ let tests =
                (Serve.Server.handle_line
                   (Serve.Server.create (Macgame.Oracle.analytic params))
                   "{\"op\":\"tau\",\"n\":10,\"w\":128}")));
+      (* A cold payoff leaf, the serve_cold workload's unit: one payoff
+         line of 24 window classes (1-3 nodes each, 48 nodes) on a fresh
+         oracle and server, so the line pays for canonicalisation, the
+         memo miss, the class-reduced Newton solve and rendering. *)
+      Test.make ~name:"serve_payoff_leaf_cold"
+        (Staged.stage
+           (let windows =
+              List.concat
+                (List.init 24 (fun i ->
+                     List.init ((i mod 3) + 1) (fun _ -> 16 + (41 * i))))
+            in
+            let line =
+              Printf.sprintf "{\"op\":\"payoff\",\"profile\":[%s]}"
+                (String.concat "," (List.map string_of_int windows))
+            in
+            fun () ->
+              ignore
+                (Serve.Server.handle_line
+                   (Serve.Server.create (Macgame.Oracle.analytic params))
+                   line)));
       (* Runner overhead: a 32-point sweep of near-empty tasks on 4
          domains, no cache — measures the engine's fixed cost per sweep
          (pool spawn/join, deques, key hashing) as distinct from the
@@ -370,9 +404,10 @@ let kernel_ns json =
    shared machines is real — so tripping it means the kernel genuinely
    lost its edge.  Guarded: every spatial kernel — the event-core ones
    and the grid/scan/sharded scale ones — the slotted and unsaturated
-   contention loops, the Newton/batch solver kernels, and the warm and
-   cold serving kernels, whose time is mostly request parsing and reply
-   rendering. *)
+   contention loops, the Newton/batch solver kernels, the warm and cold
+   serving kernels, whose time is mostly request parsing and reply
+   rendering, the cold payoff leaf, and a memo hit among 3 000
+   one-deviant profiles. *)
 let guarded_kernel name =
   String.starts_with ~prefix:"spatial" name
   || List.mem name
@@ -383,6 +418,8 @@ let guarded_kernel name =
          "batch_sweep_cw64";
          "serve_handle_line_warm";
          "serve_handle_line_cold";
+         "serve_payoff_leaf_cold";
+         "oracle_memo_hit_3000";
        ]
 
 (* Checked-in baselines are named BENCH_PR<N>.json; the newest (highest N)

@@ -19,7 +19,7 @@
 
     A failing check's detail lists the first differing fields as
     ["record/field: golden X vs current Y"] and the report ends with the
-    one-line re-bless command ({!bless_hint}).  [CONFORMANCE_BLESS=1] (or
+    one-line re-bless command.  [CONFORMANCE_BLESS=1] (or
     [--bless]) rewrites the files instead of checking them. *)
 
 type policy = Exact | Toleranced of float
@@ -48,5 +48,3 @@ val bless : dir:string -> tier:Check.tier -> string list
     returns the paths written.  Deterministic: running it twice writes
     byte-identical files. *)
 
-val bless_hint : string
-(** The one-line command a failure message points at. *)

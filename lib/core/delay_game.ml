@@ -29,10 +29,6 @@ let efficient_cw oracle ~gamma ~n =
          (fun w -> payoff oracle ~gamma ~n ~w)
          1 (Oracle.params oracle).cw_max)
 
-let delay_at_ne oracle ~gamma ~n =
-  let w = efficient_cw oracle ~gamma ~n in
-  node_delay (Oracle.params oracle) (Oracle.uniform oracle ~n ~w) ~w
-
 type tradeoff_point = {
   gamma : float;
   w_star : int;

@@ -35,9 +35,6 @@ val efficient_cw : Oracle.t -> gamma:float -> n:int -> int
     [1, cw_max].  Decreasing in [gamma]; equals
     {!Equilibrium.efficient_cw} at [gamma = 0]. *)
 
-val delay_at_ne : Oracle.t -> gamma:float -> n:int -> float
-(** Mean access delay at the delay-aware NE, s. *)
-
 type tradeoff_point = {
   gamma : float;
   w_star : int;       (** delay-aware efficient window *)

@@ -65,17 +65,11 @@ val empirical_rates :
     is deterministic per observed burst — detection is purely a coverage
     question. *)
 
-val aifs_flag_rate :
-  w:int -> aifs_true:int -> aifs_exp:int -> samples:int -> delta:float ->
-  float
-(** P(âifs < aifs_exp − delta) for a neighbour with true AIFS
-    [aifs_true] and window [w], after [samples ≥ 1] observed accesses.
-    [delta ≥ 0] is the trigger margin in slots. *)
-
 val aifs_false_positive_rate :
   w:int -> aifs_exp:int -> samples:int -> delta:float -> float
-(** P(flag an honest node): {!aifs_flag_rate} at
-    [aifs_true = aifs_exp]. *)
+(** P(flag an honest node): P(âifs < aifs_exp − delta) for a neighbour
+    whose true AIFS is [aifs_exp], with window [w], after [samples ≥ 1]
+    observed accesses.  [delta ≥ 0] is the trigger margin in slots. *)
 
 val aifs_detection_rate :
   w:int -> aifs_true:int -> aifs_exp:int -> samples:int -> delta:float ->

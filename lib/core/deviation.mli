@@ -80,11 +80,6 @@ val coalition_stage_payoffs :
 (** Stage payoffs of the three relevant profiles, via the multi-class
     solver.  Requires 1 ≤ k < n. *)
 
-val coalition_member_total :
-  Oracle.t -> n:int -> w_star:int -> k:int -> w_dev:int ->
-  delta_s:float -> react_stages:int -> float
-(** A colluder's discounted total, free ride then punishment. *)
-
 val coalition_gain :
   Oracle.t -> n:int -> w_star:int -> k:int -> w_dev:int ->
   delta_s:float -> react_stages:int -> float

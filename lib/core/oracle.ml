@@ -25,6 +25,17 @@ exception Non_converged of string
    every node — and every permutation of the same multiset. *)
 type classes = (Dcf.Strategy_space.t * float) array
 
+(* Keyed by the canonical strategy array.  [Profile.hash] reads every
+   strategy: the polymorphic hash stops after ten meaningful words, so
+   profiles sharing their three smallest strategies (one deviant among
+   n−1 conformers) would all land in one bucket. *)
+module Profile_memo = Hashtbl.Make (struct
+  type t = Profile.t
+
+  let equal = Profile.equal
+  let hash = Profile.hash
+end)
+
 type t = {
   params : Dcf.Params.t;
   p_hn : float option;
@@ -45,7 +56,7 @@ type t = {
   solver_max_iter : int option;
   lock : Mutex.t;
   uniform_memo : (int * Dcf.Strategy_space.t, uniform_view) Hashtbl.t;
-  profile_memo : (Dcf.Strategy_space.t list, classes) Hashtbl.t;
+  profile_memo : classes Profile_memo.t;
   store : Store.t option;
   (* Lazy: rendering and fingerprinting the full parameter set costs more
      than every other allocation in [create] combined, and an oracle
@@ -120,12 +131,25 @@ let store_prefix_of ~params ~p_hn ~backend =
     (Option.value p_hn ~default:1.)
     (backend_repr backend)
 
-(* Degenerate strategies render as their bare window (the historical v1
-   shape, now under the v2 prefix); multi-knob ones use the full
-   strategy key.  The two alphabets are disjoint ("8" vs "w8.a1…"). *)
-let strategy_repr (s : Dcf.Strategy_space.t) =
-  if Dcf.Strategy_space.is_degenerate s then string_of_int s.cw
-  else Dcf.Strategy_space.to_key s
+(* [prefix], [tag], then the profile's strategies joined by ';'.  Degenerate
+   strategies render as their bare window (the historical v1 shape, now
+   under the v2 prefix); multi-knob ones use the full strategy key.  The
+   two alphabets are disjoint ("8" vs "w8.a1…"). *)
+let profile_repr prefix tag (sorted : Profile.t) =
+  let buf =
+    Buffer.create
+      (String.length prefix + String.length tag + (6 * Array.length sorted))
+  in
+  Buffer.add_string buf prefix;
+  Buffer.add_string buf tag;
+  for i = 0 to Array.length sorted - 1 do
+    if i > 0 then Buffer.add_char buf ';';
+    let s = sorted.(i) in
+    if Dcf.Strategy_space.is_degenerate s then
+      Telemetry.Jsonx.add_int buf s.cw
+    else Buffer.add_string buf (Dcf.Strategy_space.to_key s)
+  done;
+  Buffer.contents buf
 
 let uniform_store_key t ~n ~s =
   if Dcf.Strategy_space.is_degenerate s then
@@ -136,9 +160,7 @@ let uniform_store_key t ~n ~s =
       (Dcf.Strategy_space.to_key s)
 
 let profile_store_key t sorted =
-  Printf.sprintf "%s|profile|%s"
-    (Lazy.force t.store_prefix)
-    (String.concat ";" (List.map strategy_repr (Array.to_list sorted)))
+  profile_repr (Lazy.force t.store_prefix) "|profile|" sorted
 
 (* Parse (n, w) back out of a degenerate uniform store key — used once, at
    open, to seed the neighbour table from persisted rows.  Multi-knob
@@ -216,8 +238,17 @@ let classes_of_json json =
             | _ -> None)
           items
       in
-      if List.length decoded = List.length items && decoded <> [] then
-        Some (Array.of_list decoded)
+      (* Lookups binary-search the classes: a row this code wrote is
+         strictly ascending, anything else is not an answer. *)
+      let rec ascending = function
+        | (a, _) :: ((b, _) :: _ as rest) ->
+            Dcf.Strategy_space.compare a b < 0 && ascending rest
+        | _ -> true
+      in
+      if
+        List.length decoded = List.length items
+        && decoded <> [] && ascending decoded
+      then Some (Array.of_list decoded)
       else None
   | _ -> None
 
@@ -281,7 +312,7 @@ let create ?(telemetry = Telemetry.Registry.default) ?p_hn
       Telemetry.Registry.histogram telemetry "oracle.solve.iterations.cold";
     lock = Mutex.create ();
     uniform_memo = Hashtbl.create 64;
-    profile_memo = Hashtbl.create 64;
+    profile_memo = Profile_memo.create 64;
     store;
     store_prefix;
     warm_start;
@@ -306,22 +337,22 @@ let backend_name = function
    across the experiment runner's domains); backend solves run outside it,
    with a double-checked insert so a racing duplicate solve is harmless —
    both domains end up returning the same stored value. *)
-let find_memo t tbl key =
+let find_memo t find tbl key =
   Mutex.lock t.lock;
-  let found = Hashtbl.find_opt tbl key in
+  let found = find tbl key in
   Mutex.unlock t.lock;
   (match found with
   | Some _ -> Telemetry.Metric.incr t.hits
   | None -> Telemetry.Metric.incr t.misses);
   found
 
-let memo_insert t tbl key value =
+let memo_insert t find add tbl key value =
   Mutex.lock t.lock;
   let value =
-    match Hashtbl.find_opt tbl key with
+    match find tbl key with
     | Some existing -> existing
     | None ->
-        Hashtbl.add tbl key value;
+        add tbl key value;
         value
   in
   Mutex.unlock t.lock;
@@ -373,14 +404,15 @@ let refuse_nonconverged t what =
 
 (* Store access around a memo miss.  Values round-trip bit-faithfully
    (Jsonx renders floats at full precision), so an answer served from
-   disk is bit-identical to the solve that produced it.  Keys arrive as
-   thunks: building one forces the identity prefix (a full parameter
-   render + fingerprint), which a store-less oracle must never pay. *)
+   disk is bit-identical to the solve that produced it.  Keys arrive
+   lazy: building one forces the identity prefix (a full parameter
+   render + fingerprint), which a store-less oracle must never pay, and
+   a cold leaf builds its key once for the find and the put. *)
 let store_find t key decode =
   match t.store with
   | None -> None
   | Some s -> (
-      match Option.bind (Store.find s ~key:(key ())) decode with
+      match Option.bind (Store.find s ~key:(Lazy.force key)) decode with
       | Some v ->
           Telemetry.Metric.incr t.store_hits;
           Some v
@@ -389,7 +421,7 @@ let store_find t key decode =
           None)
 
 let store_put t key json =
-  Option.iter (fun s -> Store.put s ~key:(key ()) json) t.store
+  Option.iter (fun s -> Store.put s ~key:(Lazy.force key) json) t.store
 
 (* Per-replicate RNG streams are derived from the sim seed and the content
    key of the evaluation (à la the experiment runner), so a measurement
@@ -514,18 +546,20 @@ let uniform_strategy_outcome t ~n (s : Dcf.Strategy_space.t) =
   (match Dcf.Strategy_space.validate s with
   | Ok () -> ()
   | Error e -> invalid_arg ("Oracle.uniform: " ^ e));
-  match find_memo t t.uniform_memo (n, s) with
+  match find_memo t Hashtbl.find_opt t.uniform_memo (n, s) with
   | Some view ->
       Telemetry.Recorder.instant recorder nid_hit n s.cw;
       (view, Memo)
   | None -> (
       Telemetry.Recorder.instant recorder nid_miss n s.cw;
-      match
-        store_find t (fun () -> uniform_store_key t ~n ~s) view_of_json
-      with
+      let store_key = lazy (uniform_store_key t ~n ~s) in
+      match store_find t store_key view_of_json with
       | Some view ->
           Telemetry.Recorder.instant recorder nid_store_hit n s.cw;
-          let view = memo_insert t t.uniform_memo (n, s) view in
+          let view =
+            memo_insert t Hashtbl.find_opt Hashtbl.add t.uniform_memo (n, s)
+              view
+          in
           if Dcf.Strategy_space.is_degenerate s then
             note_neighbor t ~n ~w:s.cw view.tau;
           (view, Store)
@@ -533,11 +567,13 @@ let uniform_strategy_outcome t ~n (s : Dcf.Strategy_space.t) =
           let solved =
             recorded_solve n s.cw (fun () -> solve_uniform t ~n ~s)
           in
-          let view = memo_insert t t.uniform_memo (n, s) solved in
+          let view =
+            memo_insert t Hashtbl.find_opt Hashtbl.add t.uniform_memo (n, s)
+              solved
+          in
           if Dcf.Strategy_space.is_degenerate s then
             note_neighbor t ~n ~w:s.cw view.tau;
-          store_put t (fun () -> uniform_store_key t ~n ~s)
-            (view_to_json view);
+          store_put t store_key (view_to_json view);
           (view, Cold))
 
 let uniform_outcome t ~n ~w =
@@ -553,9 +589,7 @@ let tau_p t ~n ~w =
 
 (* {2 Heterogeneous profiles: the canonical sorted-multiset path} *)
 
-let profile_key sorted =
-  "oracle.profile|"
-  ^ String.concat ";" (List.map strategy_repr (Array.to_list sorted))
+let profile_key sorted = profile_repr "oracle.profile|" "" sorted
 
 (* Distinct strategies of a sorted profile with the mean utility of each
    strategy class.  For the analytic backend the class members are already
@@ -640,16 +674,20 @@ let solve_profile ?tau_hint t (sorted : Dcf.Strategy_space.t array) =
         reps;
       (classes_of sorted means, [||])
 
+(* Binary search: classes are strictly ascending (canonical solves build
+   them so, and [classes_of_json] refuses rows that are not). *)
 let class_utility (classes : classes) s =
-  let rec find i =
-    if i >= Array.length classes then
+  let rec find lo hi =
+    if lo >= hi then
       invalid_arg "Oracle.payoffs: strategy missing from canonical solve"
     else begin
-      let s', u = classes.(i) in
-      if Dcf.Strategy_space.equal s' s then u else find (i + 1)
+      let mid = (lo + hi) lsr 1 in
+      let s', u = classes.(mid) in
+      let c = Dcf.Strategy_space.compare s s' in
+      if c = 0 then u else if c < 0 then find lo mid else find (mid + 1) hi
     end
   in
-  find 0
+  find 0 (Array.length classes)
 
 (* {2 Batch evaluation: sweep-column warm starts}
 
@@ -717,21 +755,21 @@ let payoffs_profile_outcome ?batch t (profile : Profile.t) =
     (Array.make n view.utility, tier)
   else begin
     let sorted = Profile.canonical profile in
-    let key = Array.to_list sorted in
     let w0 = sorted.(0).Dcf.Strategy_space.cw in
     let classes, tier =
-      match find_memo t t.profile_memo key with
+      match find_memo t Profile_memo.find_opt t.profile_memo sorted with
       | Some classes ->
           Telemetry.Recorder.instant recorder nid_hit n w0;
           (classes, Memo)
       | None -> (
           Telemetry.Recorder.instant recorder nid_miss n w0;
-          match
-            store_find t (fun () -> profile_store_key t sorted) classes_of_json
-          with
+          let store_key = lazy (profile_store_key t sorted) in
+          match store_find t store_key classes_of_json with
           | Some classes ->
               Telemetry.Recorder.instant recorder nid_store_hit n w0;
-              (memo_insert t t.profile_memo key classes, Store)
+              ( memo_insert t Profile_memo.find_opt Profile_memo.add
+                  t.profile_memo sorted classes,
+                Store )
           | None ->
               let tau_hint =
                 match batch with
@@ -744,10 +782,11 @@ let payoffs_profile_outcome ?batch t (profile : Profile.t) =
                     solve_profile ?tau_hint t sorted)
               in
               Option.iter (fun b -> batch_note b class_taus) batch;
-              let classes = memo_insert t t.profile_memo key solved in
-              store_put t
-                (fun () -> profile_store_key t sorted)
-                (classes_to_json classes);
+              let classes =
+                memo_insert t Profile_memo.find_opt Profile_memo.add
+                  t.profile_memo sorted solved
+              in
+              store_put t store_key (classes_to_json classes);
               (classes, Cold))
     in
     (Array.map (fun s -> class_utility classes s) profile, tier)

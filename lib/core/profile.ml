@@ -38,10 +38,13 @@ let min_window t =
 
 (* The canonical form is the multiset: sorted by the strategy-space total
    order, so any permutation of the same profile canonicalizes to the same
-   array — the basis of the oracle's memo/store keys. *)
+   array — the basis of the oracle's memo/store keys.  The merge sort is
+   the faster of the two on these short arrays; strategies it treats as
+   equal are identical once validated (finite, positive rates), so the
+   result does not depend on the algorithm. *)
 let canonical t =
   let sorted = Array.copy t in
-  Array.sort Dcf.Strategy_space.compare sorted;
+  Array.stable_sort Dcf.Strategy_space.compare sorted;
   sorted
 
 let key t =
@@ -63,6 +66,25 @@ let validate ~cw_max t =
 let equal a b =
   Array.length a = Array.length b
   && Array.for_all2 Dcf.Strategy_space.equal a b
+
+(* FNV-style multiply-xor over every knob of every strategy, then a fold
+   of the high half into the low bits that hash tables index by.  Rates
+   that compare equal (±0, any NaN) hash alike, so [hash] agrees with
+   [equal]. *)
+let hash (t : t) =
+  let mix h x = (h lxor x) * 0x100000001B3 in
+  let h = ref (Array.length t) in
+  for i = 0 to Array.length t - 1 do
+    let s = Array.unsafe_get t i in
+    let r = s.Dcf.Strategy_space.rate in
+    let rate_bits =
+      if r = 0. || Float.is_nan r then 0
+      else Int64.to_int (Int64.bits_of_float r)
+    in
+    h := mix (mix (mix (mix !h s.cw) s.aifs) s.txop_frames) rate_bits
+  done;
+  let h = !h in
+  (h lxor (h lsr 32)) land max_int
 
 let pp ppf t =
   if is_uniform t && Dcf.Strategy_space.is_degenerate t.(0) then

@@ -13,9 +13,6 @@ val uniform : n:int -> w:int -> t
 (** All [n ≥ 1] players on the degenerate (CW-only) strategy with window
     [w ≥ 1]. *)
 
-val uniform_strategy : n:int -> Dcf.Strategy_space.t -> t
-(** All [n ≥ 1] players on the same multi-knob strategy. *)
-
 val with_deviant : n:int -> w:int -> w_dev:int -> t
 (** Player 0 on [w_dev], the other n−1 players on [w] — Lemma 4's
     configuration, degenerate strategies throughout. *)
@@ -56,6 +53,11 @@ val validate : cw_max:int -> t -> (unit, string) result
     window cap. *)
 
 val equal : t -> t -> bool
+
+val hash : t -> int
+(** Non-negative hash of every knob of every strategy, in order, without
+    allocating; equal profiles hash alike.  Hash {!canonical} forms to
+    address multisets (the oracle's memo does). *)
 
 val pp : Format.formatter -> t -> unit
 (** Compact rendering: degenerate uniform profiles as [n×W], other uniform

@@ -42,6 +42,3 @@ let drop_probability ~p ~retry_limit =
   if retry_limit < 0 then invalid_arg "Delay: retry_limit must be >= 0";
   if p < 0. || p > 1. then invalid_arg "Delay: p must be in [0, 1]";
   p ** float_of_int (retry_limit + 1)
-
-let jain_delay_fairness views =
-  Prelude.Stats.jain_fairness (Array.map (fun v -> v.mean_delay) views)

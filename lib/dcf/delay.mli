@@ -35,7 +35,3 @@ val drop_probability : p:float -> retry_limit:int -> float
 (** With a finite retry limit R (real DCF discards after R+1 attempts;
     the paper's chain retries forever), the per-packet drop probability is
     p^(R+1). *)
-
-val jain_delay_fairness : t array -> float
-(** Jain index over the nodes' mean delays: 1 when every node waits
-    equally long. *)

@@ -28,7 +28,13 @@ let solve_profile ?p_hn ?iterations ?tau_hint ?max_iter (params : Params.t)
     Solver.solve_profile ?iterations ?tau_hint ?max_iter params cws
   in
   let metrics = Metrics.of_solution params solution in
-  let utilities = Utility.rates ?p_hn params ~taus:solution.taus ~ps:solution.ps in
+  (* [Utility.rates] with the slot time already in hand. *)
+  let utilities =
+    Array.map2
+      (fun tau p ->
+        Utility.rate_of_node ?p_hn params ~slot_time:metrics.slot_time ~tau ~p)
+      solution.taus solution.ps
+  in
   {
     params;
     cws;

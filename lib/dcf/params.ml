@@ -49,13 +49,6 @@ let with_mode mode t = { t with mode }
 
 let rts_cts = with_mode Rts_cts default
 
-(* AIFS is modeled as whole backoff slots of extra defer after every busy
-   period, beyond the DIFS already folded into Ts.  This is its wall-clock
-   cost, used when converting defer slots to airtime. *)
-let aifs_duration t ~slots =
-  if slots < 0 then invalid_arg "Params.aifs_duration: slots must be >= 0";
-  float_of_int slots *. t.sigma
-
 let validate t =
   let check cond msg rest = if cond then rest () else Error msg in
   check (t.payload_bits > 0) "payload_bits must be positive" @@ fun () ->

@@ -42,12 +42,6 @@ val rts_cts : t
 
 val with_mode : access_mode -> t -> t
 
-val aifs_duration : t -> slots:int -> float
-(** Wall-clock cost of [slots] extra AIFS defer slots ([slots · σ]).
-    AIFS is modeled as whole backoff slots of additional defer after every
-    busy period, on top of the DIFS already folded into Ts.
-    @raise Invalid_argument if [slots < 0]. *)
-
 val validate : t -> (unit, string) result
 (** Check positivity/range constraints (rates, durations, g > e ≥ 0,
     0 < δ < 1, m ≥ 0, W_max ≥ 1).  Used by the CLI before running. *)

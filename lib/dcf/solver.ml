@@ -412,8 +412,8 @@ let solve_batch ?telemetry ?(tol = 1e-14) ?(algo = Newton)
       sol)
     problems
 
-let solve_profile ?telemetry ?iterations ?tau_hint ?tol ?algo ?max_iter
-    (params : Params.t) cws =
+let solve_profile ?telemetry ?iterations ?tau_hint ?(tol = 1e-14)
+    ?(algo = Newton) ?(max_iter = 50_000) (params : Params.t) cws =
   let n = Array.length cws in
   if n = 0 then invalid_arg "Solver.solve_profile: empty network";
   Array.iter
@@ -422,25 +422,39 @@ let solve_profile ?telemetry ?iterations ?tau_hint ?tol ?algo ?max_iter
   (* Group equal windows into classes: nodes sharing a window share (τ, p)
      by symmetry, so the fixed point collapses to one dimension per
      distinct window — a 100-node profile with 3 distinct windows costs the
-     same as n = 3. *)
-  let classes = Hashtbl.create 8 in
-  Array.iter
-    (fun w ->
-      Hashtbl.replace classes w (1 + Option.value ~default:0 (Hashtbl.find_opt classes w)))
-    cws;
-  let class_list =
-    Hashtbl.fold (fun w k acc -> (w, k) :: acc) classes []
-    |> List.sort compare
-  in
+     same as n = 3.  Classes run in ascending window order, as the engine
+     has always seen them. *)
+  let sorted = Array.copy cws in
+  Prelude.Util.sort_ints sorted n;
+  let c = ref 1 in
+  for i = 1 to n - 1 do
+    if sorted.(i) <> sorted.(i - 1) then incr c
+  done;
+  let ws = Array.make !c sorted.(0) and ks = Array.make !c 0 in
+  let j = ref 0 in
+  for i = 0 to n - 1 do
+    if sorted.(i) <> ws.(!j) then begin
+      incr j;
+      ws.(!j) <- sorted.(i)
+    end;
+    ks.(!j) <- ks.(!j) + 1
+  done;
   let iters = match iterations with Some r -> r | None -> ref 0 in
   let solved =
-    solve_classes ?telemetry ~iterations:iters ?tau_hint ?tol ?algo ?max_iter
-      params class_list
+    solve_class_arrays ?telemetry ~iterations:iters
+      ?x0:(hinted_x0 tau_hint ws) ~tol ~algo ~max_iter params ~ws
+      ~aifs:(Array.make !c 0) ~ks
   in
-  let by_window = Hashtbl.create 8 in
-  List.iter2
-    (fun (w, _) tp -> Hashtbl.replace by_window w tp)
-    class_list solved.class_pairs;
-  let taus = Array.map (fun w -> fst (Hashtbl.find by_window w)) cws in
-  let ps = Array.map (fun w -> snd (Hashtbl.find by_window w)) cws in
+  let pairs = Array.of_list solved.class_pairs in
+  (* Each node's class, by binary search over the ascending windows. *)
+  let pair w =
+    let lo = ref 0 and hi = ref (!c - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if ws.(mid) < w then lo := mid + 1 else hi := mid
+    done;
+    pairs.(!lo)
+  in
+  let taus = Array.map (fun w -> fst (pair w)) cws in
+  let ps = Array.map (fun w -> snd (pair w)) cws in
   { taus; ps; iterations = !iters; converged = solved.converged }

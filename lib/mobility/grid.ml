@@ -100,7 +100,6 @@ let create ?(fill = true) ~cell points =
   t
 
 let length t = Array.length t.xs
-let cell_size t = t.cell
 let position t i = { Geom.x = t.xs.(i); y = t.ys.(i) }
 
 let move t i (p : Geom.point) =

@@ -32,8 +32,6 @@ val create : ?fill:bool -> cell:float -> Geom.point array -> t
 val length : t -> int
 (** Number of ids (present or not). *)
 
-val cell_size : t -> float
-
 val position : t -> int -> Geom.point
 (** Current coordinates of id [i] (tracked even while absent). *)
 

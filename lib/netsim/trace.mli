@@ -28,9 +28,6 @@ type event =
 
 val time_of : event -> float
 
-val pp_event : Format.formatter -> event -> unit
-(** One-line rendering, e.g. ["0.01230 success node=2"]. *)
-
 type t
 
 val create : ?capacity:int -> unit -> t
@@ -60,4 +57,5 @@ type summary = {
 val summarize : t -> summary
 
 val to_lines : t -> string list
-(** Every retained event rendered with {!pp_event}. *)
+(** Every retained event on one line each, e.g.
+    ["0.01230 success node=2"]. *)

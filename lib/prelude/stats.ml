@@ -58,10 +58,6 @@ let of_array xs =
 
 let mean_of xs = mean (of_array xs)
 
-let variance_of xs = variance (of_array xs)
-
-let stddev_of xs = stddev (of_array xs)
-
 let percentile xs p =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.percentile: empty array";

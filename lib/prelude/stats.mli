@@ -45,11 +45,6 @@ val confidence_interval_95 : t -> float
 
 val mean_of : float array -> float
 
-val variance_of : float array -> float
-(** Unbiased sample variance of the array. *)
-
-val stddev_of : float array -> float
-
 val percentile : float array -> float -> float
 (** [percentile xs p] with [p] in [0,100], linear interpolation between order
     statistics.  Raises [Invalid_argument] on an empty array. *)

@@ -46,15 +46,29 @@ let fold_range lo hi ~init ~f =
 (* FNV-1a, the 64-bit variant: a tiny, well-distributed string hash used
    to content-address cached experiment results and to derive per-task RNG
    streams.  Stable across runs and platforms, unlike [Hashtbl.hash]. *)
-let fnv1a64 s =
+let fnv1a64 ?(pos = 0) s =
+  let n = String.length s in
+  if pos < 0 || pos > n then invalid_arg "Util.fnv1a64: pos out of bounds";
+  (* A local ref the loop alone reads stays an unboxed register: no
+     allocation per byte. *)
   let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001B3L)
-    s;
+  for i = pos to n - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        0x100000001B3L
+  done;
   !h
 
-let hex64 h = Printf.sprintf "%016Lx" h
+let hex_digits = "0123456789abcdef"
+
+let hex64 h =
+  let b = Bytes.create 16 in
+  for i = 0 to 15 do
+    let nibble = Int64.to_int (Int64.shift_right_logical h (60 - (4 * i))) in
+    Bytes.unsafe_set b i hex_digits.[nibble land 15]
+  done;
+  Bytes.unsafe_to_string b
 
 (* Sift [v] down from the hole at [i] in the max-heap [a.(0 .. size-1)]. *)
 let sift_down (a : int array) size i v =
@@ -73,9 +87,14 @@ let sift_down (a : int array) size i v =
   done;
   a.(!hole) <- v
 
+let ascending (a : int array) len =
+  let rec from i = i >= len || (a.(i - 1) <= a.(i) && from (i + 1)) in
+  from 1
+
 (* Insertion sort for the short runs the simulators sort (a slot's events,
    a node's neighbours); heapsort past 32 elements keeps a dense worst case
-   at O(len log len).  Neither allocates. *)
+   at O(len log len), after an O(len) check that skips input already in
+   order (the class solver's canonical profiles).  Neither allocates. *)
 let sort_ints (a : int array) len =
   if len < 0 || len > Array.length a then
     invalid_arg "Util.sort_ints: length out of bounds";
@@ -89,7 +108,7 @@ let sort_ints (a : int array) len =
       done;
       a.(!j + 1) <- v
     done
-  else begin
+  else if not (ascending a len) then begin
     for i = (len / 2) - 1 downto 0 do
       sift_down a len i a.(i)
     done;

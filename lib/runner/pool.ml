@@ -1,12 +1,10 @@
 type t = {
   workers : int;
   registry : Telemetry.Registry.t;
-  mutable total_jobs : int;
-  mutable total_steals : int;
 }
 
 let create ?(registry = Telemetry.Registry.default) ~workers () =
-  { workers = Stdlib.max 1 workers; registry; total_jobs = 0; total_steals = 0 }
+  { workers = Stdlib.max 1 workers; registry }
 
 let workers t = t.workers
 
@@ -98,8 +96,6 @@ let run t jobs =
     Array.iter Domain.join domains
   end;
   let stolen = Array.fold_left ( + ) 0 steals in
-  t.total_jobs <- t.total_jobs + n;
-  t.total_steals <- t.total_steals + stolen;
   Telemetry.Metric.add (Telemetry.Registry.counter t.registry "runner.pool.jobs") n;
   Telemetry.Metric.add
     (Telemetry.Registry.counter t.registry "runner.pool.steals")
@@ -122,7 +118,3 @@ let run t jobs =
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ());
   { jobs = n; workers_used = nw; steals = stolen; busy; elapsed }
-
-let total_jobs t = t.total_jobs
-
-let total_steals t = t.total_steals

@@ -34,9 +34,3 @@ type run_stats = {
 }
 
 val run : t -> (unit -> unit) array -> run_stats
-
-val total_jobs : t -> int
-(** Cumulative jobs executed across every [run] on this pool; likewise
-    {!total_steals}. *)
-
-val total_steals : t -> int

@@ -19,8 +19,6 @@ let ambient = ref default_config
 
 let configure cfg = ambient := cfg
 
-let current_config () = !ambient
-
 (* Journal names must be path-safe; sweeps are named by experiment, e.g.
    "table2.basic.n20". *)
 let sanitize name =

@@ -40,15 +40,10 @@ type config = {
   seed : int;               (** sweep seed for per-task RNG derivation *)
 }
 
-val default_config : config
-(** [{ workers = 1; cache_dir = None; checkpoints = true; seed = 0 }] *)
-
 val configure : config -> unit
 (** Set the ambient configuration used when {!map} is called without an
     explicit one — the CLI's [-j] / [--cache] / [--no-cache] flags land
     here, so experiment code needs no plumbing. *)
-
-val current_config : unit -> config
 
 val map :
   ?registry:Telemetry.Registry.t ->

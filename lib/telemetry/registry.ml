@@ -54,8 +54,13 @@ let find_or_add table make name =
       Hashtbl.add table name m;
       m
 
+(* On every solve's counter lookups: a plain lock/unlock pair, since
+   [find_or_add] cannot raise. *)
 let get_or_create t table make name =
-  locked t (fun () -> find_or_add table make name)
+  Mutex.lock t.mutex;
+  let m = find_or_add table make name in
+  Mutex.unlock t.mutex;
+  m
 
 let counter t name = get_or_create t t.counters Metric.counter name
 

@@ -3,6 +3,7 @@ type span_stat = {
   count : int;
   total_s : float;
   self_s : float;
+  min_s : float;
 }
 
 type summary = {
@@ -28,6 +29,7 @@ let summarize (d : Recorder.dump) =
   let count = Array.make n_names 0 in
   let total = Array.make n_names 0 in
   let self = Array.make n_names 0 in
+  let shortest = Array.make n_names max_int in
   let inst = Array.make n_names 0 in
   let live = Hashtbl.create 64 in
   let domains = Hashtbl.create 8 in
@@ -46,6 +48,7 @@ let summarize (d : Recorder.dump) =
             let dur = r.ts - o.o_ts in
             count.(o.o_name) <- count.(o.o_name) + 1;
             total.(o.o_name) <- total.(o.o_name) + dur;
+            shortest.(o.o_name) <- Stdlib.min shortest.(o.o_name) dur;
             self.(o.o_name) <- self.(o.o_name) + Stdlib.max 0 (dur - o.o_child);
             (match Hashtbl.find_opt live o.o_parent with
             | Some p -> p.o_child <- p.o_child + dur
@@ -62,6 +65,7 @@ let summarize (d : Recorder.dump) =
              count = count.(i);
              total_s = float_of_int total.(i) *. 1e-9;
              self_s = float_of_int self.(i) *. 1e-9;
+             min_s = float_of_int shortest.(i) *. 1e-9;
            })
     |> List.sort (fun x y -> compare y.self_s x.self_s)
   in
@@ -185,29 +189,43 @@ let to_chrome (d : Recorder.dump) =
 
 type delta = {
   span : string;
+  a_count : int;
+  b_count : int;
   a_s : float;
   b_s : float;
   ratio : float;
   flagged : bool;
 }
 
+(* The shortest instance, not the total: a neighbour's burst of load
+   slows a few instances of a span, while a regression slows every one of
+   them, the fastest included.  The noise floor still reads the total, so
+   a span of many short instances stays gated. *)
 let diff ?(threshold = 0.25) ?(min_seconds = 1e-4) da db =
   let sa = summarize da and sb = summarize db in
+  let absent =
+    { name = ""; count = 0; total_s = 0.; self_s = 0.; min_s = 0. }
+  in
   let tbl = Hashtbl.create 32 in
-  List.iter (fun st -> Hashtbl.replace tbl st.name (st.total_s, 0.)) sa.spans;
+  List.iter (fun st -> Hashtbl.replace tbl st.name (st, absent)) sa.spans;
   List.iter
     (fun st ->
-      match Hashtbl.find_opt tbl st.name with
-      | Some (a, _) -> Hashtbl.replace tbl st.name (a, st.total_s)
-      | None -> Hashtbl.replace tbl st.name (0., st.total_s))
+      let a =
+        Option.fold ~none:absent ~some:fst (Hashtbl.find_opt tbl st.name)
+      in
+      Hashtbl.replace tbl st.name (a, st))
     sb.spans;
   Hashtbl.fold
-    (fun span (a_s, b_s) acc ->
+    (fun span (a, b) acc ->
+      let a_s = a.min_s and b_s = b.min_s in
       let ratio = if a_s > 0. then (b_s -. a_s) /. a_s else Float.infinity in
       let flagged =
-        Float.abs ratio > threshold && Stdlib.max a_s b_s >= min_seconds
+        a.count <> b.count
+        || (Float.abs ratio > threshold
+           && Stdlib.max a.total_s b.total_s >= min_seconds)
       in
-      { span; a_s; b_s; ratio; flagged } :: acc)
+      { span; a_count = a.count; b_count = b.count; a_s; b_s; ratio; flagged }
+      :: acc)
     tbl []
   |> List.sort (fun x y ->
          match compare y.flagged x.flagged with
@@ -215,14 +233,15 @@ let diff ?(threshold = 0.25) ?(min_seconds = 1e-4) da db =
          | c -> c)
 
 let render_diff ppf deltas =
-  Format.fprintf ppf "%-32s %12s %12s %10s@." "span" "trace A" "trace B"
-    "delta";
+  Format.fprintf ppf "%-32s %12s %12s %10s %13s@." "span" "min A" "min B"
+    "delta" "count A/B";
   List.iter
     (fun d ->
-      Format.fprintf ppf "%-32s %12s %12s %9.1f%%%s@." d.span
+      Format.fprintf ppf "%-32s %12s %12s %9.1f%% %13s%s@." d.span
         (Format.asprintf "%a" fmt_s d.a_s)
         (Format.asprintf "%a" fmt_s d.b_s)
         (if Float.is_finite d.ratio then d.ratio *. 100. else Float.infinity)
+        (Printf.sprintf "%d/%d" d.a_count d.b_count)
         (if d.flagged then "  << FLAGGED" else ""))
     deltas;
   let n = List.length (List.filter (fun d -> d.flagged) deltas) in

@@ -50,6 +50,117 @@ let test_uniform_profile_fast_path () =
     (count "oracle.cache.hits");
   Array.iter (fun v -> check_bits "same stored value" u v) via_profile
 
+(* Lemma 4's shape at scale: nine conformers at W = 16 and one deviant at
+   W_dev = 17 … 3016.  The polymorphic hash of a profile stops after ten
+   meaningful words, so every one of these once landed in one memo
+   bucket and a hit walked all 3 000 entries. *)
+let one_deviant_profiles () =
+  Array.init 3000 (fun k ->
+      Macgame.Profile.of_cws (Array.append (Array.make 9 16) [| 17 + k |]))
+
+module Profile_table = Hashtbl.Make (struct
+  type t = Macgame.Profile.t
+
+  let equal = Macgame.Profile.equal
+  let hash = Macgame.Profile.hash
+end)
+
+let test_profile_memo_spreads_deviants () =
+  let canon = Array.map Macgame.Profile.canonical (one_deviant_profiles ()) in
+  let hashes = Hashtbl.create 4096 in
+  Array.iter
+    (fun p -> Hashtbl.replace hashes (Macgame.Profile.hash p) ())
+    canon;
+  Alcotest.(check int) "3000 distinct hashes" 3000 (Hashtbl.length hashes);
+  let table = Profile_table.create 64 in
+  Array.iter (fun p -> Profile_table.replace table p ()) canon;
+  let stats = Profile_table.stats table in
+  Alcotest.(check bool)
+    (Printf.sprintf "buckets stay short (longest %d)" stats.max_bucket_length)
+    true
+    (stats.max_bucket_length <= 16);
+  (* Permutations share a canonical form, hence a hash. *)
+  let canonical_hash cws =
+    Macgame.Profile.hash
+      (Macgame.Profile.canonical (Macgame.Profile.of_cws cws))
+  in
+  Alcotest.(check int) "permutations hash alike"
+    (canonical_hash [| 16; 17; 16 |])
+    (canonical_hash [| 17; 16; 16 |])
+
+let test_profile_memo_replays_deviants () =
+  let oracle, count = fresh () in
+  let profiles = one_deviant_profiles () in
+  let serve () =
+    Array.map
+      (fun p -> Macgame.Oracle.payoffs_profile_outcome oracle p)
+      profiles
+  in
+  let cold = serve () in
+  let warm = serve () in
+  Array.iteri
+    (fun k (payoffs, tier) ->
+      let cold_payoffs, cold_tier = cold.(k) in
+      if cold_tier <> Macgame.Oracle.Cold || tier <> Macgame.Oracle.Memo then
+        Alcotest.failf "profile %d: tiers %s then %s" k
+          (Macgame.Oracle.tier_name cold_tier)
+          (Macgame.Oracle.tier_name tier);
+      Array.iteri
+        (fun i u -> check_bits "memo replay" cold_payoffs.(i) u)
+        payoffs)
+    warm;
+  Alcotest.(check int) "hits" 3000 (count "oracle.cache.hits");
+  Alcotest.(check int) "misses" 3000 (count "oracle.cache.misses");
+  Alcotest.(check int) "solves" 3000 (count "oracle.cache.solves")
+
+(* Store keys embed the parameter fingerprint and the strategy rendering;
+   these literals were produced before the key builders lost Printf, so
+   stores written by earlier builds keep hitting. *)
+let test_store_keys_pinned () =
+  let dir = Filename.temp_file "oracle_keys" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let prefix = "oracle|v2|params=a1eb2e840c67564d|p_hn=0x1p+0|analytic|" in
+  let degenerate = [| 64; 16; 64; 32 |] in
+  Store.with_store dir (fun store ->
+      let oracle = Macgame.Oracle.create ~store params in
+      ignore (Macgame.Oracle.payoffs oracle degenerate);
+      ignore
+        (Macgame.Oracle.payoffs_profile oracle
+           [|
+             Dcf.Strategy_space.of_cw 64;
+             {
+               Dcf.Strategy_space.cw = 32;
+               aifs = 2;
+               txop_frames = 3;
+               rate = 0.5;
+             };
+             Dcf.Strategy_space.of_cw 64;
+           |]);
+      ignore (Macgame.Oracle.uniform oracle ~n:5 ~w:64);
+      let keys = ref [] in
+      Store.iter store (fun ~key _ -> keys := key :: !keys);
+      Alcotest.(check (list string))
+        "store keys"
+        (List.map (( ^ ) prefix)
+           [
+             "profile|16;32;64;64";
+             "profile|w32.a2.t3.r0x1p-1;64;64";
+             "uniform|n=5|w=64";
+           ])
+        (List.sort compare !keys);
+      (* A row whose classes are out of canonical order is not an answer:
+         the lookup treats it as a miss and solves cold. *)
+      Store.put store ~key:(prefix ^ "profile|16;32;64;64")
+        (Telemetry.Jsonx.parse
+           "[{\"s\":64,\"u\":1.0},{\"s\":32,\"u\":2.0},{\"s\":16,\"u\":3.0}]"));
+  Store.with_store dir (fun store ->
+      let oracle = Macgame.Oracle.create ~store params in
+      let payoffs, tier = Macgame.Oracle.payoffs_outcome oracle degenerate in
+      Alcotest.(check string) "unsorted row refused" "cold"
+        (Macgame.Oracle.tier_name tier);
+      check_bits "solved, not read" 11.403114608624875 payoffs.(0))
+
 (* {1 Agreement with the direct model calls the oracle replaced} *)
 
 let test_uniform_matches_model_homogeneous () =
@@ -398,6 +509,12 @@ let () =
             test_profile_memo_bit_identity;
           Alcotest.test_case "uniform profile takes the (n, w) path" `Quick
             test_uniform_profile_fast_path;
+          Alcotest.test_case "one-deviant profiles spread over the memo"
+            `Quick test_profile_memo_spreads_deviants;
+          Alcotest.test_case "3000 one-deviant profiles replay from the memo"
+            `Quick test_profile_memo_replays_deviants;
+          Alcotest.test_case "store keys keep their bytes" `Quick
+            test_store_keys_pinned;
         ] );
       ( "model agreement",
         [

@@ -433,13 +433,23 @@ let suite_stats =
 
 let test_sort_ints_matches_sort =
   (* Lengths straddle the insertion-sort/heapsort switch at 32; the tail
-     past [len] must stay untouched. *)
+     past [len] must stay untouched.  Sorted input, and sorted input with
+     one pair swapped, probe the already-in-order shortcut. *)
   QCheck.Test.make ~name:"sort_ints = Array.sort on the prefix" ~count:300
     QCheck.(
-      pair (list_of_size Gen.(int_range 0 120) (int_range (-50) 50)) small_nat)
-    (fun (xs, cut) ->
+      triple
+        (list_of_size Gen.(int_range 0 120) (int_range (-50) 50))
+        small_nat (int_range 0 2))
+    (fun (xs, cut, order) ->
       let a = Array.of_list xs in
       let len = cut mod (Array.length a + 1) in
+      if order > 0 then Array.sort compare a;
+      if order = 2 && len > 1 then begin
+        let i = cut mod len and j = (cut / 7) mod len in
+        let t = a.(i) in
+        a.(i) <- a.(j);
+        a.(j) <- t
+      end;
       let want = Array.copy a in
       let head = Array.sub want 0 len in
       Array.sort compare head;
@@ -447,9 +457,54 @@ let test_sort_ints_matches_sort =
       Util.sort_ints a len;
       a = want)
 
+(* Published FNV-1a 64 test vectors: the runner cache, task fingerprints
+   and store checksums address data by these values. *)
+let test_fnv1a64_known_answers () =
+  List.iter
+    (fun (s, want) ->
+      Alcotest.(check string) (Printf.sprintf "fnv1a64 %S" s) want
+        (Util.hex64 (Util.fnv1a64 s)))
+    [
+      ("", "cbf29ce484222325");
+      ("a", "af63dc4c8601ec8c");
+      ("foobar", "85944171f73967e8");
+    ];
+  List.iter
+    (fun h ->
+      Alcotest.(check string) "hex64 = %016Lx" (Printf.sprintf "%016Lx" h)
+        (Util.hex64 h))
+    [ 0L; 1L; -1L; Int64.min_int ];
+  Alcotest.(check string) "pos skips a prefix" "85944171f73967e8"
+    (Util.hex64 (Util.fnv1a64 ~pos:3 "xyzfoobar"));
+  Alcotest.check_raises "pos past the end"
+    (Invalid_argument "Util.fnv1a64: pos out of bounds") (fun () ->
+      ignore (Util.fnv1a64 ~pos:4 "abc"))
+
+let test_fnv1a64_allocation_free () =
+  let words f =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. w0
+  in
+  let long = String.make 4096 'x' in
+  (* The boxed result is the only allocation, whatever the length. *)
+  let empty = words (fun () -> Util.fnv1a64 "") in
+  let full = words (fun () -> Util.fnv1a64 long) in
+  Alcotest.(check (float 0.)) "no words per byte over 4 KiB" 0. (full -. empty)
+
+let test_hex64_matches_printf =
+  QCheck.Test.make ~name:"hex64 = %016Lx" ~count:500
+    QCheck.int64
+    (fun h -> String.equal (Printf.sprintf "%016Lx" h) (Util.hex64 h))
+
 let suite_util =
   [
     QCheck_alcotest.to_alcotest test_sort_ints_matches_sort;
+    Alcotest.test_case "fnv1a64 known answers" `Quick
+      test_fnv1a64_known_answers;
+    Alcotest.test_case "fnv1a64 allocates nothing per byte" `Quick
+      test_fnv1a64_allocation_free;
+    QCheck_alcotest.to_alcotest test_hex64_matches_printf;
     Alcotest.test_case "clamp" `Quick test_clamp;
     Alcotest.test_case "approx_equal" `Quick test_approx_equal;
     Alcotest.test_case "linspace" `Quick test_linspace;

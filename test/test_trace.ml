@@ -392,6 +392,27 @@ let test_diff_thresholds () =
   let d = Telemetry.Trace_view.diff ~threshold:0.25 ~min_seconds:1e-4 tiny_a tiny_b in
   Alcotest.(check int) "below the floor: unflagged" 0 (Telemetry.Trace_view.flagged d)
 
+(* The gate compares each span's shortest instance: a burst of load on a
+   shared machine stretches a few of a recording's repeats, a regression
+   stretches them all. *)
+let test_diff_noise_aware () =
+  let runs ?(count = 10) dur =
+    synthetic_dump
+      (List.init count (fun i ->
+           ("spatial.run", 1000 + (i * 1_000_000), dur i)))
+  in
+  let base = runs (fun _ -> 200_000) in
+  let diff b =
+    Telemetry.Trace_view.flagged
+      (Telemetry.Trace_view.diff ~threshold:0.25 ~min_seconds:1e-4 base b)
+  in
+  Alcotest.(check int) "one instance of ten 3x slower: not flagged" 0
+    (diff (runs (fun i -> if i = 3 then 600_000 else 200_000)));
+  Alcotest.(check int) "uniform 1.3x slowdown: flagged" 1
+    (diff (runs (fun _ -> 260_000)));
+  Alcotest.(check int) "count change: flagged" 1
+    (diff (runs ~count:11 (fun _ -> 200_000)))
+
 (* {1 Multi-domain merge} *)
 
 (* Runner.map on k domains records worker spans, task spans, steals and
@@ -480,6 +501,8 @@ let () =
           Alcotest.test_case "chrome export valid" `Quick
             test_chrome_export_valid;
           Alcotest.test_case "diff thresholds" `Quick test_diff_thresholds;
+          Alcotest.test_case "diff compares the shortest instance" `Quick
+            test_diff_noise_aware;
         ] );
       ( "merge",
         [ QCheck_alcotest.to_alcotest test_multidomain_merge_qcheck ] );
