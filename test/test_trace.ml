@@ -408,6 +408,9 @@ let test_diff_noise_aware () =
   in
   Alcotest.(check int) "one instance of ten 3x slower: not flagged" 0
     (diff (runs (fun i -> if i = 3 then 600_000 else 200_000)));
+  (* The total moves 60% here; the shortest instance does not. *)
+  Alcotest.(check int) "three instances of ten 3x slower: not flagged" 0
+    (diff (runs (fun i -> if i mod 3 = 1 then 600_000 else 200_000)));
   Alcotest.(check int) "uniform 1.3x slowdown: flagged" 1
     (diff (runs (fun _ -> 260_000)));
   Alcotest.(check int) "count change: flagged" 1
