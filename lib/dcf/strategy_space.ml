@@ -38,45 +38,17 @@ let pp fmt s =
     Format.fprintf fmt "(cw=%d,aifs=%d,txop=%d,rate=%g)" s.cw s.aifs
       s.txop_frames s.rate
 
-(* Printf's "%h" rendering of [f]: every fraction digit up to the last
-   non-zero one, so the key is bit-faithful ("0x1.8p+1", "0x0p+0",
-   "0x0.0000000000001p-1022", "infinity", "-nan"). *)
-let add_hex_float buf f =
-  let bits = Int64.bits_of_float f in
-  if Int64.compare bits 0L < 0 then Buffer.add_char buf '-';
-  let e = Int64.to_int (Int64.shift_right_logical bits 52) land 0x7FF in
-  let frac_mask = (1 lsl 52) - 1 in
-  let m = ref (Int64.to_int bits land frac_mask) in
-  if e = 0x7FF then Buffer.add_string buf (if !m = 0 then "infinity" else "nan")
-  else begin
-    Buffer.add_string buf (if e = 0 then "0x0" else "0x1");
-    let exp = if e > 0 then e - 1023 else if !m = 0 then 0 else -1022 in
-    if !m <> 0 then Buffer.add_char buf '.';
-    while !m <> 0 do
-      Buffer.add_char buf "0123456789abcdef".[!m lsr 48];
-      m := (!m lsl 4) land frac_mask
-    done;
-    Buffer.add_char buf 'p';
-    if exp >= 0 then Buffer.add_char buf '+';
-    Telemetry.Jsonx.add_int buf exp
-  end
-
 (* Degenerate strategies keep the bare "w<cw>" shape so CW-only store keys
-   stay recognisable; the hex rate makes the key bit-faithful.  These are
-   the bytes of "w%d" and "w%d.a%d.t%d.r%h", built without Printf. *)
+   stay recognisable; %h makes the rate component bit-faithful.  The
+   degenerate key, the one every CW-only batch leaf builds, skips Printf. *)
 let to_key s =
-  let buf = Buffer.create 32 in
-  Buffer.add_char buf 'w';
-  Telemetry.Jsonx.add_int buf s.cw;
-  if not (is_degenerate s) then begin
-    Buffer.add_string buf ".a";
-    Telemetry.Jsonx.add_int buf s.aifs;
-    Buffer.add_string buf ".t";
-    Telemetry.Jsonx.add_int buf s.txop_frames;
-    Buffer.add_string buf ".r";
-    add_hex_float buf s.rate
-  end;
-  Buffer.contents buf
+  if is_degenerate s then begin
+    let buf = Buffer.create 8 in
+    Buffer.add_char buf 'w';
+    Telemetry.Jsonx.add_int buf s.cw;
+    Buffer.contents buf
+  end
+  else Printf.sprintf "w%d.a%d.t%d.r%h" s.cw s.aifs s.txop_frames s.rate
 
 let fingerprint s = Prelude.Util.fnv1a64 (to_key s)
 

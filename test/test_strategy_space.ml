@@ -133,32 +133,6 @@ let test_profile_permutation_invariance =
       && Int64.equal (Macgame.Profile.fingerprint p)
            (Macgame.Profile.fingerprint q))
 
-(* [to_key] renders without Printf; its bytes must stay those of the
-   Printf formats it replaced, for every int and every float bit pattern
-   (subnormals, zeros, infinities and NaNs included). *)
-let test_key_matches_printf =
-  let rate =
-    QCheck.(
-      oneof
-        [
-          map Int64.float_of_bits int64;
-          oneofl
-            [ 1.0; 0.5; 2.0; 0.; -0.; 5e-324; -1.5; Float.infinity;
-              Float.neg_infinity; Float.nan; Float.max_float;
-              Float.min_float; 1. +. epsilon_float ];
-        ])
-  in
-  QCheck.Test.make ~count:2000 ~name:"to_key keeps the Printf bytes"
-    QCheck.(quad int small_signed_int small_signed_int rate)
-    (fun (cw, aifs, txop_frames, rate) ->
-      let s = { S.cw; aifs; txop_frames; rate } in
-      let expected =
-        if S.is_degenerate s then Printf.sprintf "w%d" cw
-        else Printf.sprintf "w%d.a%d.t%d.r%h" cw aifs txop_frames rate
-      in
-      String.equal expected (S.to_key s)
-      && String.equal "w1" (S.to_key (S.of_cw 1)))
-
 let test_fingerprint_pins () =
   (* Pinned FNV-1a values: store keys derive from these, so an accidental
      change to the hash or the key rendering silently orphans every
@@ -528,7 +502,6 @@ let () =
             test_codec_roundtrip;
             test_degenerate_wire_shorthand;
             test_profile_permutation_invariance;
-            test_key_matches_printf;
           ]
         @ [ Alcotest.test_case "fingerprint pins" `Quick test_fingerprint_pins ]
       );
