@@ -46,13 +46,11 @@ let fold_range lo hi ~init ~f =
 (* FNV-1a, the 64-bit variant: a tiny, well-distributed string hash used
    to content-address cached experiment results and to derive per-task RNG
    streams.  Stable across runs and platforms, unlike [Hashtbl.hash]. *)
-let fnv1a64 ?(pos = 0) s =
-  let n = String.length s in
-  if pos < 0 || pos > n then invalid_arg "Util.fnv1a64: pos out of bounds";
+let fnv1a64 s =
   (* A local ref the loop alone reads stays an unboxed register: no
      allocation per byte. *)
   let h = ref 0xCBF29CE484222325L in
-  for i = pos to n - 1 do
+  for i = 0 to String.length s - 1 do
     h :=
       Int64.mul
         (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))

@@ -33,12 +33,11 @@ val geometric_sum : float -> int -> float
 val fold_range : int -> int -> init:'a -> f:('a -> int -> 'a) -> 'a
 (** [fold_range lo hi ~init ~f] folds [f] over the inclusive integer range. *)
 
-val fnv1a64 : ?pos:int -> string -> int64
-(** 64-bit FNV-1a hash of the string from byte [pos] (default 0) to its
-    end.  Deterministic across runs and platforms (unlike
-    [Hashtbl.hash]), so it is safe to persist — the runner's result cache
-    addresses files by it.  Allocates nothing per byte.
-    @raise Invalid_argument unless [0 <= pos <= String.length s]. *)
+val fnv1a64 : string -> int64
+(** 64-bit FNV-1a hash of the string.  Deterministic across runs and
+    platforms (unlike [Hashtbl.hash]), so it is safe to persist — the
+    runner's result cache addresses files by it.  Allocates nothing per
+    byte. *)
 
 val hex64 : int64 -> string
 (** 16-digit lower-case hex rendering of a 64-bit value. *)

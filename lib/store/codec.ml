@@ -32,17 +32,12 @@ let check_header line =
    itself wrote.  Hashing the raw bytes makes verification exact and
    catches any flipped bit in either the payload or the digest itself. *)
 let encode ~key value =
-  (* One buffer holds the whole line: a digest-sized placeholder, the
-     payload after it, then the digest of the payload written over the
-     placeholder. *)
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "0000000000000000:";
-  Telemetry.Jsonx.to_buffer buf
-    (Telemetry.Jsonx.Obj [ ("k", Telemetry.Jsonx.String key); ("v", value) ]);
-  let line = Buffer.to_bytes buf in
-  let digest = Prelude.Util.fnv1a64 ~pos:17 (Bytes.unsafe_to_string line) in
-  Bytes.blit_string (Prelude.Util.hex64 digest) 0 line 0 16;
-  Bytes.unsafe_to_string line
+  let payload =
+    Telemetry.Jsonx.to_string
+      (Telemetry.Jsonx.Obj
+         [ ("k", Telemetry.Jsonx.String key); ("v", value) ])
+  in
+  Prelude.Util.hex64 (Prelude.Util.fnv1a64 payload) ^ ":" ^ payload
 
 let decode line =
   let n = String.length line in

@@ -269,8 +269,6 @@ and write_fields buf = function
       write_field buf field;
       write_fields buf fields
 
-let to_buffer = write
-
 let to_string v =
   let buf = Buffer.create 256 in
   write buf v;

@@ -23,9 +23,6 @@ val to_string : t -> string
     keys, cache entries and store checksums hash these bytes, so the rule
     never changes. *)
 
-val to_buffer : Buffer.t -> t -> unit
-(** Append {!to_string}'s bytes to the buffer. *)
-
 val add_int : Buffer.t -> int -> unit
 (** Append [string_of_int i]'s bytes, without an intermediate string: the
     renderer behind [Int] values, shared with the key builders. *)

@@ -473,12 +473,7 @@ let test_fnv1a64_known_answers () =
     (fun h ->
       Alcotest.(check string) "hex64 = %016Lx" (Printf.sprintf "%016Lx" h)
         (Util.hex64 h))
-    [ 0L; 1L; -1L; Int64.min_int ];
-  Alcotest.(check string) "pos skips a prefix" "85944171f73967e8"
-    (Util.hex64 (Util.fnv1a64 ~pos:3 "xyzfoobar"));
-  Alcotest.check_raises "pos past the end"
-    (Invalid_argument "Util.fnv1a64: pos out of bounds") (fun () ->
-      ignore (Util.fnv1a64 ~pos:4 "abc"))
+    [ 0L; 1L; -1L; Int64.min_int ]
 
 let test_fnv1a64_allocation_free () =
   let words f =
