@@ -334,18 +334,25 @@ let hinted_x0 tau_hint keys =
     (fun hint -> Array.map (fun key -> Option.value ~default:0. (hint key)) keys)
     tau_hint
 
-let solve_classes ?telemetry ?iterations ?tau_hint ?(tol = 1e-14)
-    ?(algo = Newton) ?(max_iter = 50_000) (params : Params.t) classes =
+(* CW classes as engine arrays: every class at AIFS 0, seeded from the
+   hint.  The one CW entry into the engine, behind [solve_classes] and
+   [solve_profile]. *)
+let solve_cw_arrays ?telemetry ?iterations ?tau_hint ?(tol = 1e-14)
+    ?(algo = Newton) ?(max_iter = 50_000) (params : Params.t) ~ws ~ks =
+  solve_class_arrays ?telemetry ?iterations ?x0:(hinted_x0 tau_hint ws) ~tol
+    ~algo ~max_iter params ~ws ~aifs:(Array.make (Array.length ws) 0) ~ks
+
+let solve_classes ?telemetry ?iterations ?tau_hint ?tol ?algo ?max_iter
+    (params : Params.t) classes =
   if classes = [] then invalid_arg "Solver.solve_classes: no classes";
   List.iter
     (fun (w, k) ->
       if w < 1 then invalid_arg "Solver.solve_classes: window must be >= 1";
       if k < 1 then invalid_arg "Solver.solve_classes: count must be >= 1")
     classes;
-  let ws = Array.of_list (List.map fst classes) in
-  let ks = Array.of_list (List.map snd classes) in
-  solve_class_arrays ?telemetry ?iterations ?x0:(hinted_x0 tau_hint ws) ~tol
-    ~algo ~max_iter params ~ws ~aifs:(Array.make (Array.length ws) 0) ~ks
+  solve_cw_arrays ?telemetry ?iterations ?tau_hint ?tol ?algo ?max_iter params
+    ~ws:(Array.of_list (List.map fst classes))
+    ~ks:(Array.of_list (List.map snd classes))
 
 (* Validated strategy classes as engine arrays.  TXOP and rate do not
    change the contention fixed point (they change channel occupancy and
@@ -412,8 +419,8 @@ let solve_batch ?telemetry ?(tol = 1e-14) ?(algo = Newton)
       sol)
     problems
 
-let solve_profile ?telemetry ?iterations ?tau_hint ?(tol = 1e-14)
-    ?(algo = Newton) ?(max_iter = 50_000) (params : Params.t) cws =
+let solve_profile ?telemetry ?iterations ?tau_hint ?tol ?algo ?max_iter
+    (params : Params.t) cws =
   let n = Array.length cws in
   if n = 0 then invalid_arg "Solver.solve_profile: empty network";
   Array.iter
@@ -441,9 +448,8 @@ let solve_profile ?telemetry ?iterations ?tau_hint ?(tol = 1e-14)
   done;
   let iters = match iterations with Some r -> r | None -> ref 0 in
   let solved =
-    solve_class_arrays ?telemetry ~iterations:iters
-      ?x0:(hinted_x0 tau_hint ws) ~tol ~algo ~max_iter params ~ws
-      ~aifs:(Array.make !c 0) ~ks
+    solve_cw_arrays ?telemetry ~iterations:iters ?tau_hint ?tol ?algo
+      ?max_iter params ~ws ~ks
   in
   let pairs = Array.of_list solved.class_pairs in
   (* Each node's class, by binary search over the ascending windows. *)

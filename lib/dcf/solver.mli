@@ -130,13 +130,13 @@ val solve_profile :
 (** [solve_profile params cws] solves the same network as {!solve} but
     class-reduced: nodes sharing a window share (τ, p) by symmetry, so the
     profile is grouped into distinct-window classes (sorted ascending, so
-    any permutation of [cws] solves the identical class problem), handed to
-    the class engine behind {!solve_classes}, and the per-class pairs are
+    any permutation of [cws] solves the identical class problem), solved
+    exactly as {!solve_classes} solves them, and the per-class pairs are
     expanded back to per-node arrays in input order.  This is the payoff
     oracle's canonical solve entry: orders of magnitude cheaper than the
-    n-dimensional Picard
-    iteration when the profile has few distinct windows (the common case in
-    repeated games), and permutation-invariant by construction.
+    n-dimensional Picard iteration when the profile has few distinct
+    windows (the common case in repeated games), and permutation-invariant
+    by construction.
     [converged] is threaded from the underlying class solve — it is no
     longer assumed [true]. *)
 
