@@ -1327,8 +1327,8 @@ let trace_diff_cmd =
       value & opt float 0.25
       & info [ "threshold" ] ~docv:"FRACTION"
           ~doc:
-            "Flag span names whose shortest instance changed by more than \
-             this fraction.")
+            "Flag span names whose total time and shortest instance both \
+             changed by more than this fraction.")
   in
   let min_seconds_t =
     Arg.(
@@ -1349,8 +1349,9 @@ let trace_diff_cmd =
   Cmd.v
     (Cmd.info "diff"
        ~doc:
-         "Compare two traces per span name; exit 1 when a span's shortest \
-          instance moved past the threshold or its instance count changed")
+         "Compare two traces per span name; exit 1 when a span's total time \
+          and shortest instance both moved past the threshold, or its \
+          instance count changed")
     Term.(
       const run
       $ trace_file_pos 0 "Baseline trace."

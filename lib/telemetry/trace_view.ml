@@ -194,13 +194,17 @@ type delta = {
   a_s : float;
   b_s : float;
   ratio : float;
+  min_ratio : float;
   flagged : bool;
 }
 
-(* The shortest instance, not the total: a neighbour's burst of load
-   slows a few instances of a span, while a regression slows every one of
-   them, the fastest included.  The noise floor still reads the total, so
-   a span of many short instances stays gated. *)
+let change a b = if a > 0. then (b -. a) /. a else Float.infinity
+
+(* A span is flagged only when its total and its shortest instance both
+   moved past the threshold.  A neighbour's burst of load stretches a few
+   instances, which moves the total but not the shortest; a machine that
+   runs one whole recording slower moves both, as a regression does.
+   Needing both passes every pair that either statistic alone passes. *)
 let diff ?(threshold = 0.25) ?(min_seconds = 1e-4) da db =
   let sa = summarize da and sb = summarize db in
   let absent =
@@ -217,14 +221,24 @@ let diff ?(threshold = 0.25) ?(min_seconds = 1e-4) da db =
     sb.spans;
   Hashtbl.fold
     (fun span (a, b) acc ->
-      let a_s = a.min_s and b_s = b.min_s in
-      let ratio = if a_s > 0. then (b_s -. a_s) /. a_s else Float.infinity in
+      let ratio = change a.total_s b.total_s
+      and min_ratio = change a.min_s b.min_s in
       let flagged =
         a.count <> b.count
-        || (Float.abs ratio > threshold
-           && Stdlib.max a.total_s b.total_s >= min_seconds)
+        || Float.abs ratio > threshold
+           && Float.abs min_ratio > threshold
+           && Stdlib.max a.total_s b.total_s >= min_seconds
       in
-      { span; a_count = a.count; b_count = b.count; a_s; b_s; ratio; flagged }
+      {
+        span;
+        a_count = a.count;
+        b_count = b.count;
+        a_s = a.total_s;
+        b_s = b.total_s;
+        ratio;
+        min_ratio;
+        flagged;
+      }
       :: acc)
     tbl []
   |> List.sort (fun x y ->
@@ -233,14 +247,15 @@ let diff ?(threshold = 0.25) ?(min_seconds = 1e-4) da db =
          | c -> c)
 
 let render_diff ppf deltas =
-  Format.fprintf ppf "%-32s %12s %12s %10s %13s@." "span" "min A" "min B"
-    "delta" "count A/B";
+  let pct r = if Float.is_finite r then r *. 100. else Float.infinity in
+  Format.fprintf ppf "%-32s %12s %12s %10s %10s %13s@." "span" "trace A"
+    "trace B" "delta" "min delta" "count A/B";
   List.iter
     (fun d ->
-      Format.fprintf ppf "%-32s %12s %12s %9.1f%% %13s%s@." d.span
+      Format.fprintf ppf "%-32s %12s %12s %9.1f%% %9.1f%% %13s%s@." d.span
         (Format.asprintf "%a" fmt_s d.a_s)
         (Format.asprintf "%a" fmt_s d.b_s)
-        (if Float.is_finite d.ratio then d.ratio *. 100. else Float.infinity)
+        (pct d.ratio) (pct d.min_ratio)
         (Printf.sprintf "%d/%d" d.a_count d.b_count)
         (if d.flagged then "  << FLAGGED" else ""))
     deltas;

@@ -39,23 +39,24 @@ type delta = {
   span : string;
   a_count : int;  (** closed instances in the first trace *)
   b_count : int;  (** closed instances in the second trace *)
-  a_s : float;  (** shortest instance in the first trace, s (0 if absent) *)
-  b_s : float;  (** shortest instance in the second trace, s (0 if absent) *)
-  ratio : float;  (** (b - a) / a; +inf when the span is new *)
+  a_s : float;  (** total seconds in the first trace (0 if absent) *)
+  b_s : float;  (** total seconds in the second trace (0 if absent) *)
+  ratio : float;  (** (b - a) / a of the totals; +inf when the span is new *)
+  min_ratio : float;  (** the same for the shortest instance *)
   flagged : bool;
 }
 
 val diff :
   ?threshold:float -> ?min_seconds:float -> Recorder.dump -> Recorder.dump -> delta list
-(** Per-span-name comparison of the shortest instance, flagged deltas
-    first, then by |ratio| descending.  The minimum over a span's
-    instances (a recording's [--repeat] runs) ignores the few instances
-    that share the machine with a burst of other work; a real slowdown
-    moves every instance.  A delta is flagged when the instance counts
-    differ, or when |ratio| exceeds [threshold] (default 0.25) and the
-    larger side's total time is at least [min_seconds] (default 1e-4) —
-    the floor keeps nanosecond-scale spans from tripping the gate on
-    noise. *)
+(** Per-span-name comparison, flagged deltas first, then by |ratio|
+    descending.  A delta is flagged when the instance counts differ, or
+    when both |ratio| and |min_ratio| exceed [threshold] (default 0.25)
+    and the larger side's total time is at least [min_seconds] (default
+    1e-4) — the floor keeps nanosecond-scale spans from tripping the gate
+    on noise.  The shortest instance over a recording's [--repeat] runs
+    ignores the few instances that share the machine with a burst of
+    other work, which move the total alone; a real slowdown moves every
+    instance, and so both. *)
 
 val render_diff : Format.formatter -> delta list -> unit
 

@@ -392,9 +392,9 @@ let test_diff_thresholds () =
   let d = Telemetry.Trace_view.diff ~threshold:0.25 ~min_seconds:1e-4 tiny_a tiny_b in
   Alcotest.(check int) "below the floor: unflagged" 0 (Telemetry.Trace_view.flagged d)
 
-(* The gate compares each span's shortest instance: a burst of load on a
-   shared machine stretches a few of a recording's repeats, a regression
-   stretches them all. *)
+(* The gate needs a span's total and its shortest instance to move: a
+   burst of load on a shared machine stretches a few of a recording's
+   repeats, a regression stretches them all. *)
 let test_diff_noise_aware () =
   let runs ?(count = 10) dur =
     synthetic_dump
@@ -411,6 +411,12 @@ let test_diff_noise_aware () =
   (* The total moves 60% here; the shortest instance does not. *)
   Alcotest.(check int) "three instances of ten 3x slower: not flagged" 0
     (diff (runs (fun i -> if i mod 3 = 1 then 600_000 else 200_000)));
+  (* Here the shortest instance moves 100% and the total 5%. *)
+  Alcotest.(check int) "only the shortest instance moved: not flagged" 0
+    (Telemetry.Trace_view.flagged
+       (Telemetry.Trace_view.diff ~threshold:0.25 ~min_seconds:1e-4
+          (runs (fun i -> if i = 0 then 100_000 else 200_000))
+          base));
   Alcotest.(check int) "uniform 1.3x slowdown: flagged" 1
     (diff (runs (fun _ -> 260_000)));
   Alcotest.(check int) "count change: flagged" 1
@@ -504,8 +510,8 @@ let () =
           Alcotest.test_case "chrome export valid" `Quick
             test_chrome_export_valid;
           Alcotest.test_case "diff thresholds" `Quick test_diff_thresholds;
-          Alcotest.test_case "diff compares the shortest instance" `Quick
-            test_diff_noise_aware;
+          Alcotest.test_case "diff needs the total and the shortest instance"
+            `Quick test_diff_noise_aware;
         ] );
       ( "merge",
         [ QCheck_alcotest.to_alcotest test_multidomain_merge_qcheck ] );
