@@ -355,6 +355,31 @@ let strip name =
   | Some i -> String.sub name (i + 1) (String.length name - i - 1)
   | None -> name
 
+(* The format of the files [write_json] writes.  Schema 2 (PR 18) adds
+   [schema] and the [env] block; files without [schema] are the earlier
+   formats (PR 6's kernel objects, bare numbers before), which the guard
+   and the trend tool read alike. *)
+let schema = 2
+
+(* [git rev-parse HEAD], or "unknown" outside a repository. *)
+let commit () =
+  match Unix.open_process_in "git rev-parse HEAD 2>/dev/null" with
+  | exception Unix.Unix_error _ -> "unknown"
+  | ic -> (
+      let line = try input_line ic with End_of_file -> "" in
+      match Unix.close_process_in ic with
+      | Unix.WEXITED 0 when line <> "" -> line
+      | _ -> "unknown")
+
+(* The machine a run measured, as benchmark results name it. *)
+let env_json () =
+  Telemetry.Jsonx.Obj
+    [
+      ("nproc", Telemetry.Jsonx.Int (Domain.recommended_domain_count ()));
+      ("ocaml_version", Telemetry.Jsonx.String Sys.ocaml_version);
+      ("commit", Telemetry.Jsonx.String (commit ()));
+    ]
+
 (* Since PR 6 each kernel carries its replicate count and sample spread,
    so the regression guard and the trend tool can compare medians with
    error bars instead of single OLS points.  [entries] is
@@ -374,8 +399,10 @@ let write_json ?(extras = []) path entries =
   let json =
     Obj
       ([
+         ("schema", Int schema);
          ("benchmark", String "bechamel-ols");
          ("unit", String "ns/run");
+         ("env", env_json ());
          ("kernels", Obj (List.map kernel entries));
        ]
       @ extras)
@@ -447,6 +474,8 @@ let discover_baseline ?(dir = ".") () =
     (try Sys.readdir dir with Sys_error _ -> [||])
   |> Option.map snd
 
+(* Every kernel's ratio to the baseline (new / old), for the file this
+   run writes; exits 1 when a guarded kernel exceeds 2x. *)
 let check_against_baseline path estimates =
   let baseline_kernels =
     match open_in path with
@@ -462,21 +491,30 @@ let check_against_baseline path estimates =
         | json -> Telemetry.Jsonx.member "kernels" json)
   in
   match baseline_kernels with
-  | None -> Printf.printf "no baseline at %s; skipping regression check\n" path
+  | None ->
+      Printf.printf "no baseline at %s; skipping regression check\n" path;
+      []
   | Some kernels ->
-      let regressions =
+      let ratios =
         List.filter_map
           (fun (name, ns) ->
-            if guarded_kernel name then
-              match Option.bind (Telemetry.Jsonx.member name kernels) kernel_ns with
-              | Some old_ns when Float.is_finite old_ns && old_ns > 0. ->
-                  let factor = ns /. old_ns in
-                  Printf.printf "baseline %-36s %8.0f -> %8.0f ns/run (%.2fx)\n"
-                    name old_ns ns factor;
-                  if factor > 2. then Some (name, factor) else None
-              | _ -> None
-            else None)
+            match
+              Option.bind (Telemetry.Jsonx.member name kernels) kernel_ns
+            with
+            | Some old_ns when Float.is_finite old_ns && old_ns > 0. ->
+                let factor = ns /. old_ns in
+                if guarded_kernel name then
+                  Printf.printf
+                    "baseline %-36s %8.0f -> %8.0f ns/run (%.2fx)\n" name
+                    old_ns ns factor;
+                Some (name, factor)
+            | _ -> None)
           estimates
+      in
+      let regressions =
+        List.filter
+          (fun (name, factor) -> guarded_kernel name && factor > 2.)
+          ratios
       in
       if regressions <> [] then begin
         List.iter
@@ -486,7 +524,8 @@ let check_against_baseline path estimates =
               name factor path)
           regressions;
         exit 1
-      end
+      end;
+      ratios
 
 (* Guard for the memoized kernel: a warm oracle must return the cold
    oracle's results bit for bit, stage by stage — otherwise the memoized
@@ -636,6 +675,18 @@ let run ?baseline ~out () =
     | None -> Option.value (discover_baseline ()) ~default:out
   in
   Printf.printf "regression baseline: %s\n" baseline;
-  check_against_baseline baseline estimates;
+  let ratios = check_against_baseline baseline estimates in
   let saturation = Exp_serve.saturation () in
-  write_json ~extras:[ ("saturation", saturation) ] out entries
+  let vs_baseline =
+    Telemetry.Jsonx.Obj
+      [
+        ("file", Telemetry.Jsonx.String (Filename.basename baseline));
+        ( "ratios",
+          Telemetry.Jsonx.Obj
+            (List.map (fun (name, r) -> (name, Telemetry.Jsonx.Float r)) ratios)
+        );
+      ]
+  in
+  write_json
+    ~extras:[ ("vs_baseline", vs_baseline); ("saturation", saturation) ]
+    out entries

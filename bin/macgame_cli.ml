@@ -1117,9 +1117,15 @@ let trace_record_cmd =
   in
   let out_t =
     Arg.(
-      required
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Where to write the trace.")
+      non_empty
+      & opt_all string []
+      & info [ "o"; "out" ] ~docv:"FILE"
+          ~doc:
+            "Where to write the trace.  Given more than once, the repeats \
+             are dealt round-robin to the files (repeat k to the k-th file \
+             modulo their count) and the recorder is drained after each \
+             repeat: one process records every file, interleaved, so a \
+             slowdown of the whole host lands on all of them alike.")
   in
   let repeat_t =
     Arg.(
@@ -1200,7 +1206,15 @@ let trace_record_cmd =
            { Runner.workers = jobs; cache_dir = None; checkpoints = false; seed = 0 }
          ~name:"trace.sweep" tasks)
   in
-  let run workload out duration seed repeat capacity detail inject jobs =
+  let run workload outs duration seed repeat capacity detail inject jobs =
+    let outs = Array.of_list outs in
+    let files = Array.length outs in
+    let repeat = Stdlib.max 1 repeat in
+    if repeat < files then begin
+      Printf.eprintf "trace record: --repeat %d is fewer than the %d -o files\n"
+        repeat files;
+      exit 2
+    end;
     let recorder = Telemetry.Recorder.default in
     Option.iter (Telemetry.Recorder.set_capacity recorder) capacity;
     Telemetry.Recorder.set_detail recorder detail;
@@ -1241,8 +1255,10 @@ let trace_record_cmd =
                  (Array.init 50 (fun i -> 64 + i)))
       | `Sweep -> fun () -> sweep_workload jobs
     in
+    (* Drained repeats per file, newest first. *)
+    let parts = Array.make files [] in
     Telemetry.Recorder.set_enabled recorder true;
-    for k = 1 to Stdlib.max 1 repeat do
+    for k = 1 to repeat do
       let rid = Telemetry.Recorder.begin_span recorder nid_workload k inject in
       body ();
       if inject > 0 then begin
@@ -1252,13 +1268,37 @@ let trace_record_cmd =
         busy_wait inject;
         Telemetry.Recorder.end_span recorder nid_injected irid
       end;
-      Telemetry.Recorder.end_span recorder nid_workload rid
+      Telemetry.Recorder.end_span recorder nid_workload rid;
+      if files > 1 then begin
+        let i = (k - 1) mod files in
+        parts.(i) <- Telemetry.Recorder.drain recorder :: parts.(i)
+      end
     done;
     Telemetry.Recorder.set_enabled recorder false;
-    let dump = Telemetry.Recorder.drain recorder in
-    Telemetry.Trace_file.write out dump;
-    Printf.printf "trace: %d records (%d dropped) -> %s\n"
-      (Array.length dump.records) dump.dropped out
+    if files = 1 then parts.(0) <- [ Telemetry.Recorder.drain recorder ];
+    Array.iteri
+      (fun i newest_first ->
+        let drains = List.rev newest_first in
+        (* Interned names only grow, so the last drain's table names
+           every record of the earlier ones. *)
+        let dump =
+          {
+            Telemetry.Recorder.records =
+              Array.concat
+                (List.map
+                   (fun (d : Telemetry.Recorder.dump) -> d.records)
+                   drains);
+            names = (List.hd newest_first).names;
+            dropped =
+              List.fold_left
+                (fun acc (d : Telemetry.Recorder.dump) -> acc + d.dropped)
+                0 drains;
+          }
+        in
+        Telemetry.Trace_file.write outs.(i) dump;
+        Printf.printf "trace: %d records (%d dropped) -> %s\n"
+          (Array.length dump.records) dump.dropped outs.(i))
+      parts
   in
   Cmd.v
     (Cmd.info "record" ~doc:"Record a built-in workload to a binary trace")

@@ -36,6 +36,14 @@ module Profile_memo = Hashtbl.Make (struct
   let hash = Profile.hash
 end)
 
+(* Keyed by (n, strategy), hashed by the same per-strategy mix. *)
+module Uniform_memo = Hashtbl.Make (struct
+  type t = int * Dcf.Strategy_space.t
+
+  let equal (n, a) (m, b) = n = m && Dcf.Strategy_space.equal a b
+  let hash (n, s) = Profile.hash_uniform ~n s
+end)
+
 type t = {
   params : Dcf.Params.t;
   p_hn : float option;
@@ -55,7 +63,7 @@ type t = {
      force the non-convergence path and watch it refuse, not fabricate. *)
   solver_max_iter : int option;
   lock : Mutex.t;
-  uniform_memo : (int * Dcf.Strategy_space.t, uniform_view) Hashtbl.t;
+  uniform_memo : uniform_view Uniform_memo.t;
   profile_memo : classes Profile_memo.t;
   store : Store.t option;
   (* Lazy: rendering and fingerprinting the full parameter set costs more
@@ -311,7 +319,7 @@ let create ?(telemetry = Telemetry.Registry.default) ?p_hn
     cold_iters =
       Telemetry.Registry.histogram telemetry "oracle.solve.iterations.cold";
     lock = Mutex.create ();
-    uniform_memo = Hashtbl.create 64;
+    uniform_memo = Uniform_memo.create 64;
     profile_memo = Profile_memo.create 64;
     store;
     store_prefix;
@@ -546,7 +554,7 @@ let uniform_strategy_outcome t ~n (s : Dcf.Strategy_space.t) =
   (match Dcf.Strategy_space.validate s with
   | Ok () -> ()
   | Error e -> invalid_arg ("Oracle.uniform: " ^ e));
-  match find_memo t Hashtbl.find_opt t.uniform_memo (n, s) with
+  match find_memo t Uniform_memo.find_opt t.uniform_memo (n, s) with
   | Some view ->
       Telemetry.Recorder.instant recorder nid_hit n s.cw;
       (view, Memo)
@@ -557,8 +565,8 @@ let uniform_strategy_outcome t ~n (s : Dcf.Strategy_space.t) =
       | Some view ->
           Telemetry.Recorder.instant recorder nid_store_hit n s.cw;
           let view =
-            memo_insert t Hashtbl.find_opt Hashtbl.add t.uniform_memo (n, s)
-              view
+            memo_insert t Uniform_memo.find_opt Uniform_memo.add
+              t.uniform_memo (n, s) view
           in
           if Dcf.Strategy_space.is_degenerate s then
             note_neighbor t ~n ~w:s.cw view.tau;
@@ -568,8 +576,8 @@ let uniform_strategy_outcome t ~n (s : Dcf.Strategy_space.t) =
             recorded_solve n s.cw (fun () -> solve_uniform t ~n ~s)
           in
           let view =
-            memo_insert t Hashtbl.find_opt Hashtbl.add t.uniform_memo (n, s)
-              solved
+            memo_insert t Uniform_memo.find_opt Uniform_memo.add
+              t.uniform_memo (n, s) solved
           in
           if Dcf.Strategy_space.is_degenerate s then
             note_neighbor t ~n ~w:s.cw view.tau;

@@ -67,24 +67,30 @@ let equal a b =
   Array.length a = Array.length b
   && Array.for_all2 Dcf.Strategy_space.equal a b
 
-(* FNV-style multiply-xor over every knob of every strategy, then a fold
-   of the high half into the low bits that hash tables index by.  Rates
-   that compare equal (±0, any NaN) hash alike, so [hash] agrees with
-   [equal]. *)
+(* FNV-style multiply-xor of one strategy's four knobs into [h].  Rates
+   that compare equal (±0, any NaN) mix alike, so the hashes below agree
+   with [equal]. *)
+let mix h x = (h lxor x) * 0x100000001B3
+
+let mix_strategy h (s : Dcf.Strategy_space.t) =
+  let r = s.rate in
+  let rate_bits =
+    if r = 0. || Float.is_nan r then 0
+    else Int64.to_int (Int64.bits_of_float r)
+  in
+  mix (mix (mix (mix h s.cw) s.aifs) s.txop_frames) rate_bits
+
+(* The high half folded into the low bits that hash tables index by. *)
+let finish h = (h lxor (h lsr 32)) land max_int
+
 let hash (t : t) =
-  let mix h x = (h lxor x) * 0x100000001B3 in
   let h = ref (Array.length t) in
   for i = 0 to Array.length t - 1 do
-    let s = Array.unsafe_get t i in
-    let r = s.Dcf.Strategy_space.rate in
-    let rate_bits =
-      if r = 0. || Float.is_nan r then 0
-      else Int64.to_int (Int64.bits_of_float r)
-    in
-    h := mix (mix (mix (mix !h s.cw) s.aifs) s.txop_frames) rate_bits
+    h := mix_strategy !h (Array.unsafe_get t i)
   done;
-  let h = !h in
-  (h lxor (h lsr 32)) land max_int
+  finish !h
+
+let hash_uniform ~n s = finish (mix_strategy n s)
 
 let pp ppf t =
   if is_uniform t && Dcf.Strategy_space.is_degenerate t.(0) then

@@ -59,6 +59,11 @@ val hash : t -> int
     allocating; equal profiles hash alike.  Hash {!canonical} forms to
     address multisets (the oracle's memo does). *)
 
+val hash_uniform : n:int -> Dcf.Strategy_space.t -> int
+(** Non-negative hash of the key [(n, s)] of [n] players on [s], by the
+    per-strategy mix of {!hash}, without allocating: the oracle's uniform
+    memo hashes by it.  Equal keys hash alike. *)
+
 val pp : Format.formatter -> t -> unit
 (** Compact rendering: degenerate uniform profiles as [n×W], other uniform
     profiles as [n×(cw=…,…)], the rest as a list. *)

@@ -7,7 +7,43 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-(* {1 Rendering} *)
+(* {1 Rendering}
+
+   Values render into a growable byte writer.  Each leaf reserves its
+   worst-case length once, then writes without further checks (a string
+   reserves again at its first byte to escape).  A writer lives for one
+   [to_string] call and nothing is shared at module level: [to_string]
+   also runs on [Runner.Pool] domains. *)
+
+type writer = { mutable bytes : Bytes.t; mutable len : int }
+
+let grow w need =
+  let bytes = Bytes.create (Stdlib.max need (2 * Bytes.length w.bytes)) in
+  Bytes.blit w.bytes 0 bytes 0 w.len;
+  w.bytes <- bytes
+
+(* Room for [n] more bytes, doubling on growth. *)
+let[@inline] reserve w n =
+  if w.len + n > Bytes.length w.bytes then grow w (w.len + n)
+
+(* The unchecked writes below assume their room is reserved. *)
+let[@inline] put_char w c =
+  Bytes.unsafe_set w.bytes w.len c;
+  w.len <- w.len + 1
+
+let[@inline] put_string w s =
+  let n = String.length s in
+  Bytes.unsafe_blit_string s 0 w.bytes w.len n;
+  w.len <- w.len + n
+
+(* Checked: for punctuation and literals. *)
+let[@inline] add_char w c =
+  reserve w 1;
+  put_char w c
+
+let[@inline] add_literal w s =
+  reserve w (String.length s);
+  put_string w s
 
 (* 10^i for i = 0 .. 18, every power an OCaml int holds. *)
 let pow10 =
@@ -27,56 +63,96 @@ let pow10f =
 
 let rec ndigits d = if d < 10 then 1 else 1 + ndigits (d / 10)
 
-(* The [n] low decimal digits of [d >= 0], zero-padded, with a '.' in
-   front of digit [point] (counting from the left from 0; pass -1 for no
-   point).  Recursing to the most significant digit first writes them in
-   order without a scratch buffer. *)
-let rec add_digits buf d n point =
-  if n > 1 then add_digits buf (d / 10) (n - 1) point;
-  if n - 1 = point then Buffer.add_char buf '.';
-  Buffer.add_char buf (Char.unsafe_chr (48 + (d mod 10)))
+(* "00" .. "99", two bytes each. *)
+let digit_pairs =
+  String.init 200 (fun i ->
+      Char.chr (48 + if i land 1 = 0 then i / 20 else i / 2 mod 10))
 
-let add_int buf i =
-  if i = min_int then Buffer.add_string buf (string_of_int i)
-  else begin
-    if i < 0 then Buffer.add_char buf '-';
-    let a = abs i in
-    add_digits buf a (ndigits a) (-1)
+(* The [n] low decimal digits of [d >= 0], zero-padded, into
+   [b.[pos]] .. [b.[pos + n - 1]]: two per division, from the right. *)
+let put_digits b pos d n =
+  let d = ref d and i = ref (pos + n) in
+  while !i - pos >= 2 do
+    let q = !d / 100 in
+    let r = 2 * (!d - (q * 100)) in
+    i := !i - 2;
+    Bytes.unsafe_set b !i (String.unsafe_get digit_pairs r);
+    Bytes.unsafe_set b (!i + 1) (String.unsafe_get digit_pairs (r + 1));
+    d := q
+  done;
+  if !i > pos then Bytes.unsafe_set b pos (Char.unsafe_chr (48 + (!d mod 10)))
+
+let min_int_text = string_of_int min_int
+
+(* [string_of_int i]'s bytes (at most 20) from [b.[pos]]; returns their
+   end. *)
+let put_int b pos i =
+  if i = min_int then begin
+    Bytes.blit_string min_int_text 0 b pos (String.length min_int_text);
+    pos + String.length min_int_text
   end
+  else
+    let pos =
+      if i < 0 then begin
+        Bytes.unsafe_set b pos '-';
+        pos + 1
+      end
+      else pos
+    in
+    let a = abs i in
+    let n = ndigits a in
+    put_digits b pos a n;
+    pos + n
+
+(* Through a scratch, as a Buffer has no room to write into; sized
+   exactly for the key builders' non-negative ints. *)
+let add_int buf i =
+  let b = Bytes.create (if i < 0 then 20 else ndigits i) in
+  Buffer.add_subbytes buf b 0 (put_int b 0 i)
 
 (* C's [%.<p>g] layout of the [p]-digit significand [d] times
    10^(x-p+1): trailing zeros dropped, positional when -4 <= x < p,
-   otherwise d.ddde±XX. *)
-let add_g buf p d x =
+   otherwise d.ddde±XX.  The digits go in place, then the leading ones
+   shift left over the slot the point takes. *)
+let put_g w p d x =
   let d = ref d and nd = ref p in
   while !nd > 1 && !d mod 10 = 0 do
     d := !d / 10;
     decr nd
   done;
   let d = !d and nd = !nd in
+  let b = w.bytes and pos = w.len in
   if x < -4 || x >= p then begin
-    add_digits buf d nd (if nd > 1 then 1 else -1);
-    Buffer.add_char buf 'e';
-    Buffer.add_char buf (if x < 0 then '-' else '+');
+    put_digits b (pos + 1) d nd;
+    Bytes.unsafe_set b pos (Bytes.unsafe_get b (pos + 1));
+    let e = if nd > 1 then pos + nd + 1 else pos + 1 in
+    if nd > 1 then Bytes.unsafe_set b (pos + 1) '.';
+    Bytes.unsafe_set b e 'e';
+    Bytes.unsafe_set b (e + 1) (if x < 0 then '-' else '+');
     let ax = abs x in
-    if ax < 10 then Buffer.add_char buf '0';
-    add_digits buf ax (ndigits ax) (-1)
+    let ne = Stdlib.max 2 (ndigits ax) in
+    put_digits b (e + 2) ax ne;
+    w.len <- e + 2 + ne
   end
   else if x >= 0 then begin
     if nd <= x + 1 then begin
-      add_digits buf d nd (-1);
-      for _ = nd to x do
-        Buffer.add_char buf '0'
-      done
+      put_digits b pos d nd;
+      Bytes.fill b (pos + nd) (x + 1 - nd) '0';
+      w.len <- pos + x + 1
     end
-    else add_digits buf d nd (x + 1)
+    else begin
+      put_digits b (pos + 1) d nd;
+      Bytes.blit b (pos + 1) b pos (x + 1);
+      Bytes.unsafe_set b (pos + x + 1) '.';
+      w.len <- pos + nd + 1
+    end
   end
   else begin
-    Buffer.add_string buf "0.";
-    for _ = 2 to -x do
-      Buffer.add_char buf '0'
-    done;
-    add_digits buf d nd (-1)
+    Bytes.unsafe_set b pos '0';
+    Bytes.unsafe_set b (pos + 1) '.';
+    Bytes.fill b (pos + 2) (-x - 1) '0';
+    put_digits b (pos + 1 - x) d nd;
+    w.len <- pos + 1 - x + nd
   end
 
 (* The exact window: normal doubles with 2^exact_lo <= |f| < 2^(exact_hi+1),
@@ -132,8 +208,8 @@ let round_drop t ~half ~rest j =
     if r > hp || (r = hp && (half || rest || q land 1 = 1)) then q + 1 else q
 
 (* [f] = ±m·2^(e2-52) with 2^52 <= m < 2^53 and e2 in the window. *)
-let add_exact buf f ~m ~e2 =
-  if f < 0. then Buffer.add_char buf '-';
+let put_exact w f ~m ~e2 =
+  if f < 0. then put_char w '-';
   let a = Float.abs f in
   (* floor(e2·log10 2), exact over the window; X is x0 or x0 + 1. *)
   let x0 = (e2 * 78913) asr 18 in
@@ -170,109 +246,125 @@ let add_exact buf f ~m ~e2 =
     if q >= 0 then float_of_int d12 *. pow10f.(q)
     else float_of_int d12 /. pow10f.(-q)
   in
-  if back = a then add_g buf 12 d12 x12
+  if back = a then put_g w 12 d12 x12
   else
     let d17 = round_drop t ~half ~rest (nd - 17) in
     let carry = d17 = pow10.(17) in
-    add_g buf 17
+    put_g w 17
       (if carry then pow10.(16) else d17)
       (if carry then x + 1 else x)
 
 (* Integral |f| < 1e15: C's "%.1f", i.e. the integer and ".0". *)
-let add_integral buf f =
-  if Float.sign_bit f then Buffer.add_char buf '-';
+let put_integral w f =
+  if Float.sign_bit f then put_char w '-';
   let i = int_of_float (Float.abs f) in
-  add_digits buf i (ndigits i) (-1);
-  Buffer.add_string buf ".0"
+  w.len <- put_int w.bytes w.len i;
+  put_char w '.';
+  put_char w '0'
 
-(* The values add_float cannot render exactly: "%.12g" when strtod reads
+(* The values put_float cannot render exactly: "%.12g" when strtod reads
    it back as [f], else "%.17g". *)
-let add_printf buf f =
+let put_printf w f =
   let s = Printf.sprintf "%.12g" f in
-  Buffer.add_string buf
-    (if float_of_string s = f then s else Printf.sprintf "%.17g" f)
+  add_literal w (if float_of_string s = f then s else Printf.sprintf "%.17g" f)
 
 (* "%.1f" for integral |f| < 1e15, else the shortest of "%.12g" and
    "%.17g" that round-trips; non-finite floats are [null].  Task keys,
    cache entries and store checksums hash these bytes, so they never
-   change. *)
-let add_float buf f =
-  if not (Float.is_finite f) then Buffer.add_string buf "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then add_integral buf f
+   change.  No rendering is longer than 24 bytes. *)
+let put_float w f =
+  reserve w 32;
+  if not (Float.is_finite f) then put_string w "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then put_integral w f
   else
     let bits = Int64.to_int (Int64.bits_of_float f) in
     let e2 = ((bits lsr 52) land 0x7FF) - 1023 in
-    if e2 < exact_lo || e2 > exact_hi then add_printf buf f
-    else add_exact buf f ~e2 ~m:(bits land ((1 lsl 52) - 1) lor (1 lsl 52))
+    if e2 < exact_lo || e2 > exact_hi then put_printf w f
+    else put_exact w f ~e2 ~m:(bits land ((1 lsl 52) - 1) lor (1 lsl 52))
 
-let escape buf s =
-  Buffer.add_char buf '"';
-  let n = String.length s in
-  let run = ref 0 in
-  for i = 0 to n - 1 do
+(* Copies the bytes of [s] from [i] on to [b] from [j] on, up to the
+   first quote, backslash or control byte, whose index it returns. *)
+let rec copy_plain s n b i j =
+  if i = n then i
+  else
     let c = String.unsafe_get s i in
-    if c = '"' || c = '\\' || c < ' ' then begin
-      if i > !run then Buffer.add_substring buf s !run (i - !run);
-      run := i + 1;
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c ->
-          Buffer.add_string buf "\\u00";
-          Buffer.add_char buf (if Char.code c < 16 then '0' else '1');
-          Buffer.add_char buf "0123456789abcdef".[Char.code c land 15]
+    if c = '"' || c = '\\' || c < ' ' then i
+    else begin
+      Bytes.unsafe_set b j c;
+      copy_plain s n b (i + 1) (j + 1)
     end
-  done;
-  if n > !run then Buffer.add_substring buf s !run (n - !run);
-  Buffer.add_char buf '"'
 
-let rec write buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> add_int buf i
-  | Float f -> add_float buf f
-  | String s -> escape buf s
-  | List [] -> Buffer.add_string buf "[]"
-  | List (item :: items) ->
-      Buffer.add_char buf '[';
-      write buf item;
-      write_items buf items;
-      Buffer.add_char buf ']'
-  | Obj [] -> Buffer.add_string buf "{}"
-  | Obj (field :: fields) ->
-      Buffer.add_char buf '{';
-      write_field buf field;
-      write_fields buf fields;
-      Buffer.add_char buf '}'
+(* A string with nothing to escape is copied as it is scanned, into the
+   room it takes unescaped.  At the first byte to escape, every byte
+   left reserves six. *)
+let escape w s =
+  let n = String.length s in
+  reserve w (n + 2);
+  put_char w '"';
+  let first = copy_plain s n w.bytes 0 w.len in
+  w.len <- w.len + first;
+  if first < n then begin
+    reserve w ((6 * (n - first)) + 1);
+    for i = first to n - 1 do
+      match String.unsafe_get s i with
+      | '"' -> put_string w "\\\""
+      | '\\' -> put_string w "\\\\"
+      | '\n' -> put_string w "\\n"
+      | '\r' -> put_string w "\\r"
+      | '\t' -> put_string w "\\t"
+      | '\b' -> put_string w "\\b"
+      | '\012' -> put_string w "\\f"
+      | '\000' .. '\031' as c ->
+          put_string w "\\u00";
+          put_char w (if Char.code c < 16 then '0' else '1');
+          put_char w "0123456789abcdef".[Char.code c land 15]
+      | c -> put_char w c
+    done
+  end;
+  put_char w '"'
 
-and write_items buf = function
+let rec put_value w = function
+  | Null -> add_literal w "null"
+  | Bool b -> add_literal w (if b then "true" else "false")
+  | Int i ->
+      reserve w 20;
+      w.len <- put_int w.bytes w.len i
+  | Float f -> put_float w f
+  | String s -> escape w s
+  | List items ->
+      add_char w '[';
+      put_items w items;
+      add_char w ']'
+  | Obj fields ->
+      add_char w '{';
+      put_fields w fields;
+      add_char w '}'
+
+and put_items w = function
   | [] -> ()
+  | [ item ] -> put_value w item
   | item :: items ->
-      Buffer.add_char buf ',';
-      write buf item;
-      write_items buf items
+      put_value w item;
+      add_char w ',';
+      put_items w items
 
-and write_field buf (k, v) =
-  escape buf k;
-  Buffer.add_char buf ':';
-  write buf v
-
-and write_fields buf = function
+and put_fields w = function
   | [] -> ()
+  | [ field ] -> put_field w field
   | field :: fields ->
-      Buffer.add_char buf ',';
-      write_field buf field;
-      write_fields buf fields
+      put_field w field;
+      add_char w ',';
+      put_fields w fields
+
+and put_field w (k, v) =
+  escape w k;
+  add_char w ':';
+  put_value w v
 
 let to_string v =
-  let buf = Buffer.create 256 in
-  write buf v;
-  Buffer.contents buf
+  let w = { bytes = Bytes.create 256; len = 0 } in
+  put_value w v;
+  Bytes.sub_string w.bytes 0 w.len
 
 (* {1 Parsing} *)
 
@@ -288,13 +380,14 @@ let at_end c = c.pos >= String.length c.s
 (* The byte under the cursor; callers check [at_end] first. *)
 let peek c = String.unsafe_get c.s c.pos
 
-let skip_ws c =
-  while
-    (not (at_end c))
-    && match peek c with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-  do
-    c.pos <- c.pos + 1
-  done
+let rec ws_end s i =
+  if i = String.length s then i
+  else
+    match String.unsafe_get s i with
+    | ' ' | '\t' | '\n' | '\r' -> ws_end s (i + 1)
+    | _ -> i
+
+let skip_ws c = c.pos <- ws_end c.s c.pos
 
 let expect c ch =
   if at_end c || peek c <> ch then error c (Printf.sprintf "expected %C" ch);
@@ -350,14 +443,15 @@ let unicode_escape c buf =
   in
   Buffer.add_utf_8_uchar buf (Uchar.unsafe_of_int code)
 
-(* Bytes that end a run of string content: the quote, a backslash, and
-   the control bytes RFC 8259 forbids raw. *)
-let plain ch = ch <> '"' && ch <> '\\' && ch >= ' '
+(* The end of the run of string content from [i]: the quote, a
+   backslash, or a control byte RFC 8259 forbids raw ends it. *)
+let rec plain_end s i =
+  if i = String.length s then i
+  else
+    let ch = String.unsafe_get s i in
+    if ch = '"' || ch = '\\' || ch < ' ' then i else plain_end s (i + 1)
 
-let skip_plain c =
-  while (not (at_end c)) && plain (peek c) do
-    c.pos <- c.pos + 1
-  done
+let skip_plain c = c.pos <- plain_end c.s c.pos
 
 let rec escaped_string c buf =
   let run = c.pos in
@@ -406,12 +500,14 @@ let is_digit ch = ch >= '0' && ch <= '9'
 
 (* At least one digit; returns how many. *)
 let digits c what =
-  let start = c.pos in
-  while (not (at_end c)) && is_digit (peek c) do
-    c.pos <- c.pos + 1
+  let s = c.s and start = c.pos in
+  let i = ref start in
+  while !i < String.length s && is_digit (String.unsafe_get s !i) do
+    incr i
   done;
-  if c.pos = start then error c ("expected a digit " ^ what);
-  c.pos - start
+  c.pos <- !i;
+  if !i = start then error c ("expected a digit " ^ what);
+  !i - start
 
 (* RFC 8259: an optional '-', then 0 or a digit run without a leading
    zero, then optionally '.' and digits, then optionally e or E, a sign
@@ -522,9 +618,12 @@ let parse s =
   if not (at_end c) then error c "trailing garbage";
   v
 
-let member key = function
-  | Obj fields -> List.assoc_opt key fields
-  | _ -> None
+let rec find_field key = function
+  | [] -> None
+  | (k, v) :: fields ->
+      if String.equal k key then Some v else find_field key fields
+
+let member key = function Obj fields -> find_field key fields | _ -> None
 
 let to_float_opt = function
   | Int i -> Some (float_of_int i)

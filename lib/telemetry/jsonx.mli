@@ -24,8 +24,8 @@ val to_string : t -> string
     never changes. *)
 
 val add_int : Buffer.t -> int -> unit
-(** Append [string_of_int i]'s bytes, without an intermediate string: the
-    renderer behind [Int] values, shared with the key builders. *)
+(** Append [string_of_int i]'s bytes, rendered by the digit routine
+    behind [Int] values; shared with the key builders. *)
 
 exception Parse_error of string
 
@@ -38,8 +38,8 @@ val parse : string -> t
     garbage. *)
 
 val member : string -> t -> t option
-(** [member key json] is the field [key] of an [Obj]; [None] for other
-    constructors or a missing key. *)
+(** [member key json] is the field [key] of an [Obj], the first one when
+    the key repeats; [None] for other constructors or a missing key. *)
 
 val to_float_opt : t -> float option
 (** Numeric coercion: [Int] and [Float] succeed, everything else is

@@ -50,6 +50,51 @@ let test_uniform_profile_fast_path () =
     (count "oracle.cache.hits");
   Array.iter (fun v -> check_bits "same stored value" u v) via_profile
 
+(* The uniform memo is keyed by (n, strategy): keys that differ in exactly
+   one of n, cw, aifs, txop or rate each get their own entry, and a second
+   pass replays every one of them from the memo. *)
+let test_uniform_memo_keys_every_knob () =
+  let oracle, count = fresh () in
+  let base =
+    { Dcf.Strategy_space.cw = 32; aifs = 0; txop_frames = 1; rate = 1.0 }
+  in
+  let keys =
+    [
+      (4, base);
+      (5, base);
+      (4, { base with cw = 33 });
+      (4, { base with aifs = 1 });
+      (4, { base with txop_frames = 2 });
+      (4, { base with rate = 0.5 });
+    ]
+  in
+  let pass expected_tier =
+    List.map
+      (fun (n, s) ->
+        let payoffs, tier =
+          Macgame.Oracle.payoffs_profile_outcome oracle (Array.make n s)
+        in
+        if tier <> expected_tier then
+          Alcotest.failf "n=%d %s: tier %s, wanted %s" n
+            (Dcf.Strategy_space.to_key s)
+            (Macgame.Oracle.tier_name tier)
+            (Macgame.Oracle.tier_name expected_tier);
+        payoffs.(0))
+      keys
+  in
+  let k = List.length keys in
+  let cold = pass Macgame.Oracle.Cold in
+  Alcotest.(check int) "a miss per key" k (count "oracle.cache.misses");
+  Alcotest.(check int) "a solve per key" k (count "oracle.cache.solves");
+  Alcotest.(check int) "no hit yet" 0 (count "oracle.cache.hits");
+  Alcotest.(check int) "six distinct answers" k
+    (List.length (List.sort_uniq compare (List.map bits cold)));
+  let warm = pass Macgame.Oracle.Memo in
+  Alcotest.(check int) "a hit per key" k (count "oracle.cache.hits");
+  Alcotest.(check int) "no new miss" k (count "oracle.cache.misses");
+  Alcotest.(check int) "no new solve" k (count "oracle.cache.solves");
+  List.iter2 (check_bits "memo hit replays the stored float") cold warm
+
 (* Lemma 4's shape at scale: nine conformers at W = 16 and one deviant at
    W_dev = 17 … 3016.  The polymorphic hash of a profile stops after ten
    meaningful words, so every one of these once landed in one memo
@@ -509,6 +554,8 @@ let () =
             test_profile_memo_bit_identity;
           Alcotest.test_case "uniform profile takes the (n, w) path" `Quick
             test_uniform_profile_fast_path;
+          Alcotest.test_case "uniform memo keys every knob" `Quick
+            test_uniform_memo_keys_every_knob;
           Alcotest.test_case "one-deviant profiles spread over the memo"
             `Quick test_profile_memo_spreads_deviants;
           Alcotest.test_case "3000 one-deviant profiles replay from the memo"

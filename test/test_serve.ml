@@ -94,34 +94,87 @@ let test_parse_ok () =
   | Batch [ { op = Ne { n = 2 }; _ } ] -> ()
   | _ -> Alcotest.fail "batch member lost"
 
+(* Every error [Request.of_line] can return, by its full text.  The lines
+   with several wrong fields pin which error wins: the deadline, then the
+   op, then the op's fields in order (n before w). *)
+let parse_errors =
+  [
+    ({|not json at all|}, "malformed JSON: expected null at offset 0");
+    ({||}, "malformed JSON: unexpected end of input at offset 0");
+    ( {|{"op":"tau","n":5,"w":32|},
+      "malformed JSON: expected ',' or '}' at offset 24" );
+    ({|[1,2]|}, "missing field \"op\"");
+    ({|{"n":5,"w":32}|}, "missing field \"op\"");
+    ({|{"op":7,"n":5,"w":32}|}, "field \"op\" must be a string");
+    ({|{"op":"frobnicate"}|}, "unknown op \"frobnicate\"");
+    ({|{"op":"tau","n":5}|}, "missing field \"w\"");
+    ({|{"op":"tau","w":32}|}, "missing field \"n\"");
+    ({|{"op":"tau","n":"5","w":32}|}, "field \"n\" must be an integer");
+    ({|{"op":"tau","n":5.0,"w":32}|}, "field \"n\" must be an integer");
+    ({|{"op":"tau","n":0,"w":32}|}, "field \"n\" must be >= 1");
+    ({|{"op":"tau","n":5,"w":-1}|}, "field \"w\" must be >= 1");
+    ({|{"op":"tau","n":5,"w":true}|}, "field \"w\" must be an integer");
+    ({|{"op":"welfare","n":5}|}, "missing field \"w\"");
+    ({|{"op":"welfare","n":-3,"w":32}|}, "field \"n\" must be >= 1");
+    ({|{"op":"ne"}|}, "missing field \"n\"");
+    ({|{"op":"ne","n":0}|}, "field \"n\" must be >= 1");
+    ({|{"op":"ne","n":null}|}, "field \"n\" must be an integer");
+    ({|{"op":"payoff"}|}, "missing field \"profile\"");
+    ( {|{"op":"payoff","profile":[]}|},
+      "field \"profile\": profile must be a non-empty list" );
+    ( {|{"op":"payoff","profile":{"cw":16}}|},
+      "field \"profile\" must be a non-empty list" );
+    ( {|{"op":"payoff","profile":[16,"x"]}|},
+      "field \"profile\": strategy must be an integer CW or an object" );
+    ( {|{"op":"payoff","profile":[16,0]}|},
+      "field \"profile\": cw must be >= 1 (got 0)" );
+    ( {|{"op":"payoff","profile":[16,{"cw":16,"aifs":-1}]}|},
+      "field \"profile\": aifs must be >= 0 (got -1)" );
+    ( {|{"op":"payoff","profile":[{"aifs":1}]}|},
+      "field \"profile\": missing field \"cw\"" );
+    ( {|{"op":"tau","n":5,"w":32,"deadline_ms":"soon"}|},
+      "field \"deadline_ms\" must be a number >= 0" );
+    ( {|{"op":"tau","n":5,"w":32,"deadline_ms":-1}|},
+      "field \"deadline_ms\" must be a number >= 0" );
+    ({|{"op":"batch"}|}, "missing field \"requests\"");
+    ( {|{"op":"batch","requests":[]}|},
+      "field \"requests\" must be a non-empty list" );
+    ( {|{"op":"batch","requests":{"op":"tau"}}|},
+      "field \"requests\" must be a non-empty list" );
+    ( {|{"op":"batch","requests":[{"op":"batch","requests":[]}]}|},
+      "batch requests may not nest" );
+    ( {|{"op":"batch","requests":[{"op":"tau","n":5,"w":32},{"op":"tau"}]}|},
+      "missing field \"n\"" );
+    ( {|{"op":"batch","requests":[{"op":"tau","n":0},{"op":"nope"}]}|},
+      "field \"n\" must be >= 1" );
+    ( {|{"op":"batch","requests":[{"op":"ne","n":5,"deadline_ms":"x"}]}|},
+      "field \"deadline_ms\" must be a number >= 0" );
+    ( {|{"op":"nope","n":0,"w":0,"deadline_ms":-5}|},
+      "field \"deadline_ms\" must be a number >= 0" );
+    ( {|{"n":0,"w":0,"deadline_ms":-5}|},
+      "field \"deadline_ms\" must be a number >= 0" );
+    ( {|{"op":"batch","requests":[{"op":"tau"}],"deadline_ms":"late"}|},
+      "field \"deadline_ms\" must be a number >= 0" );
+    ({|{"op":"nope","n":0,"w":0}|}, "unknown op \"nope\"");
+    ({|{"op":5,"n":0,"w":0}|}, "field \"op\" must be a string");
+    ({|{"op":"tau","n":0,"w":0}|}, "field \"n\" must be >= 1");
+    ({|{"op":"tau","n":"x","w":"y"}|}, "field \"n\" must be an integer");
+    ({|{"op":"welfare","w":0}|}, "missing field \"n\"");
+    ({|{"op":"tau","n":5,"w":0}|}, "field \"w\" must be >= 1");
+    (* Of repeated keys the first counts. *)
+    ({|{"op":"tau","n":0,"w":32,"n":5}|}, "field \"n\" must be >= 1");
+  ]
+
 let test_parse_errors () =
-  let err line =
-    match Serve.Request.of_line line with
-    | Error e -> e
-    | Ok _ -> Alcotest.failf "parse of %S unexpectedly succeeded" line
-  in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  let check_err line needle =
-    let e = err line in
-    if not (contains e needle) then
-      Alcotest.failf "error for %S was %S (wanted %S)" line e needle
-  in
-  check_err "not json at all" "";
-  check_err {|{"n":5,"w":32}|} "op";
-  check_err {|{"op":"frobnicate"}|} "unknown op";
-  check_err {|{"op":"tau","n":5}|} "w";
-  check_err {|{"op":"tau","n":0,"w":32}|} "n";
-  check_err {|{"op":"tau","n":5,"w":-1}|} "w";
-  check_err {|{"op":"payoff","profile":[]}|} "profile";
-  check_err {|{"op":"payoff","profile":[16,"x"]}|} "profile";
-  check_err {|{"op":"tau","n":5,"w":32,"deadline_ms":"soon"}|} "deadline_ms";
-  check_err
-    {|{"op":"batch","requests":[{"op":"batch","requests":[]}]}|}
-    "nest"
+  List.iter
+    (fun (line, want) ->
+      match Serve.Request.of_line line with
+      | Error got -> Alcotest.(check string) line want got
+      | Ok _ -> Alcotest.failf "parse of %S unexpectedly succeeded" line)
+    parse_errors;
+  match Serve.Request.of_line {|{"op":"tau","n":5,"w":32,"op":"ne"}|} with
+  | Ok { op = Tau { n = 5; w = 32 }; _ } -> ()
+  | _ -> Alcotest.fail "the first of two \"op\" keys must count"
 
 (* {1 Dispatch} *)
 

@@ -522,6 +522,166 @@ let test_string_bytes_match_reference =
     QCheck.(string_gen Gen.char)
     (fun s -> T.Jsonx.to_string (T.Jsonx.String s) = reference_string s)
 
+(* The renderer [Jsonx] had before its byte writer walked the tree into a
+   [Buffer] with these rules for the leaves; the exact float formatter
+   equals [printf_rule] and the escaper [reference_string] (the two
+   properties above), so this is that renderer in reference form. *)
+let rec reference_render buf = function
+  | T.Jsonx.Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Float f -> Buffer.add_string buf (printf_rule f)
+  | String s -> Buffer.add_string buf (reference_string s)
+  | List items ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i item ->
+          if i > 0 then Buffer.add_char buf ',';
+          reference_render buf item)
+        items;
+      Buffer.add_char buf ']'
+  | Obj fields ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char buf ',';
+          Buffer.add_string buf (reference_string k);
+          Buffer.add_char buf ':';
+          reference_render buf v)
+        fields;
+      Buffer.add_char buf '}'
+
+let reference_to_string v =
+  let buf = Buffer.create 16 in
+  reference_render buf v;
+  Buffer.contents buf
+
+(* Strings short and long (past 16 bytes), plain or with bytes to escape;
+   ints at both ends of the range; doubles from every [gen_double]
+   family; lists and objects nested a few deep, and wide ones whose line
+   passes 256 bytes so the writer must grow. *)
+let gen_json_string =
+  let open QCheck.Gen in
+  let plain = map Char.chr (32 -- 126) in
+  let escapable =
+    frequency
+      [ (6, plain); (1, oneofl [ '"'; '\\'; '\n'; '\t'; '\001'; '\031' ]) ]
+  in
+  frequency
+    [
+      (3, string_size ~gen:plain (0 -- 16));
+      (2, string_size ~gen:plain (17 -- 80));
+      (2, string_size ~gen:escapable (0 -- 80));
+      (1, string_size ~gen:char (0 -- 40));
+    ]
+
+let gen_json_leaf =
+  let open QCheck.Gen in
+  frequency
+    [
+      (1, return T.Jsonx.Null);
+      (1, map (fun b -> T.Jsonx.Bool b) bool);
+      ( 2,
+        map
+          (fun i -> T.Jsonx.Int i)
+          (oneof [ oneofl [ min_int; max_int; 0; -1 ]; small_signed_int; int ])
+      );
+      (4, map (fun f -> T.Jsonx.Float f) gen_double);
+      (3, map (fun s -> T.Jsonx.String s) gen_json_string);
+    ]
+
+let gen_json_tree =
+  let open QCheck.Gen in
+  sized_size (0 -- 4)
+  @@ fix (fun self depth ->
+         if depth = 0 then gen_json_leaf
+         else
+           let sub = self (depth - 1) in
+           frequency
+             [
+               (2, gen_json_leaf);
+               (2, map (fun l -> T.Jsonx.List l) (list_size (0 -- 6) sub));
+               ( 2,
+                 map
+                   (fun l -> T.Jsonx.Obj l)
+                   (list_size (0 -- 6) (pair gen_json_string sub)) );
+               ( 1,
+                 map
+                   (fun l -> T.Jsonx.List l)
+                   (list_size (20 -- 40) gen_json_leaf) );
+             ])
+
+let test_renderer_matches_reference =
+  QCheck.Test.make ~count:300
+    ~name:"renderer = reference renderer on random trees"
+    (QCheck.make (QCheck.Gen.list_size (QCheck.Gen.return 20) gen_json_tree))
+    (fun trees ->
+      List.iter
+        (fun v ->
+          let got = T.Jsonx.to_string v and want = reference_to_string v in
+          if got <> want then
+            QCheck.Test.fail_reportf "rendered@.%s@.reference@.%s" got want)
+        trees;
+      true)
+
+(* The key builders' digits: [add_int] appends [string_of_int]'s bytes. *)
+let test_add_int_matches_string_of_int =
+  QCheck.Test.make ~count:2000 ~name:"add_int = string_of_int"
+    QCheck.(
+      make
+        Gen.(
+          oneof
+            [ oneofl [ min_int; max_int; 0; -1; 9; 10; 99; 100 ]; int; nat ]))
+    (fun i ->
+      let buf = Buffer.create 4 in
+      Buffer.add_string buf "k=";
+      T.Jsonx.add_int buf i;
+      Buffer.contents buf = "k=" ^ string_of_int i)
+
+(* [to_string] keeps no scratch between calls: two domains rendering the
+   same trees at once get the bytes one domain gets alone. *)
+let test_renderer_across_domains () =
+  let st = Random.State.make [| 17 |] in
+  let trees = Array.init 1000 (fun _ -> gen_json_tree st) in
+  let alone = Array.map T.Jsonx.to_string trees in
+  let long =
+    Array.fold_left (fun n s -> if String.length s > 256 then n + 1 else n) 0
+      alone
+  in
+  Alcotest.(check bool) "some lines pass 256 bytes" true (long > 0);
+  let render () = Array.map T.Jsonx.to_string trees in
+  let d1 = Domain.spawn render and d2 = Domain.spawn render in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  Array.iteri
+    (fun i want ->
+      if r1.(i) <> want || r2.(i) <> want then
+        Alcotest.failf "tree %d rendered differently on two domains" i)
+    alone
+
+let test_member_first_and_objects_only () =
+  let json = T.Jsonx.parse {|{"a":1,"b":2,"a":3}|} in
+  let member_int k v =
+    match T.Jsonx.member k v with Some (T.Jsonx.Int i) -> Some i | _ -> None
+  in
+  Alcotest.(check (option int)) "first of duplicate keys" (Some 1)
+    (member_int "a" json);
+  Alcotest.(check (option int)) "other key" (Some 2) (member_int "b" json);
+  Alcotest.(check bool) "missing key" true (T.Jsonx.member "c" json = None);
+  List.iter
+    (fun v ->
+      Alcotest.(check bool)
+        ("not an object: " ^ T.Jsonx.to_string v)
+        true
+        (T.Jsonx.member "a" v = None))
+    [
+      T.Jsonx.Null;
+      T.Jsonx.Bool true;
+      T.Jsonx.Int 1;
+      T.Jsonx.Float 1.5;
+      T.Jsonx.String "a";
+      T.Jsonx.List [ T.Jsonx.Obj [ ("a", T.Jsonx.Int 1) ] ];
+    ]
+
 let test_span_cells_are_the_named_metrics () =
   let r = registry () in
   let cells = T.Registry.span_cells r "io" in
@@ -719,6 +879,12 @@ let () =
             test_pinned_key_and_entry;
           QCheck_alcotest.to_alcotest test_exact_formatter_matches_printf;
           QCheck_alcotest.to_alcotest test_string_bytes_match_reference;
+          QCheck_alcotest.to_alcotest test_renderer_matches_reference;
+          QCheck_alcotest.to_alcotest test_add_int_matches_string_of_int;
+          Alcotest.test_case "renderer across domains" `Quick
+            test_renderer_across_domains;
+          Alcotest.test_case "member: first key, objects only" `Quick
+            test_member_first_and_objects_only;
         ] );
       ( "instrumentation",
         [
