@@ -355,10 +355,10 @@ let strip name =
   | Some i -> String.sub name (i + 1) (String.length name - i - 1)
   | None -> name
 
-(* The format of the files [write_json] writes.  Schema 2 (PR 18) adds
-   [schema] and the [env] block; files without [schema] are the earlier
-   formats (PR 6's kernel objects, bare numbers before), which the guard
-   and the trend tool read alike. *)
+(* The format of the files [write_json] writes.  Schema 2 adds [schema]
+   and the [env] block; files without [schema] are the earlier formats
+   (kernel objects, or bare numbers in the oldest), which the guard and
+   the trend tool read alike. *)
 let schema = 2
 
 (* [git rev-parse HEAD], or "unknown" outside a repository. *)
