@@ -554,14 +554,14 @@ let () =
             test_profile_memo_bit_identity;
           Alcotest.test_case "uniform profile takes the (n, w) path" `Quick
             test_uniform_profile_fast_path;
-          Alcotest.test_case "uniform memo keys every knob" `Quick
-            test_uniform_memo_keys_every_knob;
           Alcotest.test_case "one-deviant profiles spread over the memo"
             `Quick test_profile_memo_spreads_deviants;
           Alcotest.test_case "3000 one-deviant profiles replay from the memo"
             `Quick test_profile_memo_replays_deviants;
           Alcotest.test_case "store keys keep their bytes" `Quick
             test_store_keys_pinned;
+          Alcotest.test_case "uniform memo keys every knob" `Quick
+            test_uniform_memo_keys_every_knob;
         ] );
       ( "model agreement",
         [
