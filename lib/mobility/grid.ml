@@ -4,13 +4,12 @@ type t = {
   rows : int;
   xs : float array;
   ys : float array;
-  cell_idx : int array; (* current cell of each id, -1 when absent *)
+  cell_idx : int array; (* current cell of each id *)
   slot_idx : int array; (* position inside that cell's bucket *)
   buckets : int array array; (* members as a dense prefix of each row *)
   lens : int array;
   mutable scratch : int array; (* {!query}'s buffer, sized on first use *)
   mutable candidates : int;
-  mutable rebuckets : int;
 }
 
 (* Cell index of coordinate [v] along an axis of [cells] cells, clamped to
@@ -41,29 +40,14 @@ let bucket_push t b i =
   t.cell_idx.(i) <- b;
   t.slot_idx.(i) <- len
 
-let add t i =
-  if t.cell_idx.(i) < 0 then bucket_push t (cell_of t i) i
-
-let remove t i =
-  let b = t.cell_idx.(i) in
-  if b >= 0 then begin
-    let last = t.lens.(b) - 1 in
-    let s = t.slot_idx.(i) in
-    let mover = t.buckets.(b).(last) in
-    t.buckets.(b).(s) <- mover;
-    t.slot_idx.(mover) <- s;
-    t.lens.(b) <- last;
-    t.cell_idx.(i) <- -1
-  end
-
-let mem t i = t.cell_idx.(i) >= 0
+let add t i = bucket_push t (cell_of t i) i
 
 (* NaN fails every comparison, so the checks are written to pass only
    finite, non-negative coordinates. *)
 let valid (p : Geom.point) =
   p.x >= 0. && p.y >= 0. && Float.is_finite p.x && Float.is_finite p.y
 
-let create ?(fill = true) ~cell points =
+let create ~cell points =
   if not (cell > 0. && Float.is_finite cell) then
     invalid_arg "Grid.create: cell must be positive and finite";
   let n = Array.length points in
@@ -84,23 +68,28 @@ let create ?(fill = true) ~cell points =
       rows;
       xs = Array.map (fun (p : Geom.point) -> p.x) points;
       ys = Array.map (fun (p : Geom.point) -> p.y) points;
-      cell_idx = Array.make n (-1);
+      cell_idx = Array.make n 0;
       slot_idx = Array.make n 0;
       buckets = Array.make (cols * rows) [||];
       lens = Array.make (cols * rows) 0;
       scratch = [||];
       candidates = 0;
-      rebuckets = 0;
     }
   in
-  if fill then
-    for i = 0 to n - 1 do
-      add t i
-    done;
+  for i = 0 to n - 1 do
+    add t i
+  done;
   t
 
-let length t = Array.length t.xs
-let position t i = { Geom.x = t.xs.(i); y = t.ys.(i) }
+let cell_order t =
+  let order = Array.make (Array.length t.xs) 0 in
+  let k = ref 0 in
+  Array.iteri
+    (fun b bucket ->
+      Array.blit bucket 0 order !k t.lens.(b);
+      k := !k + t.lens.(b))
+    t.buckets;
+  order
 
 let move t i (p : Geom.point) =
   if not (valid p) then
@@ -108,13 +97,16 @@ let move t i (p : Geom.point) =
   t.xs.(i) <- p.x;
   t.ys.(i) <- p.y;
   let old = t.cell_idx.(i) in
-  if old >= 0 then begin
-    let fresh = cell_of t i in
-    if fresh <> old then begin
-      remove t i;
-      bucket_push t fresh i;
-      t.rebuckets <- t.rebuckets + 1
-    end
+  let fresh = cell_of t i in
+  if fresh <> old then begin
+    (* Swap-remove [i] from its old bucket. *)
+    let last = t.lens.(old) - 1 in
+    let s = t.slot_idx.(i) in
+    let mover = t.buckets.(old).(last) in
+    t.buckets.(old).(s) <- mover;
+    t.slot_idx.(mover) <- s;
+    t.lens.(old) <- last;
+    bucket_push t fresh i
   end
 
 (* The candidate box is the padded axis-aligned square of half-width
@@ -142,7 +134,10 @@ let gather t ~radius i buf =
   t.candidates <- t.candidates + !len;
   !len
 
-let neighbours t ~radius i buf =
+let query t ~radius i =
+  if Array.length t.scratch = 0 then
+    t.scratch <- Array.make (Array.length t.xs) 0;
+  let buf = t.scratch in
   let k = gather t ~radius i buf in
   let x = t.xs.(i) and y = t.ys.(i) and r2 = radius *. radius in
   let m = ref 0 in
@@ -155,12 +150,6 @@ let neighbours t ~radius i buf =
     end
   done;
   Prelude.Util.sort_ints buf !m;
-  !m
-
-let query t ~radius i =
-  if Array.length t.scratch = 0 then t.scratch <- Array.make (length t) 0;
-  let buf = t.scratch in
-  List.init (neighbours t ~radius i buf) (Array.get buf)
+  List.init !m (Array.get buf)
 
 let candidates t = t.candidates
-let rebuckets t = t.rebuckets

@@ -32,8 +32,7 @@ let nid_shard = Telemetry.Recorder.intern recorder "netsim.shard"
 (* Counters a shard-local registry accumulates that are worth folding back
    into the caller's registry after the join (each shard runs against its
    own registry so no two domains ever race on one metric cell). *)
-let folded_counters =
-  [ "netsim.grid.candidates"; "netsim.grid.rebuckets"; "netsim.spatial.runs" ]
+let folded_counters = [ "netsim.grid.candidates"; "netsim.spatial.runs" ]
 
 let run ?(telemetry = Telemetry.Registry.default) ?(retry_limit = max_int)
     ?strategies ?pool ?halo ~shards

@@ -45,18 +45,35 @@ type tx = {
 }
 
 type node = {
-  id : int;
+  (* Event-core scheduling state, first in the record because the
+     carrier-sense freeze and unfreeze loops touch nothing else.  A node
+     is either UNFROZEN (idle-sensing, [expiry] is the absolute slot its
+     backoff ends, a Fire event is in the calendar) or FROZEN ([counter]
+     holds the remaining backoff slots, [expiry] = -1).  [audible] counts
+     carrier-sense neighbours currently on the air, so idle-sensing is an
+     O(1) test. *)
+  mutable frozen : bool;
+  mutable audible : int;
+  mutable expiry : int;
+  (* Absolute slot the AIFS defer ends after the last unfreeze (event core
+     only).  Backoff slots are only the ones past it: a freeze at [t]
+     leaves [expiry − max t defer_end] backoff slots, and the defer
+     re-arms in full at the next unfreeze. *)
+  mutable defer_end : int;
+  mutable counter : int;
+  mutable busy_until : int;   (** own transmission occupies the air *)
+  mutable nav_until : int;
+  can_tx : bool;              (** has at least one neighbour to address *)
+  mutable on_air : bool;
+  id : int;                   (** internal number: index into [nodes] *)
+  cid : int;                  (** the caller's number for the node *)
   window : int;
   neighbors : int array;      (** decode (transmission) range *)
   cs_neighbors : int array;   (** carrier-sense range (superset) *)
   rng : Prelude.Rng.t;
-  can_tx : bool;              (** has at least one neighbour to address *)
   tx : tx;                    (** reusable record (event core only) *)
   mutable stage : int;
-  mutable counter : int;
   mutable retries : int;
-  mutable busy_until : int;   (** own transmission occupies the air *)
-  mutable nav_until : int;
   mutable defer : int;        (** AIFS slots left before backoff resumes
                                   (reference loop only) *)
   mutable sensing : bool;     (** idle-sensing during the interval that just
@@ -67,20 +84,6 @@ type node = {
   mutable drops : int;
   mutable local_collisions : int;
   mutable hidden_failures : int;
-  (* Event-core scheduling state.  A node is either UNFROZEN (idle-sensing,
-     [expiry] is the absolute slot its backoff ends, a Fire event is in the
-     calendar) or FROZEN ([counter] holds the remaining backoff slots,
-     [expiry] = -1).  [audible] counts carrier-sense neighbours currently
-     on the air, so idle-sensing is an O(1) test. *)
-  mutable frozen : bool;
-  mutable on_air : bool;
-  mutable audible : int;
-  mutable expiry : int;
-  (* Absolute slot the AIFS defer ends after the last unfreeze (event core
-     only).  Backoff slots are only the ones past it: a freeze at [t]
-     leaves [expiry − max t defer_end] backoff slots, and the defer
-     re-arms in full at the next unfreeze. *)
-  mutable defer_end : int;
   mutable in_bag : bool;
 }
 
@@ -117,7 +120,7 @@ let imax (a : int) b = if a > b then a else b
 (* Event kinds, in intra-slot processing order — exactly the order the
    reference loop's phases imply (resolutions, then channel releases, then
    backoff expiries).  Within a slot the calendar drains events by
-   (kind, node id). *)
+   (kind, the caller's node number). *)
 let kind_resolve = 0
 let kind_busy_release = 1
 let kind_nav_release = 2
@@ -145,7 +148,7 @@ type driver = Reference | Event_core
 (* Where neighbourhoods come from.  [Lists] is the historical adjacency
    interface (dense membership sets, full symmetry validation); [Geo] is
    the unit-disk model resolved through a {!Mobility.Grid} index, whose
-   neighbour arrays are identical to [Topology.adjacency ~range] of the
+   neighbour sets are identical to [Topology.adjacency ~range] of the
    same positions — which is what makes {!run_grid} bit-match {!run}. *)
 type neighborhoods =
   | Lists of {
@@ -156,19 +159,7 @@ type neighborhoods =
       positions : Mobility.Geom.point array;
       range : float;
       cs_range : float;
-      grid : Mobility.Grid.t option;
     }
-
-(* Grid-backed state threaded into the event core when neighbourhoods are
-   geometric: the airborne-transmitter index, the radius to query it at,
-   and a flush that folds both grids' candidate/rebucket tallies into the
-   registry counters once per run (the grids count into plain ints so the
-   hot loop never takes the registry lock). *)
-type geo_state = {
-  g_air : Mobility.Grid.t;
-  g_radius : float;
-  g_flush : Telemetry.Registry.t -> unit;
-}
 
 (* [flight] gates the flight recorder for this run: the differential
    shadow run passes [false] so primary and shadow do not double-record
@@ -186,7 +177,10 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
       (fun w -> if w < 1 then invalid_arg "Spatial.run: window must be >= 1")
       cws
   in
-  let n, neighbors_a, cs_neighbors_a, is_neighbor, in_cs, geo =
+  (* Nodes run under internal numbers: [order.(id)] is node [id]'s caller
+     number and [rank] the inverse.  Neighbour arrays hold internal
+     numbers, and [is_neighbor] and [in_cs] take them. *)
+  let n, neighbors_a, cs_neighbors_a, is_neighbor, in_cs, order, rank, geo =
     match hoods with
     | Lists { adjacency; cs_adjacency } ->
         let n = Array.length adjacency in
@@ -226,13 +220,16 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
         in
         let neighbor_sets = Array.map dense adjacency in
         let cs_sets = Array.map dense cs_adjacency in
+        let ids = Array.init n Fun.id in
         ( n,
           Array.map Array.of_list adjacency,
           Array.map Array.of_list cs_adjacency,
           (fun i j -> neighbor_sets.(i).(j)),
           (fun i j -> cs_sets.(i).(j)),
+          ids,
+          ids,
           None )
-    | Geo { positions; range; cs_range; grid } ->
+    | Geo { positions; range; cs_range } ->
         let n = Array.length positions in
         validate_scalars n;
         (* Written so NaN fails them too. *)
@@ -240,74 +237,64 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
           invalid_arg "Spatial.run_grid: range must be positive and finite";
         if not (cs_range >= range && Float.is_finite cs_range) then
           invalid_arg "Spatial.run_grid: cs_range must be finite and >= range";
-        let g =
-          match grid with
-          | None -> Mobility.Grid.create ~cell:range positions
-          | Some g ->
-              if Mobility.Grid.length g <> n then
-                invalid_arg "Spatial.run_grid: grid length mismatch";
-              Array.iteri
-                (fun i (p : Mobility.Geom.point) ->
-                  let q = Mobility.Grid.position g i in
-                  if q.x <> p.x || q.y <> p.y then
-                    invalid_arg
-                      "Spatial.run_grid: grid coordinates disagree with \
-                       positions")
-                positions;
-              g
-        in
-        let candidates0 = Mobility.Grid.candidates g in
-        let rebuckets0 = Mobility.Grid.rebuckets g in
+        let g = Mobility.Grid.create ~cell:range positions in
+        (* Internal numbers follow the grid's row-major cell order, so a
+           node's neighbours sit near it in [nodes] and every gather lists
+           its candidates in ascending internal number. *)
+        let order = Mobility.Grid.cell_order g in
+        let rank = Array.make n 0 in
+        Array.iteri (fun id c -> rank.(c) <- id) order;
         (* The exact unit-disk predicate of {!Mobility.Geom.within}, on
            unboxed coordinates. *)
-        let xs = Array.map (fun (p : Mobility.Geom.point) -> p.x) positions in
-        let ys = Array.map (fun (p : Mobility.Geom.point) -> p.y) positions in
+        let xs = Array.map (fun c -> positions.(c).Mobility.Geom.x) order in
+        let ys = Array.map (fun c -> positions.(c).Mobility.Geom.y) order in
         let range2 = range *. range and cs_range2 = cs_range *. cs_range in
         let within r2 i j =
           let dx = xs.(i) -. xs.(j) and dy = ys.(i) -. ys.(j) in
           (dx *. dx) +. (dy *. dy) <= r2
         in
-        (* Carrier-sense neighbours come sorted from the grid; the decode
-           neighbours are the ones among them within [range], order kept. *)
+        (* Carrier-sense neighbours come out of the gather already sorted.
+           The decode neighbours, the ones among them within [range], are
+           put in caller order: [Rng.pick] draws a destination by its
+           index there, and RTS/CTS silencing emits its trace in that
+           order. *)
         let neighbors = Array.make n [||] in
         let cs_neighbors = Array.make n [||] in
-        let buf = Array.make n 0 in
+        let buf = Array.make n 0 and decode = Array.make n 0 in
         for i = 0 to n - 1 do
-          let k = Mobility.Grid.neighbours g ~radius:cs_range i buf in
-          cs_neighbors.(i) <- Array.sub buf 0 k;
-          let m = ref 0 in
-          for c = 0 to k - 1 do
-            if within range2 i buf.(c) then begin
-              buf.(!m) <- buf.(c);
-              incr m
+          let k = Mobility.Grid.gather g ~radius:cs_range order.(i) buf in
+          let m = ref 0 and d = ref 0 in
+          (* [within], inlined: a call would box its float argument. *)
+          let x = xs.(i) and y = ys.(i) in
+          for q = 0 to k - 1 do
+            let j = rank.(buf.(q)) in
+            let dx = x -. xs.(j) and dy = y -. ys.(j) in
+            let d2 = (dx *. dx) +. (dy *. dy) in
+            if j <> i && d2 <= cs_range2 then begin
+              buf.(!m) <- j;
+              incr m;
+              if d2 <= range2 then begin
+                decode.(!d) <- order.(j);
+                incr d
+              end
             end
           done;
-          neighbors.(i) <- Array.sub buf 0 !m
+          cs_neighbors.(i) <- Array.sub buf 0 !m;
+          Prelude.Util.sort_ints decode !d;
+          let dn = Array.sub decode 0 !d in
+          for q = 0 to !d - 1 do
+            dn.(q) <- rank.(dn.(q))
+          done;
+          neighbors.(i) <- dn
         done;
-        (* Airborne-transmitter index: every pair the eager corruption
-           marking can couple (src→receiver→other src) spans at most two
-           decode hops, so a 2·range candidate box is a superset of the
-           frames that can matter; extra candidates no-op through the
-           exact predicates below. *)
-        let air =
-          Mobility.Grid.create ~fill:false ~cell:(2. *. range) positions
-        in
-        let flush registry =
-          Telemetry.Metric.add
-            (Telemetry.Registry.counter registry "netsim.grid.candidates")
-            (Mobility.Grid.candidates g - candidates0
-            + Mobility.Grid.candidates air);
-          Telemetry.Metric.add
-            (Telemetry.Registry.counter registry "netsim.grid.rebuckets")
-            (Mobility.Grid.rebuckets g - rebuckets0
-            + Mobility.Grid.rebuckets air)
-        in
         ( n,
           neighbors,
           cs_neighbors,
           (fun i j -> i <> j && within range2 i j),
           (fun i j -> i <> j && within cs_range2 i j),
-          Some { g_air = air; g_radius = 2. *. range; g_flush = flush } )
+          order,
+          rank,
+          Some g )
   in
   let strategies =
     match strategies with
@@ -372,54 +359,59 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
   if not (horizon_f < 0x1p52) then
     invalid_arg "Spatial.run: duration too long for the slot clock";
   let horizon = int_of_float horizon_f in
+  (* Streams are split, and first drawn, in caller order. *)
   let master = Prelude.Rng.create seed in
+  let rngs =
+    Array.init n (fun c ->
+        match rng_of with None -> Prelude.Rng.split master | Some f -> f c)
+  in
   let nodes =
     Array.init n (fun i ->
-        let node =
-          {
-            id = i;
-            window = cws.(i);
-            neighbors = neighbors_a.(i);
-            cs_neighbors = cs_neighbors_a.(i);
-            rng =
-              (match rng_of with
-              | None -> Prelude.Rng.split master
-              | Some f -> f i);
-            can_tx = Array.length neighbors_a.(i) > 0;
-            tx =
-              {
-                src = i;
-                dest = i;
-                vuln_end = 0;
-                resolved = true;
-                finish = 0;
-                corrupted_local = false;
-                corrupted_hidden = false;
-              };
-            stage = 0;
-            counter = 0;
-            retries = 0;
-            busy_until = 0;
-            nav_until = 0;
-            defer = aifs_a.(i);
-            sensing = true;
-            attempts = 0;
-            successes = 0;
-            success_accesses = 0;
-            drops = 0;
-            local_collisions = 0;
-            hidden_failures = 0;
-            frozen = false;
-            on_air = false;
-            audible = 0;
-            expiry = -1;
-            defer_end = 0;
-            in_bag = false;
-          }
-        in
-        node.counter <- Prelude.Rng.int node.rng node.window;
-        node)
+        let c = order.(i) in
+        {
+          frozen = false;
+          audible = 0;
+          expiry = -1;
+          defer_end = 0;
+          counter = 0;
+          busy_until = 0;
+          nav_until = 0;
+          can_tx = Array.length neighbors_a.(i) > 0;
+          on_air = false;
+          id = i;
+          cid = c;
+          window = cws.(c);
+          neighbors = neighbors_a.(i);
+          cs_neighbors = cs_neighbors_a.(i);
+          rng = rngs.(c);
+          tx =
+            {
+              src = i;
+              dest = i;
+              vuln_end = 0;
+              resolved = true;
+              finish = 0;
+              corrupted_local = false;
+              corrupted_hidden = false;
+            };
+          stage = 0;
+          retries = 0;
+          defer = aifs_a.(c);
+          sensing = true;
+          attempts = 0;
+          successes = 0;
+          success_accesses = 0;
+          drops = 0;
+          local_collisions = 0;
+          hidden_failures = 0;
+          in_bag = false;
+        })
   in
+  Array.iter
+    (fun i ->
+      let nd = nodes.(i) in
+      nd.counter <- Prelude.Rng.int nd.rng nd.window)
+    rank;
   let delivered = ref 0 in
   let delivered_late = ref 0 in
   (* Airtime accounting, all in slots and all clipped at the horizon.
@@ -507,7 +499,7 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
               (Trace.Nav_defer
                  {
                    time = float_of_int now *. sigma;
-                   node = j;
+                   node = nd.cid;
                    until = float_of_int finish *. sigma;
                  })
         end
@@ -517,10 +509,11 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
   let resolve now tx =
     tx.resolved <- true;
     let src = nodes.(tx.src) in
-    let started = now - vuln_slots_a.(tx.src) in
+    let c = src.cid in
+    let started = now - vuln_slots_a.(c) in
     let corrupted = tx.corrupted_local || tx.corrupted_hidden in
     if corrupted then begin
-      let finish = started + tc_slots_a.(tx.src) in
+      let finish = started + tc_slots_a.(c) in
       !raise_busy now src finish;
       tx.finish <- finish;
       collision_tx_slots :=
@@ -530,50 +523,50 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
         src.local_collisions <- src.local_collisions + 1
       else src.hidden_failures <- src.hidden_failures + 1;
       if rec_on then
-        Telemetry.Recorder.instant recorder nid_collision now tx.src;
+        Telemetry.Recorder.instant recorder nid_collision now c;
       if tracing then
         emit
           (Trace.Collision
-             { time = float_of_int now *. sigma; nodes = [ tx.src ] });
+             { time = float_of_int now *. sigma; nodes = [ c ] });
       src.retries <- src.retries + 1;
       if src.retries > retry_limit then begin
         src.drops <- src.drops + 1;
         src.retries <- 0;
         src.stage <- 0;
-        if rec_on then Telemetry.Recorder.instant recorder nid_drop now tx.src;
+        if rec_on then Telemetry.Recorder.instant recorder nid_drop now c;
         if tracing then
-          emit (Trace.Drop { time = float_of_int now *. sigma; node = tx.src })
+          emit (Trace.Drop { time = float_of_int now *. sigma; node = c })
       end
       else src.stage <- imin (src.stage + 1) m
     end
     else begin
-      let finish = started + ts_slots_a.(tx.src) in
+      let finish = started + ts_slots_a.(c) in
       !raise_busy now src finish;
       tx.finish <- finish;
-      src.successes <- src.successes + txop_a.(tx.src);
+      src.successes <- src.successes + txop_a.(c);
       src.success_accesses <- src.success_accesses + 1;
-      if now < horizon then delivered := !delivered + txop_a.(tx.src)
-      else delivered_late := !delivered_late + txop_a.(tx.src);
+      if now < horizon then delivered := !delivered + txop_a.(c)
+      else delivered_late := !delivered_late + txop_a.(c);
       success_tx_slots := !success_tx_slots + (clip finish - clip started);
       cover (clip now) (clip finish);
-      if rec_on then Telemetry.Recorder.instant recorder nid_success now tx.src;
+      if rec_on then Telemetry.Recorder.instant recorder nid_success now c;
       if tracing then
         emit
-          (Trace.Success { time = float_of_int now *. sigma; node = tx.src });
+          (Trace.Success { time = float_of_int now *. sigma; node = c });
       src.stage <- 0;
       src.retries <- 0;
       match params.mode with
       | Dcf.Params.Basic -> ()
       | Dcf.Params.Rts_cts ->
+          let dest = nodes.(tx.dest) in
           if tracing then
             emit
               (Trace.Cts
                  {
                    time = float_of_int now *. sigma;
-                   src = tx.dest;
-                   dest = tx.src;
+                   src = dest.cid;
+                   dest = c;
                  });
-          let dest = nodes.(tx.dest) in
           !raise_busy now dest finish;
           silence now ~src:tx.src ~finish dest.neighbors;
           silence now ~src:tx.src ~finish src.neighbors
@@ -588,17 +581,21 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
       let dest = Prelude.Rng.pick node.rng node.neighbors in
       node.attempts <- node.attempts + 1;
       if rec_on then
-        Telemetry.Recorder.instant recorder nid_tx_start now node.id;
+        Telemetry.Recorder.instant recorder nid_tx_start now node.cid;
       !raise_busy now node
-        (now + vuln_slots_a.(node.id)) (* extended at resolution *);
-      cover now (clip (now + vuln_slots_a.(node.id)));
+        (now + vuln_slots_a.(node.cid)) (* extended at resolution *);
+      cover now (clip (now + vuln_slots_a.(node.cid)));
       (match params.mode with
       | Dcf.Params.Basic -> ()
       | Dcf.Params.Rts_cts ->
           if tracing then
             emit
               (Trace.Rts
-                 { time = float_of_int now *. sigma; src = node.id; dest }));
+                 {
+                   time = float_of_int now *. sigma;
+                   src = node.cid;
+                   dest = nodes.(dest).cid;
+                 }));
       let tx = !obtain node dest now in
       if nodes.(dest).busy_until > now then
         (* Receiver itself is transmitting and will miss the frame; it is a
@@ -622,9 +619,9 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
            {
              src = node.id;
              dest;
-             vuln_end = now + vuln_slots_a.(node.id);
+             vuln_end = now + vuln_slots_a.(node.cid);
              resolved = false;
-             finish = now + vuln_slots_a.(node.id);
+             finish = now + vuln_slots_a.(node.cid);
              corrupted_local = false;
              corrupted_hidden = false;
            });
@@ -665,7 +662,7 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
             Array.iter
               (fun nd ->
                 let idle = senses_idle !now nd in
-                if idle && not nd.sensing then nd.defer <- aifs_a.(nd.id);
+                if idle && not nd.sensing then nd.defer <- aifs_a.(nd.cid);
                 nd.sensing <- idle)
               nodes;
             Array.to_list nodes
@@ -788,7 +785,10 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
           incr pending
         end
       in
-      (* A drained slot's events as sort keys, (kind, node id) order. *)
+      (* A drained slot's events as sort keys in (kind, caller number)
+         order, the node's internal number in the low bits; starters sort
+         by (caller number, internal number).  Caller order keeps trace
+         events and recorder instants in the order {!run} emits them. *)
       let id_bits =
         let b = ref 0 in
         while 1 lsl !b < n do
@@ -797,12 +797,8 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
         !b
       in
       let id_mask = (1 lsl id_bits) - 1 in
+      let starter_key nd = (nd.cid lsl id_bits) lor nd.id in
       let due = Array.make (4 * n) 0 in
-      (* Airborne transmissions, one slot per node (a node carries at most
-         one outstanding frame); stale entries are pruned lazily while
-         marking. *)
-      let bag = Array.make n 0 in
-      let bag_len = ref 0 in
       let starters = Array.make n 0 in
       let n_starters = ref 0 in
       let freeze t nd =
@@ -824,10 +820,10 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
           && nd.audible = 0
         then begin
           nd.frozen <- false;
-          let a = aifs_a.(nd.id) in
+          let a = aifs_a.(nd.cid) in
           if a = 0 && nd.counter <= 0 then begin
             nd.expiry <- -1;
-            starters.(!n_starters) <- nd.id;
+            starters.(!n_starters) <- starter_key nd;
             incr n_starters
           end
           else begin
@@ -869,14 +865,19 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
          fun node dest now ->
            let tx = node.tx in
            tx.dest <- dest;
-           tx.vuln_end <- now + vuln_slots_a.(node.id);
+           tx.vuln_end <- now + vuln_slots_a.(node.cid);
            tx.resolved <- false;
-           tx.finish <- now + vuln_slots_a.(node.id);
+           tx.finish <- now + vuln_slots_a.(node.cid);
            tx.corrupted_local <- false;
            tx.corrupted_hidden <- false;
            tx);
       (match geo with
       | None ->
+          (* Airborne transmissions, one slot per node (a node carries at
+             most one outstanding frame); stale entries are pruned lazily
+             while marking. *)
+          let bag = Array.make n 0 in
+          let bag_len = ref 0 in
           (register :=
              fun node tx ->
                if not node.in_bag then begin
@@ -901,35 +902,69 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
                   incr k
                 end
               done
-      | Some { g_air = air; g_radius; _ } ->
-          (* The global bag becomes the airborne grid: registration inserts
-             the transmitter's cell, marking gathers only the cells within
-             the interference radius, and stale members are pruned lazily
-             as marking meets them.  Candidates are staged through
-             [scratch] because pruning mutates the bucket being read. *)
-          let scratch = Array.make n 0 in
+      | Some _ ->
+          (* Destination index: the airborne sources whose frame is
+             addressed to [d] are chained from [air_head.(d)] through
+             [air_next] and [air_prev] ([air_prev] is [-1 - d] at the head,
+             [unlinked] off the index), the wheel's encoding.  [mark] can
+             change a flag only when the other frame's source is a decode
+             neighbour of the new frame's destination, or when the other
+             frame is addressed to the new frame's source or to a decode
+             neighbour of it — so marking visits those two sets and nothing
+             else.  A stale frame met on the way is unlinked. *)
+          let air_head = Array.make n (-1) in
+          let air_next = Array.make n (-1) in
+          let air_prev = Array.make n unlinked in
+          let unlink s =
+            let p = air_prev.(s) in
+            if p <> unlinked then begin
+              let nx = air_next.(s) in
+              if p >= 0 then air_next.(p) <- nx else air_head.(-1 - p) <- nx;
+              if nx >= 0 then air_prev.(nx) <- p;
+              air_prev.(s) <- unlinked
+            end
+          in
+          let offer node now tx s =
+            let other = nodes.(s).tx in
+            if other.resolved && other.finish <= now then unlink s
+            else mark now node tx other
+          in
+          let offer_list node now tx d =
+            let s = ref air_head.(d) in
+            while !s >= 0 do
+              let cur = !s in
+              s := air_next.(cur);
+              offer node now tx cur
+            done
+          in
           (register :=
              fun node tx ->
-               Mobility.Grid.add air node.id;
-               schedule tx.vuln_end kind_resolve node.id);
+               let s = node.id and d = tx.dest in
+               unlink s;
+               let head = air_head.(d) in
+               air_next.(s) <- head;
+               air_prev.(s) <- -1 - d;
+               if head >= 0 then air_prev.(head) <- s;
+               air_head.(d) <- s;
+               schedule tx.vuln_end kind_resolve s);
           mark_airborne :=
             fun node now tx ->
-              let len =
-                Mobility.Grid.gather air ~radius:g_radius node.id scratch
-              in
-              for k = 0 to len - 1 do
-                let id = scratch.(k) in
-                let other = nodes.(id).tx in
-                if other.resolved && other.finish <= now then
-                  Mobility.Grid.remove air id
-                else mark now node tx other
+              let near = nodes.(tx.dest).neighbors in
+              for k = 0 to Array.length near - 1 do
+                let s = near.(k) in
+                if air_prev.(s) <> unlinked then offer node now tx s
+              done;
+              offer_list node now tx node.id;
+              let near = node.neighbors in
+              for k = 0 to Array.length near - 1 do
+                offer_list node now tx near.(k)
               done);
       (* Seed the calendar: every node that can transmit starts unfrozen
          with its initial AIFS defer and backoff pending. *)
       Array.iter
         (fun nd ->
           if nd.can_tx then begin
-            nd.defer_end <- aifs_a.(nd.id);
+            nd.defer_end <- aifs_a.(nd.cid);
             nd.expiry <- nd.defer_end + nd.counter;
             schedule nd.expiry kind_fire nd.id
           end
@@ -942,13 +977,15 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
         if heads.(s) >= 0 then begin
           (* Detach the slot's chain, then drain it in key order:
              resolutions, then busy releases, then NAV releases, then
-             fires, each in ascending node id. *)
+             fires, each in ascending caller number. *)
           let k = ref 0 in
           let c = ref heads.(s) in
           heads.(s) <- -1;
           while !c >= 0 do
             let cell = !c in
-            due.(!k) <- ((cell land 3) lsl id_bits) lor (cell lsr 2);
+            let id = cell lsr 2 in
+            due.(!k) <-
+              ((((cell land 3) lsl id_bits) lor order.(id)) lsl id_bits) lor id;
             incr k;
             c := next.(cell);
             prev.(cell) <- unlinked
@@ -958,10 +995,10 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
           n_starters := 0;
           for e = 0 to !k - 1 do
             let key = due.(e) in
-            let kind = key lsr id_bits and id = key land id_mask in
+            let nd = nodes.(key land id_mask) in
+            let kind = key lsr (2 * id_bits) in
             if rec_detail then
-              Telemetry.Recorder.instant recorder nid_event.(kind) t id;
-            let nd = nodes.(id) in
+              Telemetry.Recorder.instant recorder nid_event.(kind) t nd.cid;
             if kind = kind_resolve then begin
               let tx = nd.tx in
               if (not tx.resolved) && tx.vuln_end = t then resolve t tx
@@ -984,17 +1021,17 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
             else if (not nd.frozen) && nd.expiry = t then begin
               (* Fire: the backoff expired while still idle-sensing. *)
               nd.expiry <- -1;
-              starters.(!n_starters) <- id;
+              starters.(!n_starters) <- starter_key nd;
               incr n_starters
             end
           done;
-          (* Launch this slot's starters in node-id order against the
+          (* Launch this slot's starters in caller order against the
              post-resolution channel snapshot — same-slot starters cannot
              sense each other, so each starts regardless of what the ones
              before it just did. *)
           Prelude.Util.sort_ints starters !n_starters;
           for k = 0 to !n_starters - 1 do
-            let nd = nodes.(starters.(k)) in
+            let nd = nodes.(starters.(k) land id_mask) in
             nd.frozen <- true;
             nd.expiry <- -1;
             start_transmission t nd
@@ -1006,30 +1043,25 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
          per-node accounting balances.  [clip] discards their airtime.
          Resolution order cannot affect the result here: each resolve
          only touches its own node's counters and rng stream plus global
-         sums, and every airtime contribution clips to the horizon — so
-         scanning the bag (lists) and scanning all nodes (geo) agree. *)
-      match geo with
-      | None ->
-          for k = 0 to !bag_len - 1 do
-            let tx = nodes.(bag.(k)).tx in
-            if not tx.resolved then resolve tx.vuln_end tx
-          done
-      | Some _ ->
-          Array.iter
-            (fun nd ->
-              if not nd.tx.resolved then resolve nd.tx.vuln_end nd.tx)
-            nodes);
+         sums, and every airtime contribution clips to the horizon.
+         Caller order keeps the trace the same across numberings. *)
+      Array.iter
+        (fun id ->
+          let tx = nodes.(id).tx in
+          if not tx.resolved then resolve tx.vuln_end tx)
+        rank);
   let elapsed = float_of_int horizon *. sigma in
   let per_node =
     Array.map
-      (fun nd ->
+      (fun id ->
+        let nd = nodes.(id) in
         let clean = nd.attempts - nd.local_collisions in
         (* Frames transmitted: one per failed access (only the first frame
            of a burst collides), txop per winning access.  Equals
            [attempts] on the degenerate subspace. *)
         let frames =
           nd.attempts - nd.success_accesses
-          + (nd.success_accesses * txop_a.(nd.id))
+          + (nd.success_accesses * txop_a.(nd.cid))
         in
         {
           attempts = nd.attempts;
@@ -1042,13 +1074,13 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
             -. (float_of_int frames *. params.cost))
             /. elapsed;
           throughput =
-            float_of_int nd.successes *. times_a.(nd.id).payload /. elapsed;
+            float_of_int nd.successes *. times_a.(nd.cid).payload /. elapsed;
           p_hn_hat =
             (if clean <= 0 then 1.
              else
                float_of_int (clean - nd.hidden_failures) /. float_of_int clean);
         })
-      nodes
+      rank
   in
   let horizon_f = float_of_int horizon in
   let busy_fraction = float_of_int !busy_slots /. horizon_f in
@@ -1068,7 +1100,8 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
      the run rather than publish bad numbers. *)
   let fail fmt = Printf.ksprintf failwith fmt in
   Array.iteri
-    (fun i nd ->
+    (fun i id ->
+      let nd = nodes.(id) in
       if
         nd.attempts
         <> nd.success_accesses + nd.local_collisions + nd.hidden_failures
@@ -1083,7 +1116,7 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
           "Spatial.run: conservation violated at node %d: %d frames <> %d \
            accesses x txop %d"
           i nd.successes nd.success_accesses txop_a.(i))
-    nodes;
+    rank;
   let total_successes =
     Array.fold_left (fun acc (s : node_stats) -> acc + s.successes) 0 per_node
   in
@@ -1118,7 +1151,14 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
       airtime;
     }
   in
-  Option.iter (fun gs -> gs.g_flush telemetry) geo;
+  (* The grid counts into a plain int, so the neighbourhood build never
+     takes the registry lock; its tally is folded in once per run. *)
+  Option.iter
+    (fun g ->
+      Telemetry.Metric.add
+        (Telemetry.Registry.counter telemetry "netsim.grid.candidates")
+        (Mobility.Grid.candidates g))
+    geo;
   Telemetry.Metric.incr
     (Telemetry.Registry.counter telemetry "netsim.spatial.runs");
   Telemetry.Registry.emit telemetry "run_summary" (fun () ->
@@ -1208,10 +1248,10 @@ let run ?(telemetry = Telemetry.Registry.default) ?cs_adjacency
   result
 
 let run_grid ?(telemetry = Telemetry.Registry.default) ?(retry_limit = max_int)
-    ?trace ?strategies ?rng_of ?grid ?cs_range ~params ~positions ~range ~cws
+    ?trace ?strategies ?rng_of ?cs_range ~params ~positions ~range ~cws
     ~duration ~seed () =
   let cs_range = Option.value cs_range ~default:range in
-  let hoods = Geo { positions; range; cs_range; grid } in
+  let hoods = Geo { positions; range; cs_range } in
   let result =
     recorded_run (Array.length positions) seed (fun () ->
         simulate ~driver:Event_core ~telemetry ~retry_limit ~trace

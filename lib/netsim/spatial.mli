@@ -17,7 +17,7 @@
     {!run_reference} keeps the original
     boundary-scanning loop; both produce bit-identical results under the
     determinism contract (per-node RNG streams, starters launched in
-    node-id order within a slot).
+    node order within a slot).
 
     Access modes follow the parameter set:
     - basic: the whole data frame is vulnerable; a failed attempt occupies
@@ -161,8 +161,7 @@ val run_grid :
   ?telemetry:Telemetry.Registry.t ->
   ?retry_limit:int -> ?trace:Trace.t ->
   ?strategies:Dcf.Strategy_space.t array ->
-  ?rng_of:(int -> Prelude.Rng.t) ->
-  ?grid:Mobility.Grid.t -> ?cs_range:float ->
+  ?rng_of:(int -> Prelude.Rng.t) -> ?cs_range:float ->
   params:Dcf.Params.t -> positions:Mobility.Geom.point array ->
   range:float -> cws:int array -> duration:float -> seed:int ->
   unit -> result
@@ -170,36 +169,40 @@ val run_grid :
     {!run}, with neighbourhoods resolved against a {!Mobility.Grid}
     uniform-grid index over [positions] (unit-disk model, decode radius
     [range], carrier-sense radius [cs_range], default [range]) instead of
-    explicit adjacency lists.  Airborne interference is likewise resolved
-    against a per-run grid of active transmitters queried at radius
-    2·[range] — the eager corruption marking couples nodes at most two
-    decode hops apart, so the candidate box is a superset of every frame
-    that can matter.
+    explicit adjacency lists.  Airborne interference is found through a
+    per-destination index of the frames on the air: marking a new frame
+    visits the frames sent by decode neighbours of its destination and the
+    frames addressed to its sender or to a decode neighbour of it, which
+    are all the frames the eager corruption marking can change.
+
+    Inside the run, nodes are numbered in the grid's row-major cell order,
+    so a node's neighbours sit near it in memory.  Everything the caller
+    sees keeps the caller's numbering: [per_node], RNG streams, [rng_of]
+    arguments, trace events and their order, flight-recorder instants,
+    telemetry and error messages.
 
     Determinism contract: [run_grid ~positions ~range ~cs_range] is
     bit-identical ({!equal_result}) to [run] on
     [Topology.adjacency ~range positions] with
-    [~cs_adjacency:(Topology.adjacency ~range:cs_range positions)] — the
-    grid changes how neighbourhoods are {e found}, never what they are
-    (neighbour arrays are equal, and per-node RNG streams make cross-node
-    event order immaterial).  The fast-tier [scale] conformance group
-    pins this.
+    [~cs_adjacency:(Topology.adjacency ~range:cs_range positions)], and a
+    [trace] records the same event list — the grid changes how
+    neighbourhoods are {e found}, never what they are (neighbour sets are
+    equal, and per-node RNG streams make cross-node event order
+    immaterial).  The fast-tier [scale] conformance group pins this.
 
-    [rng_of] overrides each node's RNG stream (default: streams split
-    from [seed] in node order, exactly as {!run}).  {!Sharded.run} uses
-    it to give every node a stream keyed by its global id, so a node
-    simulates identically in whichever shard mirrors it.  [grid] supplies
-    a prebuilt node index (cell size may differ from [range]); its
-    coordinates must agree with [positions] — the mobility path keeps one
-    grid alive and {!Mobility.Grid.move}s walkers between epochs.
+    [rng_of] overrides each node's RNG stream and is called with the
+    caller's numbers, in increasing order (default: streams split from
+    [seed] in node order, exactly as {!run}).  {!Sharded.run} uses it to
+    give every node a stream keyed by its global id, so a node simulates
+    identically in whichever shard mirrors it.
 
-    Each run folds the index's tallies into the [netsim.grid.candidates]
-    and [netsim.grid.rebuckets] counters on [telemetry].
+    Each run adds the candidates its neighbourhood build gathered from
+    the index (the only gathers a run makes) to the
+    [netsim.grid.candidates] counter on [telemetry].
 
     @raise Invalid_argument on inconsistent sizes, a [range] that is not
     positive and finite, a [cs_range] that is not finite and [>= range]
-    (NaN fails both), coordinates {!Mobility.Grid.create} rejects, or a
-    [grid] disagreeing with [positions]. *)
+    (NaN fails both), or coordinates {!Mobility.Grid.create} rejects. *)
 
 val equal_result : result -> result -> bool
 (** Bit-exact equality (floats compared by their IEEE-754 bits), used by

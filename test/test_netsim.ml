@@ -833,31 +833,99 @@ let geo_positions ~seed n =
   in
   Mobility.Waypoint.positions w
 
+(* The scale bench's constant-density substrate: decode 120 m, carrier
+   sense 180 m, mean degree ~12. *)
+let substrate_positions ~seed n =
+  let side = sqrt (float_of_int n *. Float.pi *. 120. *. 120. /. 12.) in
+  Mobility.Waypoint.positions
+    (Mobility.Waypoint.create ~seed
+       { width = side; height = side; speed_min = 0.; speed_max = 5. }
+       ~n)
+
+(* A lattice of pitch range/2, so every other row and column sits exactly
+   on a cell boundary and neighbours sit exactly at [range], plus one
+   node out of everyone's carrier-sense range. *)
+let lattice_positions ~range side =
+  let pitch = range /. 2. in
+  Array.init ((side * side) + 1) (fun k ->
+      if k = side * side then
+        { Mobility.Geom.x = 10. *. range; y = 10. *. range }
+      else
+        {
+          Mobility.Geom.x = float_of_int (k mod side) *. pitch;
+          y = float_of_int (k / side) *. pitch;
+        })
+
+let mixed_strategies cws =
+  Array.mapi
+    (fun i cw ->
+      {
+        (Dcf.Strategy_space.of_cw cw) with
+        aifs = i mod 3;
+        txop_frames = 1 + (i mod 2);
+      })
+    cws
+
+(* [run] has no stream override, so a [run_grid] given [rng_of] can only
+   match it when [rng_of] hands node [c] the stream [run] splits for it;
+   a stream given to the wrong node shows as a mismatch.  Each call gets
+   a fresh copy, as from [Sharded.node_rng], so the differential mode's
+   shadow run starts from the same states. *)
+let run_streams ~seed n =
+  let master = Prelude.Rng.create seed in
+  let streams = Array.init n (fun _ -> Prelude.Rng.split master) in
+  fun c -> Prelude.Rng.copy streams.(c)
+
 let test_run_grid_bit_matches_run () =
   List.iter
-    (fun (label, n, seed, params, range, cs_range) ->
-      let positions = geo_positions ~seed n in
+    (fun (label, positions, seed, params, range, cs_range, strategies,
+          retry_limit) ->
+      let n = Array.length positions in
       let adjacency = Mobility.Topology.adjacency ~range positions in
       let cs_adjacency =
         Mobility.Topology.adjacency ~range:cs_range positions
       in
       let cws = Array.init n (fun i -> 16 lsl (i mod 2)) in
-      let lists =
-        Netsim.Spatial.run ~telemetry:(quiet ()) ~cs_adjacency
-          { params; adjacency; cws; duration = 1.; seed }
+      let strategies, rng_of =
+        if strategies then
+          (Some (mixed_strategies cws), Some (run_streams ~seed n))
+        else (None, None)
       in
+      let duration = 1. in
+      let lists_trace = Netsim.Trace.create ~capacity:1_000_000 () in
+      let lists =
+        Netsim.Spatial.run ~telemetry:(quiet ()) ~cs_adjacency ?retry_limit
+          ~trace:lists_trace ?strategies
+          { params; adjacency; cws; duration; seed }
+      in
+      let grid_trace = Netsim.Trace.create ~capacity:1_000_000 () in
       let grid =
-        Netsim.Spatial.run_grid ~telemetry:(quiet ()) ~params ~positions
-          ~range ~cs_range ~cws ~duration:1. ~seed ()
+        Netsim.Spatial.run_grid ~telemetry:(quiet ()) ?retry_limit
+          ~trace:grid_trace ?strategies ?rng_of ~params ~positions ~range
+          ~cs_range ~cws ~duration ~seed ()
       in
       Alcotest.(check bool)
         (Printf.sprintf "%s: grid core bit-identical" label)
         true
-        (Netsim.Spatial.equal_result lists grid))
+        (Netsim.Spatial.equal_result lists grid);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: same trace events, same order" label)
+        true
+        (Netsim.Trace.dropped grid_trace = 0
+        && Netsim.Trace.events lists_trace = Netsim.Trace.events grid_trace))
     [
-      ("basic-24", 24, 3, default, 150., 210.);
-      ("rts-32", 32, 7, rts_cts, 150., 225.);
-      ("cs=range-16", 16, 11, default, 120., 120.);
+      ("basic-24", geo_positions ~seed:3 24, 3, default, 150., 210., false,
+       None);
+      ("rts-32", geo_positions ~seed:7 32, 7, rts_cts, 150., 225., false,
+       None);
+      ("cs=range-16", geo_positions ~seed:11 16, 11, default, 120., 120.,
+       false, None);
+      ("substrate-400 basic", substrate_positions ~seed:4 400, 4, default, 120.,
+       180., true, Some 2);
+      ("substrate-400 rts", substrate_positions ~seed:5 400, 5, rts_cts, 120.,
+       180., true, Some 2);
+      ("lattice+isolated", lattice_positions ~range:120. 12, 6, rts_cts, 120.,
+       180., true, None);
     ]
 
 let sharded_config ?(duration = 0.5) ~seed n =
