@@ -878,8 +878,8 @@ let run_streams ~seed n =
 
 let test_run_grid_bit_matches_run () =
   List.iter
-    (fun (label, positions, seed, params, range, cs_range, strategies,
-          retry_limit) ->
+    (fun (label, positions, seed, params, range, cs_range, knobs, retry_limit)
+       ->
       let n = Array.length positions in
       let adjacency = Mobility.Topology.adjacency ~range positions in
       let cs_adjacency =
@@ -887,7 +887,7 @@ let test_run_grid_bit_matches_run () =
       in
       let cws = Array.init n (fun i -> 16 lsl (i mod 2)) in
       let strategies, rng_of =
-        if strategies then
+        if knobs then
           (Some (mixed_strategies cws), Some (run_streams ~seed n))
         else (None, None)
       in
@@ -913,6 +913,7 @@ let test_run_grid_bit_matches_run () =
         true
         (Netsim.Trace.dropped grid_trace = 0
         && Netsim.Trace.events lists_trace = Netsim.Trace.events grid_trace))
+    (* [knobs]: AIFS/TXOP strategies and an [rng_of]. *)
     [
       ("basic-24", geo_positions ~seed:3 24, 3, default, 150., 210., false,
        None);
