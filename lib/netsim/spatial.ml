@@ -911,7 +911,9 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
              neighbour of the new frame's destination, or when the other
              frame is addressed to the new frame's source or to a decode
              neighbour of it — so marking visits those two sets and nothing
-             else.  A stale frame met on the way is unlinked. *)
+             else.  A stale frame met on the way is unlinked; a frame not
+             yet stale is always linked, so the first set skips unlinked
+             sources. *)
           let air_head = Array.make n (-1) in
           let air_next = Array.make n (-1) in
           let air_prev = Array.make n unlinked in
