@@ -71,8 +71,7 @@ let () =
     if List.mem "--no-cache" args then None
     else Some (Option.value (keyed "--cache" args) ~default:"_runner_cache")
   in
-  Runner.configure
-    { Runner.workers = jobs; cache_dir; checkpoints = true; seed = 0 };
+  Runner.configure { Runner.workers = jobs; cache_dir; seed = 0 };
   (* Optional telemetry, mirroring the CLI's flags. *)
   let registry = Telemetry.Registry.default in
   let sink =

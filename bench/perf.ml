@@ -322,18 +322,11 @@ let tests =
                    line)));
       (* Runner overhead: a 32-point sweep of near-empty tasks on 4
          domains, no cache — measures the engine's fixed cost per sweep
-         (pool spawn/join, deques, key hashing) as distinct from the
+         (pool spawn/join, job claims, key hashing) as distinct from the
          science inside the tasks. *)
       Test.make ~name:"runner_map_32tasks_j4"
         (Staged.stage
-           (let config =
-              {
-                Runner.workers = 4;
-                cache_dir = None;
-                checkpoints = false;
-                seed = 0;
-              }
-            in
+           (let config = { Runner.workers = 4; cache_dir = None; seed = 0 } in
             let tasks =
               Array.init 32 (fun i ->
                   Runner.Task.make

@@ -50,9 +50,9 @@ let n_t =
     & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of contending nodes.")
 
 (* Execution engine: every subcommand accepts -j N (domain parallelism for
-   experiment grids), --cache DIR (content-addressed result cache +
-   checkpoint journals) and --no-cache.  The flags configure the ambient
-   runner; grid-shaped subcommands (sweep) submit their points through it. *)
+   experiment grids), --cache DIR (content-addressed result cache) and
+   --no-cache.  The flags configure the ambient runner; grid-shaped
+   subcommands (sweep) submit their points through it. *)
 
 let jobs_t =
   Arg.(
@@ -69,8 +69,8 @@ let cache_t =
     & info [ "cache" ] ~docv:"DIR"
         ~doc:
           "Cache task results under $(docv) (content-addressed; re-runs \
-           recompute only changed points and interrupted sweeps resume \
-           from their checkpoint journal).")
+           recompute only changed points, and an interrupted sweep resumes \
+           from the entries its finished tasks wrote).")
 
 let no_cache_t =
   Arg.(
@@ -82,7 +82,6 @@ let configure_runner jobs cache no_cache =
     {
       Runner.workers = (if jobs >= 1 then jobs else 1);
       cache_dir = (if no_cache then None else cache);
-      checkpoints = true;
       seed = 0;
     }
 
@@ -216,17 +215,10 @@ let backend_of backend replicates duration seed =
   | `Slotted -> Macgame.Oracle.Sim_slotted cfg
   | `Spatial -> Macgame.Oracle.Sim_spatial cfg
 
-(* A bad sim configuration surfaces as [Invalid_argument] from
-   [Oracle.create]: one line and exit 2, not cmdliner's uncaught-exception
-   report. *)
 let oracle_of ?store ?warm_start backend replicates duration seed params =
-  try
-    Macgame.Oracle.create
-      ~backend:(backend_of backend replicates duration seed)
-      ?store ?warm_start params
-  with Invalid_argument msg ->
-    Printf.eprintf "invalid backend: %s\n" msg;
-    exit 2
+  Macgame.Oracle.create
+    ~backend:(backend_of backend replicates duration seed)
+    ?store ?warm_start params
 
 (* Evaluates to [Dcf.Params.t -> Macgame.Oracle.t]: the subcommand builds
    its params from --mode/-m first, then closes the oracle over them. *)
@@ -556,8 +548,8 @@ let sim_cmd =
         r.per_node
     end
   in
-  let simulate mode m n w aifs txop rate duration seed shards area range
-      cs_range =
+  let run mode m n w aifs txop rate duration seed shards area range
+      cs_range () =
     let params = params_of mode m in
     let s =
       { Dcf.Strategy_space.cw = w; aifs; txop_frames = txop; rate }
@@ -596,18 +588,6 @@ let sim_cmd =
             "model: tau=%.5f p=%.4f payoff=%.4f | sim welfare %.4f\n"
             v.taus.(0) v.ps.(0) v.utilities.(0) r.welfare_rate
     end
-  in
-  (* Bad geometry or strategies surface as [Invalid_argument] from the
-     simulators: one line and exit 2, not cmdliner's uncaught-exception
-     report. *)
-  let run mode m n w aifs txop rate duration seed shards area range cs_range
-      () =
-    try
-      simulate mode m n w aifs txop rate duration seed shards area range
-        cs_range
-    with Invalid_argument msg ->
-      Printf.eprintf "sim: %s\n" msg;
-      exit 2
   in
   Cmd.v
     (Cmd.info "sim" ~doc:"Packet-level simulation (slotted, or spatial with --shards)")
@@ -979,7 +959,7 @@ let serve_cmd =
 let cache_dir_pos =
   Arg.(
     required
-    & pos 0 (some string) None
+    & pos 0 (some dir) None
     & info [] ~docv:"DIR" ~doc:"Cache directory (as passed to --cache).")
 
 let cache_gc_cmd =
@@ -1034,7 +1014,7 @@ let cache_cmd =
 let store_dir_pos =
   Arg.(
     required
-    & pos 0 (some string) None
+    & pos 0 (some dir) None
     & info [] ~docv:"DIR" ~doc:"Store directory (as passed to serve --store).")
 
 let with_store dir f =
@@ -1203,7 +1183,7 @@ let trace_record_cmd =
     ignore
       (Runner.map
          ~config:
-           { Runner.workers = jobs; cache_dir = None; checkpoints = false; seed = 0 }
+           { Runner.workers = jobs; cache_dir = None; seed = 0 }
          ~name:"trace.sweep" tasks)
   in
   let run workload outs duration seed repeat capacity detail inject jobs =
@@ -1411,12 +1391,28 @@ let () =
         "Game-theoretic analysis of selfish IEEE 802.11 DCF (ICDCS 2007 \
          reproduction)"
   in
+  let main =
+    Cmd.group info
+      [
+        solve_cmd; ne_cmd; ne_multi_cmd; game_cmd; search_cmd; sim_cmd;
+        multihop_cmd;
+        sweep_cmd; delay_cmd; detect_cmd; conformance_cmd; serve_cmd;
+        cache_cmd; store_cmd; trace_cmd;
+      ]
+  in
+  (* The library refuses bad arguments (a window below 1, a trace ring
+     too small, geometry the simulators cannot place) with
+     [Invalid_argument]: one line and exit 2.  Any other exception is a
+     bug and keeps cmdliner's internal-error report and exit code. *)
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            solve_cmd; ne_cmd; ne_multi_cmd; game_cmd; search_cmd; sim_cmd;
-            multihop_cmd;
-            sweep_cmd; delay_cmd; detect_cmd; conformance_cmd; serve_cmd;
-            cache_cmd; store_cmd; trace_cmd;
-          ]))
+    (match Cmd.eval ~catch:false main with
+    | code -> code
+    | exception Invalid_argument msg ->
+        Printf.eprintf "macgame: %s\n" msg;
+        2
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Printf.eprintf "macgame: internal error, uncaught exception:\n%s\n%s%!"
+          (Printexc.to_string e)
+          (Printexc.raw_backtrace_to_string bt);
+        Cmd.Exit.internal_error)

@@ -15,8 +15,8 @@
     Replicate simulations are pure functions of the point (replicate
     seeds are derived arithmetically from [point.seed]), so each point is
     one {!Runner.Task}: the grid runs domain-parallel, results are
-    content-cached, and an interrupted nightly sweep resumes from its
-    checkpoint journal. *)
+    content-cached, and an interrupted nightly sweep resumes from the
+    cache entries its finished points wrote. *)
 
 type topology =
   | Clique  (** every node hears every node: comparable to the analytic

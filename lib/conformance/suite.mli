@@ -4,8 +4,8 @@
     The equivalence points run as one {!Runner.map} sweep (name
     ["conformance.<tier>"]), so [-j N] parallelises the statistical grid,
     results are content-cached, and an interrupted full-tier run resumes
-    from its checkpoint journal.  Anchors and golden snapshots are cheap
-    and run inline. *)
+    from the cache entries its finished points wrote.  Anchors and golden
+    snapshots are cheap and run inline. *)
 
 type outcome = {
   tier : Check.tier;

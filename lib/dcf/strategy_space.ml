@@ -117,9 +117,6 @@ type space = {
   rates : float array;
 }
 
-let cw_only_space ~cw_max =
-  { cw_min = 1; cw_max; aifs_max = 0; txop_max = 1; rates = [| 1.0 |] }
-
 let edca_space ?(aifs_max = 4) ?(txop_max = 4) ?(rates = [| 1.0 |]) ~cw_max ()
     =
   { cw_min = 1; cw_max; aifs_max; txop_max; rates }

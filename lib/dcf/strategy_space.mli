@@ -92,10 +92,6 @@ type space = {
   rates : float array;   (** admissible rate multipliers, must include 1.0 *)
 }
 
-val cw_only_space : cw_max:int -> space
-(** The paper's original strategy space: CW in [1, cw_max], every other
-    dimension pinned to its degenerate value. *)
-
 val edca_space : ?aifs_max:int -> ?txop_max:int -> ?rates:float array ->
   cw_max:int -> unit -> space
 (** Multi-knob space; defaults: [aifs_max = 4], [txop_max = 4],

@@ -42,9 +42,6 @@ val discounted : Params.t -> float -> float
 val discounted_tail : Params.t -> from_stage:int -> float -> float
 (** Σ_{k≥from_stage} δ^k·u·T = δ^{from_stage}·u·T/(1−δ). *)
 
-val social_welfare : float array -> float
-(** Σ_i u_i — the global payoff rate of Sec. V.B. *)
-
 val normalized_global : Params.t -> float array -> float
 (** The Y-axis of Figures 2–3: U/C with U = T/(1−δ)·Σ_i u_i and
     C = g·T/(σ(1−δ)), i.e. σ·Σ_i u_i/g — dimensionless. *)

@@ -12,8 +12,6 @@ let adjacency ~range positions =
   done;
   lists
 
-let degrees lists = Array.map List.length lists
-
 let bfs lists source =
   let n = Array.length lists in
   let seen = Array.make n false in

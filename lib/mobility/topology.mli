@@ -9,8 +9,6 @@ val adjacency : range:float -> Geom.point array -> int list array
     [range] of node i (excluding i), in increasing index order.  Symmetric
     by construction. *)
 
-val degrees : int list array -> int array
-
 val is_connected : int list array -> bool
 (** Breadth-first reachability from node 0; true for the empty graph. *)
 

@@ -10,8 +10,6 @@ let open_dir dir =
   mkdir_p dir;
   { dir; mutex = Mutex.create () }
 
-let dir t = t.dir
-
 let path_of t ~key =
   Filename.concat t.dir (Prelude.Util.hex64 (Prelude.Util.fnv1a64 key) ^ ".json")
 

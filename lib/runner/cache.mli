@@ -20,8 +20,6 @@ type t
 val open_dir : string -> t
 (** Opens (creating if needed, including parents) the cache directory. *)
 
-val dir : t -> string
-
 val find : t -> key:string -> Telemetry.Jsonx.t option
 (** The stored value for this exact key, or [None] on a missing entry, an
     unreadable/corrupt file, or a fingerprint collision. *)

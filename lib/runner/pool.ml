@@ -8,22 +8,13 @@ let create ?(registry = Telemetry.Registry.default) ~workers () =
 
 let workers t = t.workers
 
-type run_stats = {
-  jobs : int;
-  workers_used : int;
-  steals : int;
-  busy : float array;
-  elapsed : float;
-}
+type run_stats = { jobs : int; elapsed : float }
 
 (* Flight-recorder names, interned once (intern takes a lock).  Worker
-   spans carry (worker, job count); steal instants (thief, victim); queue
-   instants (worker, local depth at job pickup); idle instants mark a
-   worker running out of work to steal. *)
+   spans carry (worker, job count); idle instants mark a worker finding
+   no job left to claim. *)
 let recorder = Telemetry.Recorder.default
 let nid_worker = Telemetry.Recorder.intern recorder "runner.pool.worker"
-let nid_steal = Telemetry.Recorder.intern recorder "runner.pool.steal"
-let nid_queue = Telemetry.Recorder.intern recorder "runner.pool.queue_depth"
 let nid_idle = Telemetry.Recorder.intern recorder "runner.pool.idle"
 
 let run t jobs =
@@ -31,75 +22,34 @@ let run t jobs =
   let nw = Stdlib.max 1 (Stdlib.min t.workers n) in
   let started = Unix.gettimeofday () in
   let busy = Array.make nw 0. in
-  let steals = Array.make nw 0 in
   let failure = Atomic.make None in
-  let rec_on = Telemetry.Recorder.enabled recorder in
-  let execute w job =
-    let t0 = Unix.gettimeofday () in
-    (try job ()
-     with e ->
-       let bt = Printexc.get_raw_backtrace () in
-       ignore (Atomic.compare_and_set failure None (Some (e, bt))));
-    busy.(w) <- busy.(w) +. (Unix.gettimeofday () -. t0)
-  in
-  if nw = 1 then begin
-    let rid = Telemetry.Recorder.begin_span recorder nid_worker 0 n in
-    Array.iter
-      (fun job -> if Atomic.get failure = None then execute 0 job)
-      jobs;
+  (* One shared cursor is the whole queue: each worker claims the next
+     unclaimed index until the cursor runs past the last job. *)
+  let cursor = Atomic.make 0 in
+  let worker w () =
+    let rid = Telemetry.Recorder.begin_span recorder nid_worker w n in
+    let rec loop () =
+      if Atomic.get failure = None then begin
+        let i = Atomic.fetch_and_add cursor 1 in
+        if i < n then begin
+          let t0 = Unix.gettimeofday () in
+          (try jobs.(i) ()
+           with e ->
+             let bt = Printexc.get_raw_backtrace () in
+             ignore (Atomic.compare_and_set failure None (Some (e, bt))));
+          busy.(w) <- busy.(w) +. (Unix.gettimeofday () -. t0);
+          loop ()
+        end
+        else Telemetry.Recorder.instant recorder nid_idle w 0
+      end
+    in
+    loop ();
     Telemetry.Recorder.end_span recorder nid_worker rid
-  end
-  else begin
-    let deques = Array.init nw (fun _ -> Deque.create ()) in
-    Array.iteri (fun i job -> Deque.push_back deques.(i mod nw) job) jobs;
-    let worker w () =
-      let rid = Telemetry.Recorder.begin_span recorder nid_worker w n in
-      let next () =
-        match Deque.pop_back deques.(w) with
-        | Some _ as job ->
-            if rec_on then
-              Telemetry.Recorder.instant recorder nid_queue w
-                (Deque.length deques.(w));
-            job
-        | None ->
-            (* Scan the other deques for a victim, starting just past us so
-               thieves spread out instead of mobbing worker 0. *)
-            let rec scan k =
-              if k >= nw then None
-              else
-                match Deque.steal deques.((w + k) mod nw) with
-                | Some _ as job ->
-                    steals.(w) <- steals.(w) + 1;
-                    if rec_on then
-                      Telemetry.Recorder.instant recorder nid_steal w
-                        ((w + k) mod nw);
-                    job
-                | None -> scan (k + 1)
-            in
-            scan 1
-      in
-      let rec loop () =
-        if Atomic.get failure = None then
-          match next () with
-          | Some job ->
-              execute w job;
-              loop ()
-          | None -> if rec_on then Telemetry.Recorder.instant recorder nid_idle w 0
-      in
-      loop ();
-      Telemetry.Recorder.end_span recorder nid_worker rid
-    in
-    let domains =
-      Array.init (nw - 1) (fun i -> Domain.spawn (worker (i + 1)))
-    in
-    worker 0 ();
-    Array.iter Domain.join domains
-  end;
-  let stolen = Array.fold_left ( + ) 0 steals in
+  in
+  let domains = Array.init (nw - 1) (fun i -> Domain.spawn (worker (i + 1))) in
+  worker 0 ();
+  Array.iter Domain.join domains;
   Telemetry.Metric.add (Telemetry.Registry.counter t.registry "runner.pool.jobs") n;
-  Telemetry.Metric.add
-    (Telemetry.Registry.counter t.registry "runner.pool.steals")
-    stolen;
   let busy_hist =
     Telemetry.Registry.histogram t.registry "runner.pool.worker_busy_seconds"
   in
@@ -117,4 +67,4 @@ let run t jobs =
   (match Atomic.get failure with
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ());
-  { jobs = n; workers_used = nw; steals = stolen; busy; elapsed }
+  { jobs = n; elapsed }

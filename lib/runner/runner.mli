@@ -1,15 +1,17 @@
-(** The experiment engine: deterministic domain-parallel sweeps with a
-    content-addressed result cache and checkpoint/resume.
+(** The experiment engine: deterministic domain-parallel sweeps over a
+    content-addressed result cache.
 
     [map cfg ~name tasks] evaluates every task and returns their results
     in submission order.  For each task it consults, in order:
 
-    + the sweep's checkpoint journal ([<cache>/<name>.journal.jsonl]) —
-      results a previous interrupted run of this sweep already produced;
     + the content-addressed cache ([<cache>/<fingerprint>.json]) — results
-      any previous sweep produced for the same content key;
+      any previous sweep produced for the same content key, including the
+      tasks an interrupted run of this sweep finished;
     + the domain pool, which computes the misses, storing each result in
-      both cache and journal the moment it completes.
+      the cache the moment it completes.
+
+    An interrupted sweep therefore resumes from the cache alone: the rerun
+    computes only the tasks whose entries are missing.
 
     {b Determinism contract.}  Task results are a function of the task key
     and the sweep seed only: each task's RNG comes from
@@ -21,22 +23,19 @@
 
     {b Telemetry.}  Each computed task runs inside a ["runner.task"] span;
     the sweep maintains [runner.cache.hits] / [runner.cache.misses] /
-    [runner.tasks.completed] counters (plus the pool's job/steal counters
-    and per-worker busy-time histogram) and emits one ["run_manifest"]
-    event at pool shutdown carrying the sweep name, worker count, task
-    count, cache hit rate, steals and elapsed wall-clock — enough to audit
-    a sweep from the JSONL stream alone. *)
+    [runner.tasks.completed] counters (plus the pool's job counter and
+    per-worker busy-time histogram) and emits one ["run_manifest"] event
+    at pool shutdown carrying the sweep name, worker count, task count,
+    computed count, cache hits, cache hit rate and elapsed wall-clock —
+    enough to audit a sweep from the JSONL stream alone. *)
 
 module Task = Task
-module Deque = Deque
 module Pool = Pool
 module Cache = Cache
-module Checkpoint = Checkpoint
 
 type config = {
   workers : int;            (** degree of parallelism; 1 = serial *)
-  cache_dir : string option;(** [None] disables both cache and journal *)
-  checkpoints : bool;       (** keep a per-sweep resume journal *)
+  cache_dir : string option;(** [None] disables the cache *)
   seed : int;               (** sweep seed for per-task RNG derivation *)
 }
 
@@ -51,7 +50,6 @@ val map :
   name:string ->
   'a Task.t array ->
   'a array
-(** Evaluate the sweep.  [name] identifies the sweep's checkpoint journal
-    and labels its manifest; it must be stable across runs for resume to
-    find the journal.  Re-raises the first task exception after the pool
-    drains. *)
+(** Evaluate the sweep.  [name] labels its spans and manifest.  Re-raises
+    the first task exception after the pool stops; the results finished
+    before it stay in the cache. *)

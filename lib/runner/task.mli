@@ -37,7 +37,7 @@ val key_of : family:string -> (string * Telemetry.Jsonx.t) list -> string
 
 val fingerprint : 'a t -> string
 (** 16-hex-digit FNV-1a of the key — the cache file name and the
-    checkpoint journal's task identifier. *)
+    [task] field of the runner's ["runner.task"] span. *)
 
 val rng : seed:int -> 'a t -> Prelude.Rng.t
 (** The task's private RNG stream for sweep seed [seed]. *)

@@ -19,10 +19,10 @@
     checksummed entry lines (see {!Codec}).  [put] appends to the active
     log and flushes, so a crash loses at most the entry being written:
     the torn final line fails its digest on the next open and is dropped
-    alone, exactly like {!Runner.Checkpoint} journals.  [compact] folds
-    everything into one fresh segment with a tmp+rename write (crash
-    mid-compaction leaves the previous files intact) and restarts the
-    log.  Later entries win, so re-putting a key supersedes it.
+    alone.  [compact] folds everything into one fresh segment with a
+    tmp+rename write (crash mid-compaction leaves the previous files
+    intact) and restarts the log.  Later entries win, so re-putting a key
+    supersedes it.
 
     {2 Locking}
 

@@ -1,7 +1,7 @@
-(* Tests for the experiment engine: work-stealing deque semantics, task
-   keys and derived RNG streams, the determinism contract (-j k results
-   bit-identical to serial), cache hits skipping recomputation, and
-   resume-after-kill completing a checkpointed sweep from its journal. *)
+(* Tests for the experiment engine: task keys and derived RNG streams,
+   the determinism contract (-j k results bit-identical to serial), cache
+   hits skipping recomputation, and an interrupted sweep resuming from
+   the cache entries its finished tasks wrote. *)
 
 module R = Runner
 module J = Telemetry.Jsonx
@@ -12,8 +12,8 @@ let temp_dir () =
   Unix.mkdir path 0o700;
   path
 
-let config ?(workers = 1) ?cache_dir ?(checkpoints = true) ?(seed = 0) () =
-  { R.workers; cache_dir; checkpoints; seed }
+let config ?(workers = 1) ?cache_dir ?(seed = 0) () =
+  { R.workers; cache_dir; seed }
 
 (* A float-valued task whose result is a deterministic function of its key
    and the sweep seed (via the task RNG) plus a visible computation count,
@@ -31,44 +31,6 @@ let counted_task counter ~tag i =
 
 let counted_tasks counter ~tag n =
   Array.init n (counted_task counter ~tag)
-
-(* {1 Deque} *)
-
-let test_deque_owner_lifo () =
-  let d = R.Deque.create () in
-  List.iter (R.Deque.push_back d) [ 1; 2; 3 ];
-  Alcotest.(check int) "length" 3 (R.Deque.length d);
-  Alcotest.(check (option int)) "owner pops newest" (Some 3) (R.Deque.pop_back d);
-  Alcotest.(check (option int)) "thief steals oldest" (Some 1) (R.Deque.steal d);
-  Alcotest.(check (option int)) "middle remains" (Some 2) (R.Deque.pop_back d);
-  Alcotest.(check (option int)) "empty pop" None (R.Deque.pop_back d);
-  Alcotest.(check (option int)) "empty steal" None (R.Deque.steal d)
-
-let test_deque_growth () =
-  let d = R.Deque.create () in
-  (* Interleave pushes and steals so the circular buffer wraps before it
-     grows. *)
-  for i = 1 to 8 do
-    R.Deque.push_back d i
-  done;
-  for _ = 1 to 4 do
-    ignore (R.Deque.steal d)
-  done;
-  for i = 9 to 40 do
-    R.Deque.push_back d i
-  done;
-  let drained = ref [] in
-  let rec drain () =
-    match R.Deque.steal d with
-    | Some x ->
-        drained := x :: !drained;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check (list int)) "FIFO order preserved across growth"
-    (List.init 36 (fun i -> i + 5))
-    (List.rev !drained)
 
 (* {1 Task keys and RNG derivation} *)
 
@@ -193,7 +155,7 @@ let test_cache_shared_across_sweeps () =
 let test_corrupt_cache_entry_recomputes () =
   let dir = temp_dir () in
   let counter = Atomic.make 0 in
-  let cfg = config ~cache_dir:dir ~checkpoints:false () in
+  let cfg = config ~cache_dir:dir () in
   let cold = R.map ~config:cfg ~name:"k" (counted_tasks counter ~tag:"k" 2) in
   (* Truncate one entry; the engine must fall back to recomputation. *)
   let victim = Sys.readdir dir |> Array.to_list |> List.sort compare |> List.hd in
@@ -293,64 +255,78 @@ let test_gc_always_drops_corrupt () =
   Alcotest.(check bool) "sound entry untouched" true
     (R.Cache.find cache ~key:"sound" <> None)
 
-(* {1 Checkpoint / resume} *)
-
-let test_resume_after_kill () =
+let test_gc_evicted_sweep_recomputes () =
   let dir = temp_dir () in
   let counter = Atomic.make 0 in
   let cfg = config ~workers:2 ~cache_dir:dir () in
-  let all = counted_tasks counter ~tag:"r" 8 in
-  (* "Kill" after three tasks: run a prefix of the sweep, then drop the
-     cache entries so only the journal knows the completed work. *)
-  let prefix = Array.sub all 0 3 in
-  let first = R.map ~config:cfg ~name:"resume" prefix in
-  Array.iter
-    (fun f ->
-      if Filename.check_suffix f ".json" then
-        Sys.remove (Filename.concat dir f))
-    (Sys.readdir dir);
-  Alcotest.(check int) "prefix computed" 3 (Atomic.get counter);
-  let full = R.map ~config:cfg ~name:"resume" all in
-  Alcotest.(check int) "resume computes only the remainder" 8
-    (Atomic.get counter);
-  Alcotest.(check bool) "resumed prefix identical" true
-    (Array.to_list first = Array.to_list (Array.sub full 0 3))
+  let cold = R.map ~config:cfg ~name:"g" (counted_tasks counter ~tag:"g" 6) in
+  (* A zero byte budget evicts every entry: the cache is the only store
+     of results, so nothing may serve the rerun. *)
+  let stats = R.Cache.gc ~max_bytes:0 (R.Cache.open_dir dir) in
+  Alcotest.(check int) "every entry evicted" 6 stats.evicted;
+  let again = R.map ~config:cfg ~name:"g" (counted_tasks counter ~tag:"g" 6) in
+  Alcotest.(check int) "every task recomputed" 12 (Atomic.get counter);
+  Alcotest.(check bool) "values unchanged" true (cold = again)
 
-let test_truncated_journal_line_tolerated () =
-  let dir = temp_dir () in
-  let counter = Atomic.make 0 in
-  let cfg = config ~cache_dir:dir () in
-  ignore (R.map ~config:cfg ~name:"trunc" (counted_tasks counter ~tag:"t" 3));
-  (* Simulate a kill mid-append: a half-written final line. *)
-  let journal = Filename.concat dir "trunc.journal.jsonl" in
-  let oc = open_out_gen [ Open_append ] 0o644 journal in
-  output_string oc "{\"task\": \"deadbeef";
-  close_out oc;
-  let again = R.map ~config:cfg ~name:"trunc" (counted_tasks counter ~tag:"t" 3) in
-  Alcotest.(check int) "whole journal still replays" 3 (Atomic.get counter);
-  Alcotest.(check int) "all results served" 3 (Array.length again)
+(* {1 Resume from the cache} *)
 
-let test_corrupt_journal_lines_counted () =
-  let dir = temp_dir () in
-  let path = Filename.concat dir "audit.journal.jsonl" in
-  let oc = open_out path in
-  output_string oc "{\"task\": \"a\", \"value\": 1.0}\n";
-  output_string oc "not json at all\n";
-  output_string oc "{\"wrong\": \"shape\"}\n";
-  output_string oc "\n";
-  output_string oc "{\"task\": \"trunc";
-  close_out oc;
-  let registry = Telemetry.Registry.create ~label:"journal-audit" () in
-  let j = R.Checkpoint.load ~telemetry:registry path in
-  Alcotest.(check int) "good entry replayed" 1 (R.Checkpoint.entries j);
-  Alcotest.(check bool) "good entry served" true
-    (R.Checkpoint.find j ~fingerprint:"a" <> None);
-  (* Unparsable garbage, wrong-shape JSON and the truncated tail are each
-     dropped and counted; the blank line is not a dropped entry. *)
-  Alcotest.(check int) "three lines dropped and counted" 3
-    (Telemetry.Metric.count
-       (Telemetry.Registry.counter registry "runner.checkpoint.dropped_lines"));
-  R.Checkpoint.close j
+(* Tasks that count their completions per index; while [armed] is set,
+   task [stop_at] fails, stopping the sweep part-way as a kill would. *)
+let stoppable_tasks ~armed ~stop_at done_ =
+  Array.mapi
+    (fun i count ->
+      R.Task.make
+        ~key:(R.Task.key_of ~family:"test.stoppable" [ ("i", J.Int i) ])
+        ~encode:(fun v -> J.Float v)
+        ~decode:J.to_float_opt
+        (fun rng ->
+          if Atomic.get armed && i = stop_at then failwith "stopped";
+          Atomic.incr count;
+          Prelude.Rng.float rng 1.0 +. float_of_int i))
+    done_
+
+let test_resume_after_kill () =
+  let n = 8 and stop_at = 5 in
+  let counts () = Array.init n (fun _ -> Atomic.make 0) in
+  List.iter
+    (fun workers ->
+      let dir = temp_dir () in
+      let cfg = config ~workers ~cache_dir:dir () in
+      let armed = Atomic.make true in
+      let first = counts () in
+      Alcotest.check_raises
+        (Printf.sprintf "-j %d: task %d stops the sweep" workers stop_at)
+        (Failure "stopped")
+        (fun () ->
+          ignore
+            (R.map ~config:cfg ~name:"resume"
+               (stoppable_tasks ~armed ~stop_at first)));
+      let finished = Array.map Atomic.get first in
+      (* Tasks are claimed in order, so every task before the failing one
+         finished; later ones may have, on another domain. *)
+      Alcotest.(check (array int)) "the tasks before the failure finished"
+        (Array.make stop_at 1) (Array.sub finished 0 stop_at);
+      Alcotest.(check int) "each finished task left a cache entry"
+        (Array.fold_left ( + ) 0 finished)
+        (R.Cache.entries (R.Cache.open_dir dir));
+      Atomic.set armed false;
+      let second = counts () in
+      let resumed =
+        R.map ~config:cfg ~name:"resume"
+          (stoppable_tasks ~armed ~stop_at second)
+      in
+      Alcotest.(check (array int))
+        (Printf.sprintf "-j %d: the rerun computes only the unfinished tasks"
+           workers)
+        (Array.map (fun c -> 1 - c) finished)
+        (Array.map Atomic.get second);
+      let whole =
+        R.map ~config:(config ~workers ()) ~name:"whole"
+          (stoppable_tasks ~armed ~stop_at (counts ()))
+      in
+      Alcotest.(check bool) "resumed sweep = uninterrupted sweep" true
+        (resumed = whole))
+    [ 1; 2 ]
 
 (* {1 Pool and telemetry} *)
 
@@ -414,11 +390,6 @@ let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "runner"
     [
-      ( "deque",
-        [
-          quick "owner LIFO, thief FIFO" test_deque_owner_lifo;
-          quick "growth preserves order" test_deque_growth;
-        ] );
       ( "task",
         [
           quick "key field order" test_key_field_order_insensitive;
@@ -440,12 +411,11 @@ let () =
           quick "gc evicts by age" test_gc_evicts_by_age;
           quick "gc size budget, oldest first" test_gc_size_budget_oldest_first;
           quick "gc always drops corrupt entries" test_gc_always_drops_corrupt;
+          quick "gc-evicted sweep recomputes" test_gc_evicted_sweep_recomputes;
         ] );
       ( "resume",
         [
           quick "resume after kill" test_resume_after_kill;
-          quick "truncated journal tolerated" test_truncated_journal_line_tolerated;
-          quick "corrupt journal lines counted" test_corrupt_journal_lines_counted;
         ] );
       ( "pool",
         [

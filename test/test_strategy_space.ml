@@ -242,7 +242,7 @@ let test_ne_search_degenerate_space () =
   (* On the CW-only space the search must stay inside the degenerate
      subspace — no knob invents itself. *)
   let oracle = Macgame.Oracle.analytic params in
-  let space = S.cw_only_space ~cw_max:256 in
+  let space = S.edca_space ~aifs_max:0 ~txop_max:1 ~cw_max:256 () in
   let out =
     Macgame.Search.ne_search oracle ~space
       ~initial:(Macgame.Profile.uniform ~n:2 ~w:64)

@@ -424,10 +424,10 @@ let test_diff_noise_aware () =
 
 (* {1 Multi-domain merge} *)
 
-(* Runner.map on k domains records worker spans, task spans, steals and
-   oracle traffic into per-domain rings; the drained merge must be
-   timestamp-sorted, strictly monotonic per domain, and causally ordered
-   (a span's begin precedes its end and its children's begins). *)
+(* Runner.map on k domains records worker spans, task spans, idle
+   instants and oracle traffic into per-domain rings; the drained merge
+   must be timestamp-sorted, strictly monotonic per domain, and causally
+   ordered (a span's begin precedes its end and its children's begins). *)
 let test_multidomain_merge_qcheck =
   QCheck.Test.make ~count:15 ~name:"multi-domain Runner.map drains causally"
     QCheck.(pair (int_range 1 24) (int_range 1 4))
@@ -435,9 +435,7 @@ let test_multidomain_merge_qcheck =
       let recorder = Telemetry.Recorder.default in
       ignore (Telemetry.Recorder.drain ~registry:(Telemetry.Registry.create ()) recorder);
       Telemetry.Recorder.set_enabled recorder true;
-      let config =
-        { Runner.workers; cache_dir = None; checkpoints = false; seed = 0 }
-      in
+      let config = { Runner.workers; cache_dir = None; seed = 0 } in
       let work =
         Array.init tasks (fun i ->
             Runner.Task.make
