@@ -936,9 +936,10 @@ let serve_cmd =
             Printf.eprintf "--socket and --stdin are mutually exclusive\n";
             exit 2
         | Some path, false ->
-            Printf.eprintf "serving on %s\n%!" path;
             Serve.Server.serve_socket server ~path ~max_inflight
-              ?max_connections ()
+              ?max_connections
+              ~ready:(fun () -> Printf.eprintf "serving on %s\n%!" path)
+              ()
         | None, _ -> Serve.Server.serve_channel server stdin stdout)
   in
   Cmd.v
@@ -1126,8 +1127,8 @@ let trace_record_cmd =
       value & flag
       & info [ "detail" ]
           ~doc:
-            "Also record the dense tier (per-calendar-event instants in the \
-             spatial core).")
+            "Also record the dense tier (per-calendar-event and RTS/CTS/NAV \
+             instants in the spatial core).")
   in
   let inject_t =
     Arg.(

@@ -333,7 +333,6 @@ let params t = t.params
 let backend t = t.backend
 let telemetry t = t.telemetry
 let store t = t.store
-let warm_start t = t.warm_start
 let identity t = Lazy.force t.store_prefix
 
 let backend_name = function

@@ -173,8 +173,6 @@ val telemetry : t -> Telemetry.Registry.t
 
 val store : t -> Store.t option
 
-val warm_start : t -> bool
-
 val identity : t -> string
 (** The oracle's full evaluation identity (parameter fingerprint, p_hn,
     backend with sim configuration) — the prefix of every store key it

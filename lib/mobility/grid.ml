@@ -4,8 +4,6 @@ type t = {
   rows : int;
   xs : float array;
   ys : float array;
-  cell_idx : int array; (* current cell of each id *)
-  slot_idx : int array; (* position inside that cell's bucket *)
   buckets : int array array; (* members as a dense prefix of each row *)
   lens : int array;
   mutable scratch : int array; (* {!query}'s buffer, sized on first use *)
@@ -36,11 +34,7 @@ let bucket_push t b i =
     end
   in
   bucket.(len) <- i;
-  t.lens.(b) <- len + 1;
-  t.cell_idx.(i) <- b;
-  t.slot_idx.(i) <- len
-
-let add t i = bucket_push t (cell_of t i) i
+  t.lens.(b) <- len + 1
 
 (* NaN fails every comparison, so the checks are written to pass only
    finite, non-negative coordinates. *)
@@ -68,8 +62,6 @@ let create ~cell points =
       rows;
       xs = Array.map (fun (p : Geom.point) -> p.x) points;
       ys = Array.map (fun (p : Geom.point) -> p.y) points;
-      cell_idx = Array.make n 0;
-      slot_idx = Array.make n 0;
       buckets = Array.make (cols * rows) [||];
       lens = Array.make (cols * rows) 0;
       scratch = [||];
@@ -77,7 +69,7 @@ let create ~cell points =
     }
   in
   for i = 0 to n - 1 do
-    add t i
+    bucket_push t (cell_of t i) i
   done;
   t
 
@@ -90,24 +82,6 @@ let cell_order t =
       k := !k + t.lens.(b))
     t.buckets;
   order
-
-let move t i (p : Geom.point) =
-  if not (valid p) then
-    invalid_arg "Grid.move: coordinates must be finite and non-negative";
-  t.xs.(i) <- p.x;
-  t.ys.(i) <- p.y;
-  let old = t.cell_idx.(i) in
-  let fresh = cell_of t i in
-  if fresh <> old then begin
-    (* Swap-remove [i] from its old bucket. *)
-    let last = t.lens.(old) - 1 in
-    let s = t.slot_idx.(i) in
-    let mover = t.buckets.(old).(last) in
-    t.buckets.(old).(s) <- mover;
-    t.slot_idx.(mover) <- s;
-    t.lens.(old) <- last;
-    bucket_push t fresh i
-  end
 
 (* The candidate box is the padded axis-aligned square of half-width
    [radius] around id [i]: a superset of the disk, so callers filter with

@@ -2,8 +2,9 @@
 
     Buckets node ids into square cells of a fixed size so that range
     queries (carrier sense, interference neighbourhoods) touch O(local
-    density) candidates instead of all n nodes.  Every id is indexed from
-    {!create} on; {!move} re-buckets one id when its coordinates change.
+    density) candidates instead of all n nodes.  The index is built once
+    by {!create} and never changes; a new set of positions gets a new
+    grid.
 
     {!gather} returns a {e superset} of the requested disk — the members of
     the cells overlapping the padded bounding square — and callers apply
@@ -28,16 +29,9 @@ val create : cell:float -> Geom.point array -> t
 
 val cell_order : t -> int array
 (** Every id, in the order {!gather} lists candidates: cells in row-major
-    order, bucket order within a cell (ascending id until a {!move}).
-    Numbering ids by their position in this array makes every {!gather}
-    output ascending in that numbering. *)
-
-val move : t -> int -> Geom.point -> unit
-(** Update id [i]'s coordinates, re-bucketing only when the cell actually
-    changes — the incremental path for waypoint walkers.
-
-    @raise Invalid_argument on coordinates that are not finite and
-    non-negative. *)
+    order, ascending id within a cell.  Numbering ids by their position
+    in this array makes every {!gather} output ascending in that
+    numbering. *)
 
 val gather : t -> radius:float -> int -> int array -> int
 (** [gather t ~radius i buf] writes every id in the cells overlapping the

@@ -44,8 +44,6 @@ let create ?(seed = 0) cfg ~n =
 
 let positions t = Array.map (fun w -> w.pos) t.walkers
 
-let config t = t.cfg
-
 let step t ~dt =
   if dt <= 0. then invalid_arg "Waypoint.step: dt must be positive";
   let rec advance walker budget =

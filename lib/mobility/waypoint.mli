@@ -36,4 +36,3 @@ val step : t -> dt:float -> unit
     positive, [step ~dt] twice lands (up to float splicing error) where
     [step ~dt:(2. *. dt)] once does. *)
 
-val config : t -> config

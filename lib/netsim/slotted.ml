@@ -72,8 +72,19 @@ let fail ~retry_limit ~m nd =
     false
   end
 
+(* Flight-recorder names, interned once (intern takes a lock).  Each
+   instant carries a = virtual slot, b = node. *)
+let recorder = Telemetry.Recorder.default
+let nid_success = Telemetry.Recorder.intern recorder "slotted.success"
+let nid_collision = Telemetry.Recorder.intern recorder "slotted.collision"
+
+let nid_channel_error =
+  Telemetry.Recorder.intern recorder "slotted.channel_error"
+
+let nid_drop = Telemetry.Recorder.intern recorder "slotted.drop"
+
 let run ?(telemetry = Telemetry.Registry.default) ?(bianchi_ticks = false)
-    ?(retry_limit = max_int) ?(per = 0.) ?trace ?strategies
+    ?(retry_limit = max_int) ?(per = 0.) ?strategies
     { params; cws; duration; seed } =
   if retry_limit < 0 then invalid_arg "Slotted.run: retry_limit must be >= 0";
   (* Written so that NaN fails them. *)
@@ -128,12 +139,10 @@ let run ?(telemetry = Telemetry.Registry.default) ?(bianchi_ticks = false)
     Array.map (fun (t : Dcf.Strategy_space.times) -> t.payload) times
   in
   let master = Prelude.Rng.create seed in
-  (* Trace events are built only under [tracing]: each costs a record and
-     a boxed float, a collision also a list of its colliders. *)
-  let tracing = Option.is_some trace in
-  let emit event =
-    match trace with None -> () | Some t -> Trace.record t event
-  in
+  (* One flag read per run, not per event: the recorder can only be
+     toggled between runs, and a captured bool keeps each logging site at
+     one predictable branch. *)
+  let rec_on = Telemetry.Recorder.enabled recorder in
   let nodes =
     Array.mapi
       (fun id window ->
@@ -160,7 +169,7 @@ let run ?(telemetry = Telemetry.Registry.default) ?(bianchi_ticks = false)
   let sigma = params.sigma in
   (* The clock and the airtime sums are locals that no closure captures,
      so they stay unboxed; the loop below calls no closure and allocates
-     nothing unless [trace] is given. *)
+     nothing. *)
   let time = ref 0. in
   let slots = ref 0 in
   (* Channel-airtime accounting, updated incrementally as the simulation
@@ -230,12 +239,13 @@ let run ?(telemetry = Telemetry.Registry.default) ?(bianchi_ticks = false)
              frame time — not the collision time Tc, which models
              truncated overlapping frames.  The missing ACK aborts any
              TXOP continuation, so the burst never happens. *)
-          if fail ~retry_limit ~m winner && tracing then
-            emit (Trace.Drop { time = !time; node = winner.id });
+          if rec_on then
+            Telemetry.Recorder.instant recorder nid_channel_error !slots
+              winner.id;
+          if fail ~retry_limit ~m winner && rec_on then
+            Telemetry.Recorder.instant recorder nid_drop !slots winner.id;
           time := !time +. sts1.(winner.id);
-          error_airtime := !error_airtime +. sts1.(winner.id);
-          if tracing then
-            emit (Trace.Channel_error { time = !time; node = winner.id })
+          error_airtime := !error_airtime +. sts1.(winner.id)
         end
         else begin
           winner.attempts <- winner.attempts + 1;
@@ -246,8 +256,8 @@ let run ?(telemetry = Telemetry.Registry.default) ?(bianchi_ticks = false)
           winner.retries <- 0;
           time := !time +. sts.(winner.id);
           success_airtime := !success_airtime +. sts.(winner.id);
-          if tracing then
-            emit (Trace.Success { time = !time; node = winner.id })
+          if rec_on then
+            Telemetry.Recorder.instant recorder nid_success !slots winner.id
         end
       end
       else begin
@@ -257,16 +267,14 @@ let run ?(telemetry = Telemetry.Registry.default) ?(bianchi_ticks = false)
         let tc_busy = ref 0. in
         for k = 0 to ntx - 1 do
           let nd = nodes.(tx.(k)) in
-          if fail ~retry_limit ~m nd && tracing then
-            emit (Trace.Drop { time = !time; node = nd.id });
+          if rec_on then
+            Telemetry.Recorder.instant recorder nid_collision !slots nd.id;
+          if fail ~retry_limit ~m nd && rec_on then
+            Telemetry.Recorder.instant recorder nid_drop !slots nd.id;
           if stc.(nd.id) > !tc_busy then tc_busy := stc.(nd.id)
         done;
         time := !time +. !tc_busy;
-        collision_airtime := !collision_airtime +. !tc_busy;
-        if tracing then
-          emit
-            (Trace.Collision
-               { time = !time; nodes = List.init ntx (fun k -> tx.(k)) })
+        collision_airtime := !collision_airtime +. !tc_busy
       end;
       if bianchi_ticks then
         (* Markov-chain convention: the busy virtual slot also ticks the

@@ -61,7 +61,7 @@ type result = {
 
 val run :
   ?telemetry:Telemetry.Registry.t ->
-  ?bianchi_ticks:bool -> ?retry_limit:int -> ?per:float -> ?trace:Trace.t ->
+  ?bianchi_ticks:bool -> ?retry_limit:int -> ?per:float ->
   ?strategies:Dcf.Strategy_space.t array ->
   config -> result
 (** Simulate until [duration] simulated seconds have elapsed.
@@ -75,7 +75,11 @@ val run :
     airtime per node.  Omitting [strategies] — or passing only degenerate
     ones — runs the exact CW-only operation sequence, bit-identically.
 
-    [trace] records a {!Trace.event} per success, collision and drop.
+    While {!Telemetry.Recorder.default} is enabled, every outcome is a
+    flight-recorder instant (a = virtual slot, counting from 1; b = node):
+    [slotted.success] per winning access, [slotted.collision] per
+    collider, [slotted.channel_error] per frame lost to noise, and
+    [slotted.drop] after a failure that exhausted the retry limit.
 
     Every run emits a ["run_summary"] telemetry event on [telemetry]
     (default: the global registry) carrying the airtime fractions, the
@@ -87,8 +91,8 @@ val run :
     wins contention is still lost with this probability (treated as a
     failure by the backoff machinery, as real DCF cannot tell noise from
     collision).  The corrupted frame is transmitted in full, so it holds
-    the channel for Ts (tallied in [error_fraction]) and the trace records
-    a {!Trace.Channel_error} rather than a {!Trace.Collision}.  Default 0
+    the channel for Ts (tallied in [error_fraction]) and the recorder logs
+    a [slotted.channel_error] rather than a [slotted.collision].  Default 0
     — the paper's perfect channel.  Analytically this is the same
     multiplicative factor as the hidden-node degradation p_hn of
     Sec. VI.A, so the validation tests compare against

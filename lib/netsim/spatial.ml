@@ -128,12 +128,16 @@ let kind_fire = 3
 
 (* Flight-recorder names, interned once (intern takes a lock).  The
    default tier records per-transmission outcomes (a = slot, b = node);
-   the dense per-calendar-event tier sits behind [Recorder.detail]. *)
+   the RTS/CTS handshake and the dense per-calendar-event tier sit behind
+   [Recorder.detail]. *)
 let recorder = Telemetry.Recorder.default
 let nid_tx_start = Telemetry.Recorder.intern recorder "spatial.tx_start"
 let nid_success = Telemetry.Recorder.intern recorder "spatial.success"
 let nid_collision = Telemetry.Recorder.intern recorder "spatial.collision"
 let nid_drop = Telemetry.Recorder.intern recorder "spatial.drop"
+let nid_rts = Telemetry.Recorder.intern recorder "spatial.rts"
+let nid_cts = Telemetry.Recorder.intern recorder "spatial.cts"
+let nid_nav_defer = Telemetry.Recorder.intern recorder "spatial.nav_defer"
 
 let nid_event =
   [|
@@ -164,7 +168,7 @@ type neighborhoods =
 (* [flight] gates the flight recorder for this run: the differential
    shadow run passes [false] so primary and shadow do not double-record
    the same workload into the process-wide rings. *)
-let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
+let simulate ~driver ~telemetry ~retry_limit ~flight ~strategies
     ~rng_of ~hoods ~(params : Dcf.Params.t) ~cws ~duration ~seed =
   if retry_limit < 0 then invalid_arg "Spatial.run: retry_limit must be >= 0";
   let validate_scalars n =
@@ -256,8 +260,8 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
         (* Carrier-sense neighbours come out of the gather already sorted.
            The decode neighbours, the ones among them within [range], are
            put in caller order: [Rng.pick] draws a destination by its
-           index there, and RTS/CTS silencing emits its trace in that
-           order. *)
+           index there, and RTS/CTS silencing records its NAV instants in
+           that order. *)
         let neighbors = Array.make n [||] in
         let cs_neighbors = Array.make n [||] in
         let buf = Array.make n 0 and decode = Array.make n 0 in
@@ -434,12 +438,6 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
   let backoff_reset node =
     node.counter <- Prelude.Rng.int node.rng (node.window lsl node.stage)
   in
-  (* Trace events are built only under [tracing]: constructing one costs
-     a record, a boxed float and, for collisions, a list. *)
-  let tracing = Option.is_some trace in
-  let emit event =
-    match trace with None -> () | Some t -> Trace.record t event
-  in
   (* One flag read per run, not per event: the recorder can only be
      toggled between runs, and a single captured bool keeps the hot loop
      at one predictable branch per site. *)
@@ -494,14 +492,8 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
         let nd = nodes.(j) in
         if finish > nd.nav_until then begin
           !raise_nav now nd finish;
-          if tracing then
-            emit
-              (Trace.Nav_defer
-                 {
-                   time = float_of_int now *. sigma;
-                   node = nd.cid;
-                   until = float_of_int finish *. sigma;
-                 })
+          if rec_detail then
+            Telemetry.Recorder.instant recorder nid_nav_defer finish nd.cid
         end
       end
     done
@@ -524,18 +516,12 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
       else src.hidden_failures <- src.hidden_failures + 1;
       if rec_on then
         Telemetry.Recorder.instant recorder nid_collision now c;
-      if tracing then
-        emit
-          (Trace.Collision
-             { time = float_of_int now *. sigma; nodes = [ c ] });
       src.retries <- src.retries + 1;
       if src.retries > retry_limit then begin
         src.drops <- src.drops + 1;
         src.retries <- 0;
         src.stage <- 0;
-        if rec_on then Telemetry.Recorder.instant recorder nid_drop now c;
-        if tracing then
-          emit (Trace.Drop { time = float_of_int now *. sigma; node = c })
+        if rec_on then Telemetry.Recorder.instant recorder nid_drop now c
       end
       else src.stage <- imin (src.stage + 1) m
     end
@@ -550,23 +536,14 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
       success_tx_slots := !success_tx_slots + (clip finish - clip started);
       cover (clip now) (clip finish);
       if rec_on then Telemetry.Recorder.instant recorder nid_success now c;
-      if tracing then
-        emit
-          (Trace.Success { time = float_of_int now *. sigma; node = c });
       src.stage <- 0;
       src.retries <- 0;
       match params.mode with
       | Dcf.Params.Basic -> ()
       | Dcf.Params.Rts_cts ->
           let dest = nodes.(tx.dest) in
-          if tracing then
-            emit
-              (Trace.Cts
-                 {
-                   time = float_of_int now *. sigma;
-                   src = dest.cid;
-                   dest = c;
-                 });
+          if rec_detail then
+            Telemetry.Recorder.instant recorder nid_cts now dest.cid;
           !raise_busy now dest finish;
           silence now ~src:tx.src ~finish dest.neighbors;
           silence now ~src:tx.src ~finish src.neighbors
@@ -588,14 +565,8 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
       (match params.mode with
       | Dcf.Params.Basic -> ()
       | Dcf.Params.Rts_cts ->
-          if tracing then
-            emit
-              (Trace.Rts
-                 {
-                   time = float_of_int now *. sigma;
-                   src = node.cid;
-                   dest = nodes.(dest).cid;
-                 }));
+          if rec_detail then
+            Telemetry.Recorder.instant recorder nid_rts now nodes.(dest).cid);
       let tx = !obtain node dest now in
       if nodes.(dest).busy_until > now then
         (* Receiver itself is transmitting and will miss the frame; it is a
@@ -787,8 +758,8 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
       in
       (* A drained slot's events as sort keys in (kind, caller number)
          order, the node's internal number in the low bits; starters sort
-         by (caller number, internal number).  Caller order keeps trace
-         events and recorder instants in the order {!run} emits them. *)
+         by (caller number, internal number).  Caller order keeps recorder
+         instants in the order {!run} emits them. *)
       let id_bits =
         let b = ref 0 in
         while 1 lsl !b < n do
@@ -1046,7 +1017,8 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
          Resolution order cannot affect the result here: each resolve
          only touches its own node's counters and rng stream plus global
          sums, and every airtime contribution clips to the horizon.
-         Caller order keeps the trace the same across numberings. *)
+         Caller order keeps the recorder instants the same across
+         numberings. *)
       Array.iter
         (fun id ->
           let tx = nodes.(id).tx in
@@ -1218,29 +1190,28 @@ let diff_requested () =
   | Some _ -> true
 
 let run_reference ?(telemetry = Telemetry.Registry.default) ?cs_adjacency
-    ?(retry_limit = max_int) ?trace ?strategies
+    ?(retry_limit = max_int) ?strategies
     { params; adjacency; cws; duration; seed } =
   let hoods = Lists { adjacency; cs_adjacency } in
   recorded_run (Array.length adjacency) seed (fun () ->
-      simulate ~driver:Reference ~telemetry ~retry_limit ~trace ~flight:true
+      simulate ~driver:Reference ~telemetry ~retry_limit ~flight:true
         ~strategies ~rng_of:None ~hoods ~params ~cws ~duration ~seed)
 
 let run ?(telemetry = Telemetry.Registry.default) ?cs_adjacency
-    ?(retry_limit = max_int) ?trace ?strategies
+    ?(retry_limit = max_int) ?strategies
     { params; adjacency; cws; duration; seed } =
   let hoods = Lists { adjacency; cs_adjacency } in
   let result =
     recorded_run (Array.length adjacency) seed (fun () ->
-        simulate ~driver:Event_core ~telemetry ~retry_limit ~trace
-          ~flight:true ~strategies ~rng_of:None ~hoods ~params ~cws ~duration
-          ~seed)
+        simulate ~driver:Event_core ~telemetry ~retry_limit ~flight:true
+          ~strategies ~rng_of:None ~hoods ~params ~cws ~duration ~seed)
   in
   if diff_requested () then begin
     let shadow =
       simulate ~driver:Reference
         ~telemetry:(Telemetry.Registry.create ())
-        ~retry_limit ~trace:None ~flight:false ~strategies ~rng_of:None
-        ~hoods ~params ~cws ~duration ~seed
+        ~retry_limit ~flight:false ~strategies ~rng_of:None ~hoods ~params
+        ~cws ~duration ~seed
     in
     if not (equal_result result shadow) then
       failwith
@@ -1250,21 +1221,21 @@ let run ?(telemetry = Telemetry.Registry.default) ?cs_adjacency
   result
 
 let run_grid ?(telemetry = Telemetry.Registry.default) ?(retry_limit = max_int)
-    ?trace ?strategies ?rng_of ?cs_range ~params ~positions ~range ~cws
-    ~duration ~seed () =
+    ?strategies ?rng_of ?cs_range ~params ~positions ~range ~cws ~duration
+    ~seed () =
   let cs_range = Option.value cs_range ~default:range in
   let hoods = Geo { positions; range; cs_range } in
   let result =
     recorded_run (Array.length positions) seed (fun () ->
-        simulate ~driver:Event_core ~telemetry ~retry_limit ~trace
-          ~flight:true ~strategies ~rng_of ~hoods ~params ~cws ~duration ~seed)
+        simulate ~driver:Event_core ~telemetry ~retry_limit ~flight:true
+          ~strategies ~rng_of ~hoods ~params ~cws ~duration ~seed)
   in
   if diff_requested () then begin
     let shadow =
       simulate ~driver:Reference
         ~telemetry:(Telemetry.Registry.create ())
-        ~retry_limit ~trace:None ~flight:false ~strategies ~rng_of ~hoods
-        ~params ~cws ~duration ~seed
+        ~retry_limit ~flight:false ~strategies ~rng_of ~hoods ~params ~cws
+        ~duration ~seed
     in
     if not (equal_result result shadow) then
       failwith

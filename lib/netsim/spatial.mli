@@ -97,7 +97,7 @@ type result = {
 
 val run :
   ?telemetry:Telemetry.Registry.t ->
-  ?cs_adjacency:int list array -> ?retry_limit:int -> ?trace:Trace.t ->
+  ?cs_adjacency:int list array -> ?retry_limit:int ->
   ?strategies:Dcf.Strategy_space.t array ->
   config -> result
 (** [strategies] gives each node its full (CW, AIFS, TXOP, rate) strategy;
@@ -120,13 +120,20 @@ val run :
     [retry_limit] is the number of retransmissions before the head-of-line
     packet is discarded (default: unlimited, the paper's chain).
 
-    In RTS/CTS mode, a [trace] additionally records {!Trace.Rts} at every
-    handshake start, {!Trace.Cts} when the exchange wins the channel, and
-    {!Trace.Nav_defer} whenever the CTS extends a third node's NAV — so
-    multi-hop tests can assert virtual-carrier-sense behaviour.  Every run
-    emits a ["run_summary"] telemetry event on [telemetry] (default: the
-    global registry) with airtime fractions, per-node success shares and
-    Jain fairness.
+    While {!Telemetry.Recorder.default} is enabled, each run is a
+    [spatial.run] span (a = n, b = seed) holding one instant per
+    transmission start and outcome (a = slot, b = node): [spatial.tx_start],
+    [spatial.success], [spatial.collision] and [spatial.drop].  The detail
+    tier ({!Telemetry.Recorder.set_detail}) adds, in RTS/CTS mode,
+    [spatial.rts] (a = slot, b = receiver) right after its
+    [spatial.tx_start], [spatial.cts] (a = slot, b = answering receiver)
+    when the exchange wins the channel, and right after it one
+    [spatial.nav_defer] (a = NAV end slot, b = silenced node) per third
+    node whose NAV the CTS sets or extends — so multi-hop tests can assert
+    virtual-carrier-sense behaviour — plus one [spatial.ev.*] instant per
+    calendar event.  Every run emits a ["run_summary"] telemetry event on
+    [telemetry] (default: the global registry) with airtime fractions,
+    per-node success shares and Jain fairness.
 
     Every run passes an always-on conservation audit before returning:
     per-node [attempts = winning accesses + local_collisions +
@@ -148,7 +155,7 @@ val run :
 
 val run_reference :
   ?telemetry:Telemetry.Registry.t ->
-  ?cs_adjacency:int list array -> ?retry_limit:int -> ?trace:Trace.t ->
+  ?cs_adjacency:int list array -> ?retry_limit:int ->
   ?strategies:Dcf.Strategy_space.t array ->
   config -> result
 (** The original boundary-scanning scheduler (every channel-state boundary
@@ -159,8 +166,7 @@ val run_reference :
 
 val run_grid :
   ?telemetry:Telemetry.Registry.t ->
-  ?retry_limit:int -> ?trace:Trace.t ->
-  ?strategies:Dcf.Strategy_space.t array ->
+  ?retry_limit:int -> ?strategies:Dcf.Strategy_space.t array ->
   ?rng_of:(int -> Prelude.Rng.t) -> ?cs_range:float ->
   params:Dcf.Params.t -> positions:Mobility.Geom.point array ->
   range:float -> cws:int array -> duration:float -> seed:int ->
@@ -178,17 +184,17 @@ val run_grid :
     Inside the run, nodes are numbered in the grid's row-major cell order,
     so a node's neighbours sit near it in memory.  Everything the caller
     sees keeps the caller's numbering: [per_node], RNG streams, [rng_of]
-    arguments, trace events and their order, flight-recorder instants,
-    telemetry and error messages.
+    arguments, flight-recorder instants and their order, telemetry and
+    error messages.
 
     Determinism contract: [run_grid ~positions ~range ~cs_range] is
     bit-identical ({!equal_result}) to [run] on
     [Topology.adjacency ~range positions] with
-    [~cs_adjacency:(Topology.adjacency ~range:cs_range positions)], and a
-    [trace] records the same event list — the grid changes how
-    neighbourhoods are {e found}, never what they are (neighbour sets are
-    equal, and per-node RNG streams make cross-node event order
-    immaterial).  The fast-tier [scale] conformance group pins this.
+    [~cs_adjacency:(Topology.adjacency ~range:cs_range positions)], and
+    records the same flight-recorder instants in the same order, detail
+    tier included — the grid changes how neighbourhoods are {e found},
+    never what they are (neighbour sets are equal, and per-node RNG
+    streams make cross-node event order immaterial).  The fast-tier [scale] conformance group pins this.
 
     [rng_of] overrides each node's RNG stream and is called with the
     caller's numbers, in increasing order (default: streams split from

@@ -67,7 +67,6 @@ let float t x =
 
 let float_in t lo hi = lo +. float t (hi -. lo)
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let bernoulli t p = float t 1.0 < p
 

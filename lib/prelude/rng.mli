@@ -45,8 +45,6 @@ val float : t -> float -> float
 val float_in : t -> float -> float -> float
 (** [float_in t lo hi] is uniform on [lo, hi). *)
 
-val bool : t -> bool
-
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
 

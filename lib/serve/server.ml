@@ -33,8 +33,6 @@ let create ?(telemetry = Telemetry.Registry.default) oracle =
     lock = Mutex.create ();
   }
 
-let oracle t = t.oracle
-
 let note_tier t (tier : Macgame.Oracle.tier) =
   Telemetry.Metric.incr
     (match tier with
@@ -252,18 +250,39 @@ let serve_connection t sem fd =
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () -> try loop () with Sys_error _ -> ())
 
-let serve_socket t ~path ?(max_inflight = 8) ?max_connections () =
+(* A listening socket bound at [path].  Only a socket file already there
+   (left by an earlier run) is replaced; any other file is refused, never
+   deleted. *)
+let listen path =
+  let refuse why =
+    invalid_arg (Printf.sprintf "Server.serve_socket: %s: %s" path why)
+  in
+  (match (Unix.lstat path).st_kind with
+  | Unix.S_SOCK -> (
+      try Unix.unlink path
+      with Unix.Unix_error (e, _, _) -> refuse (Unix.error_message e))
+  | _ -> refuse "exists and is not a socket"
+  | exception Unix.Unix_error _ -> ());
+  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (try
+     Unix.bind sock (Unix.ADDR_UNIX path);
+     Unix.listen sock 64
+   with Unix.Unix_error (e, _, _) ->
+     Unix.close sock;
+     refuse (Unix.error_message e));
+  sock
+
+let serve_socket t ~path ?(max_inflight = 8) ?max_connections
+    ?(ready = ignore) () =
   if max_inflight < 1 then
     invalid_arg "Server.serve_socket: max_inflight must be >= 1";
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
-  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let sock = listen path in
   Fun.protect
     ~finally:(fun () ->
       (try Unix.close sock with Unix.Unix_error _ -> ());
       try Unix.unlink path with Unix.Unix_error _ -> ())
     (fun () ->
-      Unix.bind sock (Unix.ADDR_UNIX path);
-      Unix.listen sock 64;
+      ready ();
       let sem = Semaphore.Counting.make max_inflight in
       let workers = ref [] in
       let accepted = ref 0 in

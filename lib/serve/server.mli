@@ -34,8 +34,6 @@ val create : ?telemetry:Telemetry.Registry.t -> Macgame.Oracle.t -> t
     affair: back it with a store / enable warm start at
     {!Macgame.Oracle.create} time. *)
 
-val oracle : t -> Macgame.Oracle.t
-
 val handle_line : t -> string -> string option
 (** Serve one request line, returning the reply line (no newline).
     [None] for blank lines.  Never raises. *)
@@ -46,11 +44,15 @@ val serve_channel : t -> in_channel -> out_channel -> unit
 
 val serve_socket :
   t -> path:string -> ?max_inflight:int -> ?max_connections:int ->
-  unit -> unit
-(** Listen on a Unix-domain socket at [path] (replacing any stale socket
-    file), serving each connection on its own thread; at most
-    [max_inflight] (default 8) requests are evaluated concurrently, the
-    rest queue.  With [max_connections] the accept loop ends after that
-    many connections and the call returns once they drain (how the tests
-    and the bench bound a run); without it, serves forever.  The socket
-    file is removed on exit. *)
+  ?ready:(unit -> unit) -> unit -> unit
+(** Listen on a Unix-domain socket at [path] (replacing a stale socket
+    file, and nothing else), call [ready] once the socket is bound, and
+    serve each connection on its own thread; at most [max_inflight]
+    (default 8) requests are evaluated concurrently, the rest queue.
+    With [max_connections] the accept loop ends after that many
+    connections and the call returns once they drain (how the tests and
+    the bench bound a run); without it, serves forever.  The socket file
+    is removed on exit.
+
+    @raise Invalid_argument when [path] holds a file that is not a
+    socket, or cannot be bound (a missing directory, no permission). *)

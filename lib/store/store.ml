@@ -179,7 +179,6 @@ let open_dir ?(telemetry = Telemetry.Registry.default) dir =
       Mutex.unlock held_mutex;
       raise e
 
-let dir t = t.dir
 
 let ensure_open t what =
   if t.closed then invalid_arg (Printf.sprintf "Store.%s: store is closed" what)

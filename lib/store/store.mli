@@ -66,8 +66,6 @@ val with_store :
   ?telemetry:Telemetry.Registry.t -> string -> (t -> 'a) -> 'a
 (** [with_store dir f] opens, runs [f], and closes even on raise. *)
 
-val dir : t -> string
-
 val find : t -> key:string -> Telemetry.Jsonx.t option
 (** Index lookup (no disk I/O after open). *)
 

@@ -136,8 +136,6 @@ let set_capacity t c =
   t.s.ring_capacity <- pow2 16 c;
   Mutex.unlock t.s.lock
 
-let capacity t = t.s.ring_capacity
-
 let intern t name =
   let s = t.s in
   Mutex.lock s.lock;

@@ -20,8 +20,9 @@
 
     {2 Capacity and loss}
 
-    Each domain writes into its own fixed ring of {!capacity} records
-    (rounded up to a power of two).  When a ring wraps, the oldest
+    Each domain writes into its own fixed ring, sized by {!create} or
+    {!set_capacity} before its first record (rounded up to a power of
+    two).  When a ring wraps, the oldest
     records are overwritten and counted: {!drain} reports the loss and
     bumps the ["telemetry.trace.dropped_records"] counter, so a
     truncated trace is never silently read as complete.  Rings of
@@ -35,9 +36,9 @@
     recorder is disabled nothing else happens — no clock read, no ring
     allocation, no stores — so instrumented hot loops are bit-identical
     to uninstrumented ones.  {!detail} gates a second, denser tier
-    (per-calendar-event instants in the spatial core) that is off even
-    when recording, for workloads where the default tier's overhead
-    budget is tight. *)
+    (per-calendar-event and RTS/CTS/NAV instants in the spatial core)
+    that is off even when recording, for workloads where the default
+    tier's overhead budget is tight. *)
 
 type t
 
@@ -82,8 +83,6 @@ val detail : t -> bool
 val set_capacity : t -> int -> unit
 (** Ring capacity for domains that have not recorded yet; existing rings
     keep theirs.  @raise Invalid_argument when below 16. *)
-
-val capacity : t -> int
 
 val intern : t -> string -> int
 (** Stable id for [name] (same string, same id, across domains).  Takes

@@ -103,7 +103,6 @@ let emit t name fields =
               let event = Event.make ~at:(t.clock ()) ~name (fields ()) in
               List.iter (fun sink -> Sink.emit sink event) sinks)
 
-let flush t = locked t (fun () -> List.iter Sink.flush t.sinks)
 
 let enter_span t = Atomic.fetch_and_add t.depth 1
 

@@ -59,8 +59,6 @@ val emit : t -> string -> (unit -> (string * Jsonx.t) list) -> unit
 (** [emit t name fields] builds and delivers an event to every sink; the
     [fields] thunk is not called when no sink is attached. *)
 
-val flush : t -> unit
-
 val enter_span : t -> int
 (** Increment the span nesting depth, returning the entered span's own
     depth (0 = outermost).  Used by {!module:Span}. *)

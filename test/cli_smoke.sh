@@ -3,8 +3,12 @@
 # refuses must end in a one-line refusal, never in cmdliner's "internal
 # error, uncaught exception" report.  Every case must exit 2 (refused by
 # the library, reported once around Cmd.eval) or 124 (refused by
-# cmdliner while parsing), and the admin commands pointed at a missing
-# directory must leave it missing.
+# cmdliner while parsing), the admin commands pointed at a missing
+# directory must leave it missing, and `serve --socket` pointed at a
+# regular file must leave the file in place.  Then the flight recorder:
+# a traced slotted `sim` must record slotted.success instants, and a
+# detail-tier `trace record` of the RTS/CTS chain its spatial.rts,
+# spatial.cts and spatial.nav_defer instants.
 set -u
 
 cli="$1"
@@ -13,9 +17,11 @@ trap 'rm -rf "$dir"' EXIT INT TERM
 
 failures=0
 
+# fail MESSAGE [FILE]: report a failed case with FILE (default: the last
+# command's stderr) indented below it.
 fail() {
   echo "cli-smoke: $1" >&2
-  sed 's/^/  | /' "$dir/stderr" >&2
+  sed 's/^/  | /' "${2:-$dir/stderr}" >&2
   failures=$((failures + 1))
 }
 
@@ -53,6 +59,39 @@ for admin in "store stats" "store compact" "cache stats" "cache gc"; do
     rm -rf "$dir/missing"
   fi
 done
+
+# --max-connections 0: a socket that does get bound is closed at once.
+refused serve --socket "$dir/missing/sock" --max-connections 0
+echo keep >"$dir/regular.txt"
+refused serve --socket "$dir/regular.txt" --max-connections 0
+[ -f "$dir/regular.txt" ] || fail "'serve --socket' deleted a regular file"
+
+# lists TRACE NAME...: `trace summary TRACE` lists every NAME.
+lists() {
+  trace="$1"
+  shift
+  if ! "$cli" trace summary "$trace" >"$dir/summary" 2>"$dir/stderr"; then
+    fail "'trace summary $trace' failed"
+    return
+  fi
+  for name in "$@"; do
+    grep -q "^$name " "$dir/summary" ||
+      fail "the summary of $trace does not list $name" "$dir/summary"
+  done
+}
+
+if "$cli" sim -n 5 --duration 1 --trace "$dir/sim.bin" \
+  >/dev/null 2>"$dir/stderr"; then
+  lists "$dir/sim.bin" slotted.success
+else
+  fail "'sim --trace' failed"
+fi
+if "$cli" trace record --workload chain30 --detail --duration 1 \
+  -o "$dir/chain.bin" >/dev/null 2>"$dir/stderr"; then
+  lists "$dir/chain.bin" spatial.rts spatial.cts spatial.nav_defer
+else
+  fail "'trace record --workload chain30 --detail' failed"
+fi
 
 [ "$failures" -eq 0 ] || exit 1
 echo "cli-smoke: ok"

@@ -788,101 +788,116 @@ let test_unsaturated_validation () =
                ~arrival_rate:rate)))
     [ nan; infinity ]
 
-(* {1 Netsim.Trace} *)
+(* {1 Simulator events in the flight recorder} *)
+
+(* The result of [f ()] and the flight-recorder instants it recorded,
+   detail tier on, as (name, a, b) in recorded order.  The ring is sized
+   to hold this suite's largest run whole, once and before the first
+   record (a ring already in use keeps its size); a run that still wraps
+   it fails. *)
+let ring_sized =
+  lazy (Telemetry.Recorder.set_capacity Telemetry.Recorder.default (1 lsl 17))
+
+let recorded f =
+  let r = Telemetry.Recorder.default in
+  let registry = Telemetry.Registry.create () in
+  Lazy.force ring_sized;
+  ignore (Telemetry.Recorder.drain ~registry r);
+  Telemetry.Recorder.set_enabled r true;
+  Telemetry.Recorder.set_detail r true;
+  let result =
+    Fun.protect
+      ~finally:(fun () ->
+        Telemetry.Recorder.set_detail r false;
+        Telemetry.Recorder.set_enabled r false)
+      f
+  in
+  let dump = Telemetry.Recorder.drain ~registry r in
+  if dump.dropped > 0 then
+    Alcotest.failf "the recorder dropped %d records" dump.dropped;
+  ( result,
+    Array.to_list dump.records
+    |> List.filter_map (fun (rc : Telemetry.Recorder.record) ->
+           if rc.kind = Telemetry.Recorder.kind_instant then
+             Some (dump.names.(rc.name), rc.a, rc.b)
+           else None) )
+
+let named name instants = List.filter (fun (m, _, _) -> m = name) instants
+let count name instants = List.length (named name instants)
 
 let test_trace_records_simulation_events () =
-  let trace = Netsim.Trace.create () in
-  let r =
-    Netsim.Slotted.run ~trace
-      { params = default; cws = Array.make 5 32; duration = 10.; seed = 6 }
+  let r, instants =
+    recorded (fun () ->
+        Netsim.Slotted.run
+          { params = default; cws = Array.make 5 32; duration = 10.; seed = 6 })
   in
-  let s = Netsim.Trace.summarize trace in
+  let successes = named "slotted.success" instants in
   let sim_successes =
     Array.fold_left
       (fun acc (st : Netsim.Slotted.node_stats) -> acc + st.successes)
       0 r.per_node
   in
-  Alcotest.(check int) "one event per delivery" sim_successes s.successes;
-  Alcotest.(check bool) "collisions observed at W=32, n=5" true (s.collisions > 0);
-  Alcotest.(check int) "no drops without a retry limit" 0 s.drops;
+  Alcotest.(check int) "one event per delivery" sim_successes
+    (List.length successes);
+  Alcotest.(check bool) "collisions observed at W=32, n=5" true
+    (count "slotted.collision" instants > 0);
+  Alcotest.(check int) "no drops without a retry limit" 0
+    (count "slotted.drop" instants);
   (* Per-node counts agree with the stats. *)
-  List.iter
-    (fun (node, count) ->
+  Array.iteri
+    (fun node (st : Netsim.Slotted.node_stats) ->
       Alcotest.(check int)
         (Printf.sprintf "node %d" node)
-        r.per_node.(node).successes count)
-    s.per_node_successes
+        st.successes
+        (List.length (List.filter (fun (_, _, b) -> b = node) successes)))
+    r.per_node
 
 let test_trace_events_are_chronological () =
-  let trace = Netsim.Trace.create () in
-  let _ =
-    Netsim.Slotted.run ~trace
-      { params = default; cws = Array.make 3 16; duration = 5.; seed = 2 }
+  let (_ : Netsim.Slotted.result), instants =
+    recorded (fun () ->
+        Netsim.Slotted.run
+          { params = default; cws = Array.make 3 16; duration = 5.; seed = 2 })
   in
-  let times = List.map Netsim.Trace.time_of (Netsim.Trace.events trace) in
   let rec sorted = function
-    | a :: (b :: _ as rest) -> a <= b && sorted rest
+    | (_, a, _) :: ((_, b, _) :: _ as rest) -> a <= b && sorted rest
     | _ -> true
   in
-  Alcotest.(check bool) "non-decreasing timestamps" true (sorted times)
-
-let test_trace_capacity_bound () =
-  let trace = Netsim.Trace.create ~capacity:10 () in
-  for i = 1 to 25 do
-    Netsim.Trace.record trace
-      (Netsim.Trace.Success { time = float_of_int i; node = 0 })
-  done;
-  Alcotest.(check int) "keeps the newest" 10 (Netsim.Trace.length trace);
-  Alcotest.(check int) "counts the discarded" 15 (Netsim.Trace.dropped trace);
-  match Netsim.Trace.events trace with
-  | first :: _ ->
-      Alcotest.(check (float 0.)) "oldest retained is #16" 16.
-        (Netsim.Trace.time_of first)
-  | [] -> Alcotest.fail "expected events"
-
-let test_trace_rendering () =
-  let trace = Netsim.Trace.create () in
-  Netsim.Trace.record trace (Netsim.Trace.Success { time = 0.5; node = 3 });
-  Netsim.Trace.record trace (Netsim.Trace.Collision { time = 1.; nodes = [ 1; 2 ] });
-  (match Netsim.Trace.to_lines trace with
-  | [ a; b ] ->
-      Alcotest.(check string) "success line" "0.50000 success node=3" a;
-      Alcotest.(check string) "collision line" "1.00000 collision nodes=[1;2]" b
-  | _ -> Alcotest.fail "expected two lines")
+  Alcotest.(check bool) "non-decreasing virtual slots" true (sorted instants)
 
 let test_trace_spatial_invariants () =
-  (* Trace the hidden-terminal chain and check protocol invariants: event
+  (* Record the hidden-terminal chain and check protocol invariants: event
      counts match the stats, and two neighbouring nodes never *both*
      deliver within one frame airtime of each other (the receiver in the
      middle can only serve one at a time). *)
   let adjacency = [| [ 1 ]; [ 0; 2 ]; [ 1 ] |] in
-  let trace = Netsim.Trace.create () in
-  let r =
-    Netsim.Spatial.run ~trace
-      {
-        params = default;
-        adjacency;
-        cws = [| 32; 32; 32 |];
-        duration = 30.;
-        seed = 8;
-      }
+  let r, instants =
+    recorded (fun () ->
+        Netsim.Spatial.run
+          {
+            params = default;
+            adjacency;
+            cws = [| 32; 32; 32 |];
+            duration = 30.;
+            seed = 8;
+          })
   in
-  let s = Netsim.Trace.summarize trace in
+  let successes = named "spatial.success" instants in
   Alcotest.(check int) "success events = delivered"
-    (r.delivered + r.delivered_late) s.successes;
+    (r.delivered + r.delivered_late)
+    (List.length successes);
   let failures =
     Array.fold_left
       (fun acc (st : Netsim.Spatial.node_stats) ->
         acc + st.local_collisions + st.hidden_failures)
       0 r.per_node
   in
-  Alcotest.(check int) "collision events = failures" failures s.collisions;
+  Alcotest.(check int) "collision events = failures" failures
+    (count "spatial.collision" instants);
   let timing = Dcf.Timing.of_params default in
   let successes =
-    Netsim.Trace.events trace
-    |> List.filter_map (function
-         | Netsim.Trace.Success { time; node } -> Some (time, node)
-         | _ -> None)
+    List.map
+      (fun (_, slot, node) -> (float_of_int slot *. default.sigma, node))
+      successes
   in
   let rec check_spacing = function
     | (t1, n1) :: ((t2, n2) :: _ as rest) ->
@@ -900,8 +915,6 @@ let suite_trace =
     Alcotest.test_case "records simulation events" `Quick test_trace_records_simulation_events;
     Alcotest.test_case "spatial trace invariants" `Quick test_trace_spatial_invariants;
     Alcotest.test_case "chronological" `Quick test_trace_events_are_chronological;
-    Alcotest.test_case "capacity bound" `Quick test_trace_capacity_bound;
-    Alcotest.test_case "rendering" `Quick test_trace_rendering;
   ]
 
 let suite_classes =

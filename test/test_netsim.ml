@@ -12,6 +12,41 @@ let rts_cts = Dcf.Params.rts_cts
 let slotted ?(params = default) ?(duration = 60.) ?(seed = 42) cws =
   Netsim.Slotted.run { params; cws; duration; seed }
 
+(* The result of [f ()] and the flight-recorder instants it recorded,
+   detail tier on, as (name, a, b) in recorded order.  The ring is sized
+   to hold this suite's largest run whole, once and before the first
+   record (a ring already in use keeps its size); a run that still wraps
+   it fails. *)
+let ring_sized =
+  lazy (Telemetry.Recorder.set_capacity Telemetry.Recorder.default (1 lsl 17))
+
+let recorded f =
+  let r = Telemetry.Recorder.default in
+  let registry = Telemetry.Registry.create () in
+  Lazy.force ring_sized;
+  ignore (Telemetry.Recorder.drain ~registry r);
+  Telemetry.Recorder.set_enabled r true;
+  Telemetry.Recorder.set_detail r true;
+  let result =
+    Fun.protect
+      ~finally:(fun () ->
+        Telemetry.Recorder.set_detail r false;
+        Telemetry.Recorder.set_enabled r false)
+      f
+  in
+  let dump = Telemetry.Recorder.drain ~registry r in
+  if dump.dropped > 0 then
+    Alcotest.failf "the recorder dropped %d records" dump.dropped;
+  ( result,
+    Array.to_list dump.records
+    |> List.filter_map (fun (rc : Telemetry.Recorder.record) ->
+           if rc.kind = Telemetry.Recorder.kind_instant then
+             Some (dump.names.(rc.name), rc.a, rc.b)
+           else None) )
+
+let count name instants =
+  List.length (List.filter (fun (m, _, _) -> m = name) instants)
+
 (* {1 Slotted simulator} *)
 
 let test_slotted_deterministic () =
@@ -273,71 +308,77 @@ let test_spatial_paper_scenario_runs () =
     (Prelude.Stats.mean_of p_hns < 1.)
 
 let test_spatial_rts_cts_trace () =
-  let trace = Netsim.Trace.create () in
-  let r =
-    Netsim.Spatial.run
-      {
-        params = rts_cts;
-        adjacency = hidden_chain;
-        cws = [| 32; 32; 32 |];
-        duration = 10.;
-        seed = 9;
-      }
-      ~trace
+  let r, instants =
+    recorded (fun () ->
+        Netsim.Spatial.run
+          {
+            params = rts_cts;
+            adjacency = hidden_chain;
+            cws = [| 32; 32; 32 |];
+            duration = 10.;
+            seed = 9;
+          })
   in
-  let s = Netsim.Trace.summarize trace in
-  Alcotest.(check bool) "handshakes happened" true (s.rts > 0);
+  let rts = count "spatial.rts" instants in
+  let cts = count "spatial.cts" instants in
+  Alcotest.(check bool) "handshakes happened" true (rts > 0);
   (* Every success won the channel through a CTS, and every CTS answer is
      followed by protected data, so the counts agree exactly. *)
   Alcotest.(check int) "one CTS per delivery" (r.delivered + r.delivered_late)
-    s.cts;
-  Alcotest.(check bool) "no more CTS than RTS" true (s.cts <= s.rts);
+    cts;
+  Alcotest.(check bool) "no more CTS than RTS" true (cts <= rts);
   (* In the hidden chain the edge nodes cannot hear each other: the centre's
      CTS is what silences them, so NAV deferrals must be observed. *)
-  Alcotest.(check bool) "NAV deferrals observed" true (s.nav_defers > 0);
-  List.iter
-    (fun ev ->
-      match ev with
-      | Netsim.Trace.Nav_defer { time; until; _ } ->
-          Alcotest.(check bool) "NAV extends into the future" true
-            (until > time)
-      | _ -> ())
-    (Netsim.Trace.events trace)
+  Alcotest.(check bool) "NAV deferrals observed" true
+    (count "spatial.nav_defer" instants > 0);
+  (* A NAV instant follows the CTS that set it and carries the NAV's end
+     slot, which lies past that CTS's slot. *)
+  let _, navs_in_future =
+    List.fold_left
+      (fun (cts_slot, ok) (name, a, _) ->
+        match name with
+        | "spatial.cts" -> (a, ok)
+        | "spatial.nav_defer" -> (cts_slot, ok && a > cts_slot)
+        | _ -> (cts_slot, ok))
+      (max_int, true) instants
+  in
+  Alcotest.(check bool) "NAV extends into the future" true navs_in_future
 
 let test_spatial_basic_mode_has_no_handshake_events () =
-  let trace = Netsim.Trace.create () in
-  ignore
-    (Netsim.Spatial.run
-       {
-         params = default;
-         adjacency = hidden_chain;
-         cws = [| 32; 32; 32 |];
-         duration = 5.;
-         seed = 9;
-       }
-       ~trace);
-  let s = Netsim.Trace.summarize trace in
-  Alcotest.(check int) "no RTS in basic mode" 0 s.rts;
-  Alcotest.(check int) "no CTS in basic mode" 0 s.cts;
-  Alcotest.(check int) "no NAV in basic mode" 0 s.nav_defers
+  let (_ : Netsim.Spatial.result), instants =
+    recorded (fun () ->
+        Netsim.Spatial.run
+          {
+            params = default;
+            adjacency = hidden_chain;
+            cws = [| 32; 32; 32 |];
+            duration = 5.;
+            seed = 9;
+          })
+  in
+  Alcotest.(check int) "no RTS in basic mode" 0 (count "spatial.rts" instants);
+  Alcotest.(check int) "no CTS in basic mode" 0 (count "spatial.cts" instants);
+  Alcotest.(check int) "no NAV in basic mode" 0
+    (count "spatial.nav_defer" instants)
 
 (* {1 Channel noise (PER)} *)
 
 let test_slotted_per_occupies_ts () =
-  let trace = Netsim.Trace.create () in
-  let r =
-    Netsim.Slotted.run ~per:0.4 ~trace
-      { params = default; cws = [| 16 |]; duration = 20.; seed = 5 }
+  let r, instants =
+    recorded (fun () ->
+        Netsim.Slotted.run ~per:0.4
+          { params = default; cws = [| 16 |]; duration = 20.; seed = 5 })
   in
-  let s = Netsim.Trace.summarize trace in
+  let channel_errors = count "slotted.channel_error" instants in
   let node = r.per_node.(0) in
   (* A lone station never collides: every failed attempt is channel noise,
-     and the trace must say so. *)
-  Alcotest.(check int) "lone node never collides" 0 s.collisions;
+     and the recorder must say so. *)
+  Alcotest.(check int) "lone node never collides" 0
+    (count "slotted.collision" instants);
   Alcotest.(check int) "every failure is a channel error"
     (node.attempts - node.successes)
-    s.channel_errors;
-  Alcotest.(check bool) "channel errors happen" true (s.channel_errors > 0);
+    channel_errors;
+  Alcotest.(check bool) "channel errors happen" true (channel_errors > 0);
   let a = r.airtime in
   check_close "four fractions sum to 1" 1.
     (a.idle_fraction +. a.success_fraction +. a.collision_fraction
@@ -353,14 +394,15 @@ let test_slotted_per_occupies_ts () =
     (Float.abs (observed -. 0.4) < 0.05)
 
 let test_slotted_per_coexists_with_collisions () =
-  let trace = Netsim.Trace.create () in
-  let r =
-    Netsim.Slotted.run ~per:0.2 ~trace
-      { params = default; cws = [| 16; 16; 16 |]; duration = 20.; seed = 8 }
+  let r, instants =
+    recorded (fun () ->
+        Netsim.Slotted.run ~per:0.2
+          { params = default; cws = [| 16; 16; 16 |]; duration = 20.; seed = 8 })
   in
-  let s = Netsim.Trace.summarize trace in
-  Alcotest.(check bool) "collisions still traced" true (s.collisions > 0);
-  Alcotest.(check bool) "channel errors traced too" true (s.channel_errors > 0);
+  Alcotest.(check bool) "collisions still traced" true
+    (count "slotted.collision" instants > 0);
+  Alcotest.(check bool) "channel errors traced too" true
+    (count "slotted.channel_error" instants > 0);
   let a = r.airtime in
   check_close "fractions still sum to 1" 1.
     (a.idle_fraction +. a.success_fraction +. a.collision_fraction
@@ -798,33 +840,6 @@ let test_grid_query_matches_scan =
       done;
       !ok)
 
-let test_grid_move_incremental =
-  QCheck.Test.make ~name:"grid move equals fresh rebuild" ~count:100
-    QCheck.(
-      pair
-        (list_of_size Gen.(int_range 1 20) (pair (int_bound 26) (int_bound 26)))
-        (small_list (triple small_nat (int_bound 26) (int_bound 26))))
-    (fun (cells, moves) ->
-      let pts = Array.of_list (List.map grid_point cells) in
-      let n = Array.length pts in
-      let g = Mobility.Grid.create ~cell:grid_cell pts in
-      List.iter
-        (fun (idx, ix, iy) ->
-          let i = idx mod n in
-          let p = grid_point (ix, iy) in
-          pts.(i) <- p;
-          Mobility.Grid.move g i p)
-        moves;
-      let fresh = Mobility.Grid.create ~cell:grid_cell pts in
-      let ok = ref true in
-      for i = 0 to n - 1 do
-        if
-          Mobility.Grid.query g ~radius:grid_cell i
-          <> Mobility.Grid.query fresh ~radius:grid_cell i
-        then ok := false
-      done;
-      !ok)
-
 let geo_positions ~seed n =
   let w =
     Mobility.Waypoint.create ~seed
@@ -892,27 +907,26 @@ let test_run_grid_bit_matches_run () =
         else (None, None)
       in
       let duration = 1. in
-      let lists_trace = Netsim.Trace.create ~capacity:1_000_000 () in
-      let lists =
-        Netsim.Spatial.run ~telemetry:(quiet ()) ~cs_adjacency ?retry_limit
-          ~trace:lists_trace ?strategies
-          { params; adjacency; cws; duration; seed }
+      let lists, lists_instants =
+        recorded (fun () ->
+            Netsim.Spatial.run ~telemetry:(quiet ()) ~cs_adjacency ?retry_limit
+              ?strategies
+              { params; adjacency; cws; duration; seed })
       in
-      let grid_trace = Netsim.Trace.create ~capacity:1_000_000 () in
-      let grid =
-        Netsim.Spatial.run_grid ~telemetry:(quiet ()) ?retry_limit
-          ~trace:grid_trace ?strategies ?rng_of ~params ~positions ~range
-          ~cs_range ~cws ~duration ~seed ()
+      let grid, grid_instants =
+        recorded (fun () ->
+            Netsim.Spatial.run_grid ~telemetry:(quiet ()) ?retry_limit
+              ?strategies ?rng_of ~params ~positions ~range ~cs_range ~cws
+              ~duration ~seed ())
       in
       Alcotest.(check bool)
         (Printf.sprintf "%s: grid core bit-identical" label)
         true
         (Netsim.Spatial.equal_result lists grid);
       Alcotest.(check bool)
-        (Printf.sprintf "%s: same trace events, same order" label)
+        (Printf.sprintf "%s: same recorder instants, same order" label)
         true
-        (Netsim.Trace.dropped grid_trace = 0
-        && Netsim.Trace.events lists_trace = Netsim.Trace.events grid_trace))
+        (lists_instants = grid_instants))
     (* [knobs]: AIFS/TXOP strategies and an [rng_of]. *)
     [
       ("basic-24", geo_positions ~seed:3 24, 3, default, 150., 210., false,
@@ -1025,13 +1039,6 @@ let test_non_finite_geometry_rejected () =
           Mobility.Grid.create ~cell:10. [| pt v 0. |]);
       rejects (label "Grid.create y") (fun () ->
           Mobility.Grid.create ~cell:10. [| pt 0. v |]);
-      let g = Mobility.Grid.create ~cell:10. pts in
-      rejects (label "Grid.move x") (fun () ->
-          Mobility.Grid.move g 0 (pt v 1.));
-      rejects (label "Grid.move y") (fun () ->
-          Mobility.Grid.move g 0 (pt 1. v));
-      Alcotest.(check (list int)) (label "rejected move leaves the grid") [ 1 ]
-        (Mobility.Grid.query g ~radius:75. 0);
       let run_grid ?(cs_range = 180.) range =
         Netsim.Spatial.run_grid ~telemetry:(quiet ()) ~params:default
           ~positions:pts ~range ~cs_range ~cws:(Array.make 3 16)
@@ -1077,7 +1084,6 @@ let test_non_finite_geometry_rejected () =
 let suite_scale =
   [
     QCheck_alcotest.to_alcotest test_grid_query_matches_scan;
-    QCheck_alcotest.to_alcotest test_grid_move_incremental;
     Alcotest.test_case "run_grid bit-matches run" `Quick
       test_run_grid_bit_matches_run;
     Alcotest.test_case "sharded = run_grid at one shard" `Quick

@@ -496,11 +496,14 @@ let test_socket_roundtrip () =
   let view = Macgame.Oracle.uniform oracle ~n:5 ~w:64 in
   let path = Filename.temp_file "test_serve_sock" "" in
   Sys.remove path;
+  let bound_when_ready = ref false in
   let listener =
     Thread.create
       (fun () ->
         Serve.Server.serve_socket server ~path ~max_inflight:2
-          ~max_connections:1 ())
+          ~max_connections:1
+          ~ready:(fun () -> bound_when_ready := Sys.file_exists path)
+          ())
       ()
   in
   (* Wait for the socket file, then connect. *)
@@ -530,6 +533,8 @@ let test_socket_roundtrip () =
     (float_field "tau" (field "result" first));
   Alcotest.(check bool) "error reply over the socket" true
     (not (is_ok second));
+  Alcotest.(check bool) "ready runs once the socket is bound" true
+    !bound_when_ready;
   Alcotest.(check bool) "socket file removed on exit" true
     (not (Sys.file_exists path))
 
