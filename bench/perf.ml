@@ -128,9 +128,11 @@ let tests =
                      duration = 1.;
                      seed = 1;
                    })));
-      (* The same event-core kernel with the flight recorder enabled: the
-         PR-6 acceptance bound is traced-vs-untraced within 5%.  The
-         recorder is toggled inside the staged closure so only this
+      (* The same event-core kernel with the flight recorder enabled, to
+         price tracing.  The recorder was designed for traced-vs-untraced
+         within 5%; over 13 interleaved runs on a 2-vCPU VM the traced
+         kernel read -0.3% to +56.1% slower (medians +20.7% and +22.8%).
+         The recorder is toggled inside the staged closure so only this
          kernel pays for it; rings wrap freely (wraps are just counter
          bumps) and are drained after the suite. *)
       Test.make ~name:"spatial_sim_1s_n25_random_traced"
@@ -638,8 +640,8 @@ let run ?baseline ~out () =
         | None -> (name, ols, nan, nan, 0))
       estimates
   in
-  (* The PR-6 overhead bound: tracing the 25-node event core must stay
-     within a few percent of the untraced kernel. *)
+  (* Tracing overhead of the 25-node event core, printed and not gated
+     (see the traced kernel's comment for the measured range). *)
   (match
      ( List.assoc_opt "spatial_sim_1s_n25_random" estimates,
        List.assoc_opt "spatial_sim_1s_n25_random_traced" estimates )

@@ -88,7 +88,6 @@ let () =
   check "game_stage present" (has "game_stage");
   check "game_summary present" (has "game_summary");
   check "search_result present" (has "search_result");
-  check "span present" (has "span");
   if !failures = 0 then
     Printf.printf "bench-smoke OK: %d events, %d distinct kinds\n"
       (List.length events)

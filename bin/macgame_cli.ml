@@ -97,7 +97,8 @@ let telemetry_t =
     & info [ "telemetry" ] ~docv:"FILE"
         ~doc:
           "Write the telemetry event stream (solver convergence, simulator \
-           run summaries, game stages, spans) to $(docv) as JSON lines.")
+           run summaries, game stages) to $(docv) as JSON lines.  Span \
+           timings are not in it: record them with $(b,--trace).")
 
 let telemetry_report_t =
   Arg.(
@@ -1240,16 +1241,11 @@ let trace_record_cmd =
     let parts = Array.make files [] in
     Telemetry.Recorder.set_enabled recorder true;
     for k = 1 to repeat do
-      let rid = Telemetry.Recorder.begin_span recorder nid_workload k inject in
-      body ();
-      if inject > 0 then begin
-        let irid =
-          Telemetry.Recorder.begin_span recorder nid_injected inject k
-        in
-        busy_wait inject;
-        Telemetry.Recorder.end_span recorder nid_injected irid
-      end;
-      Telemetry.Recorder.end_span recorder nid_workload rid;
+      Telemetry.Recorder.with_span recorder nid_workload k inject (fun () ->
+          body ();
+          if inject > 0 then
+            Telemetry.Recorder.with_span recorder nid_injected inject k
+              (fun () -> busy_wait inject));
       if files > 1 then begin
         let i = (k - 1) mod files in
         parts.(i) <- Telemetry.Recorder.drain recorder :: parts.(i)

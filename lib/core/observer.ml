@@ -1,33 +1,23 @@
-type kind =
+type t =
   | Perfect
   | Noisy of { rng : Prelude.Rng.t; rel_stddev : float }
   | Sampling of { rng : Prelude.Rng.t; samples : int }
 
-type t = { kind : kind; name : string }
-
-let name t = t.name
-
-let perfect = { kind = Perfect; name = "perfect" }
+let perfect = Perfect
 
 let noisy ~rng ~rel_stddev =
   if rel_stddev < 0. then invalid_arg "Observer.noisy: negative stddev";
-  {
-    kind = Noisy { rng; rel_stddev };
-    name = Printf.sprintf "noisy(%g)" rel_stddev;
-  }
+  Noisy { rng; rel_stddev }
 
 let sampling ~rng ~samples_per_stage =
   if samples_per_stage < 1 then
     invalid_arg "Observer.sampling: need at least one sample per stage";
-  {
-    kind = Sampling { rng; samples = samples_per_stage };
-    name = Printf.sprintf "sampling(%d)" samples_per_stage;
-  }
+  Sampling { rng; samples = samples_per_stage }
 
 let clamp_window w = if w < 1 then 1 else w
 
 let observe t ~me cws =
-  match t.kind with
+  match t with
   | Perfect -> Array.copy cws
   | Noisy { rng; rel_stddev } ->
       Array.mapi

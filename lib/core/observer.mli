@@ -11,8 +11,6 @@
 
 type t
 
-val name : t -> string
-
 val perfect : t
 (** Every window observed exactly. *)
 

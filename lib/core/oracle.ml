@@ -89,14 +89,6 @@ let nid_miss = Telemetry.Recorder.intern recorder "oracle.miss"
 let nid_solve = Telemetry.Recorder.intern recorder "oracle.solve"
 let nid_store_hit = Telemetry.Recorder.intern recorder "oracle.store_hit"
 
-let recorded_solve a b f =
-  let rid = Telemetry.Recorder.begin_span recorder nid_solve a b in
-  if rid = 0 then f ()
-  else
-    Fun.protect
-      ~finally:(fun () -> Telemetry.Recorder.end_span recorder nid_solve rid)
-      f
-
 let validate_backend = function
   | Analytic -> ()
   | Sim_slotted { duration; replicates; _ }
@@ -572,7 +564,8 @@ let uniform_strategy_outcome t ~n (s : Dcf.Strategy_space.t) =
           (view, Store)
       | None ->
           let solved =
-            recorded_solve n s.cw (fun () -> solve_uniform t ~n ~s)
+            Telemetry.Recorder.with_span recorder nid_solve n s.cw (fun () ->
+                solve_uniform t ~n ~s)
           in
           let view =
             memo_insert t Uniform_memo.find_opt Uniform_memo.add
@@ -785,7 +778,7 @@ let payoffs_profile_outcome ?batch t (profile : Profile.t) =
                 | _ -> None
               in
               let solved, class_taus =
-                recorded_solve n w0 (fun () ->
+                Telemetry.Recorder.with_span recorder nid_solve n w0 (fun () ->
                     solve_profile ?tau_hint t sorted)
               in
               Option.iter (fun b -> batch_note b class_taus) batch;

@@ -1,6 +1,5 @@
 type t = { cw : int; aifs : int; txop_frames : int; rate : float }
 
-let default = { cw = 32; aifs = 0; txop_frames = 1; rate = 1.0 }
 let of_cw w = { cw = w; aifs = 0; txop_frames = 1; rate = 1.0 }
 let is_degenerate s = s.aifs = 0 && s.txop_frames = 1 && s.rate = 1.0
 
@@ -49,8 +48,6 @@ let to_key s =
     Buffer.contents buf
   end
   else Printf.sprintf "w%d.a%d.t%d.r%h" s.cw s.aifs s.txop_frames s.rate
-
-let fingerprint s = Prelude.Util.fnv1a64 (to_key s)
 
 let to_json s =
   if is_degenerate s then Telemetry.Jsonx.Int s.cw

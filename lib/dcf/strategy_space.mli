@@ -5,8 +5,8 @@
     1008.4463): shrink the contention window, shorten the arbitration
     inter-frame space, stretch the transmission opportunity, or force a
     higher PHY rate.  This module is the single source of truth for that
-    strategy record — its canonical order, its persistent fingerprint, and
-    its JSON codec — so that every layer (solver, oracle, simulators,
+    strategy record — its canonical order, its persistent key, and its
+    JSON codec — so that every layer (solver, oracle, simulators,
     store, serve) keys on the same value.
 
     The CW-only subspace [{aifs = 0; txop_frames = 1; rate = 1.0}] is the
@@ -21,10 +21,6 @@ type t = {
   txop_frames : int; (** frames sent back-to-back per channel access, ≥ 1 *)
   rate : float;      (** payload PHY-rate multiplier on the base bit rate, > 0 *)
 }
-
-val default : t
-(** Honest station: CW 32, no extra AIFS slots, single-frame TXOP, base
-    rate. *)
 
 val of_cw : int -> t
 (** [of_cw w] is the degenerate (CW-only) strategy with window [w]. *)
@@ -51,10 +47,6 @@ val to_key : t -> string
     degenerate strategies (so CW-only keys keep their historical shape),
     ["w16.a2.t4.r<hex-float>"] otherwise.  The rate uses [%h] so the key
     is bit-faithful. *)
-
-val fingerprint : t -> int64
-(** FNV-1a of [to_key]: stable across runs, platforms and field
-    orderings. *)
 
 val to_json : t -> Telemetry.Jsonx.t
 (** Degenerate strategies render as a bare [Int cw] (the historical wire

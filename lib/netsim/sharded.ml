@@ -26,6 +26,8 @@ type result = {
 let node_rng ~seed gid =
   Prelude.Rng.of_key ~seed ("netsim.sharded.node|" ^ string_of_int gid)
 
+(* A shard's span carries (shard index, nodes it simulates, ghosts
+   included). *)
 let recorder = Telemetry.Recorder.default
 let nid_shard = Telemetry.Recorder.intern recorder "netsim.shard"
 
@@ -114,20 +116,15 @@ let run ?(telemetry = Telemetry.Registry.default) ?(retry_limit = max_int)
     let rng_of li = node_rng ~seed gids.(li) in
     fun () ->
       let t0 = Unix.gettimeofday () in
-      let rid =
-        Telemetry.Recorder.begin_span recorder nid_shard k (Array.length gids)
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          Telemetry.Recorder.end_span recorder nid_shard rid;
-          walls.(idx) <- Unix.gettimeofday () -. t0)
+      Telemetry.Recorder.with_span recorder nid_shard k (Array.length gids)
         (fun () ->
           results.(idx) <-
             Some
               (Spatial.run_grid ~telemetry:registries.(idx) ~retry_limit
                  ?strategies:sub_strategies ~rng_of ~params
                  ~positions:sub_positions ~range ~cs_range ~cws:sub_cws
-                 ~duration ~seed ()))
+                 ~duration ~seed ()));
+      walls.(idx) <- Unix.gettimeofday () -. t0
   in
   let jobs = Array.init jobs_n job in
   let pool =

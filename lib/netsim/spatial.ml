@@ -1171,18 +1171,10 @@ let simulate ~driver ~telemetry ~retry_limit ~flight ~strategies
       ]);
   result
 
+(* A span around one run (a = n, b = seed): cheap enough to leave on
+   every entry point, and it parents the per-transmission instants so
+   traces group by simulation. *)
 let nid_run = Telemetry.Recorder.intern recorder "spatial.run"
-
-(* A recorder-only span around one run (a = n, b = seed): cheap enough
-   to leave on every entry point, and it parents the per-transmission
-   instants so traces group by simulation. *)
-let recorded_run a b f =
-  let rid = Telemetry.Recorder.begin_span recorder nid_run a b in
-  if rid = 0 then f ()
-  else
-    Fun.protect
-      ~finally:(fun () -> Telemetry.Recorder.end_span recorder nid_run rid)
-      f
 
 let diff_requested () =
   match Sys.getenv_opt "NETSIM_SPATIAL_DIFF" with
@@ -1193,7 +1185,8 @@ let run_reference ?(telemetry = Telemetry.Registry.default) ?cs_adjacency
     ?(retry_limit = max_int) ?strategies
     { params; adjacency; cws; duration; seed } =
   let hoods = Lists { adjacency; cs_adjacency } in
-  recorded_run (Array.length adjacency) seed (fun () ->
+  Telemetry.Recorder.with_span recorder nid_run (Array.length adjacency)
+    seed (fun () ->
       simulate ~driver:Reference ~telemetry ~retry_limit ~flight:true
         ~strategies ~rng_of:None ~hoods ~params ~cws ~duration ~seed)
 
@@ -1202,7 +1195,8 @@ let run ?(telemetry = Telemetry.Registry.default) ?cs_adjacency
     { params; adjacency; cws; duration; seed } =
   let hoods = Lists { adjacency; cs_adjacency } in
   let result =
-    recorded_run (Array.length adjacency) seed (fun () ->
+    Telemetry.Recorder.with_span recorder nid_run (Array.length adjacency)
+      seed (fun () ->
         simulate ~driver:Event_core ~telemetry ~retry_limit ~flight:true
           ~strategies ~rng_of:None ~hoods ~params ~cws ~duration ~seed)
   in
@@ -1226,7 +1220,8 @@ let run_grid ?(telemetry = Telemetry.Registry.default) ?(retry_limit = max_int)
   let cs_range = Option.value cs_range ~default:range in
   let hoods = Geo { positions; range; cs_range } in
   let result =
-    recorded_run (Array.length positions) seed (fun () ->
+    Telemetry.Recorder.with_span recorder nid_run (Array.length positions)
+      seed (fun () ->
         simulate ~driver:Event_core ~telemetry ~retry_limit ~flight:true
           ~strategies ~rng_of ~hoods ~params ~cws ~duration ~seed)
   in

@@ -10,8 +10,10 @@ type outcome = {
    megabyte line. *)
 let trajectory_cap = 512
 
-(* Flight-recorder names, interned once (intern takes a lock). *)
+(* Flight-recorder names, interned once (intern takes a lock).  The
+   solve span carries (vector length, iteration budget). *)
 let recorder = Telemetry.Recorder.default
+let nid_solve = Telemetry.Recorder.intern recorder "fixed_point.solve"
 let nid_phase = Telemetry.Recorder.intern recorder "fixed_point.phase"
 let nid_converged = Telemetry.Recorder.intern recorder "fixed_point.converged"
 
@@ -33,7 +35,7 @@ let solve ?(telemetry = Telemetry.Registry.default) ?(damping = 0.5)
         l := r :: !l
     | _ -> ()
   in
-  Telemetry.Span.with_span ~registry:telemetry "fixed_point.solve" (fun () ->
+  Telemetry.Recorder.with_span recorder nid_solve n max_iter (fun () ->
       let rec go iter =
         let fx = f x in
         if Array.length fx <> n then

@@ -28,8 +28,9 @@ val solve :
 
     The input vector is not mutated.
 
-    Every solve runs inside a ["fixed_point.solve"] telemetry span and
-    emits a ["solver_convergence"] event on [telemetry] (default: the
+    Every solve runs inside a ["fixed_point.solve"] flight-recorder span
+    (payload: vector length, [max_iter]) and emits a
+    ["solver_convergence"] event on [telemetry] (default: the
     global registry) recording iterations, the final residual, damping and
     convergence.  When a sink is attached, a ["residual_trajectory"] event
     carries the per-iteration residuals (capped at 512 entries); with no

@@ -80,6 +80,11 @@ let dense_step ~jacobian x defect =
     gauss_solve a (Array.copy defect)
   end
 
+(* The solve span carries (vector length, iteration budget); interned
+   once, since intern takes a lock. *)
+let recorder = Telemetry.Recorder.default
+let nid_solve = Telemetry.Recorder.intern recorder "newton.solve"
+
 let solve ?(telemetry = Telemetry.Registry.default) ?(damping = 0.5)
     ?(tol = 1e-12) ?(max_iter = 10_000) ?(lo = neg_infinity) ?(hi = infinity)
     ~step f x0 =
@@ -111,7 +116,7 @@ let solve ?(telemetry = Telemetry.Registry.default) ?(damping = 0.5)
     fy
   in
   let clamp v = Float.min hi (Float.max lo v) in
-  Telemetry.Span.with_span ~registry:telemetry "newton.solve" (fun () ->
+  Telemetry.Recorder.with_span recorder nid_solve n max_iter (fun () ->
       (* [known] carries the residual already computed for [fx] when the
          caller left the matching defect in [d_cur] — the accept test
          below evaluates the candidate's defect anyway, so an accepted

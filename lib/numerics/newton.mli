@@ -38,7 +38,8 @@ val solve :
     input vector is not mutated.  A non-finite defect terminates the
     solve as non-converged.
 
-    Every solve runs inside a ["newton.solve"] telemetry span, bumps the
+    Every solve runs inside a ["newton.solve"] flight-recorder span
+    (payload: vector length, [max_iter]), bumps the
     ["solver.newton.steps"] / ["solver.newton.fallbacks"] counters, and
     emits a ["solver_convergence"] event (method ["newton"]). *)
 

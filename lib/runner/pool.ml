@@ -27,7 +27,6 @@ let run t jobs =
      unclaimed index until the cursor runs past the last job. *)
   let cursor = Atomic.make 0 in
   let worker w () =
-    let rid = Telemetry.Recorder.begin_span recorder nid_worker w n in
     let rec loop () =
       if Atomic.get failure = None then begin
         let i = Atomic.fetch_and_add cursor 1 in
@@ -43,8 +42,7 @@ let run t jobs =
         else Telemetry.Recorder.instant recorder nid_idle w 0
       end
     in
-    loop ();
-    Telemetry.Recorder.end_span recorder nid_worker rid
+    Telemetry.Recorder.with_span recorder nid_worker w n loop
   in
   let domains = Array.init (nw - 1) (fun i -> Domain.spawn (worker (i + 1))) in
   worker 0 ();

@@ -10,6 +10,12 @@ let default_config = { workers = 1; cache_dir = None; seed = 0 }
 
 let ambient = ref default_config
 
+(* A ["runner.task"] span carries (task index, tasks in the sweep); a
+   ["runner.sweep"] span (tasks to compute, cache hits). *)
+let recorder = Telemetry.Recorder.default
+let nid_task = Telemetry.Recorder.intern recorder "runner.task"
+let nid_sweep = Telemetry.Recorder.intern recorder "runner.sweep"
+
 let configure cfg = ambient := cfg
 
 let map ?(registry = Telemetry.Registry.default) ?config ~name tasks =
@@ -57,14 +63,7 @@ let map ?(registry = Telemetry.Registry.default) ?config ~name tasks =
   in
   let job i () =
     let task = tasks.(i) in
-    Telemetry.Span.with_span ~registry
-      ~fields:(fun () ->
-        [
-          ("sweep", Telemetry.Jsonx.String name);
-          ("task", Telemetry.Jsonx.String (Task.fingerprint task));
-        ])
-      "runner.task"
-      (fun () ->
+    Telemetry.Recorder.with_span recorder nid_task i n (fun () ->
         let v = task.Task.compute (Task.rng ~seed:cfg.seed task) in
         results.(i) <- Some v;
         Option.iter
@@ -76,10 +75,8 @@ let map ?(registry = Telemetry.Registry.default) ?config ~name tasks =
   in
   let pool = Pool.create ~registry ~workers:cfg.workers () in
   let stats =
-    Telemetry.Span.with_span ~registry
-      ~fields:(fun () -> [ ("sweep", Telemetry.Jsonx.String name) ])
-      "runner.sweep"
-      (fun () -> Pool.run pool (Array.map job pending))
+    Telemetry.Recorder.with_span recorder nid_sweep to_compute hits (fun () ->
+        Pool.run pool (Array.map job pending))
   in
   (* The pool is done — emit the sweep's audit record. *)
   Telemetry.Registry.emit registry "run_manifest" (fun () ->

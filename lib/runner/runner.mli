@@ -21,13 +21,16 @@
     (given codec fidelity — see {!module:Task}).  No ordering, worker
     count, scheduling, or interruption history can change a sweep's value.
 
-    {b Telemetry.}  Each computed task runs inside a ["runner.task"] span;
-    the sweep maintains [runner.cache.hits] / [runner.cache.misses] /
-    [runner.tasks.completed] counters (plus the pool's job counter and
-    per-worker busy-time histogram) and emits one ["run_manifest"] event
-    at pool shutdown carrying the sweep name, worker count, task count,
-    computed count, cache hits, cache hit rate and elapsed wall-clock —
-    enough to audit a sweep from the JSONL stream alone. *)
+    {b Telemetry.}  The sweep maintains [runner.cache.hits] /
+    [runner.cache.misses] / [runner.tasks.completed] counters (plus the
+    pool's job counter and per-worker busy-time histogram) and emits one
+    ["run_manifest"] event at pool shutdown carrying the sweep name,
+    worker count, task count, computed count, cache hits, cache hit rate
+    and elapsed wall-clock.  Where the time went is in the flight
+    recorder: the pool runs inside a ["runner.sweep"] span (payload: tasks
+    to compute, cache hits) and each computed task inside a
+    ["runner.task"] span (task index, tasks in the sweep), so a per-task
+    timing audit needs [--trace]. *)
 
 module Task = Task
 module Pool = Pool
@@ -50,6 +53,6 @@ val map :
   name:string ->
   'a Task.t array ->
   'a array
-(** Evaluate the sweep.  [name] labels its spans and manifest.  Re-raises
+(** Evaluate the sweep.  [name] labels its manifest.  Re-raises
     the first task exception after the pool stops; the results finished
     before it stay in the cache. *)

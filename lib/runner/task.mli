@@ -36,8 +36,7 @@ val key_of : family:string -> (string * Telemetry.Jsonx.t) list -> string
     the order call sites list parameters in. *)
 
 val fingerprint : 'a t -> string
-(** 16-hex-digit FNV-1a of the key — the cache file name and the
-    [task] field of the runner's ["runner.task"] span. *)
+(** 16-hex-digit FNV-1a of the key — the name of the task's cache file. *)
 
 val rng : seed:int -> 'a t -> Prelude.Rng.t
 (** The task's private RNG stream for sweep seed [seed]. *)

@@ -11,12 +11,10 @@ and t = {
   deadline_ms : float option;
 }
 
-let op_name = function
-  | Ne _ -> "ne"
-  | Payoff _ -> "payoff"
-  | Welfare _ -> "welfare"
-  | Tau _ -> "tau"
-  | Batch _ -> "batch"
+let max_n = 10_000
+let max_window = 1 lsl 20
+let max_profile = 10_000
+let max_batch = 1_024
 
 let id_of json =
   match Telemetry.Jsonx.member "id" json with
@@ -29,19 +27,35 @@ let int_field name json =
   | Some _ -> Error (Printf.sprintf "field %S must be an integer" name)
   | None -> Error (Printf.sprintf "missing field %S" name)
 
-let positive_field name json =
+let bounded_field name ~limit json =
   Result.bind (int_field name json) (fun v ->
-      if v >= 1 then Ok v
-      else Error (Printf.sprintf "field %S must be >= 1" name))
+      if v < 1 then Error (Printf.sprintf "field %S must be >= 1" name)
+      else if v > limit then
+        Error (Printf.sprintf "field %S must be <= %d" name limit)
+      else Ok v)
 
 (* A profile entry is either a bare window (the historical CW-only wire
    format, kept as shorthand) or a strategy object
    [{"cw": …, "aifs": …?, "txop": …?, "rate": …?}]. *)
 let profile_field json =
   match Telemetry.Jsonx.member "profile" json with
+  | Some (Telemetry.Jsonx.List items) when List.length items > max_profile ->
+      Error
+        (Printf.sprintf "field \"profile\" must have at most %d entries"
+           max_profile)
   | Some (Telemetry.Jsonx.List _ as items) -> (
       match Macgame.Profile.of_json items with
-      | Ok profile -> Ok profile
+      | Ok profile -> (
+          match
+            Array.find_opt
+              (fun (s : Dcf.Strategy_space.t) -> s.cw > max_window)
+              profile
+          with
+          | Some s ->
+              Error
+                (Printf.sprintf "field \"profile\": cw must be <= %d (got %d)"
+                   max_window s.cw)
+          | None -> Ok profile)
       | Error reason ->
           Error (Printf.sprintf "field \"profile\": %s" reason))
   | Some _ -> Error "field \"profile\" must be a non-empty list"
@@ -63,24 +77,29 @@ let rec of_json ~depth json =
   let leaf op = Ok { id = id_of json; op; deadline_ms } in
   match Telemetry.Jsonx.member "op" json with
   | Some (Telemetry.Jsonx.String "ne") ->
-      let* n = positive_field "n" json in
+      let* n = bounded_field "n" ~limit:max_n json in
       leaf (Ne { n })
   | Some (Telemetry.Jsonx.String "payoff") ->
       let* profile = profile_field json in
       leaf (Payoff { profile })
   | Some (Telemetry.Jsonx.String "welfare") ->
-      let* n = positive_field "n" json in
-      let* w = positive_field "w" json in
+      let* n = bounded_field "n" ~limit:max_n json in
+      let* w = bounded_field "w" ~limit:max_window json in
       leaf (Welfare { n; w })
   | Some (Telemetry.Jsonx.String "tau") ->
-      let* n = positive_field "n" json in
-      let* w = positive_field "w" json in
+      let* n = bounded_field "n" ~limit:max_n json in
+      let* w = bounded_field "w" ~limit:max_window json in
       leaf (Tau { n; w })
   | Some (Telemetry.Jsonx.String "batch") ->
       if depth > 0 then Error "batch requests may not nest"
       else
         let* members =
           match Telemetry.Jsonx.member "requests" json with
+          | Some (Telemetry.Jsonx.List items) when List.length items > max_batch
+            ->
+              Error
+                (Printf.sprintf
+                   "field \"requests\" must have at most %d members" max_batch)
           | Some (Telemetry.Jsonx.List items) when items <> [] ->
               let rec parse acc = function
                 | [] -> Ok (List.rev acc)

@@ -23,7 +23,9 @@
       order in one reply (batches may not nest).
 
     Parsing never raises: malformed lines come back as [Error reason],
-    which the server turns into an error reply. *)
+    which the server turns into an error reply.  So do lines over the
+    size limits below: an over-limit field is refused before any oracle
+    call, so it allocates nothing beyond the parsed line. *)
 
 type op =
   | Ne of { n : int }
@@ -38,9 +40,28 @@ and t = {
   deadline_ms : float option;
 }
 
-val op_name : op -> string
-(** The wire name: ["ne"], ["payoff"], ["welfare"], ["tau"], ["batch"]. *)
+(** {2 Size limits}
+
+    Each is far above every request the tests, the conformance suite and
+    the benchmark send, and far below what exhausts the service.  Sized on
+    the analytic oracle: the NE set at [n = 10 000] took 28 ms, a uniform
+    solve at [n = 10{^6}] 0.15 s and a profile of 10 000 distinct windows
+    37 ms; [tau] still answered at [w = 2{^40}].  Unbounded, a [tau] at
+    [n = w = 10{^9}] allocated until the kernel killed the service. *)
+
+val max_n : int
+(** 10 000: the largest [n] of [tau], [welfare] and [ne]. *)
+
+val max_window : int
+(** 2{^20}: the largest [w], and the largest [cw] in a payoff profile. *)
+
+val max_profile : int
+(** 10 000: the most entries a payoff profile may have. *)
+
+val max_batch : int
+(** 1 024: the most members a batch may have. *)
 
 val of_line : string -> (t, string) result
-(** Parse one request line.  [Error reason] on malformed JSON, missing or
-    ill-typed fields, unknown ops, or nested batches — never raises. *)
+(** Parse one request line.  [Error reason] on malformed JSON, missing,
+    ill-typed or over-limit fields, unknown ops, or nested batches — never
+    raises. *)

@@ -4,7 +4,6 @@ type ne_row = { w_lo : int; w_hi : int; w_star : int; welfare : float }
 
 type t = {
   oracle : Macgame.Oracle.t;
-  registry : Telemetry.Registry.t;
   requests : Telemetry.Metric.counter;
   errors : Telemetry.Metric.counter;
   tier_memo : Telemetry.Metric.counter;
@@ -22,7 +21,6 @@ type t = {
 let create ?(telemetry = Telemetry.Registry.default) oracle =
   {
     oracle;
-    registry = telemetry;
     requests = Telemetry.Registry.counter telemetry "serve.requests";
     errors = Telemetry.Registry.counter telemetry "serve.errors";
     tier_memo = Telemetry.Registry.counter telemetry "serve.tier.memo";
@@ -139,6 +137,23 @@ let leaf_result ?batch t (op : Request.op) : Jx.t * Macgame.Oracle.tier =
       (ne_row_to_json row, tier)
   | Batch _ -> invalid_arg "Server.leaf_result: batch is not a leaf"
 
+(* A ["serve.request"] span carries the op (0 ne, 1 payoff, 2 welfare,
+   3 tau, 4 batch) and its size (n, profile length or member count). *)
+let nid_request =
+  Telemetry.Recorder.intern Telemetry.Recorder.default "serve.request"
+
+let op_code : Request.op -> int = function
+  | Ne _ -> 0
+  | Payoff _ -> 1
+  | Welfare _ -> 2
+  | Tau _ -> 3
+  | Batch _ -> 4
+
+let op_size : Request.op -> int = function
+  | Ne { n } | Welfare { n; _ } | Tau { n; _ } -> n
+  | Payoff { profile } -> Array.length profile
+  | Batch members -> List.length members
+
 let expired ~received_at deadline_ms =
   match deadline_ms with
   | None -> false
@@ -151,9 +166,8 @@ let rec reply_to ?batch t ~received_at (req : Request.t) : Reply.t =
     Reply.error ~id:req.id "deadline exceeded"
   end
   else
-    Telemetry.Span.with_span ~registry:t.registry "serve.request"
-      ~fields:(fun () -> [ ("op", Jx.String (Request.op_name req.op)) ])
-      (fun () ->
+    Telemetry.Recorder.with_span Telemetry.Recorder.default nid_request
+      (op_code req.op) (op_size req.op) (fun () ->
         let started = now_ms () in
         match req.op with
         | Batch members ->

@@ -24,8 +24,10 @@
 
     Counters ["serve.requests"], ["serve.errors"],
     ["serve.tier.memo"/"store"/"cold"] (one per leaf answered), histogram
-    ["serve.latency_ms"] (per-leaf service time), and a ["serve.request"]
-    span per request on the server's registry. *)
+    ["serve.latency_ms"] (per-leaf service time) on the server's
+    registry, and a ["serve.request"] flight-recorder span per request and
+    batch member (payload: op 0 ne, 1 payoff, 2 welfare, 3 tau, 4 batch;
+    and its size: n, profile length or member count). *)
 
 type t
 

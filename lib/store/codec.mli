@@ -16,11 +16,6 @@ exception Corrupt of string
 (** Raised for file-level damage (header of a non-store file); per-entry
     damage is reported by {!decode} returning [None] instead. *)
 
-val magic : string
-(** ["MACSTORE1"]. *)
-
-val version : int
-
 val header : string
 (** The header line (no trailing newline) every store file starts with. *)
 

@@ -201,10 +201,12 @@ let put t ~key value =
     ~finally:(fun () -> Mutex.unlock t.mutex)
     (fun () ->
       ensure_open t "put";
-      Hashtbl.replace t.index key value;
+      (* Index only what reached the file: a write or flush that raises
+         leaves the entry unserved. *)
       output_string t.active line;
       output_char t.active '\n';
       flush t.active;
+      Hashtbl.replace t.index key value;
       Telemetry.Metric.incr t.puts)
 
 let entries t =

@@ -10,14 +10,12 @@ type t = {
 
 val make : at:float -> name:string -> (string * Jsonx.t) list -> t
 
-val to_json : t -> Jsonx.t
-(** An [Obj] with ["event"] and ["at"] first, then the fields. *)
-
 val to_line : t -> string
-(** The JSONL rendering (one line, no trailing newline). *)
+(** The JSONL rendering (one line, no trailing newline): an object with
+    ["event"] and ["at"] first, then the fields. *)
 
 val of_json : Jsonx.t -> t option
-(** Inverse of {!to_json}; [None] if ["event"]/["at"] are missing or
-    ill-typed. *)
+(** Inverse of the object {!to_line} renders; [None] if ["event"]/["at"]
+    are missing or ill-typed. *)
 
 val field : string -> t -> Jsonx.t option

@@ -203,6 +203,19 @@ let end_span t name id =
     if Atomic.get t.s.enabled then write t.s r kind_end name id parent 0 0
   end
 
+let with_span t name a b f =
+  let id = begin_span t name a b in
+  if id = 0 then f ()
+  else
+    match f () with
+    | v ->
+        end_span t name id;
+        v
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        end_span t name id;
+        Printexc.raise_with_backtrace e bt
+
 let current_span t =
   if not (Atomic.get t.s.enabled) then 0
   else

@@ -8,6 +8,11 @@
     locking and no formatting in steady state.  Rendering (summaries,
     Chrome/Perfetto export, diffs) happens offline, after {!drain}.
 
+    It is also the program's only span mechanism: every timed region of
+    the library and the CLI opens with {!with_span}, so where a run's
+    time went is read from its trace ([--trace FILE], then [trace
+    summary]), not from registry metrics or JSONL events.
+
     {2 Record format}
 
     Every record carries a monotonic nanosecond timestamp, the writing
@@ -107,6 +112,14 @@ val end_span : t -> int -> int -> unit
 
 val current_span : t -> int
 (** Innermost open span id of the calling domain; 0 at top level. *)
+
+val with_span : t -> int -> int -> int -> (unit -> 'a) -> 'a
+(** [with_span t name a b f] runs [f ()] inside a span ({!begin_span}
+    with payload [a], [b]) and closes it with {!end_span} whether [f]
+    returns or raises; an exception is re-raised with its backtrace.
+    [name] is an id from {!intern}, taken once at module initialisation.
+    When the recorder is disabled it calls [f] and nothing else: no
+    record, no allocation beyond the caller's closure. *)
 
 type stats = { rings : int; live : int; written : int; dropped : int }
 

@@ -1,7 +1,3 @@
-module Names = Map.Make (String)
-
-type span_cells = { seconds : Metric.histogram; calls : Metric.counter }
-
 type t = {
   label : string;
   clock : unit -> float;
@@ -16,10 +12,6 @@ type t = {
   counters : (string, Metric.counter) Hashtbl.t;
   gauges : (string, Metric.gauge) Hashtbl.t;
   histograms : (string, Metric.histogram) Hashtbl.t;
-  spans : span_cells Names.t Atomic.t;
-      (* Immutable, replaced under the lock: span lookups read it without
-         locking. *)
-  depth : int Atomic.t;
 }
 
 let create ?(label = "registry") ?(clock = Unix.gettimeofday) () =
@@ -31,34 +23,28 @@ let create ?(label = "registry") ?(clock = Unix.gettimeofday) () =
     counters = Hashtbl.create 16;
     gauges = Hashtbl.create 16;
     histograms = Hashtbl.create 16;
-    spans = Atomic.make Names.empty;
-    depth = Atomic.make 0;
   }
 
 let default = create ~label:"default" ()
 
 let label t = t.label
 
-let now t = t.clock ()
-
 let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-(* Callers hold the lock. *)
-let find_or_add table make name =
-  match Hashtbl.find_opt table name with
-  | Some m -> m
-  | None ->
-      let m = make () in
-      Hashtbl.add table name m;
-      m
-
-(* On every solve's counter lookups: a plain lock/unlock pair, since
-   [find_or_add] cannot raise. *)
+(* On every solve's counter lookups: a plain lock/unlock pair, since the
+   lookup cannot raise. *)
 let get_or_create t table make name =
   Mutex.lock t.mutex;
-  let m = find_or_add table make name in
+  let m =
+    match Hashtbl.find_opt table name with
+    | Some m -> m
+    | None ->
+        let m = make () in
+        Hashtbl.add table name m;
+        m
+  in
   Mutex.unlock t.mutex;
   m
 
@@ -67,21 +53,6 @@ let counter t name = get_or_create t t.counters Metric.counter name
 let gauge t name = get_or_create t t.gauges Metric.gauge name
 
 let histogram t name = get_or_create t t.histograms Metric.histogram name
-
-let span_cells t name =
-  match Names.find name (Atomic.get t.spans) with
-  | cells -> cells
-  | exception Not_found ->
-      locked t (fun () ->
-          let cells =
-            {
-              seconds =
-                find_or_add t.histograms Metric.histogram (name ^ ".seconds");
-              calls = find_or_add t.counters Metric.counter (name ^ ".calls");
-            }
-          in
-          Atomic.set t.spans (Names.add name cells (Atomic.get t.spans));
-          cells)
 
 let add_sink t sink = locked t (fun () -> t.sinks <- sink :: t.sinks)
 
@@ -103,15 +74,6 @@ let emit t name fields =
               let event = Event.make ~at:(t.clock ()) ~name (fields ()) in
               List.iter (fun sink -> Sink.emit sink event) sinks)
 
-
-let enter_span t = Atomic.fetch_and_add t.depth 1
-
-let rec leave_span t =
-  let d = Atomic.get t.depth in
-  if d > 0 && not (Atomic.compare_and_set t.depth d (d - 1)) then leave_span t
-
-let depth t = Atomic.get t.depth
-
 let sorted t table =
   locked t (fun () -> Hashtbl.fold (fun name m acc -> (name, m) :: acc) table [])
   |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -126,6 +88,4 @@ let reset t =
   locked t (fun () ->
       Hashtbl.reset t.counters;
       Hashtbl.reset t.gauges;
-      Hashtbl.reset t.histograms;
-      Atomic.set t.spans Names.empty;
-      Atomic.set t.depth 0)
+      Hashtbl.reset t.histograms)

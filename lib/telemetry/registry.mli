@@ -11,25 +11,25 @@
     counters and Welford histograms are cheap enough to leave on.
 
     Registries are safe to share across domains: metric lookup, sink
-    management and event emission are mutex-protected, span nesting is an
-    atomic counter (the experiment runner executes instrumented tasks on a
-    Domain pool, all falling back to {!default}).  Metric {e updates} are
-    intentionally unlocked — single-field stores that stay memory-safe
-    under races, at worst dropping a count — and span depths recorded from
-    concurrently running tasks reflect interleaved nesting. *)
+    management and event emission are mutex-protected (the experiment
+    runner executes instrumented tasks on a Domain pool, all falling back
+    to {!default}).  Metric {e updates} are intentionally unlocked —
+    single-field stores that stay memory-safe under races, at worst
+    dropping a count.
+
+    A registry holds no spans: timed regions are flight-recorder spans
+    ({!Recorder.with_span}), read from a [--trace] file. *)
 
 type t
 
 val create : ?label:string -> ?clock:(unit -> float) -> unit -> t
-(** [clock] defaults to [Unix.gettimeofday]; tests inject a deterministic
-    clock. *)
+(** [clock] stamps emitted events; it defaults to [Unix.gettimeofday],
+    and tests inject a deterministic clock. *)
 
 val default : t
 (** The process-wide registry every instrumented layer falls back to. *)
 
 val label : t -> string
-
-val now : t -> float
 
 val counter : t -> string -> Metric.counter
 (** Get-or-create by name; the same name always returns the same cell. *)
@@ -37,14 +37,6 @@ val counter : t -> string -> Metric.counter
 val gauge : t -> string -> Metric.gauge
 
 val histogram : t -> string -> Metric.histogram
-
-type span_cells = { seconds : Metric.histogram; calls : Metric.counter }
-
-val span_cells : t -> string -> span_cells
-(** [span_cells t name] is [histogram t (name ^ ".seconds")] and
-    [counter t (name ^ ".calls")], the cells a completed span feeds.  After
-    the first call for a name (until {!reset}) it neither allocates nor
-    takes the lock. *)
 
 val add_sink : t -> Sink.t -> unit
 
@@ -59,14 +51,6 @@ val emit : t -> string -> (unit -> (string * Jsonx.t) list) -> unit
 (** [emit t name fields] builds and delivers an event to every sink; the
     [fields] thunk is not called when no sink is attached. *)
 
-val enter_span : t -> int
-(** Increment the span nesting depth, returning the entered span's own
-    depth (0 = outermost).  Used by {!module:Span}. *)
-
-val leave_span : t -> unit
-
-val depth : t -> int
-
 val counters : t -> (string * Metric.counter) list
 (** Sorted by name; likewise {!gauges} and {!histograms}. *)
 
@@ -75,4 +59,4 @@ val gauges : t -> (string * Metric.gauge) list
 val histograms : t -> (string * Metric.histogram) list
 
 val reset : t -> unit
-(** Drop all metrics and reset nesting; sinks stay attached. *)
+(** Drop all metrics; sinks stay attached. *)

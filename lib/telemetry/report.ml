@@ -1,11 +1,3 @@
-let time_unit seconds =
-  let abs = Float.abs seconds in
-  if abs = 0. then Printf.sprintf "%.0f" seconds
-  else if abs >= 1. then Printf.sprintf "%.3f s" seconds
-  else if abs >= 1e-3 then Printf.sprintf "%.3f ms" (seconds *. 1e3)
-  else if abs >= 1e-6 then Printf.sprintf "%.3f us" (seconds *. 1e6)
-  else Printf.sprintf "%.0f ns" (seconds *. 1e9)
-
 let g6 x = Printf.sprintf "%.6g" x
 
 let render ?(registry = Registry.default) ?recorder () =
@@ -39,10 +31,7 @@ let render ?(registry = Registry.default) ?recorder () =
     (List.map
        (fun (name, h) ->
          let empty = Metric.observations h = 0 in
-         let cell v = if empty then "-" else
-           (* Durations (".seconds" histograms) read better with units. *)
-           if Filename.check_suffix name ".seconds" then time_unit v else g6 v
-         in
+         let cell v = if empty then "-" else g6 v in
          [
            name;
            string_of_int (Metric.observations h);

@@ -1,8 +1,8 @@
 (** ASCII rendering of a registry's metrics, via {!Prelude.Table}.
 
     Three sections — counters, gauges, histograms — each omitted when
-    empty.  Histograms whose name ends in [".seconds"] (the span
-    convention) render with time units.  When [recorder] is given and has
+    empty.  Span timings are not here: they live in the flight recorder
+    and print with [trace summary].  When [recorder] is given and has
     recorded anything, a fourth section reports the flight recorder's
     ring/record/drop counts so a truncated trace is visible in the run
     summary. *)

@@ -1,18 +1,11 @@
 type t = {
   emit : Event.t -> unit;
-  flush : unit -> unit;
   close : unit -> unit;
 }
 
 let memory () =
   let events = Queue.create () in
-  let sink =
-    {
-      emit = (fun e -> Queue.add e events);
-      flush = (fun () -> ());
-      close = (fun () -> ());
-    }
-  in
+  let sink = { emit = (fun e -> Queue.add e events); close = (fun () -> ()) } in
   (sink, fun () -> List.of_seq (Queue.to_seq events))
 
 let jsonl path =
@@ -25,7 +18,6 @@ let jsonl path =
           output_string oc (Event.to_line e);
           output_char oc '\n'
         end);
-    flush = (fun () -> if not !closed then Stdlib.flush oc);
     close =
       (fun () ->
         if not !closed then begin
@@ -35,7 +27,5 @@ let jsonl path =
   }
 
 let emit t e = t.emit e
-
-let flush t = t.flush ()
 
 let close t = t.close ()

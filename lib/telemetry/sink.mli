@@ -1,12 +1,11 @@
 (** Pluggable event consumers.
 
-    A sink is just three closures, so backends stay decoupled from the
+    A sink is just two closures, so backends stay decoupled from the
     registry: the in-memory sink backs tests and the JSONL sink backs the
     CLI [--telemetry FILE] flag and the benches. *)
 
 type t = {
   emit : Event.t -> unit;
-  flush : unit -> unit;
   close : unit -> unit;
 }
 
@@ -19,7 +18,5 @@ val jsonl : string -> t
     closes the file; later emits are ignored. *)
 
 val emit : t -> Event.t -> unit
-
-val flush : t -> unit
 
 val close : t -> unit

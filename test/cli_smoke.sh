@@ -8,7 +8,11 @@
 # regular file must leave the file in place.  Then the flight recorder:
 # a traced slotted `sim` must record slotted.success instants, and a
 # detail-tier `trace record` of the RTS/CTS chain its spatial.rts,
-# spatial.cts and spatial.nav_defer instants.
+# spatial.cts and spatial.nav_defer instants.  The library's spans must
+# record too: `serve --stdin --trace` on a cold payoff line and a tau
+# line must list serve.request, oracle.solve and newton.solve, `trace
+# record --workload sweep` runner.sweep and runner.task, and `trace
+# record --workload solve` fixed_point.solve.
 set -u
 
 cli="$1"
@@ -91,6 +95,27 @@ if "$cli" trace record --workload chain30 --detail --duration 1 \
   lists "$dir/chain.bin" spatial.rts spatial.cts spatial.nav_defer
 else
   fail "'trace record --workload chain30 --detail' failed"
+fi
+
+printf '%s\n' '{"op":"payoff","profile":[16,32,32,64]}' \
+  '{"op":"tau","n":5,"w":64}' >"$dir/requests"
+if "$cli" serve --stdin --trace "$dir/serve.bin" <"$dir/requests" \
+  >/dev/null 2>"$dir/stderr"; then
+  lists "$dir/serve.bin" serve.request oracle.solve newton.solve
+else
+  fail "'serve --stdin --trace' failed"
+fi
+if "$cli" trace record --workload sweep -o "$dir/sweep.bin" \
+  >/dev/null 2>"$dir/stderr"; then
+  lists "$dir/sweep.bin" runner.sweep runner.task
+else
+  fail "'trace record --workload sweep' failed"
+fi
+if "$cli" trace record --workload solve -o "$dir/solve.bin" \
+  >/dev/null 2>"$dir/stderr"; then
+  lists "$dir/solve.bin" fixed_point.solve
+else
+  fail "'trace record --workload solve' failed"
 fi
 
 [ "$failures" -eq 0 ] || exit 1

@@ -94,6 +94,14 @@ let test_parse_ok () =
   | Batch [ { op = Ne { n = 2 }; _ } ] -> ()
   | _ -> Alcotest.fail "batch member lost"
 
+let payoff_of entries =
+  Printf.sprintf {|{"op":"payoff","profile":[%s]}|} (String.concat "," entries)
+
+let batch_of members =
+  Printf.sprintf {|{"op":"batch","requests":[%s]}|}
+    (String.concat ","
+       (List.init members (fun _ -> {|{"op":"tau","n":5,"w":32}|})))
+
 (* Every error [Request.of_line] can return, by its full text.  The lines
    with several wrong fields pin which error wins: the deadline, then the
    op, then the op's fields in order (n before w). *)
@@ -163,6 +171,33 @@ let parse_errors =
     ({|{"op":"tau","n":5,"w":0}|}, "field \"w\" must be >= 1");
     (* Of repeated keys the first counts. *)
     ({|{"op":"tau","n":0,"w":32,"n":5}|}, "field \"n\" must be >= 1");
+    (* Size limits, checked before any oracle call.  Served, the first
+       three raise an internal error or allocate without bound. *)
+    ( {|{"op":"welfare","n":4611686018427387903,"w":32}|},
+      "field \"n\" must be <= 10000" );
+    ( {|{"op":"tau","n":5,"w":4611686018427387903}|},
+      "field \"w\" must be <= 1048576" );
+    ( {|{"op":"tau","n":1000000000,"w":1000000000}|},
+      "field \"n\" must be <= 10000" );
+    ({|{"op":"tau","n":10001,"w":32}|}, "field \"n\" must be <= 10000");
+    ({|{"op":"ne","n":10001}|}, "field \"n\" must be <= 10000");
+    ( {|{"op":"welfare","n":5,"w":1048577}|},
+      "field \"w\" must be <= 1048576" );
+    ( payoff_of (List.init 10_001 (fun _ -> "16")),
+      "field \"profile\" must have at most 10000 entries" );
+    ( payoff_of [ "16"; {|{"cw":1048577,"aifs":1}|} ],
+      "field \"profile\": cw must be <= 1048576 (got 1048577)" );
+    (batch_of 1_025, "field \"requests\" must have at most 1024 members");
+  ]
+
+(* Each size limit itself is accepted. *)
+let at_limits =
+  [
+    {|{"op":"tau","n":10000,"w":1048576}|};
+    {|{"op":"welfare","n":10000,"w":1048576}|};
+    {|{"op":"ne","n":10000}|};
+    payoff_of (List.init 10_000 (fun _ -> "1048576"));
+    batch_of 1_024;
   ]
 
 let test_parse_errors () =
@@ -172,6 +207,12 @@ let test_parse_errors () =
       | Error got -> Alcotest.(check string) line want got
       | Ok _ -> Alcotest.failf "parse of %S unexpectedly succeeded" line)
     parse_errors;
+  List.iter
+    (fun line ->
+      match Serve.Request.of_line line with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "at-limit request refused: %s" e)
+    at_limits;
   match Serve.Request.of_line {|{"op":"tau","n":5,"w":32,"op":"ne"}|} with
   | Ok { op = Tau { n = 5; w = 32 }; _ } -> ()
   | _ -> Alcotest.fail "the first of two \"op\" keys must count"

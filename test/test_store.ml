@@ -1,7 +1,7 @@
 (* Tests for the persistent equilibrium store: codec round-trips (qcheck),
-   persistence across reopen, crash-safety (torn final line, bit flips,
-   kill mid-write), the advisory lock, compaction, and the oracle's
-   store/warm-start integration. *)
+   persistence across reopen, crash-safety (a failed write, torn final
+   line, bit flips, kill mid-write), the advisory lock, compaction, and
+   the oracle's store/warm-start integration. *)
 
 module J = Telemetry.Jsonx
 
@@ -112,6 +112,48 @@ let test_persistence_across_reopen () =
       Alcotest.(check bool) "later entry wins" true
         (Store.find s ~key:"a" = Some (J.Int 3));
       Alcotest.(check bool) "b kept" true (Store.find s ~key:"b" = Some (J.Float 2.5)))
+
+(* A put whose write fails is never served.  The active log's descriptor,
+   found through /proc/self/fd, is pointed at /dev/full, so the flush
+   inside [put] fails with ENOSPC. *)
+let test_failed_put_not_served () =
+  if not (Sys.file_exists "/dev/full" && Sys.file_exists "/proc/self/fd") then
+    Alcotest.skip ();
+  let dir = temp_dir () in
+  let registry = Telemetry.Registry.create () in
+  Store.with_store ~telemetry:registry dir (fun s ->
+      Store.put s ~key:"a" (J.Int 1);
+      let log = Unix.realpath (active dir) in
+      let fd =
+        Sys.readdir "/proc/self/fd"
+        |> Array.to_list
+        |> List.find (fun e ->
+               match Unix.readlink (Filename.concat "/proc/self/fd" e) with
+               | target -> target = log
+               | exception Unix.Unix_error _ -> false)
+        |> int_of_string
+      in
+      (* On Unix a [file_descr] is the descriptor number. *)
+      let fd : Unix.file_descr = Obj.magic fd in
+      let saved = Unix.dup fd in
+      let full = Unix.openfile "/dev/full" [ Unix.O_WRONLY ] 0 in
+      Unix.dup2 full fd;
+      Unix.close full;
+      let raised =
+        match Store.put s ~key:"b" (J.Int 2) with
+        | () -> false
+        | exception Sys_error _ -> true
+      in
+      Unix.dup2 saved fd;
+      Unix.close saved;
+      Alcotest.(check bool) "put raised" true raised;
+      Alcotest.(check bool) "failed put not served" true
+        (Store.find s ~key:"b" = None);
+      Alcotest.(check bool) "acknowledged put still served" true
+        (Store.find s ~key:"a" = Some (J.Int 1));
+      Alcotest.(check int) "store.puts counts acknowledged puts" 1
+        (Telemetry.Metric.count
+           (Telemetry.Registry.counter registry "store.puts")))
 
 let test_torn_final_line_dropped () =
   let dir = temp_dir () in
@@ -330,6 +372,7 @@ let () =
       ( "store",
         [
           quick "persistence across reopen" test_persistence_across_reopen;
+          quick "failed put not served" test_failed_put_not_served;
           quick "torn final line dropped" test_torn_final_line_dropped;
           quick "bit flip dropped entry-wise" test_bit_flip_dropped_entrywise;
           quick "bad magic raises Corrupt" test_bad_magic_raises;

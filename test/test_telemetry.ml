@@ -1,6 +1,7 @@
-(* Tests for the telemetry subsystem: metric semantics, span timing with a
-   deterministic clock, JSONL sink round-trips, registry isolation, and the
-   instrumentation contracts of the solver/simulator/game layers. *)
+(* Tests for the telemetry subsystem: metric semantics, JSONL sink
+   round-trips, registry isolation, and the instrumentation contracts of
+   the solver/simulator/game layers.  Spans are flight-recorder spans,
+   tested in test_trace. *)
 
 module T = Telemetry
 
@@ -53,46 +54,6 @@ let test_histogram () =
   Alcotest.(check (float 1e-12)) "stddev"
     (sqrt (5. /. 3.))
     (T.Metric.stddev h)
-
-(* {1 Spans} *)
-
-let test_span_records_duration () =
-  let r = registry ~clock:(fake_clock ~step:2. ()) () in
-  let result = T.Span.with_span ~registry:r "work" (fun () -> 7) in
-  Alcotest.(check int) "returns the body's value" 7 result;
-  let h = T.Registry.histogram r "work.seconds" in
-  Alcotest.(check int) "one observation" 1 (T.Metric.observations h);
-  (* enter and leave each read the fake clock once: 2 s apart. *)
-  Alcotest.(check (float 1e-9)) "duration from clock" 2. (T.Metric.mean h);
-  Alcotest.(check int) "calls counter" 1
-    (T.Metric.count (T.Registry.counter r "work.calls"))
-
-let test_span_nesting_depth () =
-  let r = registry () in
-  let sink, events = T.Sink.memory () in
-  T.Registry.add_sink r sink;
-  T.Span.with_span ~registry:r "outer" (fun () ->
-      T.Span.with_span ~registry:r "inner" (fun () -> ()));
-  let depth_of name =
-    List.find_map
-      (fun (e : T.Event.t) ->
-        match (T.Event.field "name" e, T.Event.field "depth" e) with
-        | Some (T.Jsonx.String n), Some (T.Jsonx.Int d) when n = name -> Some d
-        | _ -> None)
-      (events ())
-  in
-  Alcotest.(check (option int)) "outer at depth 0" (Some 0) (depth_of "outer");
-  Alcotest.(check (option int)) "inner at depth 1" (Some 1) (depth_of "inner");
-  Alcotest.(check int) "depth restored" 0 (T.Registry.depth r)
-
-let test_span_survives_exception () =
-  let r = registry () in
-  (try
-     T.Span.with_span ~registry:r "boom" (fun () -> failwith "boom")
-   with Failure _ -> ());
-  Alcotest.(check int) "span still recorded" 1
-    (T.Metric.observations (T.Registry.histogram r "boom.seconds"));
-  Alcotest.(check int) "depth restored after raise" 0 (T.Registry.depth r)
 
 (* {1 Events and sinks} *)
 
@@ -682,20 +643,6 @@ let test_member_first_and_objects_only () =
       T.Jsonx.List [ T.Jsonx.Obj [ ("a", T.Jsonx.Int 1) ] ];
     ]
 
-let test_span_cells_are_the_named_metrics () =
-  let r = registry () in
-  let cells = T.Registry.span_cells r "io" in
-  T.Span.with_span ~registry:r "io" ignore;
-  Alcotest.(check bool) "histogram io.seconds" true
-    (cells.seconds == T.Registry.histogram r "io.seconds");
-  Alcotest.(check bool) "counter io.calls" true
-    (cells.calls == T.Registry.counter r "io.calls");
-  Alcotest.(check int) "one call" 1 (T.Metric.count cells.calls);
-  T.Registry.reset r;
-  T.Span.with_span ~registry:r "io" ignore;
-  Alcotest.(check int) "reset drops the cached cells too" 1
-    (T.Metric.count (T.Registry.counter r "io.calls"))
-
 let test_registry_isolation () =
   let a = registry () and b = registry () in
   T.Metric.incr (T.Registry.counter a "shared.name");
@@ -842,15 +789,6 @@ let () =
           Alcotest.test_case "counter" `Quick test_counter;
           Alcotest.test_case "gauge" `Quick test_gauge;
           Alcotest.test_case "histogram" `Quick test_histogram;
-        ] );
-      ( "spans",
-        [
-          Alcotest.test_case "duration" `Quick test_span_records_duration;
-          Alcotest.test_case "nesting depth" `Quick test_span_nesting_depth;
-          Alcotest.test_case "exception safety" `Quick
-            test_span_survives_exception;
-          Alcotest.test_case "span cells" `Quick
-            test_span_cells_are_the_named_metrics;
         ] );
       ( "events",
         [

@@ -106,6 +106,23 @@ let test_disabled_is_free () =
   Telemetry.Recorder.instant r name 1 2;
   Telemetry.Recorder.end_span r name 0;
   Alcotest.(check int) "current span 0" 0 (Telemetry.Recorder.current_span r);
+  (* [with_span] on a disabled recorder allocates nothing beyond the
+     caller's closure (here a closed, static one). *)
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let body () = () in
+  let none = words (fun () -> ()) in
+  let spans =
+    words (fun () ->
+        for _ = 1 to 1_000_000 do
+          Telemetry.Recorder.with_span r name 1 2 body
+        done)
+  in
+  Alcotest.(check (float 0.)) "with_span: no words over 10^6 calls" 0.
+    (spans -. none);
   let st = Telemetry.Recorder.stats r in
   Alcotest.(check int) "nothing written" 0 st.written;
   Alcotest.(check int) "no rings touched" 0 st.rings
@@ -144,13 +161,16 @@ let test_spatial_bit_identical () =
 let test_with_span_ids_and_exception () =
   let registry = Telemetry.Registry.create () in
   let recorder = Telemetry.Recorder.create ~clock:(fake_clock ()) () in
+  let name = Telemetry.Recorder.intern recorder in
+  let with_span s f = Telemetry.Recorder.with_span recorder (name s) 0 0 f in
   Telemetry.Recorder.set_enabled recorder true;
-  (try
-     Telemetry.Span.with_span ~registry ~recorder "outer" (fun () ->
-         Telemetry.Span.with_span ~registry ~recorder "inner" (fun () ->
-             failwith "boom"))
-   with Failure _ -> ());
-  Alcotest.(check int) "registry depth restored" 0 (Telemetry.Registry.depth registry);
+  Alcotest.(check int) "returns the body's value" 7
+    (with_span "value" (fun () -> 7));
+  ignore (Telemetry.Recorder.drain ~registry recorder);
+  Alcotest.check_raises "re-raises the body's exception" (Failure "boom")
+    (fun () ->
+      with_span "outer" (fun () ->
+          with_span "inner" (fun () -> failwith "boom")));
   Alcotest.(check int)
     "recorder stack restored" 0
     (Telemetry.Recorder.current_span recorder);
@@ -173,7 +193,7 @@ let test_with_span_ids_and_exception () =
       Alcotest.(check int) "inner's parent is outer" outer.span inner.parent
   | _ -> Alcotest.fail "expected exactly two begins");
   (* After the unwind, new spans open at the root again. *)
-  Telemetry.Span.with_span ~registry ~recorder "after" (fun () -> ());
+  with_span "after" (fun () -> ());
   let dump = Telemetry.Recorder.drain ~registry recorder in
   Alcotest.(check int) "fresh root span" 0 dump.records.(0).parent
 
