@@ -286,6 +286,161 @@ let oracle_backends () =
       ("rts.n5.w16", Dcf.Params.rts_cts, 5, 16);
     ]
 
+(* Heterogeneous class solves.  Every input is a closed form of its
+   index: class j of a c-class problem has window
+   16 + (181·j + 7·c) mod 1008 (distinct for j < 1008) and 1 + j mod 3
+   members. *)
+let class_window ~c j = 16 + (((181 * j) + (7 * c)) mod 1008)
+let cw_classes c = List.init c (fun j -> (class_window ~c j, 1 + (j mod 3)))
+
+let with_stage m = { Dcf.Params.default with max_backoff_stage = m }
+
+let class_record id (sol : Dcf.Solver.class_solution) =
+  Obj
+    [
+      ("id", String id);
+      ("taus", List (List.map (fun (tau, _) -> Float tau) sol.class_pairs));
+      ("ps", List (List.map (fun (_, p) -> Float p) sol.class_pairs));
+      ("iterations", Int sol.iterations);
+      ("converged", Bool sol.converged);
+    ]
+
+let node_record id (sol : Dcf.Solver.solution) =
+  Obj
+    [
+      ("id", String id);
+      ("taus", floats sol.taus);
+      ("ps", floats sol.ps);
+      ("iterations", Int sol.iterations);
+      ("converged", Bool sol.converged);
+    ]
+
+(* AIFS 0-2 and TXOP 1-2 cycle over the classes; the rate varies too,
+   although only CW and AIFS reach the fixed point. *)
+let strategy_classes ?(w_of = fun ~c j -> class_window ~c j) c =
+  List.init c (fun j ->
+      ( {
+          (Dcf.Strategy_space.of_cw (w_of ~c j)) with
+          aifs = j mod 3;
+          txop_frames = 1 + (j mod 2);
+          rate = (if j mod 4 = 3 then 0.5 else 1.0);
+        },
+        1 + (j mod 3) ))
+
+let class_solver () =
+  let classes =
+    List.concat_map
+      (fun c ->
+        List.map
+          (fun m ->
+            class_record
+              (Printf.sprintf "classes.c%d.m%d" c m)
+              (Dcf.Solver.solve_classes (with_stage m) (cw_classes c)))
+          [ 5; 3 ])
+      [ 2; 5; 17; 32; 50 ]
+    @ [
+        class_record "classes.c5.m0"
+          (Dcf.Solver.solve_classes (with_stage 0) (cw_classes 5));
+        class_record "classes.c17.max_iter2"
+          (Dcf.Solver.solve_classes ~max_iter:2 Dcf.Params.default
+             (cw_classes 17));
+        class_record "classes.c5.picard"
+          (Dcf.Solver.solve_classes ~algo:Dcf.Solver.Picard
+             Dcf.Params.default (cw_classes 5));
+      ]
+  in
+  let strategies =
+    List.map
+      (fun c ->
+        class_record
+          (Printf.sprintf "strategy_classes.c%d" c)
+          (Dcf.Solver.solve_strategy_classes Dcf.Params.default
+             (strategy_classes c)))
+      [ 3; 8; 20 ]
+  in
+  (* A sweep column: class 0's window steps 40, 48, ..., 160 beside five
+     fixed strategy classes; the last four points drop the final class,
+     so the batch also matches warm starts by strategy. *)
+  let column =
+    Array.init 16 (fun k ->
+        let fixed = List.tl (strategy_classes 6) in
+        let fixed =
+          if k < 12 then fixed else List.filteri (fun i _ -> i < 4) fixed
+        in
+        (Dcf.Strategy_space.of_cw (40 + (8 * k)), 2) :: fixed)
+  in
+  let batch =
+    Array.to_list
+      (Array.mapi
+         (fun k sol -> class_record (Printf.sprintf "batch.k%02d" k) sol)
+         (Dcf.Solver.solve_batch Dcf.Params.default column))
+  in
+  (* Hints for two of five windows; 700's is outside (0, 1), so ignored. *)
+  let cws = [| 700; 32; 48; 100; 48; 300; 100; 700; 100 |] in
+  let tau_hint w =
+    match w with
+    | 48 -> Some 0.05
+    | 300 -> Some 0.01
+    | 700 -> Some 1.5
+    | _ -> None
+  in
+  let profiles =
+    [
+      node_record "profile.hint.newton"
+        (Dcf.Solver.solve_profile ~tau_hint Dcf.Params.default cws);
+      node_record "profile.hint.picard"
+        (Dcf.Solver.solve_profile ~tau_hint ~algo:Dcf.Solver.Picard
+           Dcf.Params.default cws);
+      (let s = Dcf.Model.solve_profile ~p_hn:0.8 Dcf.Params.rts_cts cws in
+       Obj
+         [
+           ("id", String "model.profile.rts.p_hn0.8");
+           ("taus", floats s.taus);
+           ("ps", floats s.ps);
+           ("utilities", floats s.utilities);
+           ("slot_time", Float s.metrics.slot_time);
+           ("converged", Bool s.converged);
+         ]);
+    ]
+  in
+  (* Cold oracle rows: a fresh oracle per profile, classes of 1, 2 and 3
+     nodes, profiles in unsorted order. *)
+  let payoff_record id ?p_hn params profile =
+    let oracle = Macgame.Oracle.create ?p_hn params in
+    let payoffs, tier = Macgame.Oracle.payoffs_profile_outcome oracle profile in
+    Obj
+      [
+        ("id", String id);
+        ("tier", String (Macgame.Oracle.tier_name tier));
+        ("payoffs", floats payoffs);
+      ]
+  in
+  let of_classes c =
+    Macgame.Profile.of_cws
+      (Array.of_list
+         (List.rev
+            (List.concat_map
+               (fun (w, k) -> List.init k (fun _ -> w))
+               (cw_classes c))))
+  in
+  let oracle_rows =
+    [
+      payoff_record "oracle.small" Dcf.Params.default
+        (Macgame.Profile.of_cws [| 40; 24; 16; 40; 24; 40 |]);
+      payoff_record "oracle.c17" Dcf.Params.default (of_classes 17);
+      payoff_record "oracle.c32" Dcf.Params.default (of_classes 32);
+      payoff_record "oracle.c50.m3" (with_stage 3) (of_classes 50);
+      payoff_record "oracle.rts.p_hn0.7" ~p_hn:0.7 Dcf.Params.rts_cts
+        (of_classes 9);
+      payoff_record "oracle.strategies" Dcf.Params.default
+        (Array.of_list
+           (List.concat_map
+              (fun (s, k) -> List.init k (fun _ -> s))
+              (strategy_classes ~w_of:(fun ~c:_ j -> 24 + (16 * j)) 7)));
+    ]
+  in
+  classes @ strategies @ batch @ profiles @ oracle_rows
+
 let snapshots () =
   [
     {
@@ -319,6 +474,12 @@ let snapshots () =
       tier = Check.Fast;
       policy = Toleranced 0.05;
       generate = oracle_backends;
+    };
+    {
+      name = "class_solver";
+      tier = Check.Fast;
+      policy = Exact;
+      generate = class_solver;
     };
   ]
 
