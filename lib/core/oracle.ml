@@ -593,9 +593,10 @@ let profile_key sorted = profile_repr "oracle.profile|" "" sorted
 
 (* Distinct strategies of a sorted profile with the mean utility of each
    strategy class.  For the analytic backend the class members are already
-   bit-identical (class-reduced solve), so the mean is the common value;
-   for simulated backends the within-class averaging is what makes the
-   oracle's permutation invariance exact. *)
+   bit-identical (class-reduced solve), but their mean is not always the
+   member, (0.1 + 0.1 + 0.1) / 3 <> 0.1, and the stored rows have always
+   held the mean; for simulated backends the within-class averaging is
+   what makes the oracle's permutation invariance exact. *)
 let classes_of (sorted : Dcf.Strategy_space.t array) utilities =
   let acc = ref [] in
   let start = ref 0 in
@@ -613,6 +614,24 @@ let classes_of (sorted : Dcf.Strategy_space.t array) utilities =
     end
   done;
   Array.of_list (List.rev !acc)
+
+(* [classes_of] for a degenerate sorted profile, straight from the class
+   form of its analytic solve: [sorted] runs through the solve's windows in
+   ascending order, [counts.(j)] members each, and each row is the same
+   mean of k equal members. *)
+let class_rows (sorted : Dcf.Strategy_space.t array) ~counts values =
+  let start = ref 0 in
+  Array.mapi
+    (fun j v ->
+      let k = counts.(j) in
+      let total = ref 0. in
+      for _ = 1 to k do
+        total := !total +. v
+      done;
+      let row = (sorted.(!start), !total /. float_of_int k) in
+      start := !start + k;
+      row)
+    values
 
 (* Solve a canonical sorted profile, returning the per-class utilities and
    the per-class (strategy, τ) pairs — the latter feed batch warm starts.
@@ -638,16 +657,15 @@ let solve_profile ?tau_hint t (sorted : Dcf.Strategy_space.t array) =
             else None
       in
       let iters = ref 0 in
-      let solved =
-        Dcf.Model.solve_profile ?p_hn:t.p_hn ~iterations:iters ?tau_hint
-          ?max_iter:t.solver_max_iter t.params cws
+      let { Dcf.Model.classes; class_utilities; _ } =
+        Dcf.Model.solve_profile_classes ?p_hn:t.p_hn ~iterations:iters
+          ?tau_hint ?max_iter:t.solver_max_iter t.params cws
       in
       note_iterations t ~warm:(tau_hint <> None) !iters;
       Telemetry.Metric.incr t.solves;
-      if not solved.Dcf.Model.converged then
-        refuse_nonconverged t (profile_key sorted);
-      ( classes_of sorted solved.Dcf.Model.utilities,
-        classes_of sorted solved.Dcf.Model.taus )
+      if not classes.converged then refuse_nonconverged t (profile_key sorted);
+      ( class_rows sorted ~counts:classes.counts class_utilities,
+        class_rows sorted ~counts:classes.counts classes.class_taus )
   | Analytic ->
       let iters = ref 0 in
       let solved =

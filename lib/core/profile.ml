@@ -47,12 +47,6 @@ let canonical t =
   Array.stable_sort Dcf.Strategy_space.compare sorted;
   sorted
 
-let key t =
-  String.concat ";"
-    (Array.to_list (Array.map Dcf.Strategy_space.to_key (canonical t)))
-
-let fingerprint t = Prelude.Util.fnv1a64 (key t)
-
 let validate ~cw_max t =
   if Array.length t = 0 then Error "empty profile"
   else

@@ -42,12 +42,6 @@ val canonical : t -> t
 (** Sorted copy under the strategy-space total order: the canonical
     multiset representative.  Permutations of a profile share it. *)
 
-val key : t -> string
-(** Deterministic rendering of {!canonical} (store/memo addressing). *)
-
-val fingerprint : t -> int64
-(** FNV-1a of {!key}: permutation-invariant by construction. *)
-
 val validate : cw_max:int -> t -> (unit, string) result
 (** Every strategy must pass {!Dcf.Strategy_space.validate} with the given
     window cap. *)

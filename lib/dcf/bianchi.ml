@@ -1,12 +1,24 @@
-let check_args ~w ~m p =
+let check_chain ~w ~m =
   if w < 1 then invalid_arg "Bianchi: window must be >= 1";
-  if m < 0 then invalid_arg "Bianchi: max stage must be >= 0";
+  if m < 0 then invalid_arg "Bianchi: max stage must be >= 0"
+
+let check_args ~w ~m p =
+  check_chain ~w ~m;
   if p < 0. || p > 1. then invalid_arg "Bianchi: p must be in [0, 1]"
+
+let[@inline] tau_unchecked ~wf ~m p =
+  2. /. (1. +. wf +. (p *. wf *. Prelude.Util.geometric_sum (2. *. p) m))
+
+(* One call per map evaluation, not one per class: a call across modules
+   boxes every float argument and result. *)
+let taus_unchecked_into ~wfs ~m ps taus =
+  for j = 0 to Array.length ps - 1 do
+    taus.(j) <- tau_unchecked ~wf:wfs.(j) ~m ps.(j)
+  done
 
 let tau_of_p ~w ~m p =
   check_args ~w ~m p;
-  let wf = float_of_int w in
-  2. /. (1. +. wf +. (p *. wf *. Prelude.Util.geometric_sum (2. *. p) m))
+  tau_unchecked ~wf:(float_of_int w) ~m p
 
 let dtau_dp ~w ~m p =
   check_args ~w ~m p;

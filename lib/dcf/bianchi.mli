@@ -16,6 +16,23 @@ val tau_of_p : w:int -> m:int -> float -> float
     initial window [w ≥ 1] and [m ≥ 0] doubling stages facing collision
     probability [p ∈ [0, 1]].  Decreasing in both [p] and [w]. *)
 
+val check_chain : w:int -> m:int -> unit
+(** Raises the [Invalid_argument] {!tau_of_p} raises for a window below 1
+    or a negative stage count, so a solver can check each class once per
+    solve and then evaluate {!tau_unchecked}. *)
+
+val tau_unchecked : wf:float -> m:int -> float -> float
+(** {!tau_of_p} without its checks: the same float operations, in the same
+    order, on [wf = float_of_int w].  For a (w, m) that passed
+    {!check_chain} and a p that is in [0, 1] by construction; it returns
+    {!tau_of_p}'s bits there, and on a NaN p (which {!tau_of_p} lets
+    through) a NaN. *)
+
+val taus_unchecked_into :
+  wfs:float array -> m:int -> float array -> float array -> unit
+(** [taus_unchecked_into ~wfs ~m ps taus] sets [taus.(j)] to
+    [tau_unchecked ~wf:wfs.(j) ~m ps.(j)] for every j of [ps]. *)
+
 val dtau_dp : w:int -> m:int -> float -> float
 (** [dtau_dp ~w ~m p] is the analytic derivative of {!tau_of_p} in [p]:
     with D(p) = 1 + W + W·Σ_{j=0}^{m−1} 2^j·p^(j+1) the value is

@@ -22,27 +22,43 @@ let solve ?p_hn (params : Params.t) cws =
     converged = solution.converged;
   }
 
-let solve_profile ?p_hn ?iterations ?tau_hint ?max_iter (params : Params.t)
-    cws =
-  let solution =
-    Solver.solve_profile ?iterations ?tau_hint ?max_iter params cws
+type priced_classes = {
+  classes : Solver.profile_classes;
+  class_utilities : float array;
+  metrics : Metrics.t;
+}
+
+let solve_profile_classes ?p_hn ?iterations ?tau_hint ?max_iter
+    (params : Params.t) cws =
+  let classes =
+    Solver.solve_profile_classes ?iterations ?tau_hint ?max_iter params cws
   in
-  let metrics = Metrics.of_solution params solution in
-  (* [Utility.rates] with the slot time already in hand. *)
-  let utilities =
+  let metrics =
+    Metrics.of_taus params (Solver.per_node classes classes.class_taus)
+  in
+  (* [Utility.rates] with the slot time already in hand, once per class:
+     a class's members share (τ, p), so they share the utility bits. *)
+  let class_utilities =
     Array.map2
       (fun tau p ->
         Utility.rate_of_node ?p_hn params ~slot_time:metrics.slot_time ~tau ~p)
-      solution.taus solution.ps
+      classes.class_taus classes.class_ps
+  in
+  { classes; class_utilities; metrics }
+
+let solve_profile ?p_hn ?iterations ?tau_hint ?max_iter (params : Params.t)
+    cws =
+  let { classes; class_utilities; metrics } =
+    solve_profile_classes ?p_hn ?iterations ?tau_hint ?max_iter params cws
   in
   {
     params;
     cws;
-    taus = solution.taus;
-    ps = solution.ps;
+    taus = Solver.per_node classes classes.class_taus;
+    ps = Solver.per_node classes classes.class_ps;
     metrics;
-    utilities;
-    converged = solution.converged;
+    utilities = Solver.per_node classes class_utilities;
+    converged = classes.converged;
   }
 
 type strategy_solved = {

@@ -31,6 +31,24 @@ val solve_profile :
     payoff oracle's heterogeneous path.  [iterations], [tau_hint] (warm
     start) and [max_iter] pass through to {!Solver.solve_profile}. *)
 
+type priced_classes = {
+  classes : Solver.profile_classes;
+      (** the class solve: windows, counts, node classes, per-class τ
+          and p, convergence *)
+  class_utilities : float array;  (** per-class payoff rate u *)
+  metrics : Metrics.t;
+      (** {!Metrics.of_taus} over the per-node τs in the profile's order,
+          so its slot time carries {!solve_profile}'s bits *)
+}
+
+val solve_profile_classes :
+  ?p_hn:float -> ?iterations:int ref -> ?tau_hint:(int -> float option) ->
+  ?max_iter:int -> Params.t -> int array -> priced_classes
+(** {!solve_profile} in class form: one τ, p and utility per distinct
+    window, each with the bits every member of the class gets from
+    {!solve_profile}, which is this followed by a per-node expansion.
+    The payoff oracle builds its class rows from it. *)
+
 type strategy_solved = {
   params : Params.t;
   strategies : Strategy_space.t array;

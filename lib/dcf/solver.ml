@@ -76,9 +76,13 @@ let solve_homogeneous ?(telemetry = Telemetry.Registry.default) ?iterations
   end
   else begin
     (* Defect h(τ) = τ − τ_model(p(τ)): negative at τ→0 and positive at
-       τ = 1, with a single crossing (uniqueness per Bianchi). *)
-    let p_of_tau tau = 1. -. ((1. -. tau) ** float_of_int (n - 1)) in
-    let defect tau = tau -. Bianchi.tau_of_p ~w ~m (p_of_tau tau) in
+       τ = 1, with a single crossing (uniqueness per Bianchi).  (w, m) is
+       checked once here; Brent keeps τ inside the bracket ⊂ [eps, 1], so
+       p(τ) is in [0, 1] and eq. 2 is evaluated unchecked. *)
+    Bianchi.check_chain ~w ~m;
+    let wf = float_of_int w and others = float_of_int (n - 1) in
+    let p_of_tau tau = 1. -. ((1. -. tau) ** others) in
+    let defect tau = tau -. Bianchi.tau_unchecked ~wf ~m (p_of_tau tau) in
     let eps = 1e-15 in
     let iters = ref 0 in
     (* Warm start: a neighbouring solution's τ narrows the Brent bracket
@@ -106,36 +110,40 @@ let solve_homogeneous ?(telemetry = Telemetry.Registry.default) ?iterations
    cases bypass [( ** )] — IEEE pow pins pow(x, 0) = 1 and pow(x, 1) = x
    exactly, so the fast path is bit-identical to the pow the pre-Newton
    solver called, while skipping a libm call per class per iteration
-   (singleton classes dominate heterogeneous sweeps). *)
-let powk x k =
+   (singleton classes dominate heterogeneous sweeps).  Inlined: a call
+   boxes its float argument and result. *)
+let[@inline] powk x k =
   if k = 0 then 1.
   else if k = 1 then x
   else x ** float_of_int k
 
-(* Per-class collision probabilities at an iterate: Π over everyone,
-   then divide out one copy of the own class.  The τ_j ≥ 1 branch
-   recomputes the product excluding one member to avoid 0/0; it is the
-   same arithmetic the pre-Newton solver performed, kept bit-identical
-   because the degenerate conformance group pins this path. *)
-let class_ps ~ks taus =
+(* Per-class collision probabilities at an iterate, written into [ps]:
+   Π over everyone, then divide out one copy of the own class.  Returns
+   the product Π_l(1−τ_l)^{k_l}.  The τ_j ≥ 1 branch recomputes the
+   product excluding one member to avoid 0/0; it is the same arithmetic
+   the pre-Newton solver performed, kept bit-identical because the
+   degenerate conformance group pins this path. *)
+let class_ps_into ~ks taus ps =
   let c = Array.length taus in
   let product = ref 1. in
   for j = 0 to c - 1 do
     product := !product *. powk (1. -. taus.(j)) ks.(j)
   done;
-  Array.init c (fun j ->
-      let others =
-        if taus.(j) >= 1. then begin
-          let rest = ref (powk (1. -. taus.(j)) (ks.(j) - 1)) in
-          for j' = 0 to c - 1 do
-            if j' <> j then
-              rest := !rest *. powk (1. -. taus.(j')) ks.(j')
-          done;
-          !rest
-        end
-        else !product /. (1. -. taus.(j))
-      in
-      Prelude.Util.clamp ~lo:0. ~hi:1. (1. -. others))
+  for j = 0 to c - 1 do
+    let others =
+      if taus.(j) >= 1. then begin
+        let rest = ref (powk (1. -. taus.(j)) (ks.(j) - 1)) in
+        for j' = 0 to c - 1 do
+          if j' <> j then
+            rest := !rest *. powk (1. -. taus.(j')) ks.(j')
+        done;
+        !rest
+      end
+      else !product /. (1. -. taus.(j))
+    in
+    ps.(j) <- Prelude.Util.clamp ~lo:0. ~hi:1. (1. -. others)
+  done;
+  !product
 
 (* Cold-start seed for the Newton path: pool the whole network into one
    homogeneous pseudo-class (count-weighted mean window) and Brent-solve
@@ -147,8 +155,9 @@ let class_ps ~ks taus =
    knob only: AIFS shapes the map, not the seed.  The Picard path keeps
    the legacy start untouched: it *is* the pre-Newton solver, bit for
    bit.  Returns [None] (caller falls back to 2/(W+1)) on trivial
-   networks or when the scalar proxy degenerates. *)
-let newton_cold_x0 ?telemetry (params : Params.t) ~ws ~ks =
+   networks or when the scalar proxy degenerates.  [wfs] are the windows
+   as floats, already checked with the stage count. *)
+let newton_cold_x0 ?telemetry (params : Params.t) ~ws ~wfs ~ks =
   let c = Array.length ws in
   let n_total = Array.fold_left ( + ) 0 ks in
   if n_total < 2 then None
@@ -161,38 +170,74 @@ let newton_cold_x0 ?telemetry (params : Params.t) ~ws ~ks =
     match solve_homogeneous ?telemetry ~tol:1e-6 params ~n:n_total ~w:mean_w with
     | exception _ -> None
     | _, p_star ->
-        if p_star > 0. && p_star < 1. then
-          Some
-            (Array.init c (fun j ->
-                 Bianchi.tau_of_p ~w:ws.(j) ~m:params.max_backoff_stage p_star))
+        if p_star > 0. && p_star < 1. then begin
+          let x0 = Array.make c 0. in
+          for j = 0 to c - 1 do
+            x0.(j) <-
+              Bianchi.tau_unchecked ~wf:wfs.(j) ~m:params.max_backoff_stage
+                p_star
+          done;
+          Some x0
+        end
         else None
   end
 
-(* The class engine behind [solve_classes], [solve_strategy_classes] and
-   [solve_batch]: class j has [ks.(j)] members on window [ws.(j)] that
-   defer [aifs.(j)] extra slots (0 for CW-only classes).  AIFS enters the
-   coupled system through an eligibility factor: a node deferring a extra
-   slots after every busy period can only start in a slot if none of the
-   preceding a slots was busy for it, which in the mean-field model
-   happens with probability (1 − p)^a.  Its effective per-slot
-   transmission probability is therefore
+(* The class engine behind [solve_classes], [solve_strategy_classes],
+   [solve_batch] and [solve_profile]: class j has [ks.(j)] members on
+   window [ws.(j)] that defer [aifs.(j)] extra slots (0 for CW-only
+   classes).  AIFS enters the coupled system through an eligibility
+   factor: a node deferring a extra slots after every busy period can
+   only start in a slot if none of the preceding a slots was busy for it,
+   which in the mean-field model happens with probability (1 − p)^a.  Its
+   effective per-slot transmission probability is therefore
    φ_j(p) = (1 − p)^a · τB(W_j, p), and it is φ_j that other nodes see
    when computing their collision probabilities.
 
    [x0], when given, is owned by the engine: entries outside (0, 1) are
    replaced in place by the no-collision start 2/(W+1), the rest seed
    their class as given.  Without it Newton starts from the pooled proxy
-   and Picard from 2/(W+1). *)
+   and Picard from 2/(W+1).  Returns per-class τ and p in class order.
+
+   (w, m) is checked once per solve, with {!Bianchi.tau_of_p}'s errors;
+   the map then evaluates eq. 2 unchecked on p in [0, 1] (or NaN, which
+   the check would let through too).  The solve owns its buffers: the
+   map writes its value into [fx] and the collision probabilities into
+   [ps], and records in [at] the bits of the iterate they belong to and
+   in [product] Π(1−τ_l)^{k_l} there.  Both solvers read a map value
+   before the next evaluation and step from, or return, only the latest
+   map argument ({!Numerics.Newton.solve}, {!Numerics.Fixed_point.solve}),
+   so the Newton step and the final probabilities find the product and
+   every p_j of their iterate already computed, with the same bits; they
+   recompute only if the iterate's bits differ from [at]. *)
 let solve_class_arrays ?telemetry ?iterations ?x0 ~tol ~algo ~max_iter
     (params : Params.t) ~ws ~aifs ~ks =
   let m = params.max_backoff_stage in
   let c = Array.length ws in
+  Array.iter (fun w -> Bianchi.check_chain ~w ~m) ws;
+  let wfs = Array.map float_of_int ws in
+  let fx = Array.make c 0. in
+  let ps = Array.make c 0. in
+  let at = Array.make c 0. in
+  let product = [| 1. |] in
+  let collide taus =
+    Array.blit taus 0 at 0 c;
+    product.(0) <- class_ps_into ~ks taus ps
+  in
+  let collide_at taus =
+    let same = ref true in
+    for j = 0 to c - 1 do
+      if Int64.bits_of_float taus.(j) <> Int64.bits_of_float at.(j) then
+        same := false
+    done;
+    if not !same then collide taus
+  in
   let step taus =
-    let ps = class_ps ~ks taus in
-    Array.init c (fun j ->
-        let p = ps.(j) in
-        let tau = Bianchi.tau_of_p ~w:ws.(j) ~m p in
-        if aifs.(j) = 0 then tau else powk (1. -. p) aifs.(j) *. tau)
+    collide taus;
+    Bianchi.taus_unchecked_into ~wfs ~m ps fx;
+    for j = 0 to c - 1 do
+      if aifs.(j) <> 0 then fx.(j) <- powk (1. -. ps.(j)) aifs.(j) *. fx.(j)
+    done;
+    fx
   in
   (* Newton step for g_j(τ) = φ_j(p_j(τ)), exploiting the rank-one
      structure of the Jacobian.  With O_j = Π_l(1−τ_l)^{k_l} / (1−τ_j)
@@ -215,6 +260,9 @@ let solve_class_arrays ?telemetry ?iterations ?x0 ~tol ~algo ~max_iter
      φ'_j = (1−p)^a·dτB/dp − a·(1−p)^{a−1}·τB, with τB = φ_j/(1−p)^a
      except where the factor underflows near p = 1.
 
+     The product and p_j are the map's at this iterate (every τ_j < 1
+     here, so p_j is 1 − O_j clamped, as the map computed it).
+
      Returns [None] near the τ = 1 boundary (where the product shortcut
      and the derivative both degenerate), on a near-singular diagonal or
      denominator, and on any non-finite intermediate — {!Numerics.Newton}
@@ -231,16 +279,14 @@ let solve_class_arrays ?telemetry ?iterations ?x0 ~tol ~algo ~max_iter
     done;
     if not !usable then None
     else begin
-      let product = ref 1. in
-      for j = 0 to c - 1 do
-        product := !product *. powk (1. -. taus.(j)) ks.(j)
-      done;
+      collide_at taus;
+      let product = product.(0) in
       try
         let v_dot_d = ref 0. and v_dot_u = ref 0. in
         for j = 0 to c - 1 do
           let one_m = 1. -. taus.(j) in
-          let o_j = !product /. one_m in
-          let p_j = Prelude.Util.clamp ~lo:0. ~hi:1. (1. -. o_j) in
+          let o_j = product /. one_m in
+          let p_j = ps.(j) in
           let phi_j = taus.(j) +. defect.(j) in
           let s = ref 0. and pow = ref 1. in
           for i = 0 to m - 1 do
@@ -249,15 +295,14 @@ let solve_class_arrays ?telemetry ?iterations ?x0 ~tol ~algo ~max_iter
           done;
           let a = aifs.(j) in
           let u_j =
-            if a = 0 then
-              -0.5 *. float_of_int ws.(j) *. !s *. phi_j *. phi_j *. o_j
+            if a = 0 then -0.5 *. wfs.(j) *. !s *. phi_j *. phi_j *. o_j
             else begin
               let elig = powk (1. -. p_j) a in
               let tau_b =
                 if elig > 1e-300 then phi_j /. elig
-                else Bianchi.tau_of_p ~w:ws.(j) ~m p_j
+                else Bianchi.tau_unchecked ~wf:wfs.(j) ~m p_j
               in
-              let d = -0.5 *. float_of_int ws.(j) *. !s *. tau_b *. tau_b in
+              let d = -0.5 *. wfs.(j) *. !s *. tau_b *. tau_b in
               let elig' = float_of_int a *. powk (1. -. p_j) (a - 1) in
               ((elig *. d) -. (elig' *. tau_b)) *. o_j
             end
@@ -299,7 +344,7 @@ let solve_class_arrays ?telemetry ?iterations ?x0 ~tol ~algo ~max_iter
           x0;
         x0
     | None, Newton -> (
-        match newton_cold_x0 ?telemetry params ~ws ~ks with
+        match newton_cold_x0 ?telemetry params ~ws ~wfs ~ks with
         | Some x0 -> x0
         | None -> Array.init c default_x0)
     | None, Picard -> Array.init c default_x0
@@ -320,11 +365,15 @@ let solve_class_arrays ?telemetry ?iterations ?x0 ~tol ~algo ~max_iter
         (o.value, o.iterations, o.converged)
   in
   (match iterations with Some r -> r := iters | None -> ());
-  let ps = class_ps ~ks taus in
+  collide_at taus;
+  { taus; ps; iterations = iters; converged }
+
+let class_solution (s : solution) =
   {
-    class_pairs = List.init c (fun j -> (taus.(j), ps.(j)));
-    iterations = iters;
-    converged;
+    class_pairs =
+      List.init (Array.length s.taus) (fun j -> (s.taus.(j), s.ps.(j)));
+    iterations = s.iterations;
+    converged = s.converged;
   }
 
 (* A hint lookup as an engine start vector: 0 marks a class without a
@@ -350,9 +399,11 @@ let solve_classes ?telemetry ?iterations ?tau_hint ?tol ?algo ?max_iter
       if w < 1 then invalid_arg "Solver.solve_classes: window must be >= 1";
       if k < 1 then invalid_arg "Solver.solve_classes: count must be >= 1")
     classes;
-  solve_cw_arrays ?telemetry ?iterations ?tau_hint ?tol ?algo ?max_iter params
-    ~ws:(Array.of_list (List.map fst classes))
-    ~ks:(Array.of_list (List.map snd classes))
+  class_solution
+    (solve_cw_arrays ?telemetry ?iterations ?tau_hint ?tol ?algo ?max_iter
+       params
+       ~ws:(Array.of_list (List.map fst classes))
+       ~ks:(Array.of_list (List.map snd classes)))
 
 (* Validated strategy classes as engine arrays.  TXOP and rate do not
    change the contention fixed point (they change channel occupancy and
@@ -376,8 +427,9 @@ let strategy_arrays classes =
 let solve_strategy_classes ?telemetry ?iterations ?tau_hint ?(tol = 1e-14)
     ?(algo = Newton) ?(max_iter = 50_000) (params : Params.t) classes =
   let ss, ws, aifs, ks = strategy_arrays classes in
-  solve_class_arrays ?telemetry ?iterations ?x0:(hinted_x0 tau_hint ss) ~tol
-    ~algo ~max_iter params ~ws ~aifs ~ks
+  class_solution
+    (solve_class_arrays ?telemetry ?iterations ?x0:(hinted_x0 tau_hint ss)
+       ~tol ~algo ~max_iter params ~ws ~aifs ~ks)
 
 let solve_batch ?telemetry ?(tol = 1e-14) ?(algo = Newton)
     ?(max_iter = 50_000) (params : Params.t) problems =
@@ -386,18 +438,17 @@ let solve_batch ?telemetry ?(tol = 1e-14) ?(algo = Newton)
      position-wise when the class shape repeats (the common case), else
      matched by strategy.  Newton from a warm start typically converges
      in 2–4 accepted steps. *)
-  let prev : (class_solution * Strategy_space.t array) option ref = ref None in
+  let prev : (solution * Strategy_space.t array) option ref = ref None in
   Array.map
     (fun classes ->
       let ss, ws, aifs, ks = strategy_arrays classes in
       let x0 =
         match !prev with
         | Some (sol, prev_ss) when Array.length prev_ss = Array.length ss ->
-            Some (Array.of_list (List.map fst sol.class_pairs))
+            Some (Array.copy sol.taus)
         | Some (sol, prev_ss) ->
             (* Shape changed: carry over per-strategy matches, let the
                engine fill the rest with the cold default. *)
-            let taus = Array.of_list (List.map fst sol.class_pairs) in
             Some
               (Array.map
                  (fun s ->
@@ -405,7 +456,7 @@ let solve_batch ?telemetry ?(tol = 1e-14) ?(algo = Newton)
                    Array.iteri
                      (fun i s' ->
                        if Strategy_space.compare s s' = 0 then
-                         found := taus.(i))
+                         found := sol.taus.(i))
                      prev_ss;
                    !found)
                  ss)
@@ -416,11 +467,21 @@ let solve_batch ?telemetry ?(tol = 1e-14) ?(algo = Newton)
           ~aifs ~ks
       in
       prev := Some (sol, ss);
-      sol)
+      class_solution sol)
     problems
 
-let solve_profile ?telemetry ?iterations ?tau_hint ?tol ?algo ?max_iter
-    (params : Params.t) cws =
+type profile_classes = {
+  windows : int array;
+  counts : int array;
+  node_class : int array;
+  class_taus : float array;
+  class_ps : float array;
+  iterations : int;
+  converged : bool;
+}
+
+let solve_profile_classes ?telemetry ?iterations ?tau_hint ?tol ?algo
+    ?max_iter (params : Params.t) cws =
   let n = Array.length cws in
   if n = 0 then invalid_arg "Solver.solve_profile: empty network";
   Array.iter
@@ -437,7 +498,8 @@ let solve_profile ?telemetry ?iterations ?tau_hint ?tol ?algo ?max_iter
   for i = 1 to n - 1 do
     if sorted.(i) <> sorted.(i - 1) then incr c
   done;
-  let ws = Array.make !c sorted.(0) and ks = Array.make !c 0 in
+  let c = !c in
+  let ws = Array.make c sorted.(0) and ks = Array.make c 0 in
   let j = ref 0 in
   for i = 0 to n - 1 do
     if sorted.(i) <> ws.(!j) then begin
@@ -446,21 +508,48 @@ let solve_profile ?telemetry ?iterations ?tau_hint ?tol ?algo ?max_iter
     end;
     ks.(!j) <- ks.(!j) + 1
   done;
-  let iters = match iterations with Some r -> r | None -> ref 0 in
-  let solved =
-    solve_cw_arrays ?telemetry ~iterations:iters ?tau_hint ?tol ?algo
-      ?max_iter params ~ws ~ks
-  in
-  let pairs = Array.of_list solved.class_pairs in
   (* Each node's class, by binary search over the ascending windows. *)
-  let pair w =
-    let lo = ref 0 and hi = ref (!c - 1) in
+  let node_class = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let w = cws.(i) in
+    let lo = ref 0 and hi = ref (c - 1) in
     while !lo < !hi do
       let mid = (!lo + !hi) lsr 1 in
       if ws.(mid) < w then lo := mid + 1 else hi := mid
     done;
-    pairs.(!lo)
+    node_class.(i) <- !lo
+  done;
+  let solved =
+    solve_cw_arrays ?telemetry ?iterations ?tau_hint ?tol ?algo ?max_iter
+      params ~ws ~ks
   in
-  let taus = Array.map (fun w -> fst (pair w)) cws in
-  let ps = Array.map (fun w -> snd (pair w)) cws in
-  { taus; ps; iterations = !iters; converged = solved.converged }
+  {
+    windows = ws;
+    counts = ks;
+    node_class;
+    class_taus = solved.taus;
+    class_ps = solved.ps;
+    iterations = solved.iterations;
+    converged = solved.converged;
+  }
+
+let per_node pc values =
+  let n = Array.length pc.node_class in
+  let out = Array.create_float n in
+  for i = 0 to n - 1 do
+    out.(i) <- values.(pc.node_class.(i))
+  done;
+  out
+
+let solve_profile ?telemetry ?iterations ?tau_hint ?tol ?algo ?max_iter
+    (params : Params.t) cws =
+  let pc =
+    solve_profile_classes ?telemetry ?iterations ?tau_hint ?tol ?algo
+      ?max_iter params cws
+  in
+  {
+    taus = per_node pc pc.class_taus;
+    ps = per_node pc pc.class_ps;
+    iterations = pc.iterations;
+    converged = pc.converged;
+  }

@@ -140,6 +140,30 @@ val solve_profile :
     [converged] is threaded from the underlying class solve — it is no
     longer assumed [true]. *)
 
+type profile_classes = {
+  windows : int array;  (** the profile's distinct windows, ascending *)
+  counts : int array;  (** nodes on each window *)
+  node_class : int array;
+      (** node i's class: the index of [cws.(i)] in [windows] *)
+  class_taus : float array;  (** per-class τ, in [windows] order *)
+  class_ps : float array;  (** per-class p, in [windows] order *)
+  iterations : int;
+  converged : bool;
+}
+
+val solve_profile_classes :
+  ?telemetry:Telemetry.Registry.t -> ?iterations:int ref ->
+  ?tau_hint:(int -> float option) ->
+  ?tol:float -> ?algo:algo -> ?max_iter:int ->
+  Params.t -> int array -> profile_classes
+(** {!solve_profile} before its per-node expansion: the same validation,
+    grouping and class solve, returned per class.  {!solve_profile} is
+    this followed by {!per_node} on the τs and the ps. *)
+
+val per_node : profile_classes -> float array -> float array
+(** [per_node pc values] is the per-node array in which node i holds
+    [values.(pc.node_class.(i))], for any per-class [values]. *)
+
 val collision_probabilities : float array -> float array
 (** [collision_probabilities taus] evaluates eq. 3 for every node, using
     prefix/suffix products so nodes with τ = 1 (window 1) are handled

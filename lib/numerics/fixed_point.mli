@@ -24,7 +24,10 @@ val solve :
     iterate at which the defect was measured, with no trailing damped step
     applied.  A non-finite defect terminates the solve as non-converged.
     [damping] λ defaults to 0.5 and must be in (0, 1].  [f] must preserve
-    the vector length.
+    the vector length.  Each call's result is read before the next call,
+    so [f] may return one buffer every time, and the returned [value],
+    converged or not, is the argument of the last call, with the same
+    bits.
 
     The input vector is not mutated.
 

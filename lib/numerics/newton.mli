@@ -38,6 +38,12 @@ val solve :
     input vector is not mutated.  A non-finite defect terminates the
     solve as non-converged.
 
+    [f] is first called at [x0], and each call's result is read before
+    the next call, so [f] may return one buffer every time.  [step x _]
+    is called, and [value] returned, only at the argument of the latest
+    call to [f] (the same bits), so [f] may leave quantities computed at
+    its argument for [step] and the caller to reuse.
+
     Every solve runs inside a ["newton.solve"] flight-recorder span
     (payload: vector length, [max_iter]), bumps the
     ["solver.newton.steps"] / ["solver.newton.fallbacks"] counters, and

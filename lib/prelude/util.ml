@@ -1,6 +1,6 @@
-let clamp ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
-
-let clamp_int ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
+(* Annotated: a polymorphic body compares through [caml_lessthan] on
+   boxed floats. *)
+let clamp ~lo ~hi (x : float) = if x < lo then lo else if x > hi then hi else x
 
 let approx_equal ?(eps = 1e-9) a b =
   let scale = Float.max 1. (Float.max (Float.abs a) (Float.abs b)) in
@@ -38,6 +38,21 @@ let geometric_sum r k =
   if k <= 0 then 0.
   else if approx_equal r 1. then float_of_int k
   else (1. -. (r ** float_of_int k)) /. (1. -. r)
+
+let write_atomically path write =
+  let tmp = path ^ ".tmp" in
+  let oc = open_out_bin tmp in
+  match
+    write oc;
+    close_out oc;
+    Sys.rename tmp path
+  with
+  | () -> ()
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      close_out_noerr oc;
+      (try Sys.remove tmp with Sys_error _ -> ());
+      Printexc.raise_with_backtrace e bt
 
 let fold_range lo hi ~init ~f =
   let rec go acc i = if i > hi then acc else go (f acc i) (i + 1) in

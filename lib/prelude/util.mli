@@ -1,8 +1,7 @@
-(** Small numeric and array helpers shared across the library. *)
+(** Small numeric, array and file helpers shared across the library. *)
 
 val clamp : lo:float -> hi:float -> float -> float
-
-val clamp_int : lo:int -> hi:int -> int -> int
+(** [lo] below [lo], [hi] above [hi], else [x] (so NaN stays NaN). *)
 
 val approx_equal : ?eps:float -> float -> float -> bool
 (** Mixed absolute/relative comparison: [|a−b| ≤ eps·max(1,|a|,|b|)].
@@ -29,6 +28,13 @@ val sum_floats : float array -> float
 val geometric_sum : float -> int -> float
 (** [geometric_sum r k] is Σ_{j=0}^{k−1} r^j, computed stably including at
     [r = 1]. *)
+
+val write_atomically : string -> (out_channel -> unit) -> unit
+(** [write_atomically path write] writes [path] whole or not at all:
+    [write] fills [path ^ ".tmp"], which is closed and renamed over
+    [path].  If [write], the closing flush or the rename raises, the
+    channel is closed, the [.tmp] removed and the exception re-raised, so
+    no descriptor and no [.tmp] outlive the call. *)
 
 val fold_range : int -> int -> init:'a -> f:('a -> int -> 'a) -> 'a
 (** [fold_range lo hi ~init ~f] folds [f] over the inclusive integer range. *)

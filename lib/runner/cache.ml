@@ -43,12 +43,9 @@ let store t ~key value =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.mutex)
     (fun () ->
-      let tmp = path ^ ".tmp" in
-      let oc = open_out_bin tmp in
-      output_string oc line;
-      output_char oc '\n';
-      close_out oc;
-      Sys.rename tmp path)
+      Prelude.Util.write_atomically path (fun oc ->
+          output_string oc line;
+          output_char oc '\n'))
 
 let entries t =
   match Sys.readdir t.dir with

@@ -25,6 +25,9 @@ val find : t -> key:string -> Telemetry.Jsonx.t option
     unreadable/corrupt file, or a fingerprint collision. *)
 
 val store : t -> key:string -> Telemetry.Jsonx.t -> unit
+(** Write the entry (temp file, then rename).  If the write raises, the
+    channel is closed, the temp file removed and the exception re-raised;
+    no entry is written. *)
 
 val entries : t -> int
 (** Number of entries currently on disk. *)

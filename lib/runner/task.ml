@@ -13,8 +13,6 @@ let key_of ~family fields =
   in
   family ^ ":" ^ Telemetry.Jsonx.to_string (Telemetry.Jsonx.Obj sorted)
 
-let fingerprint t = Prelude.Util.hex64 (Prelude.Util.fnv1a64 t.key)
-
 let rng ~seed t = Prelude.Rng.of_key ~seed t.key
 
 let float_array a =

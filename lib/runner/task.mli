@@ -35,9 +35,6 @@ val key_of : family:string -> (string * Telemetry.Jsonx.t) list -> string
     JSON object with the fields sorted by name, so keys are insensitive to
     the order call sites list parameters in. *)
 
-val fingerprint : 'a t -> string
-(** 16-hex-digit FNV-1a of the key — the name of the task's cache file. *)
-
 val rng : seed:int -> 'a t -> Prelude.Rng.t
 (** The task's private RNG stream for sweep seed [seed]. *)
 

@@ -10,6 +10,7 @@ type t = {
   mutex : Mutex.t;
   index : (string, Telemetry.Jsonx.t) Hashtbl.t;
   mutable active : out_channel;
+  mutable acked : int;  (* bytes of the active log [put] acknowledged *)
   mutable closed : bool;
   hits : Telemetry.Metric.counter;
   misses : Telemetry.Metric.counter;
@@ -131,6 +132,7 @@ let load_file ~corrupt index path =
             done
           with End_of_file -> ())
 
+(* The append channel and the log's length once it is open. *)
 let open_active dir =
   let path = Filename.concat dir active_name in
   let fresh = not (Sys.file_exists path) in
@@ -140,7 +142,7 @@ let open_active dir =
     output_char oc '\n';
     flush oc
   end;
-  oc
+  (oc, out_channel_length oc)
 
 let open_dir ?(telemetry = Telemetry.Registry.default) dir =
   mkdir_p dir;
@@ -153,13 +155,15 @@ let open_dir ?(telemetry = Telemetry.Registry.default) dir =
       (segments dir);
     let active_path = Filename.concat dir active_name in
     if Sys.file_exists active_path then load_file ~corrupt index active_path;
+    let active, acked = open_active dir in
     {
       dir;
       lock_path;
       lock_fd;
       mutex = Mutex.create ();
       index;
-      active = open_active dir;
+      active;
+      acked;
       closed = false;
       hits = Telemetry.Registry.counter telemetry "store.hits";
       misses = Telemetry.Registry.counter telemetry "store.misses";
@@ -201,11 +205,25 @@ let put t ~key value =
     ~finally:(fun () -> Mutex.unlock t.mutex)
     (fun () ->
       ensure_open t "put";
-      (* Index only what reached the file: a write or flush that raises
-         leaves the entry unserved. *)
-      output_string t.active line;
-      output_char t.active '\n';
-      flush t.active;
+      (* Index only what reached the file.  A write or flush that raises
+         leaves the entry unserved, and the log holding exactly the
+         acknowledged puts: the channel, whose buffer a later flush or
+         [close] would write, is closed; the file is cut back to its
+         acknowledged length, which removes whatever part of the line
+         reached it; and a fresh descriptor takes over. *)
+      (try
+         output_string t.active line;
+         output_char t.active '\n';
+         flush t.active
+       with e ->
+         let bt = Printexc.get_raw_backtrace () in
+         close_out_noerr t.active;
+         Unix.truncate (Filename.concat t.dir active_name) t.acked;
+         let active, acked = open_active t.dir in
+         t.active <- active;
+         t.acked <- acked;
+         Printexc.raise_with_backtrace e bt);
+      t.acked <- t.acked + String.length line + 1;
       Hashtbl.replace t.index key value;
       Telemetry.Metric.incr t.puts)
 
@@ -236,18 +254,16 @@ let compact t =
       let next_gen =
         match List.rev old_segments with (g, _) :: _ -> g + 1 | [] -> 0
       in
-      let target = Filename.concat t.dir (segment_name next_gen) in
-      let tmp = target ^ ".tmp" in
-      let oc = open_out_bin tmp in
-      output_string oc Codec.header;
-      output_char oc '\n';
-      Hashtbl.iter
-        (fun key value ->
-          output_string oc (Codec.encode ~key value);
-          output_char oc '\n')
-        t.index;
-      close_out oc;
-      Sys.rename tmp target;
+      Prelude.Util.write_atomically
+        (Filename.concat t.dir (segment_name next_gen))
+        (fun oc ->
+          output_string oc Codec.header;
+          output_char oc '\n';
+          Hashtbl.iter
+            (fun key value ->
+              output_string oc (Codec.encode ~key value);
+              output_char oc '\n')
+            t.index);
       List.iter
         (fun (_, file) ->
           try Sys.remove (Filename.concat t.dir file)
@@ -256,7 +272,9 @@ let compact t =
       close_out_noerr t.active;
       (try Sys.remove (Filename.concat t.dir active_name)
        with Sys_error _ -> ());
-      t.active <- open_active t.dir;
+      let active, acked = open_active t.dir in
+      t.active <- active;
+      t.acked <- acked;
       Telemetry.Metric.incr t.compactions)
 
 let close t =

@@ -71,7 +71,10 @@ val find : t -> key:string -> Telemetry.Jsonx.t option
 
 val put : t -> key:string -> Telemetry.Jsonx.t -> unit
 (** Insert or supersede an entry; appended to the log and flushed before
-    returning. *)
+    returning.  If the write or the flush raises, the entry is not
+    served, the log is cut back to the acknowledged puts (none of the
+    failed line survives a reopen), later puts go on through a fresh
+    descriptor, and the exception is re-raised. *)
 
 val entries : t -> int
 (** Number of live (deduplicated) entries. *)
@@ -80,4 +83,6 @@ val iter : t -> (key:string -> Telemetry.Jsonx.t -> unit) -> unit
 (** Iterate over a snapshot of the live entries (unspecified order). *)
 
 val compact : t -> unit
-(** Merge all files into one fresh sealed segment and truncate the log. *)
+(** Merge all files into one fresh sealed segment and truncate the log.
+    If writing the segment raises, its channel is closed, its [.tmp]
+    removed and the exception re-raised; the store is left as it was. *)

@@ -201,6 +201,50 @@ let test_newton_clamps_iterates () =
   Alcotest.(check bool) "non-converged" false outcome.converged;
   Alcotest.(check (float 0.)) "pinned at the box floor" 0. outcome.value.(0)
 
+(* Both solvers read each map value before the next call and hand [step]
+   and the caller only the latest map argument, so a map may return one
+   buffer and leave work at its argument for reuse (the class solver
+   does both).  The step refuses, overshoots (a rejected candidate) and
+   takes dense Newton steps in turn. *)
+let test_map_call_contract () =
+  let buf = [| 0.; 0. |] and last = [| nan; nan |] in
+  let latest x =
+    Array.for_all2
+      (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+      x last
+  in
+  let f v =
+    Array.blit v 0 last 0 2;
+    buf.(0) <- cos v.(0);
+    buf.(1) <- 0.5 *. sin v.(1);
+    buf
+  in
+  let jacobian v = [| [| -.sin v.(0); 0. |]; [| 0.; 0.5 *. cos v.(1) |] |] in
+  let calls = ref 0 in
+  let step x d =
+    incr calls;
+    if not (latest x) then
+      Alcotest.fail "step called off the latest map argument";
+    match !calls mod 3 with
+    | 0 -> None
+    | 1 -> Some (Array.map (fun di -> 10. *. di) d)
+    | _ -> Newton.dense_step ~jacobian x d
+  in
+  let newton = Newton.solve ~step f [| 1.; 1. |] in
+  Alcotest.(check bool) "newton converged" true newton.converged;
+  Alcotest.(check bool) "newton took steps and fell back" true
+    (newton.newton_steps > 0 && newton.fallback_steps > 0);
+  Alcotest.(check bool) "newton value is the latest map argument" true
+    (latest newton.value);
+  List.iter
+    (fun max_iter ->
+      let picard = Fixed_point.solve ~max_iter f [| 1.; 1. |] in
+      Alcotest.(check bool)
+        (Printf.sprintf "picard value is the latest map argument (max_iter %d)"
+           max_iter)
+        true (latest picard.value))
+    [ 3; 10_000 ]
+
 (* {1 Optimize} *)
 
 let test_golden_section () =
@@ -318,6 +362,7 @@ let suite_newton =
       test_newton_beats_picard_on_cosine;
     Alcotest.test_case "max_iter cap" `Quick test_newton_respects_max_iter;
     Alcotest.test_case "clamp box" `Quick test_newton_clamps_iterates;
+    Alcotest.test_case "map may share a buffer" `Quick test_map_call_contract;
   ]
 
 let suite_optimize =

@@ -53,13 +53,6 @@ let test_rng_of_key () =
   Alcotest.(check bool) "different seed, different stream" false
     (draws "k" 7 = draws "k" 8)
 
-let test_fingerprint_stable () =
-  let t = counted_task (Atomic.make 0) ~tag:"fp" 3 in
-  Alcotest.(check string) "fingerprint is a function of the key"
-    (R.Task.fingerprint t)
-    (R.Task.fingerprint (counted_task (Atomic.make 0) ~tag:"fp" 3));
-  Alcotest.(check int) "16 hex digits" 16 (String.length (R.Task.fingerprint t))
-
 (* {1 Determinism: -j k bit-identical to serial} *)
 
 (* A multihop-style sweep: spatial packet simulations over a window grid
@@ -255,6 +248,45 @@ let test_gc_always_drops_corrupt () =
   Alcotest.(check bool) "sound entry untouched" true
     (R.Cache.find cache ~key:"sound" <> None)
 
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+let link_exists path =
+  match Unix.lstat path with
+  | _ -> true
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> false
+
+(* A store whose write fails leaks nothing: its .tmp path is a symlink to
+   /dev/full, so the closing flush fails with ENOSPC.  The call must
+   raise, close its channel, remove the .tmp and leave every entry
+   served. *)
+let test_failed_store_cleans_up () =
+  if not (Sys.file_exists "/dev/full" && Sys.file_exists "/proc/self/fd") then
+    Alcotest.skip ();
+  let dir = temp_dir () in
+  let cache = R.Cache.open_dir dir in
+  R.Cache.store cache ~key:"kept" (J.Int 1);
+  let tmp =
+    Filename.concat dir
+      (Prelude.Util.hex64 (Prelude.Util.fnv1a64 "lost") ^ ".json.tmp")
+  in
+  Unix.symlink "/dev/full" tmp;
+  let before = open_fds () in
+  let raised =
+    match R.Cache.store cache ~key:"lost" (J.Int 2) with
+    | () -> false
+    | exception Sys_error _ -> true
+  in
+  Alcotest.(check bool) "store raised" true raised;
+  Alcotest.(check int) "no descriptor leaked" before (open_fds ());
+  Alcotest.(check bool) ".tmp removed" false (link_exists tmp);
+  List.iter
+    (fun cache ->
+      Alcotest.(check bool) "kept entry served" true
+        (R.Cache.find cache ~key:"kept" = Some (J.Int 1));
+      Alcotest.(check bool) "failed entry not served" true
+        (R.Cache.find cache ~key:"lost" = None))
+    [ cache; R.Cache.open_dir dir ]
+
 let test_gc_evicted_sweep_recomputes () =
   let dir = temp_dir () in
   let counter = Atomic.make 0 in
@@ -394,7 +426,6 @@ let () =
         [
           quick "key field order" test_key_field_order_insensitive;
           quick "rng of key" test_rng_of_key;
-          quick "fingerprint" test_fingerprint_stable;
         ] );
       ( "determinism",
         [
@@ -411,6 +442,7 @@ let () =
           quick "gc evicts by age" test_gc_evicts_by_age;
           quick "gc size budget, oldest first" test_gc_size_budget_oldest_first;
           quick "gc always drops corrupt entries" test_gc_always_drops_corrupt;
+          quick "failed store cleans up" test_failed_store_cleans_up;
           quick "gc-evicted sweep recomputes" test_gc_evicted_sweep_recomputes;
         ] );
       ( "resume",

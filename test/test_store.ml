@@ -113,9 +113,21 @@ let test_persistence_across_reopen () =
         (Store.find s ~key:"a" = Some (J.Int 3));
       Alcotest.(check bool) "b kept" true (Store.find s ~key:"b" = Some (J.Float 2.5)))
 
-(* A put whose write fails is never served.  The active log's descriptor,
-   found through /proc/self/fd, is pointed at /dev/full, so the flush
-   inside [put] fails with ENOSPC. *)
+(* On Unix a [file_descr] is the descriptor number. *)
+let descr_of_int (fd : int) : Unix.file_descr = Obj.magic fd
+let int_of_descr (fd : Unix.file_descr) : int = Obj.magic fd
+
+let fd_target fd =
+  match Unix.readlink ("/proc/self/fd/" ^ string_of_int (int_of_descr fd)) with
+  | target -> Some target
+  | exception Unix.Unix_error _ -> None
+
+(* A put whose write fails is never served, not even after a reopen, and
+   the store goes on taking puts.  The active log's descriptor, found
+   through /proc/self/fd, is pointed at /dev/full, so the flush inside
+   [put] fails with ENOSPC.  If the store still writes through that
+   descriptor afterwards, it is pointed back at the log, as when the disk
+   has room again. *)
 let test_failed_put_not_served () =
   if not (Sys.file_exists "/dev/full" && Sys.file_exists "/proc/self/fd") then
     Alcotest.skip ();
@@ -127,14 +139,9 @@ let test_failed_put_not_served () =
       let fd =
         Sys.readdir "/proc/self/fd"
         |> Array.to_list
-        |> List.find (fun e ->
-               match Unix.readlink (Filename.concat "/proc/self/fd" e) with
-               | target -> target = log
-               | exception Unix.Unix_error _ -> false)
-        |> int_of_string
+        |> List.map (fun e -> descr_of_int (int_of_string e))
+        |> List.find (fun fd -> fd_target fd = Some log)
       in
-      (* On Unix a [file_descr] is the descriptor number. *)
-      let fd : Unix.file_descr = Obj.magic fd in
       let saved = Unix.dup fd in
       let full = Unix.openfile "/dev/full" [ Unix.O_WRONLY ] 0 in
       Unix.dup2 full fd;
@@ -144,7 +151,7 @@ let test_failed_put_not_served () =
         | () -> false
         | exception Sys_error _ -> true
       in
-      Unix.dup2 saved fd;
+      if fd_target fd = Some "/dev/full" then Unix.dup2 saved fd;
       Unix.close saved;
       Alcotest.(check bool) "put raised" true raised;
       Alcotest.(check bool) "failed put not served" true
@@ -153,7 +160,17 @@ let test_failed_put_not_served () =
         (Store.find s ~key:"a" = Some (J.Int 1));
       Alcotest.(check int) "store.puts counts acknowledged puts" 1
         (Telemetry.Metric.count
-           (Telemetry.Registry.counter registry "store.puts")))
+           (Telemetry.Registry.counter registry "store.puts"));
+      Store.put s ~key:"c" (J.Int 3);
+      Alcotest.(check bool) "put after the failure served" true
+        (Store.find s ~key:"c" = Some (J.Int 3)));
+  Store.with_store dir (fun s ->
+      Alcotest.(check bool) "failed put absent after reopen" true
+        (Store.find s ~key:"b" = None);
+      Alcotest.(check bool) "acknowledged put served after reopen" true
+        (Store.find s ~key:"a" = Some (J.Int 1));
+      Alcotest.(check bool) "later put served after reopen" true
+        (Store.find s ~key:"c" = Some (J.Int 3)))
 
 let test_torn_final_line_dropped () =
   let dir = temp_dir () in
@@ -252,6 +269,44 @@ let test_compaction () =
       Alcotest.(check int) "compacted store reopens" 2 (Store.entries s);
       Alcotest.(check bool) "value intact" true
         (Store.find s ~key:"hot" = Some (J.Int 10)))
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+let link_exists path =
+  match Unix.lstat path with
+  | _ -> true
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> false
+
+(* A compaction whose write fails leaks nothing and loses nothing: the
+   first segment's .tmp path is a symlink to /dev/full, so the closing
+   flush fails with ENOSPC. *)
+let test_failed_compaction_cleans_up () =
+  if not (Sys.file_exists "/dev/full" && Sys.file_exists "/proc/self/fd") then
+    Alcotest.skip ();
+  let dir = temp_dir () in
+  let served s =
+    Alcotest.(check int) "entries" 2 (Store.entries s);
+    Alcotest.(check bool) "a served" true
+      (Store.find s ~key:"a" = Some (J.Int 1));
+    Alcotest.(check bool) "b served" true
+      (Store.find s ~key:"b" = Some (J.Int 2))
+  in
+  Store.with_store dir (fun s ->
+      Store.put s ~key:"a" (J.Int 1);
+      Store.put s ~key:"b" (J.Int 2);
+      let tmp = Filename.concat dir "seg-000000.jsonl.tmp" in
+      Unix.symlink "/dev/full" tmp;
+      let before = open_fds () in
+      let raised =
+        match Store.compact s with
+        | () -> false
+        | exception Sys_error _ -> true
+      in
+      Alcotest.(check bool) "compact raised" true raised;
+      Alcotest.(check int) "no descriptor leaked" before (open_fds ());
+      Alcotest.(check bool) ".tmp removed" false (link_exists tmp);
+      served s);
+  Store.with_store dir served
 
 let test_kill_mid_write_resumes () =
   (* The store-level mirror of the runner's resume-after-kill test: write
@@ -378,6 +433,7 @@ let () =
           quick "bad magic raises Corrupt" test_bad_magic_raises;
           quick "second opener fails fast" test_second_opener_fails_fast;
           quick "compaction" test_compaction;
+          quick "failed compaction cleans up" test_failed_compaction_cleans_up;
           quick "kill mid-write resumes" test_kill_mid_write_resumes;
         ] );
       ( "oracle",

@@ -112,7 +112,7 @@ let test_degenerate_wire_shorthand =
     (fun w -> S.to_json (S.of_cw w) = J.Int w)
 
 let test_profile_permutation_invariance =
-  QCheck.Test.make ~name:"profile canonical/key/fingerprint permutation-invariant"
+  QCheck.Test.make ~name:"profile permutation-invariant"
     ~count:200
     QCheck.(pair (list_of_size (Gen.int_range 1 8) strategy_gen) (int_range 0 1000))
     (fun (strategies, salt) ->
@@ -128,25 +128,21 @@ let test_profile_permutation_invariance =
       done;
       Macgame.Profile.equal
         (Macgame.Profile.canonical p)
-        (Macgame.Profile.canonical q)
-      && Macgame.Profile.key p = Macgame.Profile.key q
-      && Int64.equal (Macgame.Profile.fingerprint p)
-           (Macgame.Profile.fingerprint q))
+        (Macgame.Profile.canonical q))
 
 let test_fingerprint_pins () =
-  (* Pinned FNV-1a values: store keys derive from these, so an accidental
-     change to the hash or the key rendering silently orphans every
-     persisted row.  If a change here is intentional it must come with a
-     store schema bump. *)
+  (* Pinned FNV-1a values of [S.to_key] renderings.  The oracle's store
+     keys spell every multi-knob strategy with [to_key] (and a degenerate
+     one as its bare window; test_oracle's "store keys keep their bytes"
+     pins whole keys), so an accidental change to the rendering silently
+     orphans persisted rows.  If a change here is intentional it must
+     come with a store schema bump. *)
   let fingerprint s = Prelude.Util.fnv1a64 (S.to_key s) in
   Alcotest.(check bool) "of_cw 16" true
     (Int64.equal 0x5f51a519490857a9L (fingerprint (S.of_cw 16)));
   Alcotest.(check bool) "multi-knob" true
     (Int64.equal 0x551c74fc8def9f2cL
-       (fingerprint { S.cw = 32; aifs = 2; txop_frames = 3; rate = 0.5 }));
-  Alcotest.(check bool) "profile" true
-    (Int64.equal 0xc0592f6c0c42371eL
-       (Macgame.Profile.fingerprint (Macgame.Profile.of_cws [| 76; 16; 76; 32 |])))
+       (fingerprint { S.cw = 32; aifs = 2; txop_frames = 3; rate = 0.5 }))
 
 (* {1 The widened analytic model} *)
 

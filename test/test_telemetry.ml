@@ -373,14 +373,15 @@ let test_pinned_key_and_entry () =
     "task key"
     {|pin.sweep:{"big":1e+16,"d":1e-05,"elapsed":0.0009765625,"p":0.1,"tau":0.33333333333333331,"w":64}|}
     key;
-  let task =
-    Runner.Task.make ~key ~encode:(fun () -> T.Jsonx.Null)
-      ~decode:(fun _ -> Some ())
-      (fun _ -> ())
-  in
-  Alcotest.(check string)
-    "task fingerprint" "85546f66bbf818db"
-    (Runner.Task.fingerprint task);
+  (* The cache names an entry's file by the key's FNV-1a. *)
+  let dir = Filename.temp_file "pin_cache" "" in
+  Sys.remove dir;
+  Runner.Cache.store (Runner.Cache.open_dir dir) ~key T.Jsonx.Null;
+  let files = Sys.readdir dir in
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) files;
+  Sys.rmdir dir;
+  Alcotest.(check (array string))
+    "cache file name" [| "85546f66bbf818db.json" |] files;
   let payoffs =
     [
       0x1.5555555555555p-2; 0x1.0624dd2f1a9fcp-10; 0x1.999999999999ap-4;
