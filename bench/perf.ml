@@ -16,6 +16,27 @@ let random_25 () =
   in
   Mobility.Topology.snapshot ~connect_attempts:50 w ~range:180.
 
+(* A store in a fresh temporary directory holding [rows] 24-class oracle
+   rows, the shape the serve_cold workload writes. *)
+let store_with_rows rows =
+  let dir = Filename.temp_file "perf_store" "" in
+  Sys.remove dir;
+  let store = Store.open_dir ~telemetry:(Telemetry.Registry.create ()) dir in
+  let oracle =
+    Macgame.Oracle.create ~telemetry:(Telemetry.Registry.create ()) ~store
+      params
+  in
+  for i = 0 to rows - 1 do
+    ignore
+      (Macgame.Oracle.payoffs oracle
+         (Array.init 24 (fun c -> 16 + i + (41 * c))))
+  done;
+  (dir, store)
+
+let remove_dir dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
 let tests =
   Test.make_grouped ~name:"selfish-mac"
     [
@@ -322,6 +343,29 @@ let tests =
                 (Serve.Server.handle_line
                    (Serve.Server.create (Macgame.Oracle.analytic params))
                    line)));
+      (* Store read kernels.  The index holds each entry's bytes, so a
+         hit parses its row: one stored 24-class oracle row found on an
+         open store.  Opening validates every line (digest and parse) of
+         a 2 000-row store built once in a temporary directory. *)
+      Test.make_with_resource ~name:"store_find_hit_row24" Test.uniq
+        ~allocate:(fun () ->
+          let dir, store = store_with_rows 1 in
+          let key = ref "" in
+          Store.iter store (fun ~key:k _ -> key := k);
+          (dir, store, !key))
+        ~free:(fun (dir, store, _) ->
+          Store.close store;
+          remove_dir dir)
+        (Staged.stage (fun (_, store, key) -> ignore (Store.find store ~key)));
+      Test.make_with_resource ~name:"store_open_2k" Test.uniq
+        ~allocate:(fun () ->
+          let dir, store = store_with_rows 2_000 in
+          Store.close store;
+          dir)
+        ~free:remove_dir
+        (Staged.stage
+           (let telemetry = Telemetry.Registry.create () in
+            fun dir -> Store.close (Store.open_dir ~telemetry dir)));
       (* Runner overhead: a 32-point sweep of near-empty tasks on 4
          domains, no cache — measures the engine's fixed cost per sweep
          (pool spawn/join, job claims, key hashing) as distinct from the

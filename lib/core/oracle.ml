@@ -270,7 +270,8 @@ let create ?(telemetry = Telemetry.Registry.default) ?p_hn
      stay out of the memo — a first-touch answer served from disk must be
      attributable to the store tier, not mistaken for a memo hit.  A v1
      row anywhere in the store poisons the open: refuse it loudly rather
-     than leave entries the v2 schema can never address. *)
+     than leave entries the v2 schema can never address.  Only the
+     uniform rows are parsed. *)
   Option.iter
     (fun s ->
       Store.iter s (fun ~key value ->
@@ -289,7 +290,7 @@ let create ?(telemetry = Telemetry.Registry.default) ?p_hn
           | Some (n, w) ->
               Option.iter
                 (fun v -> Hashtbl.replace neighbor_taus (n, w) v.tau)
-                (view_of_json value)
+                (view_of_json (Lazy.force value))
           | None -> ()))
     store;
   {

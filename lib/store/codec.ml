@@ -26,36 +26,47 @@ let check_header line =
           corrupt "unsupported store version %d (expected %d)" v version
       | _ -> corrupt "segment header missing version")
 
+let payload ~key value =
+  Telemetry.Jsonx.to_string
+    (Telemetry.Jsonx.Obj [ ("k", Telemetry.Jsonx.String key); ("v", value) ])
+
 (* The checksum covers the rendered payload bytes, not the parsed value:
    Jsonx is not render-stable through a parse (integral floats come back
    as ints), so hashing the re-rendering would reject entries the codec
    itself wrote.  Hashing the raw bytes makes verification exact and
    catches any flipped bit in either the payload or the digest itself. *)
-let encode ~key value =
-  let payload =
-    Telemetry.Jsonx.to_string
-      (Telemetry.Jsonx.Obj
-         [ ("k", Telemetry.Jsonx.String key); ("v", value) ])
-  in
-  Prelude.Util.hex64 (Prelude.Util.fnv1a64 payload) ^ ":" ^ payload
+let digest payload = Prelude.Util.hex64 (Prelude.Util.fnv1a64 payload)
 
-let decode line =
+let encode ~key value =
+  let payload = payload ~key value in
+  digest payload ^ ":" ^ payload
+
+(* The bytes after the colon of a line whose digest matches them. *)
+let checked_payload line =
   let n = String.length line in
   if n < 18 || line.[16] <> ':' then None
   else
-    let digest = String.sub line 0 16 in
     let payload = String.sub line 17 (n - 17) in
-    if
-      not
-        (String.equal digest
-           (Prelude.Util.hex64 (Prelude.Util.fnv1a64 payload)))
-    then None
-    else
-      match Telemetry.Jsonx.parse payload with
-      | exception Telemetry.Jsonx.Parse_error _ -> None
-      | json -> (
-          match
-            (Telemetry.Jsonx.member "k" json, Telemetry.Jsonx.member "v" json)
-          with
-          | Some (Telemetry.Jsonx.String key), Some value -> Some (key, value)
-          | _ -> None)
+    if String.equal (String.sub line 0 16) (digest payload) then Some payload
+    else None
+
+let entry payload =
+  match Telemetry.Jsonx.parse payload with
+  | exception Telemetry.Jsonx.Parse_error _ -> None
+  | json -> (
+      match
+        (Telemetry.Jsonx.member "k" json, Telemetry.Jsonx.member "v" json)
+      with
+      | Some (Telemetry.Jsonx.String key), Some value -> Some (key, value)
+      | _ -> None)
+
+let decode line = Option.bind (checked_payload line) entry
+
+let verify line =
+  Option.bind (checked_payload line) (fun payload ->
+      Option.map (fun (key, _) -> (key, payload)) (entry payload))
+
+let value payload =
+  match entry payload with
+  | Some (_, value) -> value
+  | None -> corrupt "store payload does not decode"

@@ -8,7 +8,7 @@ type t = {
   lock_path : string;
   lock_fd : Unix.file_descr;
   mutex : Mutex.t;
-  index : (string, Telemetry.Jsonx.t) Hashtbl.t;
+  index : (string, string) Hashtbl.t;  (* key -> its entry's payload *)
   mutable active : out_channel;
   mutable acked : int;  (* bytes of the active log [put] acknowledged *)
   mutable closed : bool;
@@ -106,12 +106,13 @@ let segments dir =
              Option.map (fun g -> (g, f)) (segment_gen f))
       |> List.sort compare
 
-(* Load one store file into the index.  The header is strict — a file
-   that does not announce itself as a store segment raises {!Corrupt} —
-   but entry lines are validated independently: a torn final line or a
-   flipped bit drops that entry alone (counted on [corrupt]) and every
-   other line survives. *)
-let load_file ~corrupt index path =
+(* Load one store file into the index, up to byte [upto].  The header is
+   strict — a file that does not announce itself as a store segment
+   raises {!Corrupt} — but entry lines are validated independently: a
+   torn final line or a flipped bit drops that entry alone (counted on
+   [corrupt]) and every other line survives.  The index keeps each
+   entry's payload bytes, not the value they parse to. *)
+let load_file ?(upto = max_int) ~corrupt index path =
   match open_in_bin path with
   | exception Sys_error _ -> ()
   | ic ->
@@ -123,21 +124,73 @@ let load_file ~corrupt index path =
               raise (Codec.Corrupt (path ^ ": empty store file"))
           | line -> Codec.check_header line);
           try
-            while true do
+            while pos_in ic < upto do
               let line = input_line ic in
               if String.trim line <> "" then
-                match Codec.decode line with
-                | Some (key, value) -> Hashtbl.replace index key value
+                match Codec.verify line with
+                | Some (key, payload) -> Hashtbl.replace index key payload
                 | None -> Telemetry.Metric.incr corrupt
             done
           with End_of_file -> ())
 
-(* The append channel and the log's length once it is open. *)
+(* The offset just past the last newline among the first [size] bytes of
+   [ic], or 0 when there is none. *)
+let complete_length ic size =
+  let chunk = Bytes.create 4096 in
+  let rec back stop =
+    if stop = 0 then 0
+    else
+      let start = max 0 (stop - Bytes.length chunk) in
+      seek_in ic start;
+      really_input ic chunk 0 (stop - start);
+      match Bytes.rindex_from_opt chunk (stop - start - 1) '\n' with
+      | Some i -> start + i + 1
+      | None -> back start
+  in
+  back size
+
+(* Load the active log and cut it back to just after its last newline.
+   A put returns only once its newline is flushed, so the bytes after it
+   were never acknowledged: they are counted as one damaged entry and
+   removed, and the next append starts a line of its own.  A log that
+   holds no newline and whose bytes are a prefix of the header (none at
+   all, or a header torn while {!open_active} wrote it) never took a put:
+   it is emptied, and {!open_active} writes the header again.  Any other
+   first line must be a valid header, and a file that fails that check
+   is left as it is. *)
+let load_active ~corrupt index path =
+  match open_in_bin path with
+  | exception Sys_error _ -> ()
+  | ic ->
+      let size, complete, torn_header =
+        Fun.protect
+          ~finally:(fun () -> close_in_noerr ic)
+          (fun () ->
+            let size = in_channel_length ic in
+            let complete = complete_length ic size in
+            let torn_header =
+              complete = 0
+              && size <= String.length Codec.header
+              &&
+              (seek_in ic 0;
+               String.starts_with
+                 ~prefix:(really_input_string ic size)
+                 Codec.header)
+            in
+            (size, complete, torn_header))
+      in
+      if not torn_header then begin
+        load_file ~upto:complete ~corrupt index path;
+        if complete < size then Telemetry.Metric.incr corrupt
+      end;
+      if complete < size then Unix.truncate path complete
+
+(* The append channel and the log's length once it is open.  An empty
+   log gets its header first. *)
 let open_active dir =
   let path = Filename.concat dir active_name in
-  let fresh = not (Sys.file_exists path) in
   let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path in
-  if fresh then begin
+  if out_channel_length oc = 0 then begin
     output_string oc Codec.header;
     output_char oc '\n';
     flush oc
@@ -153,8 +206,7 @@ let open_dir ?(telemetry = Telemetry.Registry.default) dir =
     List.iter
       (fun (_, file) -> load_file ~corrupt index (Filename.concat dir file))
       (segments dir);
-    let active_path = Filename.concat dir active_name in
-    if Sys.file_exists active_path then load_file ~corrupt index active_path;
+    load_active ~corrupt index (Filename.concat dir active_name);
     let active, acked = open_active dir in
     {
       dir;
@@ -187,19 +239,32 @@ let open_dir ?(telemetry = Telemetry.Registry.default) dir =
 let ensure_open t what =
   if t.closed then invalid_arg (Printf.sprintf "Store.%s: store is closed" what)
 
+(* The payload parses outside the lock: it was verified when it was
+   loaded, or rendered by [put]. *)
 let find t ~key =
   Mutex.lock t.mutex;
   let found =
     if t.closed then None else Hashtbl.find_opt t.index key
   in
   Mutex.unlock t.mutex;
-  (match found with
-  | Some _ -> Telemetry.Metric.incr t.hits
-  | None -> Telemetry.Metric.incr t.misses);
-  found
+  match found with
+  | Some payload ->
+      Telemetry.Metric.incr t.hits;
+      Some (Codec.value payload)
+  | None ->
+      Telemetry.Metric.incr t.misses;
+      None
+
+(* One entry line, written piecewise: digest, colon, payload, newline. *)
+let output_entry oc ~digest payload =
+  output_string oc digest;
+  output_char oc ':';
+  output_string oc payload;
+  output_char oc '\n'
 
 let put t ~key value =
-  let line = Codec.encode ~key value in
+  let payload = Codec.payload ~key value in
+  let digest = Codec.digest payload in
   Mutex.lock t.mutex;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.mutex)
@@ -212,8 +277,7 @@ let put t ~key value =
          acknowledged length, which removes whatever part of the line
          reached it; and a fresh descriptor takes over. *)
       (try
-         output_string t.active line;
-         output_char t.active '\n';
+         output_entry t.active ~digest payload;
          flush t.active
        with e ->
          let bt = Printexc.get_raw_backtrace () in
@@ -223,8 +287,8 @@ let put t ~key value =
          t.active <- active;
          t.acked <- acked;
          Printexc.raise_with_backtrace e bt);
-      t.acked <- t.acked + String.length line + 1;
-      Hashtbl.replace t.index key value;
+      t.acked <- t.acked + String.length digest + String.length payload + 2;
+      Hashtbl.replace t.index key payload;
       Telemetry.Metric.incr t.puts)
 
 let entries t =
@@ -237,13 +301,16 @@ let iter t f =
   Mutex.lock t.mutex;
   let snapshot = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.index [] in
   Mutex.unlock t.mutex;
-  List.iter (fun (k, v) -> f ~key:k v) snapshot
+  List.iter
+    (fun (key, payload) -> f ~key (lazy (Codec.value payload)))
+    snapshot
 
 (* Fold every live entry into one fresh sealed segment (written next to
    its final name and renamed, so a crash mid-compaction leaves the old
    files untouched), then drop the superseded segments and restart the
-   append log.  Disk after compaction holds exactly one copy of each
-   entry. *)
+   append log.  Entries are written from the payloads the index holds,
+   byte for byte as their puts wrote them.  Disk after compaction holds
+   exactly one copy of each entry. *)
 let compact t =
   Mutex.lock t.mutex;
   Fun.protect
@@ -260,9 +327,8 @@ let compact t =
           output_string oc Codec.header;
           output_char oc '\n';
           Hashtbl.iter
-            (fun key value ->
-              output_string oc (Codec.encode ~key value);
-              output_char oc '\n')
+            (fun _ payload ->
+              output_entry oc ~digest:(Codec.digest payload) payload)
             t.index);
       List.iter
         (fun (_, file) ->

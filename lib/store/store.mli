@@ -18,11 +18,20 @@
     Every file starts with a strict magic/version header line and holds
     checksummed entry lines (see {!Codec}).  [put] appends to the active
     log and flushes, so a crash loses at most the entry being written:
-    the torn final line fails its digest on the next open and is dropped
-    alone.  [compact] folds everything into one fresh segment with a
-    tmp+rename write (crash mid-compaction leaves the previous files
-    intact) and restarts the log.  Later entries win, so re-putting a key
-    supersedes it.
+    the next open drops the torn final line alone and cuts the log back
+    to its last newline before appending.  An active log that is empty or
+    holds only part of its header opens as a fresh one.  [compact] folds
+    everything into one fresh segment with a tmp+rename write (crash
+    mid-compaction leaves the previous files intact) and restarts the
+    log.  Later entries win, so re-putting a key supersedes it.
+
+    {2 Index}
+
+    The in-memory index maps each key to its entry's payload bytes, the
+    JSON document after the digest.  Opening verifies every line (digest,
+    then a full parse) but keeps only those bytes; {!find} parses a
+    payload each time it returns one, and {!iter} only when its caller
+    forces the value.
 
     {2 Locking}
 
@@ -67,7 +76,8 @@ val with_store :
 (** [with_store dir f] opens, runs [f], and closes even on raise. *)
 
 val find : t -> key:string -> Telemetry.Jsonx.t option
-(** Index lookup (no disk I/O after open). *)
+(** Index lookup (no disk I/O after open); parses the entry's payload.
+    The value renders to the bytes its [put] rendered. *)
 
 val put : t -> key:string -> Telemetry.Jsonx.t -> unit
 (** Insert or supersede an entry; appended to the log and flushed before
@@ -79,8 +89,9 @@ val put : t -> key:string -> Telemetry.Jsonx.t -> unit
 val entries : t -> int
 (** Number of live (deduplicated) entries. *)
 
-val iter : t -> (key:string -> Telemetry.Jsonx.t -> unit) -> unit
-(** Iterate over a snapshot of the live entries (unspecified order). *)
+val iter : t -> (key:string -> Telemetry.Jsonx.t Lazy.t -> unit) -> unit
+(** Iterate over a snapshot of the live entries (unspecified order).  A
+    value is parsed only when it is forced. *)
 
 val compact : t -> unit
 (** Merge all files into one fresh sealed segment and truncate the log.

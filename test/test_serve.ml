@@ -390,6 +390,8 @@ let seed_lines =
         {|{"op":"payoff","profile":[16,32,32,64]}|};
         {|{"op":"payoff","profile":[32,32,32,64,128]}|};
         {|{"id":"b","op":"batch","requests":[{"id":1,"op":"tau","n":3,"w":64},{"op":"payoff","profile":[16,{"cw":32,"aifs":2,"txop":3}]}],"deadline_ms":250.5}|};
+        {|{"op":"payoff","profile":[{"cw":48,"aifs":1,"txop":2},64,64],"deadline_ms":1000}|};
+        {|{"op":"batch","requests":[{"op":"welfare","n":4,"w":32,"deadline_ms":1000},{"op":"payoff","profile":[16,48]}],"deadline_ms":1000}|};
       ]
   in
   let store_lines =
@@ -427,6 +429,50 @@ let seed_lines =
    digits and escape letters, control bytes and high bytes. *)
 let interesting = "{}[]:,\"\\/u0123456789+-.eEntfrbx \t\n\r\000\001\031\127\200\237\255"
 
+(* {2 Extreme integers}
+
+   Every integer literal of a line, outside its strings, may be replaced
+   by one of these: the ends of OCaml's int range, 2^53, 10^9, 0 and -1.
+   Large n, w and profile lengths must meet the parser's limits before
+   anything is allocated or solved. *)
+let extremes =
+  [ string_of_int max_int; string_of_int min_int; "9007199254740992";
+    "1000000000"; "0"; "-1" ]
+
+let integer_spans line =
+  let n = String.length line in
+  let rec string_end i =
+    if i >= n then n
+    else
+      match line.[i] with
+      | '\\' -> string_end (i + 2)
+      | '"' -> i + 1
+      | _ -> string_end (i + 1)
+  in
+  let rec number_end i =
+    if i < n && String.contains "0123456789.eE+-" line.[i] then
+      number_end (i + 1)
+    else i
+  in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else
+      match line.[i] with
+      | '"' -> go (string_end (i + 1)) acc
+      | '-' | '0' .. '9' ->
+          let j = number_end (i + 1) in
+          let integral =
+            not (String.exists (fun c -> String.contains ".eE" c)
+                   (String.sub line i (j - i)))
+          in
+          go j (if integral then (i, j) :: acc else acc)
+      | _ -> go (i + 1) acc
+  in
+  go 0 []
+
+let with_integer line (i, j) value =
+  String.sub line 0 i ^ value ^ String.sub line j (String.length line - j)
+
 let mutate st line =
   let int n = Random.State.int st n in
   let byte () =
@@ -436,7 +482,7 @@ let mutate st line =
   let once s =
     let n = String.length s in
     let at = int (n + 1) in
-    match int 5 with
+    match int 6 with
     | 0 when n > 0 ->
         let b = Bytes.of_string s in
         let i = int n in
@@ -449,6 +495,13 @@ let mutate st line =
         Bytes.to_string b
     | 2 -> String.sub s 0 at ^ String.make 1 (byte ()) ^ String.sub s at (n - at)
     | 3 when at < n -> String.sub s 0 at ^ String.sub s (at + 1) (n - at - 1)
+    | 4 -> (
+        match integer_spans s with
+        | [] -> s
+        | spans ->
+            with_integer s
+              (List.nth spans (int (List.length spans)))
+              (List.nth extremes (int (List.length extremes))))
     | _ -> String.sub s 0 at
   in
   let rec go s k = if k = 0 then s else go (once s) (k - 1) in
@@ -457,6 +510,30 @@ let mutate st line =
 let gen_mutant st = mutate st seed_lines.(Random.State.int st (Array.length seed_lines))
 
 let fuzz_server = lazy (let server, _, _ = fresh () in server)
+
+(* A reply the service may give: ok, or an error naming what was refused,
+   never an escaped exception; batch members alike. *)
+let exception_names =
+  [ "Invalid_argument"; "Failure"; "Not_found"; "Division_by_zero";
+    "Out_of_memory"; "Stack_overflow"; "Sys_error"; "End_of_file";
+    "Match_failure"; "Assert_failure"; "Exit"; "Non_converged"; "Corrupt";
+    "Parse_error"; "Unix_error" ]
+
+let contains text word =
+  let n = String.length text and k = String.length word in
+  let rec at i = i + k <= n && (String.sub text i k = word || at (i + 1)) in
+  at 0
+
+let rec typed_reply json =
+  (match (Jx.member "ok" json, Jx.member "error" json) with
+  | Some (Jx.Bool true), _ -> true
+  | Some (Jx.Bool false), Some (Jx.String e) ->
+      not (List.exists (contains e) ("internal error" :: exception_names))
+  | _ -> false)
+  &&
+  match Option.bind (Jx.member "result" json) (Jx.member "replies") with
+  | Some (Jx.List members) -> List.for_all typed_reply members
+  | _ -> true
 
 let test_fuzz_request_boundary =
   QCheck.Test.make ~count:3000 ~name:"mutated lines: typed errors only"
@@ -480,8 +557,34 @@ let test_fuzz_request_boundary =
       (match Serve.Request.of_line line with Ok _ | Error _ -> ());
       ignore (Store.Codec.decode line);
       match Serve.Server.handle_line (Lazy.force fuzz_server) line with
-      | Some reply -> Jx.member "ok" (Jx.parse reply) <> None
+      | Some reply -> typed_reply (Jx.parse reply)
       | None -> String.trim line = "")
+
+(* Each extreme in each integer field of the request mix (n, w, profile
+   windows, strategy cw/aifs/txop, deadline_ms, batch members, ids). *)
+let test_extreme_integers () =
+  let server, _, _ = fresh () in
+  let requests =
+    Array.to_list seed_lines
+    |> List.filter (fun l -> contains l {|"op":|})
+  in
+  let cases = ref 0 in
+  List.iter
+    (fun line ->
+      List.iter
+        (fun span ->
+          List.iter
+            (fun value ->
+              let line = with_integer line span value in
+              incr cases;
+              match Serve.Server.handle_line server line with
+              | Some reply when typed_reply (Jx.parse reply) -> ()
+              | Some reply -> Alcotest.failf "%s -> %s" line reply
+              | None -> Alcotest.failf "no reply for %s" line)
+            extremes)
+        (integer_spans line))
+    requests;
+  Alcotest.(check bool) "every integer field tried" true (!cases > 500)
 
 let test_salvaged_id () =
   let server, _, _ = fresh () in
@@ -603,7 +706,12 @@ let () =
             test_non_json_number_is_error_reply;
           quick "tier counters account every leaf" test_tier_accounting;
         ] );
-      ("fuzz", [ QCheck_alcotest.to_alcotest test_fuzz_request_boundary ]);
+      ( "fuzz",
+        [
+          QCheck_alcotest.to_alcotest test_fuzz_request_boundary;
+          Alcotest.test_case "extreme integers: typed errors only" `Quick
+            test_extreme_integers;
+        ] );
       ( "persistence",
         [ quick "NE rows survive a server restart" test_ne_store_roundtrip ] );
       ("socket", [ quick "socket round-trip" test_socket_roundtrip ]);

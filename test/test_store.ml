@@ -222,11 +222,20 @@ let test_bad_magic_raises () =
   let dir = temp_dir () in
   Store.with_store dir (fun s -> Store.put s ~key:"a" (J.Int 1));
   let lines = read_lines (active dir) in
+  (* Refused, and the file left as it was. *)
+  let refused_bytes bytes =
+    Out_channel.with_open_bin (active dir) (fun oc ->
+        Out_channel.output_string oc bytes);
+    let refused =
+      match Store.with_store dir (fun _ -> ()) with
+      | exception Store.Corrupt _ -> true
+      | () -> false
+    in
+    refused
+    && In_channel.with_open_bin (active dir) In_channel.input_all = bytes
+  in
   let refused header =
-    write_lines (active dir) (header :: List.tl lines);
-    match Store.with_store dir (fun _ -> ()) with
-    | exception Store.Corrupt _ -> true
-    | () -> false
+    refused_bytes (String.concat "\n" (header :: List.tl lines) ^ "\n")
   in
   (* A file that is not ours at all, and one that merely claims a
      different format: both must be refused whole, not salvaged. *)
@@ -234,7 +243,13 @@ let test_bad_magic_raises () =
   Alcotest.(check bool) "wrong magic refused" true
     (refused {|{"magic":"NOTASTORE","version":1}|});
   Alcotest.(check bool) "future version refused" true
-    (refused {|{"magic":"MACSTORE1","version":99}|})
+    (refused {|{"magic":"MACSTORE1","version":99}|});
+  (* Without a newline the first line is not a prefix of the header
+     either, so it is not taken for a torn one. *)
+  Alcotest.(check bool) "unterminated foreign line refused" true
+    (refused_bytes "TRACEFILE99");
+  Alcotest.(check bool) "unterminated wrong magic refused" true
+    (refused_bytes {|{"magic":"NOTASTORE","version":1}|})
 
 let test_second_opener_fails_fast () =
   let dir = temp_dir () in
@@ -333,6 +348,210 @@ let test_kill_mid_write_resumes () =
       Alcotest.(check int) "all live entries present" 3 (Store.entries s);
       Alcotest.(check bool) "recomputed entry wins" true
         (Store.find s ~key:"b" = Some (J.Int 22)))
+
+let corrupt_count registry =
+  Telemetry.Metric.count
+    (Telemetry.Registry.counter registry "store.corrupt_entries")
+
+(* A crash that tears the last line before its newline: the next open
+   drops the torn entry and cuts the log back to its last newline, so
+   what it appends next is a line of its own and survives a reopen. *)
+let test_put_after_torn_tail_survives () =
+  let dir = temp_dir () in
+  Store.with_store dir (fun s ->
+      Store.put s ~key:"a" (J.Int 1);
+      Store.put s ~key:"b" (J.Int 2));
+  let log = active dir in
+  Unix.truncate log ((Unix.stat log).Unix.st_size - 10);
+  let registry = Telemetry.Registry.create () in
+  Store.with_store ~telemetry:registry dir (fun s ->
+      Alcotest.(check bool) "a served" true
+        (Store.find s ~key:"a" = Some (J.Int 1));
+      Alcotest.(check bool) "torn b dropped" true (Store.find s ~key:"b" = None);
+      Alcotest.(check int) "torn tail counted" 1 (corrupt_count registry);
+      Store.put s ~key:"c" (J.Int 3));
+  let registry = Telemetry.Registry.create () in
+  Store.with_store ~telemetry:registry dir (fun s ->
+      Alcotest.(check bool) "c served after reopen" true
+        (Store.find s ~key:"c" = Some (J.Int 3));
+      Alcotest.(check bool) "a still served" true
+        (Store.find s ~key:"a" = Some (J.Int 1));
+      Alcotest.(check int) "two entries" 2 (Store.entries s);
+      Alcotest.(check int) "no damage left" 0 (corrupt_count registry))
+
+(* A crash between creating the active log and flushing its header (at
+   first open, or when [compact] restarts the log) leaves it empty or
+   holding part of the header.  That log never took a put: it opens as a
+   fresh one, takes puts and serves them after a reopen. *)
+let opens_fresh what bytes =
+  let dir = temp_dir () in
+  Out_channel.with_open_bin (active dir) (fun oc ->
+      Out_channel.output_string oc bytes);
+  Store.with_store dir (fun s ->
+      Alcotest.(check int) (what ^ ": no entries") 0 (Store.entries s);
+      Store.put s ~key:"a" (J.Int 1));
+  Store.with_store dir (fun s ->
+      Alcotest.(check int) (what ^ ": one entry") 1 (Store.entries s);
+      Alcotest.(check bool) (what ^ ": put served") true
+        (Store.find s ~key:"a" = Some (J.Int 1)))
+
+let test_empty_log_opens_fresh () = opens_fresh "empty log" ""
+
+let test_torn_header_opens_fresh () =
+  let header = Store.Codec.header in
+  opens_fresh "header torn at 15 bytes" (String.sub header 0 15);
+  opens_fresh "header without its newline" header
+
+(* {1 Model check}
+
+   Random runs of put, find, compact and close-and-reopen against a map
+   from key to the bytes the value renders to.  The values include the
+   renderings a parse could disturb: escaped strings, nested lists, -0
+   and integral floats at and beyond 1e15. *)
+
+type op = Put of string * J.t | Find of string | Compact | Reopen
+
+let model_keys = [| "a"; "b|c"; "q\"uote"; "back\\slash"; "tab\tkey"; "\xc3\xa9" |]
+
+let model_value_gen =
+  let open QCheck.Gen in
+  let scalar =
+    oneof
+      [
+        map (fun i -> J.Int i) int;
+        oneofl
+          [
+            J.Float (-0.0); J.Float 1e15; J.Float (-1e15); J.Float 9007199254740992.;
+            J.Float 1.5e17; J.Float 1e300; J.Float (-2.0); J.Int max_int;
+            J.Int min_int; J.Null; J.Bool false;
+          ];
+        map (fun f -> J.Float f) (float_bound_exclusive 1e9);
+        map (fun s -> J.String s)
+          (string_size ~gen:(oneof [ printable; oneofl [ '"'; '\\'; '\n'; '\001'; '\x7f'; '\xc3' ] ])
+             (int_bound 10));
+      ]
+  in
+  fix
+    (fun self n ->
+      if n = 0 then scalar
+      else
+        frequency
+          [
+            (2, scalar);
+            (1, map (fun l -> J.List l) (list_size (int_bound 3) (self (n - 1))));
+            ( 1,
+              map (fun kvs -> J.Obj kvs)
+                (list_size (int_bound 3)
+                   (pair (oneofl [ "s"; "u"; "k"; "\"" ]) (self (n - 1)))) );
+          ])
+    3
+
+let op_gen =
+  let open QCheck.Gen in
+  let key = oneofa model_keys in
+  frequency
+    [
+      (5, map2 (fun k v -> Put (k, v)) key model_value_gen);
+      (2, map (fun k -> Find k) key);
+      (1, return Compact);
+      (1, return Reopen);
+    ]
+
+let print_op = function
+  | Put (k, v) -> Printf.sprintf "put %S %s" k (J.to_string v)
+  | Find k -> Printf.sprintf "find %S" k
+  | Compact -> "compact"
+  | Reopen -> "reopen"
+
+let remove_dir dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
+let segment_lines dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> String.starts_with ~prefix:"seg-" f)
+  |> List.concat_map (fun f -> List.tl (read_lines (Filename.concat dir f)))
+
+let test_model_qcheck =
+  QCheck.Test.make ~count:150 ~name:"byte index agrees with a model"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_op ops))
+       QCheck.Gen.(list_size (int_range 1 30) op_gen))
+    (fun ops ->
+      let dir = temp_dir () in
+      (* key -> (rendered value, the entry line its last put wrote) *)
+      let model = Hashtbl.create 8 in
+      let s = ref (Store.open_dir dir) in
+      let agrees () =
+        Store.entries !s = Hashtbl.length model
+        && Array.for_all
+             (fun key ->
+               match (Store.find !s ~key, Hashtbl.find_opt model key) with
+               | Some v, Some (bytes, _) -> J.to_string v = bytes
+               | None, None -> true
+               | _ -> false)
+             model_keys
+      in
+      let step = function
+        | Put (key, v) ->
+            Store.put !s ~key v;
+            Hashtbl.replace model key (J.to_string v, Store.Codec.encode ~key v);
+            agrees ()
+        | Find _ -> agrees ()
+        | Compact ->
+            Store.compact !s;
+            let live =
+              List.sort compare
+                (Hashtbl.fold (fun _ (_, line) acc -> line :: acc) model [])
+            in
+            agrees ()
+            && List.sort compare (segment_lines dir) = live
+            && read_lines (active dir) = [ Store.Codec.header ]
+        | Reopen ->
+            Store.close !s;
+            s := Store.open_dir dir;
+            agrees ()
+      in
+      let ok = List.for_all step ops in
+      Store.close !s;
+      remove_dir dir;
+      ok)
+
+(* {1 Retained size}
+
+   The index holds each entry's bytes: after 1 000 distinct 24-class
+   oracle rows the store has grown by no more than the key and line
+   bytes plus 16 words an entry (the hash table's cell, bucket share and
+   string headers). *)
+let test_index_holds_bytes () =
+  let dir = temp_dir () in
+  let n = 1_000 and classes = 24 in
+  Store.with_store dir (fun store ->
+      let oracle =
+        Macgame.Oracle.create ~telemetry:(Telemetry.Registry.create ()) ~store
+          Dcf.Params.default
+      in
+      let before = Obj.reachable_words (Obj.repr store) in
+      for i = 0 to n - 1 do
+        ignore
+          (Macgame.Oracle.payoffs oracle
+             (Array.init classes (fun c -> 16 + i + (41 * c))))
+      done;
+      let grown = Obj.reachable_words (Obj.repr store) - before in
+      Alcotest.(check int) "entries" n (Store.entries store);
+      let bytes =
+        List.fold_left
+          (fun acc line ->
+            match Store.Codec.decode line with
+            | Some (key, _) -> acc + String.length key + String.length line
+            | None -> Alcotest.failf "unreadable line %S" line)
+          0
+          (List.tl (read_lines (active dir)))
+      in
+      let bound = (bytes / 8) + (16 * n) in
+      if grown > bound then
+        Alcotest.failf "store grew %d words for %d entries (bound %d)" grown n
+          bound)
 
 (* {1 Oracle integration} *)
 
@@ -435,6 +654,12 @@ let () =
           quick "compaction" test_compaction;
           quick "failed compaction cleans up" test_failed_compaction_cleans_up;
           quick "kill mid-write resumes" test_kill_mid_write_resumes;
+          quick "put after a torn tail survives"
+            test_put_after_torn_tail_survives;
+          quick "empty active log opens fresh" test_empty_log_opens_fresh;
+          quick "torn header opens fresh" test_torn_header_opens_fresh;
+          quick "index holds entry bytes" test_index_holds_bytes;
+          QCheck_alcotest.to_alcotest test_model_qcheck;
         ] );
       ( "oracle",
         [
