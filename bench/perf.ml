@@ -40,10 +40,6 @@ let remove_dir dir =
 let tests =
   Test.make_grouped ~name:"selfish-mac"
     [
-      (* Table II/III kernel: the heterogeneous fixed point. *)
-      Test.make ~name:"fixed_point_n50"
-        (Staged.stage (fun () ->
-             ignore (Dcf.Solver.solve params (Array.init 50 (fun i -> 64 + i)))));
       Test.make ~name:"homogeneous_solve_n20"
         (Staged.stage (fun () ->
              ignore (Dcf.Solver.solve_homogeneous params ~n:20 ~w:339)));
@@ -62,25 +58,17 @@ let tests =
                   })
             in
             fun () -> ignore (Dcf.Model.solve_strategies params strategies)));
-      (* PR-9 solver-core kernels: the same 50-class cold heterogeneous
-         fixed point through the damped-Newton path (the new default) and
-         the reference damped Picard iteration — the pair behind the
-         acceptance speedup and the EXPERIMENTS.md table.  The CW ladder
-         2..51 spans the full aggression spectrum the paper studies, from
-         the near-greedy W = 2 selfish floor to standard windows; the
-         heavy contention is where the damped iteration's linear rate
-         degrades (73 sweeps to 1e-14) while the proxy-seeded quadratic
-         Newton path needs 5. *)
+      (* Table II/III kernel: a 50-class cold heterogeneous fixed point
+         through the damped-Newton class engine.  The CW ladder 2..51
+         spans the full aggression spectrum the paper studies, from the
+         near-greedy W = 2 selfish floor to standard windows; under that
+         heavy contention the damped iteration's linear rate needs 73
+         sweeps to 1e-14 while the proxy-seeded quadratic Newton path
+         needs 5. *)
       Test.make ~name:"newton_cold_n50"
         (Staged.stage
            (let classes = List.init 50 (fun i -> (2 + i, 1)) in
-            fun () ->
-              ignore (Dcf.Solver.solve_classes ~algo:Newton params classes)));
-      Test.make ~name:"picard_cold_n50"
-        (Staged.stage
-           (let classes = List.init 50 (fun i -> (2 + i, 1)) in
-            fun () ->
-              ignore (Dcf.Solver.solve_classes ~algo:Picard params classes)));
+            fun () -> ignore (Dcf.Solver.solve_classes params classes)));
       (* Batched sweep kernel: a 64-point deviant-CW column (one scanning
          strategy against 19 conformers) through solve_batch, so every
          point after the first starts from its neighbour's τ vector. *)
@@ -694,16 +682,6 @@ let run ?baseline ~out () =
       Printf.printf "tracing overhead: %.0f -> %.0f ns/run (%+.2f%%)\n" base
         traced
         (100. *. (traced -. base) /. base)
-  | _ -> ());
-  (* The PR-9 acceptance ratio: the cold heterogeneous Newton solve
-     against the Picard reference on the same 50-class problem. *)
-  (match
-     ( List.assoc_opt "newton_cold_n50" estimates,
-       List.assoc_opt "picard_cold_n50" estimates )
-   with
-  | Some newton, Some picard when newton > 0. ->
-      Printf.printf "newton cold solve: %.0f ns/run vs picard %.0f ns/run (%.1fx)\n"
-        newton picard (picard /. newton)
   | _ -> ());
   (* The traced kernel left wrapped rings behind; empty them so the
      process exits with clean recorder state. *)

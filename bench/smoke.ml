@@ -21,7 +21,7 @@ let () =
   Telemetry.Registry.add_sink registry sink;
   (* One tiny run per kernel family. *)
   ignore
-    (Dcf.Solver.solve ~telemetry:registry params
+    (Dcf.Solver.solve_profile ~telemetry:registry params
        (Array.init 8 (fun i -> 64 + i)));
   ignore (Dcf.Solver.solve_homogeneous ~telemetry:registry params ~n:8 ~w:128);
   ignore
@@ -84,6 +84,7 @@ let () =
   check "every event has a name" (List.length names = List.length events);
   let has name = List.mem name names in
   check "solver_convergence present" (has "solver_convergence");
+  check "residual_trajectory present" (has "residual_trajectory");
   check "run_summary present" (has "run_summary");
   check "game_stage present" (has "game_stage");
   check "game_summary present" (has "game_summary");

@@ -344,9 +344,6 @@ let class_solver () =
         class_record "classes.c17.max_iter2"
           (Dcf.Solver.solve_classes ~max_iter:2 Dcf.Params.default
              (cw_classes 17));
-        class_record "classes.c5.picard"
-          (Dcf.Solver.solve_classes ~algo:Dcf.Solver.Picard
-             Dcf.Params.default (cw_classes 5));
       ]
   in
   let strategies =
@@ -388,9 +385,6 @@ let class_solver () =
     [
       node_record "profile.hint.newton"
         (Dcf.Solver.solve_profile ~tau_hint Dcf.Params.default cws);
-      node_record "profile.hint.picard"
-        (Dcf.Solver.solve_profile ~tau_hint ~algo:Dcf.Solver.Picard
-           Dcf.Params.default cws);
       (let s = Dcf.Model.solve_profile ~p_hn:0.8 Dcf.Params.rts_cts cws in
        Obj
          [

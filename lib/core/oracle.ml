@@ -366,7 +366,7 @@ let note_neighbor t ~n ~w tau =
 (* Nearest warm-start seed: same player count, closest window.  The τ of
    (n, w') predicts τ(n, w) after rescaling by the no-collision ratio
    (τ ≈ 2/(W+1) up to the collision correction), which is plenty to
-   bracket Brent or seed Picard. *)
+   bracket Brent. *)
 let nearest_tau t ~n ~w =
   Mutex.lock t.lock;
   let best = ref None in

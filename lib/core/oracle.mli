@@ -89,7 +89,7 @@ type sim_config = {
 type backend =
   | Analytic
       (** The Bianchi fixed-point model: scalar Brent solve for uniform
-          profiles, class-reduced Picard iteration for heterogeneous ones.
+          profiles, class-reduced damped Newton for heterogeneous ones.
           Exact and fast; the default. *)
   | Sim_slotted of sim_config
       (** Packet-level measurement on {!Netsim.Slotted} (virtual-slot

@@ -50,9 +50,6 @@ let of_taus (params : Params.t) taus =
     collision_time;
   }
 
-let of_solution params (solution : Solver.solution) =
-  of_taus params solution.taus
-
 let idle_fraction t = t.idle_time /. t.slot_time
 
 let collision_fraction t = t.collision_time /. t.slot_time

@@ -26,8 +26,6 @@ type t = {
 val of_taus : Params.t -> float array -> t
 (** Metrics of the network whose solved profile is [taus]. *)
 
-val of_solution : Params.t -> Solver.solution -> t
-
 val idle_fraction : t -> float
 (** Fraction of time the channel is idle. *)
 

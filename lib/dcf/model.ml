@@ -8,20 +8,6 @@ type solved = {
   converged : bool;
 }
 
-let solve ?p_hn (params : Params.t) cws =
-  let solution = Solver.solve params cws in
-  let metrics = Metrics.of_solution params solution in
-  let utilities = Utility.rates ?p_hn params ~taus:solution.taus ~ps:solution.ps in
-  {
-    params;
-    cws;
-    taus = solution.taus;
-    ps = solution.ps;
-    metrics;
-    utilities;
-    converged = solution.converged;
-  }
-
 type priced_classes = {
   classes : Solver.profile_classes;
   class_utilities : float array;

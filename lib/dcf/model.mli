@@ -17,19 +17,17 @@ type solved = {
           that persist or serve answers must check this *)
 }
 
-val solve : ?p_hn:float -> Params.t -> int array -> solved
-(** Solve the fixed point for a heterogeneous profile and evaluate
-    metrics and utilities.  [p_hn] (default 1) is the multi-hop
-    hidden-node degradation factor applied to every node. *)
-
 val solve_profile :
   ?p_hn:float -> ?iterations:int ref -> ?tau_hint:(int -> float option) ->
   ?max_iter:int -> Params.t -> int array -> solved
-(** Like {!solve} but through {!Solver.solve_profile}: the fixed point is
-    class-reduced over distinct windows, so equal windows get bit-identical
-    (τ, p, u) and the result is invariant under profile permutation.  The
-    payoff oracle's heterogeneous path.  [iterations], [tau_hint] (warm
-    start) and [max_iter] pass through to {!Solver.solve_profile}. *)
+(** Solve the fixed point for a heterogeneous profile and evaluate
+    metrics and utilities.  [p_hn] (default 1) is the multi-hop
+    hidden-node degradation factor applied to every node.  The fixed
+    point is {!Solver.solve_profile}'s: class-reduced over distinct
+    windows, so equal windows get bit-identical (τ, p, u) and the result
+    is invariant under profile permutation.  The payoff oracle's
+    heterogeneous path.  [iterations], [tau_hint] (warm start) and
+    [max_iter] pass through to {!Solver.solve_profile}. *)
 
 type priced_classes = {
   classes : Solver.profile_classes;

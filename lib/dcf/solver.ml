@@ -5,53 +5,11 @@ type solution = {
   converged : bool;
 }
 
-type algo = Newton | Picard
-
 type class_solution = {
   class_pairs : (float * float) list;
   iterations : int;
   converged : bool;
 }
-
-(* p_i = 1 − Π_{j≠i}(1 − τ_j), computed with prefix/suffix products so a
-   node with τ_j = 1 (window 1, always transmitting) does not force a
-   division by zero. *)
-let collision_probabilities taus =
-  let n = Array.length taus in
-  let prefix = Array.make (n + 1) 1. in
-  let suffix = Array.make (n + 1) 1. in
-  for i = 0 to n - 1 do
-    prefix.(i + 1) <- prefix.(i) *. (1. -. taus.(i))
-  done;
-  for i = n - 1 downto 0 do
-    suffix.(i) <- suffix.(i + 1) *. (1. -. taus.(i))
-  done;
-  Array.init n (fun i ->
-      Prelude.Util.clamp ~lo:0. ~hi:1. (1. -. (prefix.(i) *. suffix.(i + 1))))
-
-let solve ?telemetry ?(tol = 1e-13) ?(max_iter = 20_000) (params : Params.t)
-    cws =
-  let n = Array.length cws in
-  if n = 0 then invalid_arg "Solver.solve: empty network";
-  Array.iter
-    (fun w -> if w < 1 then invalid_arg "Solver.solve: window must be >= 1")
-    cws;
-  let m = params.max_backoff_stage in
-  let step taus =
-    let ps = collision_probabilities taus in
-    Array.mapi (fun i p -> Bianchi.tau_of_p ~w:cws.(i) ~m p) ps
-  in
-  let x0 = Array.map (fun w -> 2. /. float_of_int (w + 1)) cws in
-  let outcome =
-    Numerics.Fixed_point.solve ?telemetry ~damping:0.5 ~tol ~max_iter step x0
-  in
-  let taus = outcome.value in
-  {
-    taus;
-    ps = collision_probabilities taus;
-    iterations = outcome.iterations;
-    converged = outcome.converged;
-  }
 
 let solve_homogeneous ?(telemetry = Telemetry.Registry.default) ?iterations
     ?guess ?(tol = 1e-14) (params : Params.t) ~n ~w =
@@ -145,18 +103,17 @@ let class_ps_into ~ks taus ps =
   done;
   !product
 
-(* Cold-start seed for the Newton path: pool the whole network into one
-   homogeneous pseudo-class (count-weighted mean window) and Brent-solve
-   its scalar fixed point to 1e-6, then seed every class at its own
-   Bianchi response to the pooled collision probability.  That lands the
-   iterate 2–3 decades closer to the solution than the no-collision
-   2/(W+1) start and typically saves one or two quadratic steps — a
-   material fraction of a six-iteration solve.  The seed reads the CW
-   knob only: AIFS shapes the map, not the seed.  The Picard path keeps
-   the legacy start untouched: it *is* the pre-Newton solver, bit for
-   bit.  Returns [None] (caller falls back to 2/(W+1)) on trivial
-   networks or when the scalar proxy degenerates.  [wfs] are the windows
-   as floats, already checked with the stage count. *)
+(* Cold-start seed: pool the whole network into one homogeneous
+   pseudo-class (count-weighted mean window) and Brent-solve its scalar
+   fixed point to 1e-6, then seed every class at its own Bianchi
+   response to the pooled collision probability.  That lands the iterate
+   2–3 decades closer to the solution than the no-collision 2/(W+1)
+   start and typically saves one or two quadratic steps — a material
+   fraction of a six-iteration solve.  The seed reads the CW knob only:
+   AIFS shapes the map, not the seed.  Returns [None] (caller falls back
+   to 2/(W+1)) on trivial networks or when the scalar proxy degenerates.
+   [wfs] are the windows as floats, already checked with the stage
+   count. *)
 let newton_cold_x0 ?telemetry (params : Params.t) ~ws ~wfs ~ks =
   let c = Array.length ws in
   let n_total = Array.fold_left ( + ) 0 ks in
@@ -195,21 +152,22 @@ let newton_cold_x0 ?telemetry (params : Params.t) ~ws ~wfs ~ks =
 
    [x0], when given, is owned by the engine: entries outside (0, 1) are
    replaced in place by the no-collision start 2/(W+1), the rest seed
-   their class as given.  Without it Newton starts from the pooled proxy
-   and Picard from 2/(W+1).  Returns per-class τ and p in class order.
+   their class as given.  Without it the solve starts from the pooled
+   proxy, or from 2/(W+1) where the proxy gives none.  Returns per-class
+   τ and p in class order.
 
    (w, m) is checked once per solve, with {!Bianchi.tau_of_p}'s errors;
    the map then evaluates eq. 2 unchecked on p in [0, 1] (or NaN, which
    the check would let through too).  The solve owns its buffers: the
    map writes its value into [fx] and the collision probabilities into
    [ps], and records in [at] the bits of the iterate they belong to and
-   in [product] Π(1−τ_l)^{k_l} there.  Both solvers read a map value
-   before the next evaluation and step from, or return, only the latest
-   map argument ({!Numerics.Newton.solve}, {!Numerics.Fixed_point.solve}),
-   so the Newton step and the final probabilities find the product and
-   every p_j of their iterate already computed, with the same bits; they
-   recompute only if the iterate's bits differ from [at]. *)
-let solve_class_arrays ?telemetry ?iterations ?x0 ~tol ~algo ~max_iter
+   in [product] Π(1−τ_l)^{k_l} there.  The solver reads a map value
+   before the next evaluation and steps from, or returns, only the latest
+   map argument ({!Numerics.Newton.solve}), so the Newton step and the
+   final probabilities find the product and every p_j of their iterate
+   already computed, with the same bits; they recompute only if the
+   iterate's bits differ from [at]. *)
+let solve_class_arrays ?telemetry ?iterations ?x0 ~tol ~max_iter
     (params : Params.t) ~ws ~aifs ~ks =
   let m = params.max_backoff_stage in
   let c = Array.length ws in
@@ -266,7 +224,7 @@ let solve_class_arrays ?telemetry ?iterations ?x0 ~tol ~algo ~max_iter
      Returns [None] near the τ = 1 boundary (where the product shortcut
      and the derivative both degenerate), on a near-singular diagonal or
      denominator, and on any non-finite intermediate — {!Numerics.Newton}
-     then takes one damped Picard sweep instead.  The step writes into
+     then takes one damped sweep instead.  The step writes into
      two buffers allocated once per solve; the solver reads [delta]
      before the next step overwrites it. *)
   let d_inv_defect = Array.make c 0. in
@@ -330,43 +288,31 @@ let solve_class_arrays ?telemetry ?iterations ?x0 ~tol ~algo ~max_iter
     end
   in
   (* Warm start: a hinted class starts from a τ of a neighbouring solved
-     problem.  Both iterations contract to the same fixed point from any
+     problem.  The iteration converges to the same fixed point from any
      interior start (a property the test suite probes), so a hint changes
      the path, not the destination — at tolerance level, which is why
      warm-started answers carry a conformance anchor rather than a
      bit-identity claim. *)
   let default_x0 j = 2. /. float_of_int (ws.(j) + 1) in
   let x0 =
-    match (x0, algo) with
-    | Some x0, _ ->
+    match x0 with
+    | Some x0 ->
         Array.iteri
           (fun j g -> if not (g > 0. && g < 1.) then x0.(j) <- default_x0 j)
           x0;
         x0
-    | None, Newton -> (
+    | None -> (
         match newton_cold_x0 ?telemetry params ~ws ~wfs ~ks with
         | Some x0 -> x0
         | None -> Array.init c default_x0)
-    | None, Picard -> Array.init c default_x0
   in
-  let taus, iters, converged =
-    match algo with
-    | Picard ->
-        let o =
-          Numerics.Fixed_point.solve ?telemetry ~damping:0.5 ~tol ~max_iter
-            step x0
-        in
-        (o.value, o.iterations, o.converged)
-    | Newton ->
-        let o =
-          Numerics.Newton.solve ?telemetry ~damping:0.5 ~tol ~max_iter ~lo:0.
-            ~hi:1. ~step:newton_step step x0
-        in
-        (o.value, o.iterations, o.converged)
+  let o =
+    Numerics.Newton.solve ?telemetry ~damping:0.5 ~tol ~max_iter ~lo:0.
+      ~hi:1. ~step:newton_step step x0
   in
-  (match iterations with Some r -> r := iters | None -> ());
-  collide_at taus;
-  { taus; ps; iterations = iters; converged }
+  (match iterations with Some r -> r := o.iterations | None -> ());
+  collide_at o.value;
+  { taus = o.value; ps; iterations = o.iterations; converged = o.converged }
 
 let class_solution (s : solution) =
   {
@@ -387,11 +333,11 @@ let hinted_x0 tau_hint keys =
    hint.  The one CW entry into the engine, behind [solve_classes] and
    [solve_profile]. *)
 let solve_cw_arrays ?telemetry ?iterations ?tau_hint ?(tol = 1e-14)
-    ?(algo = Newton) ?(max_iter = 50_000) (params : Params.t) ~ws ~ks =
+    ?(max_iter = 50_000) (params : Params.t) ~ws ~ks =
   solve_class_arrays ?telemetry ?iterations ?x0:(hinted_x0 tau_hint ws) ~tol
-    ~algo ~max_iter params ~ws ~aifs:(Array.make (Array.length ws) 0) ~ks
+    ~max_iter params ~ws ~aifs:(Array.make (Array.length ws) 0) ~ks
 
-let solve_classes ?telemetry ?iterations ?tau_hint ?tol ?algo ?max_iter
+let solve_classes ?telemetry ?iterations ?tau_hint ?tol ?max_iter
     (params : Params.t) classes =
   if classes = [] then invalid_arg "Solver.solve_classes: no classes";
   List.iter
@@ -400,8 +346,7 @@ let solve_classes ?telemetry ?iterations ?tau_hint ?tol ?algo ?max_iter
       if k < 1 then invalid_arg "Solver.solve_classes: count must be >= 1")
     classes;
   class_solution
-    (solve_cw_arrays ?telemetry ?iterations ?tau_hint ?tol ?algo ?max_iter
-       params
+    (solve_cw_arrays ?telemetry ?iterations ?tau_hint ?tol ?max_iter params
        ~ws:(Array.of_list (List.map fst classes))
        ~ks:(Array.of_list (List.map snd classes)))
 
@@ -425,14 +370,14 @@ let strategy_arrays classes =
     Array.of_list (List.map snd classes) )
 
 let solve_strategy_classes ?telemetry ?iterations ?tau_hint ?(tol = 1e-14)
-    ?(algo = Newton) ?(max_iter = 50_000) (params : Params.t) classes =
+    ?(max_iter = 50_000) (params : Params.t) classes =
   let ss, ws, aifs, ks = strategy_arrays classes in
   class_solution
     (solve_class_arrays ?telemetry ?iterations ?x0:(hinted_x0 tau_hint ss)
-       ~tol ~algo ~max_iter params ~ws ~aifs ~ks)
+       ~tol ~max_iter params ~ws ~aifs ~ks)
 
-let solve_batch ?telemetry ?(tol = 1e-14) ?(algo = Newton)
-    ?(max_iter = 50_000) (params : Params.t) problems =
+let solve_batch ?telemetry ?(tol = 1e-14) ?(max_iter = 50_000)
+    (params : Params.t) problems =
   (* Sweep columns vary one knob between consecutive points, so the
      previous point's τ vector is a near-fixed-point start for the next —
      position-wise when the class shape repeats (the common case), else
@@ -463,8 +408,8 @@ let solve_batch ?telemetry ?(tol = 1e-14) ?(algo = Newton)
         | None -> None
       in
       let sol =
-        solve_class_arrays ?telemetry ?x0 ~tol ~algo ~max_iter params ~ws
-          ~aifs ~ks
+        solve_class_arrays ?telemetry ?x0 ~tol ~max_iter params ~ws ~aifs
+          ~ks
       in
       prev := Some (sol, ss);
       class_solution sol)
@@ -480,8 +425,8 @@ type profile_classes = {
   converged : bool;
 }
 
-let solve_profile_classes ?telemetry ?iterations ?tau_hint ?tol ?algo
-    ?max_iter (params : Params.t) cws =
+let solve_profile_classes ?telemetry ?iterations ?tau_hint ?tol ?max_iter
+    (params : Params.t) cws =
   let n = Array.length cws in
   if n = 0 then invalid_arg "Solver.solve_profile: empty network";
   Array.iter
@@ -520,8 +465,8 @@ let solve_profile_classes ?telemetry ?iterations ?tau_hint ?tol ?algo
     node_class.(i) <- !lo
   done;
   let solved =
-    solve_cw_arrays ?telemetry ?iterations ?tau_hint ?tol ?algo ?max_iter
-      params ~ws ~ks
+    solve_cw_arrays ?telemetry ?iterations ?tau_hint ?tol ?max_iter params ~ws
+      ~ks
   in
   {
     windows = ws;
@@ -541,11 +486,11 @@ let per_node pc values =
   done;
   out
 
-let solve_profile ?telemetry ?iterations ?tau_hint ?tol ?algo ?max_iter
+let solve_profile ?telemetry ?iterations ?tau_hint ?tol ?max_iter
     (params : Params.t) cws =
   let pc =
-    solve_profile_classes ?telemetry ?iterations ?tau_hint ?tol ?algo
-      ?max_iter params cws
+    solve_profile_classes ?telemetry ?iterations ?tau_hint ?tol ?max_iter
+      params cws
   in
   {
     taus = per_node pc pc.class_taus;

@@ -2,16 +2,17 @@
 
     Combining eq. 2 (τ_i from p_i and W_i) with eq. 3
     (p_i = 1 − Π_{j≠i}(1 − τ_j)) gives 2n equations in 2n unknowns; we solve
-    the equivalent n-dimensional fixed point on the τ vector.  The class
-    solvers run a damped-Newton iteration on the defect by default — the
-    Jacobian of the class-space map is diagonal plus rank-one, so each
-    Newton step costs O(c) via Sherman–Morrison — and fall back to the
-    damped Picard sweep on any refused, singular, or non-contracting step.
-    [1] proves uniqueness for homogeneous windows; for the heterogeneous
-    profiles used in the experiments both iterations converge to the same
-    point from any interior start (a property the test suite probes from
-    randomised starting points, and the [solver_core] conformance group
-    pins Newton against Picard at ≤1e-10 relative). *)
+    the equivalent fixed point on the τ vector, reduced to one τ per class
+    of nodes that share a strategy.  Every entry point runs one engine: a
+    damped-Newton iteration on the defect — the Jacobian of the
+    class-space map is diagonal plus rank-one, so each Newton step costs
+    O(c) via Sherman–Morrison — that falls back to a damped sweep on any
+    refused, singular, or non-contracting step.  [1] proves uniqueness for
+    homogeneous windows; for heterogeneous classes the test suite probes
+    it from randomised starting points (cold and hinted solves agree to
+    1e-11 absolute), and the [solver_core] conformance group certifies
+    answers with an independent per-node evaluation of eqs. 2–3 and
+    Newton's quadratic rate. *)
 
 type solution = {
   taus : float array;  (** per-node transmission probability *)
@@ -20,11 +21,6 @@ type solution = {
   converged : bool;
 }
 
-type algo =
-  | Newton  (** damped Newton with O(c) rank-one steps, Picard fallback *)
-  | Picard  (** the pre-Newton damped fixed-point iteration, kept as the
-                reference path for conformance and benchmarks *)
-
 type class_solution = {
   class_pairs : (float * float) list;
       (** per-class (τ, p) in input order; for strategy classes τ is the
@@ -32,17 +28,6 @@ type class_solution = {
   iterations : int;  (** map evaluations spent by the underlying solver *)
   converged : bool;  (** whether the final defect fell below [tol] *)
 }
-
-val solve :
-  ?telemetry:Telemetry.Registry.t ->
-  ?tol:float -> ?max_iter:int -> Params.t -> int array -> solution
-(** [solve params cws] solves the network in which node i uses initial
-    window [cws.(i)] by per-node damped Picard iteration.  All windows must
-    be ≥ 1; the array must be non-empty.  Defaults: [tol = 1e-13],
-    [max_iter = 20_000].  Convergence telemetry (span,
-    ["solver_convergence"] and ["residual_trajectory"] events) flows
-    through {!Numerics.Fixed_point.solve} on [telemetry] (default: the
-    global registry). *)
 
 val solve_homogeneous :
   ?telemetry:Telemetry.Registry.t -> ?iterations:int ref -> ?guess:float ->
@@ -65,7 +50,7 @@ val solve_homogeneous :
 val solve_classes :
   ?telemetry:Telemetry.Registry.t -> ?iterations:int ref ->
   ?tau_hint:(int -> float option) ->
-  ?tol:float -> ?algo:algo -> ?max_iter:int ->
+  ?tol:float -> ?max_iter:int ->
   Params.t -> (int * int) list -> class_solution
 (** [solve_classes params [(w1, k1); …]] solves a network of Σk_c nodes in
     which [k_c] nodes share window [w_c], reducing the fixed point to one
@@ -77,19 +62,19 @@ val solve_classes :
     iteration count and the {e real} convergence flag.  This is what the
     coalition analyses use — a 3-class problem costs the same as n = 3.
     Windows must be ≥ 1 and counts ≥ 1; classes may repeat a window.
-    [algo] defaults to [Newton] (rank-one Newton steps on the class
-    map, Picard fallback); pass [Picard] to force the reference
-    iteration.  [tau_hint w] may seed
-    class [w]'s starting iterate with a τ from a neighbouring solved
-    problem (warm start); hints outside (0, 1) are ignored.  Both
-    iterations converge to the same fixed point from any interior start,
-    so hints trade bit-stability for iterations exactly like
-    {!solve_homogeneous}'s [guess]. *)
+    Defaults: [tol = 1e-14] on the max-norm defect, [max_iter = 50_000].
+    [tau_hint w] may seed class [w]'s starting iterate with a τ from a
+    neighbouring solved problem (warm start); hints outside (0, 1) are
+    ignored.  The iteration converges to the same fixed point from any
+    interior start, so hints trade bit-stability for iterations exactly
+    like {!solve_homogeneous}'s [guess].  Telemetry flows through
+    {!Numerics.Newton.solve} on [telemetry] (default: the global
+    registry). *)
 
 val solve_strategy_classes :
   ?telemetry:Telemetry.Registry.t -> ?iterations:int ref ->
   ?tau_hint:(Strategy_space.t -> float option) ->
-  ?tol:float -> ?algo:algo -> ?max_iter:int ->
+  ?tol:float -> ?max_iter:int ->
   Params.t -> (Strategy_space.t * int) list -> class_solution
 (** Multi-knob analogue of {!solve_classes}: [k_c] nodes share strategy
     [s_c].  AIFS couples into the fixed point through an eligibility
@@ -110,7 +95,7 @@ val solve_strategy_classes :
 
 val solve_batch :
   ?telemetry:Telemetry.Registry.t ->
-  ?tol:float -> ?algo:algo -> ?max_iter:int ->
+  ?tol:float -> ?max_iter:int ->
   Params.t -> (Strategy_space.t * int) list array -> class_solution array
 (** [solve_batch params problems] solves a sweep column of strategy-class
     problems in order, reusing each point's τ vector as the next point's
@@ -125,18 +110,18 @@ val solve_batch :
 val solve_profile :
   ?telemetry:Telemetry.Registry.t -> ?iterations:int ref ->
   ?tau_hint:(int -> float option) ->
-  ?tol:float -> ?algo:algo -> ?max_iter:int ->
+  ?tol:float -> ?max_iter:int ->
   Params.t -> int array -> solution
-(** [solve_profile params cws] solves the same network as {!solve} but
-    class-reduced: nodes sharing a window share (τ, p) by symmetry, so the
-    profile is grouped into distinct-window classes (sorted ascending, so
-    any permutation of [cws] solves the identical class problem), solved
-    exactly as {!solve_classes} solves them, and the per-class pairs are
-    expanded back to per-node arrays in input order.  This is the payoff
-    oracle's canonical solve entry: orders of magnitude cheaper than the
-    n-dimensional Picard iteration when the profile has few distinct
-    windows (the common case in repeated games), and permutation-invariant
-    by construction.
+(** [solve_profile params cws] solves the network in which node i uses
+    window [cws.(i)], class-reduced: nodes sharing a window share (τ, p)
+    by symmetry, so the profile is grouped into distinct-window classes
+    (sorted ascending, so any permutation of [cws] solves the identical
+    class problem), solved exactly as {!solve_classes} solves them, and
+    the per-class pairs are expanded back to per-node arrays in input
+    order.  All windows must be ≥ 1; the array must be non-empty.  This
+    is the payoff oracle's canonical solve entry: a profile costs what
+    its distinct windows cost (the common case in repeated games has
+    few), and the answer is permutation-invariant by construction.
     [converged] is threaded from the underlying class solve — it is no
     longer assumed [true]. *)
 
@@ -154,7 +139,7 @@ type profile_classes = {
 val solve_profile_classes :
   ?telemetry:Telemetry.Registry.t -> ?iterations:int ref ->
   ?tau_hint:(int -> float option) ->
-  ?tol:float -> ?algo:algo -> ?max_iter:int ->
+  ?tol:float -> ?max_iter:int ->
   Params.t -> int array -> profile_classes
 (** {!solve_profile} before its per-node expansion: the same validation,
     grouping and class solve, returned per class.  {!solve_profile} is
@@ -163,8 +148,3 @@ val solve_profile_classes :
 val per_node : profile_classes -> float array -> float array
 (** [per_node pc values] is the per-node array in which node i holds
     [values.(pc.node_class.(i))], for any per-class [values]. *)
-
-val collision_probabilities : float array -> float array
-(** [collision_probabilities taus] evaluates eq. 3 for every node, using
-    prefix/suffix products so nodes with τ = 1 (window 1) are handled
-    without dividing by zero. *)

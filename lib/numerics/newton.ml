@@ -85,6 +85,11 @@ let dense_step ~jacobian x defect =
 let recorder = Telemetry.Recorder.default
 let nid_solve = Telemetry.Recorder.intern recorder "newton.solve"
 
+(* Residual trajectories can be as long as max_iter (50k for the class
+   solver); cap what one event carries so a diverging solve cannot emit a
+   megabyte line. *)
+let trajectory_cap = 512
+
 let solve ?(telemetry = Telemetry.Registry.default) ?(damping = 0.5)
     ?(tol = 1e-12) ?(max_iter = 10_000) ?(lo = neg_infinity) ?(hi = infinity)
     ~step f x0 =
@@ -117,16 +122,25 @@ let solve ?(telemetry = Telemetry.Registry.default) ?(damping = 0.5)
   in
   let clamp v = Float.min hi (Float.max lo v) in
   Telemetry.Recorder.with_span recorder nid_solve n max_iter (fun () ->
+      (* Only pay for the per-iteration trajectory when someone is
+         listening.  [go] takes it as an argument rather than capturing
+         it, so its closure, allocated once per solve, keeps its size. *)
+      let trajectory =
+        if Telemetry.Registry.active telemetry then Some (ref []) else None
+      in
       (* [known] carries the residual already computed for [fx] when the
          caller left the matching defect in [d_cur] — the accept test
          below evaluates the candidate's defect anyway, so an accepted
          step hands it to the next iteration instead of recomputing the
          identical pair. *)
-      let rec go iter fx known =
+      let rec go trajectory iter fx known =
         let defect = !d_cur in
         let residual =
           match known with Some r -> r | None -> defect_into defect x fx
         in
+        (match trajectory with
+        | Some l when iter < trajectory_cap -> l := residual :: !l
+        | _ -> ());
         if residual <= tol then
           {
             value = x;
@@ -147,15 +161,15 @@ let solve ?(telemetry = Telemetry.Registry.default) ?(damping = 0.5)
           }
         else begin
           let fallback () =
-            (* One damped Picard sweep: always available, always finite on
-               a finite map, and exactly the legacy iteration — so a solve
-               whose every Newton step is refused degrades to the damped
-               fixed-point iteration rather than failing. *)
+            (* One damped sweep x ← x + λ·(f(x) − x): always available
+               and always finite on a finite map, so a solve whose every
+               Newton step is refused degrades to the damped fixed-point
+               iteration rather than failing. *)
             incr fallback_steps;
             for i = 0 to n - 1 do
               x.(i) <- clamp (x.(i) +. (damping *. defect.(i)))
             done;
-            go (iter + 1) (eval x) None
+            go trajectory (iter + 1) (eval x) None
           in
           match step x defect with
           | None -> fallback ()
@@ -171,8 +185,7 @@ let solve ?(telemetry = Telemetry.Registry.default) ?(damping = 0.5)
               let candidate_residual = defect_into !d_spare candidate fc in
               (* Accept only strictly-contracting steps; anything else —
                  overshoot, NaN, a stall at round-off — falls back to the
-                 damped iteration, which keeps global convergence exactly
-                 where the Picard solver had it. *)
+                 damped iteration, which keeps its global convergence. *)
               if
                 Float.is_finite candidate_residual
                 && candidate_residual < residual
@@ -182,12 +195,12 @@ let solve ?(telemetry = Telemetry.Registry.default) ?(damping = 0.5)
                 let freed = !d_cur in
                 d_cur := !d_spare;
                 d_spare := freed;
-                go (iter + 1) fc (Some candidate_residual)
+                go trajectory (iter + 1) fc (Some candidate_residual)
               end
               else fallback ()
         end
       in
-      let outcome = go 0 (eval x) None in
+      let outcome = go trajectory 0 (eval x) None in
       Telemetry.Metric.incr
         (Telemetry.Registry.counter telemetry "newton.solves");
       Telemetry.Metric.add
@@ -207,4 +220,16 @@ let solve ?(telemetry = Telemetry.Registry.default) ?(damping = 0.5)
             ("residual", Telemetry.Jsonx.Float outcome.residual);
             ("converged", Telemetry.Jsonx.Bool outcome.converged);
           ]);
+      (match trajectory with
+      | Some l ->
+          Telemetry.Registry.emit telemetry "residual_trajectory" (fun () ->
+              [
+                ("n", Telemetry.Jsonx.Int n);
+                ( "residuals",
+                  Telemetry.Jsonx.List
+                    (List.rev_map (fun r -> Telemetry.Jsonx.Float r) !l) );
+                ( "truncated",
+                  Telemetry.Jsonx.Bool (outcome.iterations >= trajectory_cap) );
+              ])
+      | None -> ());
       outcome)

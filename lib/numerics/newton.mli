@@ -5,8 +5,9 @@
     (so structured Jacobians — e.g. diagonal plus rank-one — can solve in
     O(n) instead of O(n³)).  A step is accepted only when it strictly
     shrinks the max-norm defect; a refused, singular, or non-finite step
-    degrades to one damped Picard sweep, which keeps global convergence
-    exactly where the plain {!Fixed_point} iteration had it. *)
+    degrades to one damped sweep [x ← x + λ·(f x − x)].  A step closure
+    that always refuses ([fun _ _ -> None]) therefore runs the plain
+    damped fixed-point iteration, with its global convergence. *)
 
 type outcome = {
   value : float array;     (** the (approximate) fixed point *)
@@ -14,7 +15,7 @@ type outcome = {
   residual : float;        (** max |f(x) − x| at the final iterate *)
   converged : bool;        (** whether [residual ≤ tol] *)
   newton_steps : int;      (** accepted Newton steps *)
-  fallback_steps : int;    (** damped Picard fallback steps *)
+  fallback_steps : int;    (** damped fallback sweeps *)
 }
 
 val solve :
@@ -32,8 +33,11 @@ val solve :
     — i.e. the Newton update for the defect — or [None] when the system
     is singular or the caller cannot form it; [None], a non-finite
     [delta], and a candidate that fails to strictly reduce the defect all
-    fall back to one damped Picard sweep (damping default 0.5, in
-    (0, 1]).  Iterates are clamped componentwise into [\[lo, hi\]]
+    fall back to one damped sweep (damping λ default 0.5, in
+    (0, 1]).  Convergence is judged on the undamped defect, not on the
+    damped step (which is only [λ·defect]), and a converged [value] is
+    the iterate at which the defect was measured, with no trailing step
+    applied.  Iterates are clamped componentwise into [\[lo, hi\]]
     (defaults: unbounded).  [f] must preserve the vector length; the
     input vector is not mutated.  A non-finite defect terminates the
     solve as non-converged.
@@ -47,7 +51,11 @@ val solve :
     Every solve runs inside a ["newton.solve"] flight-recorder span
     (payload: vector length, [max_iter]), bumps the
     ["solver.newton.steps"] / ["solver.newton.fallbacks"] counters, and
-    emits a ["solver_convergence"] event (method ["newton"]). *)
+    emits a ["solver_convergence"] event (method ["newton"]) on
+    [telemetry] (default: the global registry).  When a sink is
+    attached, a ["residual_trajectory"] event carries the defect at each
+    iteration (capped at 512 entries); with no sink, the trajectory is
+    never materialised. *)
 
 val dense_step :
   jacobian:(float array -> float array array) ->

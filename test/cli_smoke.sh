@@ -12,7 +12,9 @@
 # record too: `serve --stdin --trace` on a cold payoff line and a tau
 # line must list serve.request, oracle.solve and newton.solve, `trace
 # record --workload sweep` runner.sweep and runner.task, and `trace
-# record --workload solve` fixed_point.solve.
+# record --workload solve` newton.solve.  Last, the CLI and the service
+# must give one answer: each node's payoff from `solve` equals the served
+# payoff for the same profile, rounded to the 4 decimals `solve` prints.
 set -u
 
 cli="$1"
@@ -113,9 +115,24 @@ else
 fi
 if "$cli" trace record --workload solve -o "$dir/solve.bin" \
   >/dev/null 2>"$dir/stderr"; then
-  lists "$dir/solve.bin" fixed_point.solve
+  lists "$dir/solve.bin" newton.solve
 else
   fail "'trace record --workload solve' failed"
+fi
+
+if "$cli" solve 16 32 32 64 >"$dir/solve.txt" 2>"$dir/stderr" &&
+  printf '%s\n' '{"op":"payoff","profile":[16,32,32,64]}' |
+  "$cli" serve --stdin >"$dir/served.txt" 2>"$dir/stderr"; then
+  awk -F'|' '$1 ~ /^ *[0-9]+ *$/ { gsub(/ /, "", $6); print $6 }' \
+    "$dir/solve.txt" >"$dir/solve.payoffs"
+  sed -n 's/.*"payoffs":\[\([^]]*\)\].*/\1/p' "$dir/served.txt" |
+    tr ',' '\n' | awk '{ printf "%+.4f\n", $1 }' >"$dir/served.payoffs"
+  if [ ! -s "$dir/solve.payoffs" ] ||
+    ! diff "$dir/solve.payoffs" "$dir/served.payoffs" >"$dir/diff"; then
+    fail "'solve 16 32 32 64' and the served payoffs disagree" "$dir/diff"
+  fi
+else
+  fail "'solve 16 32 32 64' or 'serve --stdin' failed"
 fi
 
 [ "$failures" -eq 0 ] || exit 1

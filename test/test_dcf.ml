@@ -200,12 +200,12 @@ let test_homogeneous_matches_vector_solve =
     QCheck.(pair (int_range 2 30) (int_range 1 512))
     (fun (n, w) ->
       let tau, p = Dcf.Solver.solve_homogeneous default ~n ~w in
-      let solution = Dcf.Solver.solve default (Array.make n w) in
+      let solution = Dcf.Solver.solve_profile default (Array.make n w) in
       Array.for_all (fun t -> Prelude.Util.approx_equal ~eps:1e-7 tau t) solution.taus
       && Array.for_all (fun q -> Prelude.Util.approx_equal ~eps:1e-7 p q) solution.ps)
 
 let test_vector_solve_converges () =
-  let solution = Dcf.Solver.solve default [| 16; 32; 64; 128; 256 |] in
+  let solution = Dcf.Solver.solve_profile default [| 16; 32; 64; 128; 256 |] in
   Alcotest.(check bool) "converged" true solution.converged
 
 let test_eq3_identity =
@@ -214,7 +214,7 @@ let test_eq3_identity =
     QCheck.(list_of_size Gen.(int_range 2 8) (int_range 1 512))
     (fun cws ->
       let cws = Array.of_list cws in
-      let s = Dcf.Solver.solve default cws in
+      let s = Dcf.Solver.solve_profile default cws in
       let prods =
         Array.map2 (fun tau p -> (1. -. p) *. (1. -. tau)) s.taus s.ps
       in
@@ -228,28 +228,31 @@ let test_lemma1_ordering =
       let w_big = w_small + gap in
       let cws = Array.make n w_small in
       cws.(0) <- w_big;
-      let solved = Dcf.Model.solve default cws in
+      let solved = Dcf.Model.solve_profile default cws in
       solved.ps.(0) > solved.ps.(1)
       && solved.taus.(0) < solved.taus.(1)
       && solved.utilities.(0) < solved.utilities.(1))
 
 let test_collision_probabilities_with_certain_transmitter () =
   (* A node with tau = 1 gives everyone else p = 1 without dividing by 0. *)
-  let ps = Dcf.Solver.collision_probabilities [| 1.0; 0.1; 0.2 |] in
+  let ps =
+    Conformance.Solver_core.collision_probabilities [| 1.0; 0.1; 0.2 |]
+  in
   check_close "others face p=1 (node 1)" 1. ps.(1);
   check_close "others face p=1 (node 2)" 1. ps.(2);
   check_close "the certain transmitter faces the rest" (1. -. (0.9 *. 0.8)) ps.(0)
 
 let test_collision_probabilities_empty_product () =
-  let ps = Dcf.Solver.collision_probabilities [| 0.3 |] in
+  let ps = Conformance.Solver_core.collision_probabilities [| 0.3 |] in
   check_close "single node faces nobody" 0. ps.(0)
 
 let test_solver_validation () =
-  Alcotest.check_raises "empty" (Invalid_argument "Solver.solve: empty network")
-    (fun () -> ignore (Dcf.Solver.solve default [||]));
+  Alcotest.check_raises "empty"
+    (Invalid_argument "Solver.solve_profile: empty network") (fun () ->
+      ignore (Dcf.Solver.solve_profile default [||]));
   Alcotest.check_raises "bad window"
-    (Invalid_argument "Solver.solve: window must be >= 1") (fun () ->
-      ignore (Dcf.Solver.solve default [| 16; 0 |]))
+    (Invalid_argument "Solver.solve_profile: window must be >= 1") (fun () ->
+      ignore (Dcf.Solver.solve_profile default [| 16; 0 |]))
 
 (* {1 Metrics} *)
 
@@ -257,8 +260,8 @@ let test_metrics_fractions_sum_to_one =
   QCheck.Test.make ~name:"idle+success+collision fractions = 1" ~count:60
     QCheck.(list_of_size Gen.(int_range 1 10) (int_range 1 512))
     (fun cws ->
-      let s = Dcf.Solver.solve default (Array.of_list cws) in
-      let metrics = Dcf.Metrics.of_solution default s in
+      let s = Dcf.Solver.solve_profile default (Array.of_list cws) in
+      let metrics = Dcf.Metrics.of_taus default s.taus in
       Prelude.Util.approx_equal ~eps:1e-9 1.
         (Dcf.Metrics.idle_fraction metrics
         +. Dcf.Metrics.success_fraction metrics
@@ -268,13 +271,13 @@ let test_metrics_throughput_bounds =
   QCheck.Test.make ~name:"normalised throughput in (0, 1)" ~count:60
     QCheck.(pair (int_range 1 20) (int_range 1 512))
     (fun (n, w) ->
-      let s = Dcf.Solver.solve default (Array.make n w) in
-      let metrics = Dcf.Metrics.of_solution default s in
+      let s = Dcf.Solver.solve_profile default (Array.make n w) in
+      let metrics = Dcf.Metrics.of_taus default s.taus in
       metrics.throughput > 0. && metrics.throughput < 1.)
 
 let test_metrics_per_node_sums () =
-  let s = Dcf.Solver.solve default [| 32; 64; 128 |] in
-  let metrics = Dcf.Metrics.of_solution default s in
+  let s = Dcf.Solver.solve_profile default [| 32; 64; 128 |] in
+  let metrics = Dcf.Metrics.of_taus default s.taus in
   let sum = Array.fold_left ( +. ) 0. metrics.per_node_throughput in
   check_close "per-node shares sum to S" metrics.throughput sum;
   let p_succ = Array.fold_left ( +. ) 0. metrics.per_node_success in
@@ -286,8 +289,8 @@ let test_metrics_single_node () =
   check_close "no collision time" 0. (Dcf.Metrics.collision_fraction metrics)
 
 let test_metrics_symmetric_fairness () =
-  let s = Dcf.Solver.solve default (Array.make 6 64) in
-  let metrics = Dcf.Metrics.of_solution default s in
+  let s = Dcf.Solver.solve_profile default (Array.make 6 64) in
+  let metrics = Dcf.Metrics.of_taus default s.taus in
   check_close "jain index 1 under symmetry" 1.
     (Prelude.Stats.jain_fairness metrics.per_node_throughput)
 
@@ -295,7 +298,8 @@ let test_known_bianchi_shape () =
   (* Saturation throughput first rises then falls as W shrinks; the optimum
      for n=20 basic at 1 Mb/s sits in the hundreds. *)
   let s w =
-    (Dcf.Metrics.of_solution default (Dcf.Solver.solve default (Array.make 20 w)))
+    (Dcf.Metrics.of_taus default
+       (Dcf.Solver.solve_profile default (Array.make 20 w)).taus)
       .throughput
   in
   Alcotest.(check bool) "W=8 heavily colliding" true (s 8 < s 256);
@@ -312,8 +316,8 @@ let test_utility_sign_structure () =
   Alcotest.(check bool) "pure loss when every attempt collides" true (u < 0.)
 
 let test_utility_rates_match_rate_of_node () =
-  let s = Dcf.Solver.solve default [| 32; 128 |] in
-  let metrics = Dcf.Metrics.of_solution default s in
+  let s = Dcf.Solver.solve_profile default [| 32; 128 |] in
+  let metrics = Dcf.Metrics.of_taus default s.taus in
   let rates = Dcf.Utility.rates default ~taus:s.taus ~ps:s.ps in
   Array.iteri
     (fun i r ->
@@ -324,7 +328,7 @@ let test_utility_rates_match_rate_of_node () =
     rates
 
 let test_utility_p_hn_scales_gain () =
-  let s = Dcf.Solver.solve default [| 64; 64; 64 |] in
+  let s = Dcf.Solver.solve_profile default [| 64; 64; 64 |] in
   let full = Dcf.Utility.rates default ~taus:s.taus ~ps:s.ps in
   let degraded = Dcf.Utility.rates ~p_hn:0.5 default ~taus:s.taus ~ps:s.ps in
   (* u(p_hn) = tau((1-p)·p_hn·g - e)/T: the gain part halves, cost stays. *)
@@ -332,7 +336,7 @@ let test_utility_p_hn_scales_gain () =
     (fun i u ->
       Alcotest.(check bool) "degraded below full" true (degraded.(i) < u);
       let tau = s.taus.(i) and p = s.ps.(i) in
-      let metrics = Dcf.Metrics.of_solution default s in
+      let metrics = Dcf.Metrics.of_taus default s.taus in
       check_close "exact degradation"
         (tau *. (((1. -. p) *. 0.5 *. default.gain) -. default.cost)
         /. metrics.slot_time)
@@ -340,7 +344,7 @@ let test_utility_p_hn_scales_gain () =
     full
 
 let test_utility_p_hn_validation () =
-  let s = Dcf.Solver.solve default [| 64 |] in
+  let s = Dcf.Solver.solve_profile default [| 64 |] in
   Alcotest.check_raises "p_hn = 0" (Invalid_argument "Utility: p_hn must be in (0, 1]")
     (fun () -> ignore (Dcf.Utility.rates ~p_hn:0. default ~taus:s.taus ~ps:s.ps));
   Alcotest.check_raises "p_hn = nan" (Invalid_argument "Utility: p_hn must be in (0, 1]")
@@ -362,8 +366,8 @@ let test_normalized_global () =
 
 let test_model_solve_consistency () =
   let cws = [| 16; 64; 256 |] in
-  let solved = Dcf.Model.solve default cws in
-  let direct = Dcf.Solver.solve default cws in
+  let solved = Dcf.Model.solve_profile default cws in
+  let direct = Dcf.Solver.solve_profile default cws in
   Array.iteri
     (fun i tau -> check_close "taus agree" tau solved.taus.(i))
     direct.taus;
@@ -379,15 +383,23 @@ let test_model_homogeneous_view () =
     (Dcf.Model.homogeneous_welfare default ~n:5 ~w:79)
 
 (* One deviant among conformers (Lemma 4's configuration): the
-   class-reduced profile solve agrees with the full per-node solve. *)
+   class-reduced profile solve satisfies eqs. 2–3 node by node, evaluated
+   without the class engine, and prices every node from those values. *)
 let test_model_deviant_view_consistency () =
   let cws = Array.make 5 128 in
   cws.(0) <- 32;
   let dv = Dcf.Model.solve_profile default cws in
-  let solved = Dcf.Model.solve default cws in
-  check_close ~eps:1e-6 "deviant tau" solved.taus.(0) dv.taus.(0);
-  check_close ~eps:1e-6 "conformer tau" solved.taus.(1) dv.taus.(1);
-  check_close ~eps:1e-5 "deviant utility" solved.utilities.(0) dv.utilities.(0)
+  let ps = Conformance.Solver_core.collision_probabilities dv.taus in
+  Array.iteri
+    (fun i w ->
+      check_close ~eps:1e-12 "eq. 3" ps.(i) dv.ps.(i);
+      check_close ~eps:1e-12 "eq. 2"
+        (Dcf.Bianchi.tau_of_p ~w ~m:default.max_backoff_stage ps.(i))
+        dv.taus.(i))
+    cws;
+  Array.iteri
+    (fun i u -> check_close "utility" u dv.utilities.(i))
+    (Dcf.Utility.rates default ~taus:dv.taus ~ps)
 
 let test_lemma2_own_window_payoff_unimodal () =
   (* U_i is concave in tau_i (Lemma 2), hence unimodal in W_i: scan a grid
@@ -480,34 +492,72 @@ let suite_bianchi =
 let strategy ~cw ~aifs =
   { Dcf.Strategy_space.cw; aifs; txop_frames = 1; rate = 1. }
 
-let test_newton_matches_picard_classes () =
-  let classes = [ (32, 5); (64, 10); (128, 3) ] in
-  let newton = Dcf.Solver.solve_classes ~algo:Newton default classes in
-  let picard = Dcf.Solver.solve_classes ~algo:Picard default classes in
-  Alcotest.(check bool) "both converged" true
-    (newton.converged && picard.converged);
-  List.iter2
-    (fun (tau_n, p_n) (tau_p, p_p) ->
-      check_close ~eps:1e-10 "tau" tau_p tau_n;
-      check_close ~eps:1e-10 "p" p_p p_n)
-    newton.class_pairs picard.class_pairs;
+let certified msg params classes (sol : Dcf.Solver.class_solution) =
+  let c = Conformance.Solver_core.certify params classes sol in
   Alcotest.(check bool)
-    (Printf.sprintf "newton %d iters < picard %d" newton.iterations
-       picard.iterations)
-    true
-    (newton.iterations < picard.iterations)
+    (Printf.sprintf "%s: defect %.1e, %d iters from the perturbed answer" msg
+       c.defect c.resolve_iterations)
+    true (c.margin <= 1.)
 
-let test_newton_matches_picard_strategies () =
+let test_newton_certified_classes () =
+  let classes = [ (32, 5); (64, 10); (128, 3) ] in
+  let sol = Dcf.Solver.solve_classes default classes in
+  Alcotest.(check bool) "converged" true sol.converged;
+  certified "classes" default
+    (List.map (fun (w, k) -> (Dcf.Strategy_space.of_cw w, k)) classes)
+    sol
+
+let test_newton_certified_strategies () =
   let classes = [ (strategy ~cw:32 ~aifs:0, 4); (strategy ~cw:64 ~aifs:2, 6) ] in
-  let newton = Dcf.Solver.solve_strategy_classes ~algo:Newton default classes in
-  let picard = Dcf.Solver.solve_strategy_classes ~algo:Picard default classes in
-  Alcotest.(check bool) "both converged" true
-    (newton.converged && picard.converged);
-  List.iter2
-    (fun (tau_n, p_n) (tau_p, p_p) ->
-      check_close ~eps:1e-10 "tau" tau_p tau_n;
-      check_close ~eps:1e-10 "p" p_p p_n)
-    newton.class_pairs picard.class_pairs
+  let sol = Dcf.Solver.solve_strategy_classes default classes in
+  Alcotest.(check bool) "converged" true sol.converged;
+  certified "strategies" default classes sol
+
+(* [1] proves a unique fixed point for homogeneous windows only.  For
+   heterogeneous strategy classes, a cold solve and a solve started from
+   random interior τs must land on the same certified point.  Agreement
+   is absolute: at a 1e-14 defect a small τ reads up to ~3e-8 apart
+   relative to itself. *)
+let test_uniqueness_probe =
+  QCheck.Test.make ~name:"cold and random starts agree (uniqueness probe)"
+    ~count:300
+    (* Unshrunk: QCheck's shrinkers leave the generator's ranges. *)
+    QCheck.(
+      set_shrink Shrink.nil
+        (quad
+           (list_of_size Gen.(int_range 1 8)
+              (triple (int_range 1 1024) (int_range 0 3) (int_range 1 12)))
+           (int_range 0 7) bool
+           (array_of_size (Gen.return 8) (float_bound_exclusive 1.))))
+    (fun (classes, m, rts, starts) ->
+      let params =
+        {
+          (if rts then Dcf.Params.rts_cts else default) with
+          max_backoff_stage = m;
+        }
+      in
+      let classes =
+        List.map (fun (cw, aifs, k) -> (strategy ~cw ~aifs, k)) classes
+      in
+      let tau_hint s =
+        let rec find i = function
+          | [] -> None
+          | (s', _) :: rest ->
+              if Dcf.Strategy_space.equal s s' then Some starts.(i)
+              else find (i + 1) rest
+        in
+        find 0 classes
+      in
+      let cold = Dcf.Solver.solve_strategy_classes params classes in
+      let hinted = Dcf.Solver.solve_strategy_classes ~tau_hint params classes in
+      let passes sol =
+        (Conformance.Solver_core.certify params classes sol).margin <= 1.
+      in
+      cold.converged && hinted.converged && passes cold && passes hinted
+      && List.for_all2
+           (fun (t, p) (t', p') ->
+             Float.abs (t -. t') <= 1e-11 && Float.abs (p -. p') <= 1e-11)
+           cold.class_pairs hinted.class_pairs)
 
 let test_solver_reports_nonconvergence () =
   (* One iteration cannot close a heterogeneous fixed point: every layer
@@ -567,7 +617,7 @@ let test_solve_batch_matches_cold () =
 
 (* Both class entry points run one engine: CW classes lifted to CW-only
    strategies must solve bit for bit alike — pairs, iterations and
-   [converged] — whatever the algorithm, the hints or the budget. *)
+   [converged] — whatever the stage count, the hints or the budget. *)
 let test_cw_classes_one_engine =
   let same_bits (a : Dcf.Solver.class_solution)
       (b : Dcf.Solver.class_solution) =
@@ -585,12 +635,11 @@ let test_cw_classes_one_engine =
       quad
         (list_of_size Gen.(int_range 1 6)
            (pair (int_range 1 1023) (int_range 1 12)))
-        (pair (int_range 0 7) bool)
+        (int_range 0 7)
         (option (int_range 1 8))
         (option (int_range 1 1000)))
-    (fun (classes, (m, newton), max_iter, salt) ->
+    (fun (classes, m, max_iter, salt) ->
       let params = { default with max_backoff_stage = m } in
-      let algo = if newton then Dcf.Solver.Newton else Dcf.Solver.Picard in
       (* Interior hints for most windows, none or out-of-range ones for the
          rest, so both the hinted and the default starts are exercised. *)
       let tau_hint =
@@ -602,7 +651,7 @@ let test_cw_classes_one_engine =
             | _ -> Some (float_of_int (((w * salt) mod 997) + 1) /. 1000.))
           salt
       in
-      let cw = Dcf.Solver.solve_classes ?tau_hint ~algo ?max_iter params classes in
+      let cw = Dcf.Solver.solve_classes ?tau_hint ?max_iter params classes in
       let lifted =
         List.map (fun (w, k) -> (Dcf.Strategy_space.of_cw w, k)) classes
       in
@@ -612,8 +661,7 @@ let test_cw_classes_one_engine =
           tau_hint
       in
       let strategies =
-        Dcf.Solver.solve_strategy_classes ?tau_hint ~algo ?max_iter params
-          lifted
+        Dcf.Solver.solve_strategy_classes ?tau_hint ?max_iter params lifted
       in
       same_bits cw strategies)
 
@@ -627,10 +675,11 @@ let suite_solver =
     Alcotest.test_case "tau=1 handled" `Quick test_collision_probabilities_with_certain_transmitter;
     Alcotest.test_case "empty product" `Quick test_collision_probabilities_empty_product;
     Alcotest.test_case "validation" `Quick test_solver_validation;
-    Alcotest.test_case "newton = picard (classes)" `Quick
-      test_newton_matches_picard_classes;
-    Alcotest.test_case "newton = picard (strategies)" `Quick
-      test_newton_matches_picard_strategies;
+    Alcotest.test_case "newton certified (classes)" `Quick
+      test_newton_certified_classes;
+    Alcotest.test_case "newton certified (strategies)" `Quick
+      test_newton_certified_strategies;
+    QCheck_alcotest.to_alcotest test_uniqueness_probe;
     Alcotest.test_case "non-convergence surfaces" `Quick
       test_solver_reports_nonconvergence;
     Alcotest.test_case "batched sweep matches cold" `Quick

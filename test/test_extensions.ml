@@ -34,7 +34,7 @@ let test_backoff_slots_hand_computed () =
 
 let test_delay_of_profile () =
   let cws = [| 32; 128 |] in
-  let s = Dcf.Solver.solve default cws in
+  let s = Dcf.Solver.solve_profile default cws in
   let views = Dcf.Delay.of_profile default ~taus:s.taus ~ps:s.ps ~cws in
   (* The aggressive node delivers more often, so it waits less. *)
   Alcotest.(check bool) "smaller window, shorter delay" true
@@ -552,7 +552,17 @@ let test_solve_classes_matches_full_solve =
     (fun (k1, k2, (w1, w2)) ->
       let classes = Dcf.Solver.solve_classes default [ (w1, k1); (w2, k2) ] in
       let cws = Array.append (Array.make k1 w1) (Array.make k2 w2) in
-      let s = Dcf.Solver.solve default cws in
+      let s = Dcf.Solver.solve_profile default cws in
+      let certificate =
+        Conformance.Solver_core.certify default
+          [
+            (Dcf.Strategy_space.of_cw w1, k1);
+            (Dcf.Strategy_space.of_cw w2, k2);
+          ]
+          classes
+      in
+      certificate.margin <= 1.
+      &&
       match classes.class_pairs with
       | [ (tau1, p1); (tau2, p2) ] ->
           Prelude.Util.approx_equal ~eps:1e-6 tau1 s.taus.(0)

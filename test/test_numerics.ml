@@ -53,59 +53,65 @@ let test_find_bracket_failure () =
   Alcotest.(check bool) "positive function never brackets" true
     (Roots.find_bracket (fun _ -> 1.) 0. 1. = None)
 
-(* {1 Fixed_point} *)
+(* {1 Damped fixed-point iteration}
+
+   [Newton.solve] with a step that always refuses is the damped iteration
+   x ← x + λ·(f x − x): the fallback every refused Newton step takes. *)
+
+let damped ?damping ?tol ?max_iter f x0 =
+  Newton.solve ?damping ?tol ?max_iter ~step:(fun _ _ -> None) f x0
 
 let test_fixed_point_cosine () =
-  let outcome = Fixed_point.solve (fun v -> [| cos v.(0) |]) [| 1. |] in
+  let outcome = damped (fun v -> [| cos v.(0) |]) [| 1. |] in
   check_close ~eps:1e-9 "cos fixed point" 0.7390851332151607 outcome.value.(0)
 
 let test_fixed_point_vector () =
   (* x = (y+1)/2, y = x/2 has solution x = 2/3, y = 1/3. *)
   let f v = [| (v.(1) +. 1.) /. 2.; v.(0) /. 2. |] in
-  let outcome = Fixed_point.solve f [| 0.; 0. |] in
+  let outcome = damped f [| 0.; 0. |] in
   Alcotest.(check bool) "converged" true outcome.converged;
   check_close "x" (2. /. 3.) outcome.value.(0);
   check_close "y" (1. /. 3.) outcome.value.(1)
 
 let test_fixed_point_respects_max_iter () =
-  (* x ← x+1 never converges. *)
-  let outcome = Fixed_point.solve ~max_iter:50 (fun v -> [| v.(0) +. 1. |]) [| 0. |] in
+  (* x ← x+1 never converges; each sweep moves x by λ·1. *)
+  let outcome = damped ~max_iter:50 (fun v -> [| v.(0) +. 1. |]) [| 0. |] in
   Alcotest.(check bool) "reports divergence" false outcome.converged;
-  Alcotest.(check int) "stopped at cap" 50 outcome.iterations
+  Alcotest.(check int) "stopped at cap" 50 outcome.iterations;
+  Alcotest.(check (float 0.)) "50 half steps" 25. outcome.value.(0)
 
 let test_fixed_point_damping_validation () =
   Alcotest.check_raises "zero damping"
-    (Invalid_argument "Fixed_point.solve: damping must be in (0, 1]") (fun () ->
-      ignore (Fixed_point.solve ~damping:0. Fun.id [| 1. |]))
+    (Invalid_argument "Newton.solve: damping must be in (0, 1]") (fun () ->
+      ignore (damped ~damping:0. Fun.id [| 1. |]));
+  Alcotest.check_raises "damping above 1"
+    (Invalid_argument "Newton.solve: damping must be in (0, 1]") (fun () ->
+      ignore (damped ~damping:1.5 Fun.id [| 1. |]))
 
 let test_fixed_point_preserves_input () =
   let x0 = [| 1.; 2. |] in
-  let _ = Fixed_point.solve (fun v -> Array.map (fun x -> x /. 2.) v) x0 in
+  let _ = damped (fun v -> Array.map (fun x -> x /. 2.) v) x0 in
   Alcotest.(check (array (float 0.))) "input unmutated" [| 1.; 2. |] x0
 
 let test_fixed_point_tolerance_is_undamped () =
-  (* Regression: convergence is judged on the undamped defect |f(x) − x|.
-     The old code tested the damped step, so at the default damping 0.5 a
-     map drifting by 1.5e-12 per iteration — above tol — converged anyway
-     (step 0.75e-12 ≤ 1e-12).  It must now run to the cap. *)
+  (* Convergence is judged on the undamped defect |f(x) − x|.  Testing
+     the damped step instead would let a map drifting by 1.5e-12 per
+     iteration — above tol — converge at the default damping 0.5 (step
+     0.75e-12 ≤ 1e-12).  It must run to the cap. *)
   let drift d = fun v -> [| v.(0) +. d |] in
-  let outcome =
-    Fixed_point.solve ~tol:1e-12 ~max_iter:200 (drift 1.5e-12) [| 0. |]
-  in
+  let outcome = damped ~tol:1e-12 ~max_iter:200 (drift 1.5e-12) [| 0. |] in
   Alcotest.(check bool) "drift above tol never converges" false
     outcome.converged;
   Alcotest.(check int) "ran to the cap" 200 outcome.iterations;
   (* And a defect genuinely below tol converges immediately, returning the
      current iterate unstepped. *)
-  let outcome =
-    Fixed_point.solve ~tol:1e-12 ~max_iter:200 (drift 9e-13) [| 0. |]
-  in
+  let outcome = damped ~tol:1e-12 ~max_iter:200 (drift 9e-13) [| 0. |] in
   Alcotest.(check bool) "defect below tol converges" true outcome.converged;
-  Alcotest.(check int) "at the first test" 1 outcome.iterations;
+  Alcotest.(check int) "at the first test" 0 outcome.iterations;
   Alcotest.(check (float 0.)) "value left unstepped" 0. outcome.value.(0)
 
 let test_fixed_point_nonfinite_is_failure () =
-  let outcome = Fixed_point.solve (fun _ -> [| Float.nan |]) [| 0.5 |] in
+  let outcome = damped (fun _ -> [| Float.nan |]) [| 0.5 |] in
   Alcotest.(check bool) "NaN map reports non-convergence" false
     outcome.converged;
   Alcotest.(check bool) "residual is non-finite" false
@@ -117,7 +123,7 @@ let test_fixed_point_full_damping_is_picard =
     (fun (a, b) ->
       (* x = a·x + b has fixed point b/(1−a). *)
       let outcome =
-        Fixed_point.solve ~damping:1. (fun v -> [| (a *. v.(0)) +. b |]) [| 0. |]
+        damped ~damping:1. (fun v -> [| (a *. v.(0)) +. b |]) [| 0. |]
       in
       outcome.converged
       && Prelude.Util.approx_equal ~eps:1e-6 (b /. (1. -. a)) outcome.value.(0))
@@ -155,29 +161,37 @@ let test_newton_affine_one_step () =
 
 let test_newton_fallback_is_damped_picard () =
   (* A step closure that always refuses degrades the solve to the damped
-     Picard iteration — same answer, zero accepted Newton steps. *)
-  let f v = [| cos v.(0) |] in
-  let newton = Newton.solve ~step:(fun _ _ -> None) f [| 1. |] in
-  let picard = Fixed_point.solve f [| 1. |] in
+     iteration, written out here: the same iterates, bit for bit, zero
+     accepted Newton steps, and the Dottie number. *)
+  let newton =
+    Newton.solve ~step:(fun _ _ -> None) (fun v -> [| cos v.(0) |]) [| 1. |]
+  in
+  let rec sweep x k =
+    let d = cos x -. x in
+    if Float.abs d <= 1e-12 then (x, k) else sweep (x +. (0.5 *. d)) (k + 1)
+  in
+  let x, sweeps = sweep 1. 0 in
   Alcotest.(check bool) "converged" true newton.converged;
   Alcotest.(check int) "no Newton steps" 0 newton.newton_steps;
-  Alcotest.(check bool) "every iteration fell back" true
-    (newton.fallback_steps > 0);
-  check_close ~eps:1e-10 "agrees with Fixed_point" picard.value.(0)
-    newton.value.(0)
+  Alcotest.(check int) "every iteration fell back" sweeps
+    newton.fallback_steps;
+  Alcotest.(check int) "iterations" sweeps newton.iterations;
+  Alcotest.(check (float 0.)) "the damped iterate" x newton.value.(0);
+  check_close ~eps:1e-10 "dottie number" 0.7390851332151607 newton.value.(0)
 
 let test_newton_beats_picard_on_cosine () =
   let f v = [| cos v.(0) |] in
   let jacobian v = [| [| -.sin v.(0) |] |] in
   let newton = Newton.solve ~step:(Newton.dense_step ~jacobian) f [| 1. |] in
-  let picard = Fixed_point.solve f [| 1. |] in
-  Alcotest.(check bool) "converged" true (newton.converged && picard.converged);
+  let refused = Newton.solve ~step:(fun _ _ -> None) f [| 1. |] in
+  Alcotest.(check bool) "converged" true
+    (newton.converged && refused.converged);
   check_close ~eps:1e-10 "dottie number" 0.7390851332151607 newton.value.(0);
   Alcotest.(check bool)
-    (Printf.sprintf "newton %d iters < picard %d" newton.iterations
-       picard.iterations)
+    (Printf.sprintf "newton %d iters < damped %d" newton.iterations
+       refused.iterations)
     true
-    (newton.iterations < picard.iterations)
+    (newton.iterations < refused.iterations)
 
 let test_newton_respects_max_iter () =
   let outcome =
@@ -201,7 +215,7 @@ let test_newton_clamps_iterates () =
   Alcotest.(check bool) "non-converged" false outcome.converged;
   Alcotest.(check (float 0.)) "pinned at the box floor" 0. outcome.value.(0)
 
-(* Both solvers read each map value before the next call and hand [step]
+(* The solver reads each map value before the next call and hands [step]
    and the caller only the latest map argument, so a map may return one
    buffer and leave work at its argument for reuse (the class solver
    does both).  The step refuses, overshoots (a rejected candidate) and
@@ -235,15 +249,7 @@ let test_map_call_contract () =
   Alcotest.(check bool) "newton took steps and fell back" true
     (newton.newton_steps > 0 && newton.fallback_steps > 0);
   Alcotest.(check bool) "newton value is the latest map argument" true
-    (latest newton.value);
-  List.iter
-    (fun max_iter ->
-      let picard = Fixed_point.solve ~max_iter f [| 1.; 1. |] in
-      Alcotest.(check bool)
-        (Printf.sprintf "picard value is the latest map argument (max_iter %d)"
-           max_iter)
-        true (latest picard.value))
-    [ 3; 10_000 ]
+    (latest newton.value)
 
 (* {1 Optimize} *)
 

@@ -227,12 +227,21 @@ let test_p_hn_matches_model () =
   check_bits "degraded utility" v.Dcf.Model.utility
     (Macgame.Oracle.payoff_uniform oracle ~n:6 ~w:64)
 
-let test_payoffs_match_model_solve () =
-  (* The class-reduced path agrees with the general heterogeneous solve to
-     solver tolerance (they iterate different-dimensional fixed points). *)
+let test_payoffs_match_per_node_solve () =
+  (* The class-reduced path agrees with a solve that gives every node a
+     class of its own to solver tolerance (they iterate
+     different-dimensional fixed points). *)
   let oracle, _ = fresh () in
   let profile = [| 32; 64; 128; 64; 32 |] in
-  let direct = (Dcf.Model.solve params profile).Dcf.Model.utilities in
+  let direct =
+    let s =
+      Dcf.Solver.solve_classes params
+        (Array.to_list (Array.map (fun w -> (w, 1)) profile))
+    in
+    Dcf.Utility.rates params
+      ~taus:(Array.of_list (List.map fst s.class_pairs))
+      ~ps:(Array.of_list (List.map snd s.class_pairs))
+  in
   let via_oracle = Macgame.Oracle.payoffs oracle profile in
   Array.iteri
     (fun i u ->
@@ -568,8 +577,8 @@ let () =
           Alcotest.test_case "uniform view = Dcf.Model.homogeneous" `Quick
             test_uniform_matches_model_homogeneous;
           Alcotest.test_case "p_hn threads through" `Quick test_p_hn_matches_model;
-          Alcotest.test_case "payoffs vs Dcf.Model.solve" `Quick
-            test_payoffs_match_model_solve;
+          Alcotest.test_case "payoffs vs per-node solve" `Quick
+            test_payoffs_match_per_node_solve;
         ] );
       ( "permutation invariance",
         [

@@ -683,7 +683,7 @@ let names events = List.map (fun (e : T.Event.t) -> e.T.Event.name) events
 let test_solver_emits_convergence () =
   let _, _, events =
     capture (fun r ->
-        Dcf.Solver.solve ~telemetry:r params [| 32; 64; 128 |])
+        Dcf.Solver.solve_profile ~telemetry:r params [| 32; 64; 128 |])
   in
   Alcotest.(check bool) "solver_convergence emitted" true
     (List.mem "solver_convergence" (names events));
