@@ -615,9 +615,7 @@ let multihop_cmd =
       & info [ "range" ] ~docv:"METERS" ~doc:"Radio range.")
   in
   let run m nodes area range seed () =
-    let params =
-      { Dcf.Params.rts_cts with Dcf.Params.max_backoff_stage = m }
-    in
+    let params = params_of Dcf.Params.Rts_cts m in
     let walkers =
       Mobility.Waypoint.create ~seed
         { width = area; height = area; speed_min = 0.; speed_max = 5. }

@@ -26,11 +26,11 @@ let model_point ~mode ~cws =
     | `Basic -> Dcf.Params.default
     | `Rts -> Dcf.Params.rts_cts
   in
-  (* [solve_profile], not [solve]: the class-reduced profile solver is
-     what the oracle (and so the whole game stack) runs, and it is the
-     path [solve_strategies] routes degenerate inputs through.  The plain
-     per-node [solve] is a different fixed-point algorithm with different
-     round-off. *)
+  (* The CW path, [solve_profile], is what the oracle (and so the whole
+     game stack) runs.  The strategy path, [solve_strategies], must route
+     degenerate strategies to the same class engine solve and price them
+     the same way, so τ, p, utilities, goodputs and slot time agree bit
+     for bit. *)
   let legacy = Dcf.Model.solve_profile params cws in
   let multi = Dcf.Model.solve_strategies params (degenerate_strategies cws) in
   float_arrays_equal legacy.taus multi.taus

@@ -69,7 +69,15 @@ let validate t =
   @@ fun () ->
   check (t.max_backoff_stage >= 0) "max_backoff_stage must be non-negative"
   @@ fun () ->
-  check (t.cw_max >= 1) "cw_max must be at least 1" @@ fun () -> Ok ()
+  check (t.cw_max >= 1) "cw_max must be at least 1" @@ fun () ->
+  (* The largest window, cw_max·2^m, must be an int: past it [w lsl m]
+     overflows, and the per-stage loops (Newton's step, the expected
+     backoff) run through every one of m stages. *)
+  check
+    (t.max_backoff_stage < Sys.int_size
+    && t.cw_max <= max_int asr t.max_backoff_stage)
+    "max_backoff_stage too large: cw_max * 2^m must fit in an int"
+  @@ fun () -> Ok ()
 
 let pp ppf t =
   let f fmt = Format.fprintf ppf fmt in

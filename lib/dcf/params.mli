@@ -44,7 +44,8 @@ val with_mode : access_mode -> t -> t
 
 val validate : t -> (unit, string) result
 (** Check positivity/range constraints (rates, durations, g > e ≥ 0,
-    0 < δ < 1, m ≥ 0, W_max ≥ 1).  Used by the CLI before running. *)
+    0 < δ < 1, m ≥ 0, W_max ≥ 1, and the largest window W_max·2^m an
+    int: m ≤ 49 at W_max = 4096).  Used by the CLI before running. *)
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line rendering of every field with units, for the [table1]

@@ -1,4 +1,5 @@
-(** Slot-accurate simulator of saturated single-hop IEEE 802.11 DCF.
+(** Slot-accurate simulator of single-hop IEEE 802.11 DCF: the repo's one
+    contention engine, for saturated stations or Poisson traffic.
 
     This is the packet-level ground truth the analytic model abstracts: every
     node independently draws a uniform backoff in [0, 2^j·W_i − 1], counters
@@ -11,7 +12,10 @@
 
     It plays the role NS-2 plays in the paper's Sec. VII.A: regenerating the
     simulated columns of Tables II and III and validating τ, p and payoff
-    against the Markov-chain model. *)
+    against the Markov-chain model, whose stations are saturated (always
+    hold a packet).  With [arrival_rates] the same loop serves Poisson
+    arrivals into per-node queues, the below-saturation question of the
+    [load] bench. *)
 
 type config = {
   params : Dcf.Params.t;
@@ -19,6 +23,17 @@ type config = {
   duration : float;    (** simulated seconds *)
   seed : int;
 }
+
+type queue_stats = {
+  arrivals : int;             (** packets that reached the queue *)
+  backlog : int;              (** packets still queued at the horizon *)
+  mean_sojourn : float;       (** arrival → end of delivery, s (delivered only) *)
+  mean_queue_length : float;  (** time-averaged queue length *)
+  busy_fraction : float;      (** fraction of time with a non-empty queue *)
+}
+(** A node's queue under Poisson traffic.  Every packet that arrived was
+    delivered, dropped at the retry limit or is still queued:
+    [arrivals = successes + drops + backlog]. *)
 
 type node_stats = {
   attempts : int;      (** channel accesses attempted *)
@@ -29,12 +44,15 @@ type node_stats = {
   drops : int;
       (** packets discarded after exhausting the retry limit (0 when
           simulating the paper's infinite-retry chain) *)
-  tau_hat : float;     (** attempts per virtual slot — estimates τ_i *)
+  tau_hat : float;
+      (** attempts per virtual slot — estimates τ_i; 0 when no slot
+          passed *)
   p_hat : float;       (** collisions / attempts — estimates p_i *)
   payoff_rate : float;
       (** (delivered frames·g − transmitted frames·e) / time — estimates
           u_i; frames transmitted = attempts on the degenerate subspace *)
   throughput : float;  (** payload airtime fraction delivered by this node *)
+  queue : queue_stats option;  (** [None] for saturated stations *)
 }
 
 type airtime = {
@@ -47,12 +65,14 @@ type airtime = {
           0 unless [per] > 0 *)
 }
 (** Channel airtime decomposition, accumulated incrementally during the
-    run.  The four fractions sum to ≈ 1 (up to the final partial busy
-    period straddling the horizon). *)
+    run.  The four fractions sum to 1 up to rounding; under Poisson
+    traffic the idle fraction includes the time every queue was empty. *)
 
 type result = {
   time : float;        (** simulated time actually elapsed, s *)
-  slots : int;         (** number of virtual slots *)
+  slots : int;
+      (** number of virtual slots; under Poisson traffic only contention
+          slots count, those in which some node had a packet queued *)
   per_node : node_stats array;
   total_throughput : float;  (** S: summed payload fraction *)
   welfare_rate : float;      (** Σ_i payoff_rate *)
@@ -63,8 +83,31 @@ val run :
   ?telemetry:Telemetry.Registry.t ->
   ?bianchi_ticks:bool -> ?retry_limit:int -> ?per:float ->
   ?strategies:Dcf.Strategy_space.t array ->
+  ?arrival_rates:float array ->
   config -> result
 (** Simulate until [duration] simulated seconds have elapsed.
+
+    Without [arrival_rates] every station is saturated: it always holds a
+    packet, and draws its next backoff as soon as one leaves.  With
+    [arrival_rates] (packets/s per node, 0 for a silent node) packets
+    arrive at node i as a Poisson process of rate [arrival_rates.(i)] into
+    a FIFO queue, and only nodes with a queued packet contend:
+    - a node's first draw is its first inter-arrival, not a backoff;
+    - each virtual slot first queues every arrival that is due, in id
+      order; a packet reaching an empty queue schedules the next arrival,
+      then waits the node's full AIFS and a fresh stage-0 backoff;
+    - an arrival due before the idle run ends cuts it short: ⌈gap/σ⌉
+      idle slots (at least one) pass and the slot is looked at again;
+    - a delivered packet leaves its queue as its frame starts and its
+      sojourn ends with the frame; a drop at the retry limit discards the
+      head-of-line packet, a channel error keeps it queued;
+    - a node whose queue runs empty draws no backoff until its next
+      arrival, and while every queue is empty the clock jumps to the next
+      arrival.
+    Each node's {!queue_stats} is in its [queue] field.  τ̂ then counts
+    attempts per contention slot ([slots]), whether or not that node had
+    a packet queued in it.  The run summary of a Poisson run carries
+    ["traffic":"poisson"].
 
     [strategies] gives each node its full (CW, AIFS, TXOP, rate) strategy;
     each entry's [cw] must agree with [cws] (the CW array stays the
@@ -101,8 +144,8 @@ val run :
     [retry_limit] is the number of retransmissions before a packet is
     discarded (real DCF uses 4–7; default: unlimited, matching the paper's
     chain, whose stage m retries forever).  A drop resets the backoff stage
-    just like a success, and the saturated queue immediately offers the
-    next packet.
+    just like a success, and the next queued packet (at once, for a
+    saturated station) starts at stage 0.
 
     [bianchi_ticks] selects the backoff-freeze semantics.  [false]
     (default) is the real protocol: counters freeze during busy periods.
@@ -113,8 +156,12 @@ val run :
     model, which the validation tests pin down.
 
     @raise Invalid_argument on an empty network, a duration that is not
-    finite and positive, a window < 1, a [per] outside [0, 1) or NaN, or
-    a negative [retry_limit]. *)
+    finite and positive, a window < 1, a [per] outside [0, 1) or NaN, a
+    negative [retry_limit], or [arrival_rates] of the wrong length or
+    with a rate that is negative, NaN or infinite.  Under Poisson traffic
+    it also refuses [txop_frames > 1] (the airtime of a burst cut short by
+    an emptied queue is not modelled) and [bianchi_ticks] (the chain's
+    convention is defined for saturated stations). *)
 
 val estimates :
   ?telemetry:Telemetry.Registry.t ->

@@ -1,12 +1,13 @@
-(** Unsaturated single-hop DCF: Poisson arrivals and per-node queues.
+(** Unsaturated single-hop DCF: Poisson arrivals and per-node queues, as a
+    view of {!Slotted.run}[ ~arrival_rates], kept for its callers.
 
     The paper (like Bianchi's model) assumes saturation — every node always
-    has a packet ready.  This simulator relaxes that: packets arrive at
-    node i as a Poisson process of rate [arrival_rates.(i)]; a node
-    contends only while its queue is non-empty, drawing a fresh stage-0
-    backoff when a packet reaches the head of an idle queue.  Everything
-    else (virtual slots, collisions, exponential backoff) matches
-    {!module:Slotted}.
+    has a packet ready.  Here packets arrive at node i as a Poisson process
+    of rate [arrival_rates.(i)], and a node contends only while its queue
+    is non-empty (the rules are listed at {!Slotted.run}).  This view runs
+    the CW-only subspace with unlimited retries and a perfect channel;
+    call {!Slotted.run} directly for strategies, retry limits, channel
+    noise, airtime or recorder instants under Poisson traffic.
 
     The interesting game-theoretic question it answers: how much does the
     contention window matter below saturation?  (Answer: hardly at all
@@ -39,16 +40,10 @@ type result = {
 }
 
 val run : config -> result
-(** @raise Invalid_argument on length mismatches, rates that are negative,
-    infinite or NaN, windows < 1, or a duration that is not finite and
-    positive. *)
+(** @raise Invalid_argument as {!Slotted.run} does: on length mismatches,
+    rates that are negative, infinite or NaN, windows < 1, or a duration
+    that is not finite and positive. *)
 
 val saturation_rate : Dcf.Params.t -> n:int -> w:int -> float
 (** The per-node saturation departure rate τ(1−p)/T̄slot (packets/s) — the
     capacity against which an offered load should be compared. *)
-
-val utilization : Dcf.Params.t -> n:int -> w:int -> arrival_rate:float -> float
-(** Offered-load heuristic ρ = λ / {!saturation_rate}; queues are stable
-    roughly when ρ < 1 (the saturation service rate is pessimistic below
-    saturation, so ρ < 1 is conservative).
-    @raise Invalid_argument on a negative, infinite or NaN rate. *)

@@ -56,6 +56,10 @@ refused solve 0
 refused trace record --capacity 3 -o "$dir/trace.bin"
 refused sim -n 0
 refused ne --backend slotted --replicates 0
+# A stage count whose largest window, cw_max*2^m, is not an int: both
+# commands loop over every stage, so it must be refused before they run.
+refused solve -m 100000000000 16 32
+refused delay -m 100000000000 -n 5
 
 for admin in "store stats" "store compact" "cache stats" "cache gc"; do
   # Unquoted on purpose: "store stats" is a command and its subcommand.

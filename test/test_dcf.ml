@@ -53,6 +53,19 @@ let test_validate_rejects_bad_fields () =
   expect_invalid { default with cw_max = 0 };
   expect_invalid { default with stage_duration = 0. }
 
+let test_validate_bounds_largest_window () =
+  (* cw_max·2^m must be an int: 2^12·2^49 is, 2^12·2^50 is not. *)
+  let accepts params =
+    match Dcf.Params.validate params with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "m = %d rejected: %s" params.max_backoff_stage e
+  in
+  accepts { default with max_backoff_stage = 49 };
+  expect_invalid { default with max_backoff_stage = 50 };
+  accepts { default with cw_max = 1; max_backoff_stage = 61 };
+  expect_invalid { default with cw_max = 1; max_backoff_stage = 62 };
+  expect_invalid { default with cw_max = 1; max_backoff_stage = max_int }
+
 let test_with_mode () =
   Alcotest.(check bool) "switches" true
     ((Dcf.Params.with_mode Dcf.Params.Rts_cts default).mode = Dcf.Params.Rts_cts)
@@ -440,6 +453,7 @@ let suite_params =
     Alcotest.test_case "defaults = Table I" `Quick test_default_is_table1;
     Alcotest.test_case "validate accepts defaults" `Quick test_validate_accepts_default;
     Alcotest.test_case "validate rejects bad fields" `Quick test_validate_rejects_bad_fields;
+    Alcotest.test_case "validate bounds the largest window" `Quick test_validate_bounds_largest_window;
     Alcotest.test_case "with_mode" `Quick test_with_mode;
     Alcotest.test_case "pp renders" `Quick test_pp_renders;
   ]

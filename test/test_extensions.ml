@@ -698,12 +698,9 @@ let test_unsaturated_sojourn_grows_with_load =
       let at r = (unsat ~n:5 ~w:79 ~rate:r ~duration:100. ()).per_node.(0).mean_sojourn in
       at rate <= at (rate +. 2.) +. 1e-3)
 
-let test_unsaturated_capacity_and_utilization () =
+let test_unsaturated_capacity () =
   let cap = Netsim.Unsaturated.saturation_rate default ~n:10 ~w:166 in
   Alcotest.(check bool) "positive capacity" true (cap > 0.);
-  check_close ~eps:1e-9 "utilization is the ratio" 0.5
-    (Netsim.Unsaturated.utilization default ~n:10 ~w:166
-       ~arrival_rate:(cap /. 2.));
   (* The measured saturated departure rate should match the analytic one. *)
   let r =
     Netsim.Slotted.run
@@ -770,7 +767,7 @@ let test_unsaturated_validation () =
          })
   in
   Alcotest.check_raises "negative rate"
-    (Invalid_argument "Unsaturated.run: negative arrival rate") (fun () ->
+    (Invalid_argument "Slotted.run: negative arrival rate") (fun () ->
       run (-1.));
   (* A NaN rate used to loop forever, an infinite one to grow its queue
      until the heap ran out, and a NaN duration to return NaN stats. *)
@@ -778,25 +775,136 @@ let test_unsaturated_validation () =
     (fun rate ->
       Alcotest.check_raises
         (Printf.sprintf "rate %h" rate)
-        (Invalid_argument "Unsaturated.run: arrival rate must be finite")
+        (Invalid_argument "Slotted.run: arrival rate must be finite")
         (fun () -> run rate))
     [ nan; infinity ];
   Alcotest.check_raises "nan duration"
-    (Invalid_argument "Unsaturated.run: duration must be positive") (fun () ->
+    (Invalid_argument "Slotted.run: duration must be positive") (fun () ->
       run ~duration:nan 1.);
   Alcotest.check_raises "infinite duration"
-    (Invalid_argument "Unsaturated.run: duration must be finite") (fun () ->
-      run ~duration:infinity 1.);
-  List.iter
-    (fun rate ->
-      Alcotest.check_raises
-        (Printf.sprintf "utilization %h" rate)
-        (Invalid_argument "Unsaturated.utilization: rate must be finite")
-        (fun () ->
-          ignore
-            (Netsim.Unsaturated.utilization default ~n:5 ~w:32
-               ~arrival_rate:rate)))
-    [ nan; infinity ]
+    (Invalid_argument "Slotted.run: duration must be finite") (fun () ->
+      run ~duration:infinity 1.)
+
+(* {1 Poisson traffic through Slotted.run}
+
+   What Poisson runs gain from sharing the saturated engine: retry
+   limits, channel noise, AIFS strategies, airtime accounting, recorder
+   instants and the run summary. *)
+
+(* [load] times the per-node saturation rate on [n] nodes of window [w]. *)
+let poisson ?retry_limit ?per ?strategies ?(duration = 20.) ~n ~w ~load () =
+  let rate = load *. Netsim.Unsaturated.saturation_rate default ~n ~w in
+  Netsim.Slotted.run
+    ~telemetry:(Telemetry.Registry.create ())
+    ?retry_limit ?per ?strategies
+    ~arrival_rates:(Array.make n rate)
+    { params = default; cws = Array.make n w; duration; seed = 11 }
+
+let total_of f (r : Netsim.Slotted.result) =
+  Array.fold_left (fun acc s -> acc + f s) 0 r.per_node
+
+let check_airtime_balance (r : Netsim.Slotted.result) =
+  let a = r.airtime in
+  Alcotest.(check (float 1e-9)) "airtime fractions sum to 1" 1.
+    (a.idle_fraction +. a.success_fraction +. a.collision_fraction
+   +. a.error_fraction)
+
+(* Every packet that arrived was delivered, dropped or is still queued. *)
+let check_packets_conserved (r : Netsim.Slotted.result) =
+  Array.iteri
+    (fun i (s : Netsim.Slotted.node_stats) ->
+      match s.queue with
+      | None -> Alcotest.fail "a Poisson run without queue statistics"
+      | Some q ->
+          Alcotest.(check int)
+            (Printf.sprintf "node %d: arrivals = delivered + drops + backlog"
+               i)
+            q.arrivals
+            (s.successes + s.drops + q.backlog))
+    r.per_node
+
+let test_poisson_retry_limit_drops () =
+  let r = poisson ~retry_limit:0 ~n:10 ~w:128 ~load:1.5 () in
+  let drops = total_of (fun (s : Netsim.Slotted.node_stats) -> s.drops) r in
+  Alcotest.(check bool) (Printf.sprintf "%d drops" drops) true (drops > 0);
+  check_packets_conserved r;
+  check_airtime_balance r
+
+let test_poisson_channel_noise () =
+  let r = poisson ~per:0.2 ~retry_limit:2 ~n:10 ~w:128 ~load:0.8 () in
+  Alcotest.(check bool)
+    (Printf.sprintf "error fraction %.3f" r.airtime.error_fraction)
+    true
+    (r.airtime.error_fraction > 0.);
+  check_packets_conserved r;
+  check_airtime_balance r
+
+let test_poisson_aifs_costs_deliveries () =
+  (* Above saturation, the node that defers three extra slots after every
+     busy period wins fewer accesses than its nine AIFS-0 peers. *)
+  let n = 10 and w = 128 in
+  let strategies =
+    Array.init n (fun i ->
+        { (Dcf.Strategy_space.of_cw w) with aifs = (if i = 0 then 3 else 0) })
+  in
+  let r = poisson ~strategies ~n ~w ~load:1.5 () in
+  let peers =
+    float_of_int
+      (total_of (fun (s : Netsim.Slotted.node_stats) -> s.successes) r
+      - r.per_node.(0).successes)
+    /. float_of_int (n - 1)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "AIFS 3 delivers %d, AIFS 0 peers %.1f on average"
+       r.per_node.(0).successes peers)
+    true
+    (float_of_int r.per_node.(0).successes < peers);
+  check_packets_conserved r;
+  check_airtime_balance r
+
+let test_poisson_refusals () =
+  let config =
+    { Netsim.Slotted.params = default; cws = [| 8; 8 |]; duration = 1.; seed = 0 }
+  in
+  let arrival_rates = [| 1.; 1. |] in
+  let refused name msg f =
+    Alcotest.check_raises name (Invalid_argument ("Slotted.run: " ^ msg))
+      (fun () -> ignore (f ()))
+  in
+  refused "TXOP burst" "txop_frames > 1 needs saturated traffic" (fun () ->
+      Netsim.Slotted.run ~arrival_rates
+        ~strategies:
+          [|
+            { (Dcf.Strategy_space.of_cw 8) with txop_frames = 2 };
+            Dcf.Strategy_space.of_cw 8;
+          |]
+        config);
+  refused "chain ticks" "bianchi_ticks needs saturated traffic" (fun () ->
+      Netsim.Slotted.run ~arrival_rates ~bianchi_ticks:true config);
+  refused "length" "arrival_rates length mismatch" (fun () ->
+      Netsim.Slotted.run ~arrival_rates:[| 1. |] config);
+  (* Every rate 0: no contention slot passes, and the estimates read 0,
+     not NaN. *)
+  let registry = Telemetry.Registry.create () in
+  let sink, events = Telemetry.Sink.memory () in
+  Telemetry.Registry.add_sink registry sink;
+  let silent =
+    Netsim.Slotted.run ~telemetry:registry ~arrival_rates:[| 0.; 0. |] config
+  in
+  Alcotest.(check int) "no contention slot" 0 silent.slots;
+  Array.iter
+    (fun (s : Netsim.Slotted.node_stats) ->
+      Alcotest.(check (float 0.)) "tau_hat" 0. s.tau_hat;
+      Alcotest.(check (float 0.)) "p_hat" 0. s.p_hat)
+    silent.per_node;
+  Alcotest.(check (float 0.)) "all idle" 1. silent.airtime.idle_fraction;
+  (* Only a Poisson run's summary names its traffic. *)
+  ignore (Netsim.Slotted.run ~telemetry:registry config);
+  match
+    List.map (fun e -> Telemetry.Event.field "traffic" e) (events ())
+  with
+  | [ Some (Telemetry.Jsonx.String "poisson"); None ] -> ()
+  | _ -> Alcotest.fail "want traffic=poisson on the Poisson run only"
 
 (* {1 Simulator events in the flight recorder} *)
 
@@ -861,6 +969,21 @@ let test_trace_records_simulation_events () =
         st.successes
         (List.length (List.filter (fun (_, _, b) -> b = node) successes)))
     r.per_node
+
+let test_poisson_recorder_instants () =
+  let r, instants =
+    recorded (fun () ->
+        poisson ~retry_limit:1 ~n:5 ~w:32 ~load:1.2 ~duration:5. ())
+  in
+  let drops = total_of (fun (s : Netsim.Slotted.node_stats) -> s.drops) r in
+  Alcotest.(check int) "one success instant per delivered packet"
+    (total_of (fun (s : Netsim.Slotted.node_stats) -> s.successes) r)
+    (count "slotted.success" instants);
+  Alcotest.(check bool) (Printf.sprintf "%d drops" drops) true (drops > 0);
+  Alcotest.(check int) "one drop instant per drop" drops
+    (count "slotted.drop" instants);
+  check_packets_conserved r;
+  check_airtime_balance r
 
 let test_trace_events_are_chronological () =
   let (_ : Netsim.Slotted.result), instants =
@@ -944,11 +1067,16 @@ let suite_unsaturated =
     Alcotest.test_case "light-load sojourn" `Quick test_unsaturated_light_load_sojourn_close_to_service_time;
     Alcotest.test_case "overload = saturation" `Slow test_unsaturated_overload_behaves_like_saturation;
     QCheck_alcotest.to_alcotest test_unsaturated_sojourn_grows_with_load;
-    Alcotest.test_case "capacity and utilization" `Slow test_unsaturated_capacity_and_utilization;
+    Alcotest.test_case "capacity" `Slow test_unsaturated_capacity;
     Alcotest.test_case "channel noise degrades welfare" `Quick test_slotted_per_degrades_welfare;
     Alcotest.test_case "channel noise = p_hn factor" `Slow test_slotted_per_matches_p_hn_model;
     Alcotest.test_case "per validation" `Quick test_slotted_per_validation;
     Alcotest.test_case "validation" `Quick test_unsaturated_validation;
+    Alcotest.test_case "poisson retry-limit drops" `Quick test_poisson_retry_limit_drops;
+    Alcotest.test_case "poisson channel noise" `Quick test_poisson_channel_noise;
+    Alcotest.test_case "poisson AIFS costs deliveries" `Quick test_poisson_aifs_costs_deliveries;
+    Alcotest.test_case "poisson recorder instants" `Quick test_poisson_recorder_instants;
+    Alcotest.test_case "poisson refusals" `Quick test_poisson_refusals;
   ]
 
 let suite_special =

@@ -728,6 +728,23 @@ let test_contention_loops_allocation_free () =
           duration;
           seed = 7;
         })
+    30.;
+  (* The same bound with AIFS 0-2 strategies, retry limit 3 and channel
+     noise through the engine's Poisson source. *)
+  let strategies =
+    Array.init 10 (fun i ->
+        { (Dcf.Strategy_space.of_cw 128) with aifs = i mod 3 })
+  in
+  check_allocation_free ~limit:12. ~unit:"delivered packets"
+    "Slotted.run Poisson load 0.6 strategies"
+    (fun (r : Netsim.Slotted.result) ->
+      Array.fold_left
+        (fun acc (s : Netsim.Slotted.node_stats) -> acc + s.successes)
+        0 r.per_node)
+    (fun duration ->
+      Netsim.Slotted.run ~telemetry:(quiet ()) ~strategies ~retry_limit:3
+        ~per:0.1 ~arrival_rates:(Array.make 10 rate)
+        { params = default; cws = Array.make 10 128; duration; seed = 8 })
     30.
 
 (* {1 Airtime conservation} *)
