@@ -69,19 +69,6 @@ let tests =
         (Staged.stage
            (let classes = List.init 50 (fun i -> (2 + i, 1)) in
             fun () -> ignore (Dcf.Solver.solve_classes params classes)));
-      (* Batched sweep kernel: a 64-point deviant-CW column (one scanning
-         strategy against 19 conformers) through solve_batch, so every
-         point after the first starts from its neighbour's τ vector. *)
-      Test.make ~name:"batch_sweep_cw64"
-        (Staged.stage
-           (let problems =
-              Array.init 64 (fun i ->
-                  [
-                    (Dcf.Strategy_space.of_cw (32 + (2 * i)), 1);
-                    (Dcf.Strategy_space.of_cw 128, 19);
-                  ])
-            in
-            fun () -> ignore (Dcf.Solver.solve_batch params problems)));
       (* Figures 2-3 kernel: one welfare evaluation, cold (a fresh oracle
          per call, so the fixed point is actually solved every time). *)
       Test.make ~name:"welfare_point_n20"
@@ -339,7 +326,7 @@ let tests =
         ~allocate:(fun () ->
           let dir, store = store_with_rows 1 in
           let key = ref "" in
-          Store.iter store (fun ~key:k _ -> key := k);
+          Store.iter store (fun k -> key := k);
           (dir, store, !key))
         ~free:(fun (dir, store, _) ->
           Store.close store;
@@ -458,7 +445,7 @@ let kernel_ns json =
    shared machines is real — so tripping it means the kernel genuinely
    lost its edge.  Guarded: every spatial kernel — the event-core ones
    and the grid/scan/sharded scale ones — the slotted and unsaturated
-   contention loops, the Newton/batch solver kernels, the warm and cold
+   contention loops, the Newton solver kernel, the warm and cold
    serving kernels, whose time is mostly request parsing and reply
    rendering, the cold payoff leaf, and a memo hit among 3 000
    one-deviant profiles. *)
@@ -469,7 +456,6 @@ let guarded_kernel name =
          "slotted_sim_1s_n10";
          "unsaturated_sim_1s_n10";
          "newton_cold_n50";
-         "batch_sweep_cw64";
          "serve_handle_line_warm";
          "serve_handle_line_cold";
          "serve_payoff_leaf_cold";

@@ -216,10 +216,10 @@ let backend_of backend replicates duration seed =
   | `Slotted -> Macgame.Oracle.Sim_slotted cfg
   | `Spatial -> Macgame.Oracle.Sim_spatial cfg
 
-let oracle_of ?store ?warm_start backend replicates duration seed params =
+let oracle_of ?store backend replicates duration seed params =
   Macgame.Oracle.create
     ~backend:(backend_of backend replicates duration seed)
-    ?store ?warm_start params
+    ?store params
 
 (* Evaluates to [Dcf.Params.t -> Macgame.Oracle.t]: the subcommand builds
    its params from --mode/-m first, then closes the oracle over them. *)
@@ -229,13 +229,13 @@ let oracle_term =
         oracle_of backend replicates duration seed)
     $ backend_t $ replicates_t $ sim_duration_t $ sim_seed_t)
 
-(* The serving variant additionally threads a store and the warm-start
-   switch into the oracle (plain, not optional, arguments — optional args
-   do not travel well through cmdliner terms). *)
+(* The serving variant additionally threads a store into the oracle (a
+   plain, not optional, argument — optional args do not travel well
+   through cmdliner terms). *)
 let serving_oracle_term =
   Term.(
-    const (fun backend replicates duration seed store warm_start params ->
-        oracle_of ?store ~warm_start backend replicates duration seed params)
+    const (fun backend replicates duration seed store params ->
+        oracle_of ?store backend replicates duration seed params)
     $ backend_t $ replicates_t $ sim_duration_t $ sim_seed_t)
 
 (* {1 solve} *)
@@ -903,18 +903,8 @@ let serve_cmd =
             "Exit after serving $(docv) socket connections (for tests and \
              benches; default: serve forever).")
   in
-  let warm_start_t =
-    Arg.(
-      value & flag
-      & info [ "warm-start" ]
-          ~doc:
-            "Seed analytic solves from the nearest already-solved (n, W) \
-             neighbour (loaded from the store at open).  Cuts cold-solve \
-             iterations; answers agree with cold solves at tolerance \
-             level rather than bit level.")
-  in
   let run mode m store socket use_stdin max_inflight max_connections
-      warm_start mk_oracle () =
+      mk_oracle () =
     let params = params_of mode m in
     let store =
       Option.map
@@ -928,7 +918,7 @@ let serve_cmd =
     Fun.protect
       ~finally:(fun () -> Option.iter Store.close store)
       (fun () ->
-        let oracle = mk_oracle store warm_start params in
+        let oracle = mk_oracle store params in
         let server = Serve.Server.create oracle in
         match (socket, use_stdin) with
         | Some _, true ->
@@ -949,8 +939,7 @@ let serve_cmd =
     (instrumented
        Term.(
          const run $ mode_t $ backoff_t $ store_t $ socket_t $ stdin_t
-         $ max_inflight_t $ max_connections_t $ warm_start_t
-         $ serving_oracle_term))
+         $ max_inflight_t $ max_connections_t $ serving_oracle_term))
 
 (* {1 cache}
 

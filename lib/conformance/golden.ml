@@ -357,7 +357,7 @@ let class_solver () =
   in
   (* A sweep column: class 0's window steps 40, 48, ..., 160 beside five
      fixed strategy classes; the last four points drop the final class,
-     so the batch also matches warm starts by strategy. *)
+     so the class shape changes once. *)
   let column =
     Array.init 16 (fun k ->
         let fixed = List.tl (strategy_classes 6) in
@@ -365,12 +365,6 @@ let class_solver () =
           if k < 12 then fixed else List.filteri (fun i _ -> i < 4) fixed
         in
         (Dcf.Strategy_space.of_cw (40 + (8 * k)), 2) :: fixed)
-  in
-  let batch =
-    Array.to_list
-      (Array.mapi
-         (fun k sol -> class_record (Printf.sprintf "batch.k%02d" k) sol)
-         (Dcf.Solver.solve_batch Dcf.Params.default column))
   in
   (* Hints for two of five windows; 700's is outside (0, 1), so ignored. *)
   let cws = [| 700; 32; 48; 100; 48; 300; 100; 700; 100 |] in
@@ -399,15 +393,23 @@ let class_solver () =
   in
   (* Cold oracle rows: a fresh oracle per profile, classes of 1, 2 and 3
      nodes, profiles in unsorted order. *)
-  let payoff_record id ?p_hn params profile =
-    let oracle = Macgame.Oracle.create ?p_hn params in
-    let payoffs, tier = Macgame.Oracle.payoffs_profile_outcome oracle profile in
+  let outcome_record id (payoffs, tier) =
     Obj
       [
         ("id", String id);
         ("tier", String (Macgame.Oracle.tier_name tier));
         ("payoffs", floats payoffs);
       ]
+  in
+  let payoff_record id ?p_hn params profile =
+    outcome_record id
+      (Macgame.Oracle.payoffs_profile_outcome
+         (Macgame.Oracle.create ?p_hn params)
+         profile)
+  in
+  let nodes_of classes =
+    Array.of_list
+      (List.concat_map (fun (s, k) -> List.init k (fun _ -> s)) classes)
   in
   let of_classes c =
     Macgame.Profile.of_cws
@@ -427,13 +429,34 @@ let class_solver () =
       payoff_record "oracle.rts.p_hn0.7" ~p_hn:0.7 Dcf.Params.rts_cts
         (of_classes 9);
       payoff_record "oracle.strategies" Dcf.Params.default
-        (Array.of_list
-           (List.concat_map
-              (fun (s, k) -> List.init k (fun _ -> s))
-              (strategy_classes ~w_of:(fun ~c:_ j -> 24 + (16 * j)) 7)));
+        (nodes_of (strategy_classes ~w_of:(fun ~c:_ j -> 24 + (16 * j)) 7));
     ]
   in
-  classes @ strategies @ batch @ profiles @ oracle_rows
+  (* Batch contexts: each column runs in order through one [Oracle.batch]
+     on a fresh analytic oracle, so every point after the first starts
+     from the class τs solved before it.  The multi-knob column is the
+     sweep column above as node profiles; the CW-only one steps a deviant
+     window beside fixed ones.  Both analytic branches of the oracle's
+     profile solve thus run with a hint, and the hint order sets the low
+     bits pinned here. *)
+  let batch_column label profiles =
+    let oracle = Macgame.Oracle.analytic Dcf.Params.default in
+    let batch = Macgame.Oracle.batch oracle in
+    List.mapi
+      (fun k profile ->
+        outcome_record
+          (Printf.sprintf "oracle.batch.%sk%02d" label k)
+          (Macgame.Oracle.payoffs_profile_outcome ~batch oracle profile))
+      profiles
+  in
+  let oracle_batch =
+    batch_column "" (Array.to_list (Array.map nodes_of column))
+    @ batch_column "cw."
+        (List.init 8 (fun k ->
+             Macgame.Profile.of_cws
+               [| 64; 128; 24 + (4 * k); 64; 256; 128; 128 |]))
+  in
+  classes @ strategies @ profiles @ oracle_rows @ oracle_batch
 
 let snapshots () =
   [

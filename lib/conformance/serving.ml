@@ -41,6 +41,15 @@ let result_float field reply =
   | Some v -> v
   | None -> nan
 
+let result_floats field reply =
+  match Option.bind (Jx.member "result" reply) (Jx.member field) with
+  | Some (Jx.List items) ->
+      Array.of_list
+        (List.map
+           (fun v -> Option.value (Jx.to_float_opt v) ~default:nan)
+           items)
+  | _ -> [||]
+
 let grid = [ (2, 16); (2, 64); (5, 32); (5, 128); (10, 32); (10, 256) ]
 let profile = [| 16; 32; 32; 64 |]
 
@@ -58,7 +67,7 @@ let payoff_line profile =
 
 (* Served answers must be bit-identical to direct oracle evaluation: the
    wire format renders floats at full precision and the server evaluates
-   through the same oracle code path (warm start off). *)
+   through the same oracle code path (single requests solve cold). *)
 let bitmatch_uniform ?telemetry () =
   let params = Dcf.Params.default in
   let server = Serve.Server.create (Macgame.Oracle.analytic params) in
@@ -101,15 +110,7 @@ let bitmatch_payoff ?telemetry () =
   let server = Serve.Server.create (Macgame.Oracle.analytic params) in
   let direct = Macgame.Oracle.payoffs (Macgame.Oracle.analytic params) profile in
   let reply = ask server (payoff_line profile) in
-  let served =
-    match
-      Option.bind (Jx.member "result" reply) (fun r -> Jx.member "payoffs" r)
-    with
-    | Some (Jx.List items) ->
-        Array.of_list
-          (List.map (fun v -> Option.value (Jx.to_float_opt v) ~default:nan) items)
-    | _ -> [||]
-  in
+  let served = result_floats "payoffs" reply in
   let ok =
     reply_ok reply
     && Array.length served = Array.length direct
@@ -182,58 +183,70 @@ let restart_store_tier ?telemetry () =
       Check.emit ?telemetry check;
       check)
 
-(* Warm-started solves trade bit-identity for iterations; the trade is
-   only sound if the answers stay within a strict tolerance of the cold
-   solve.  1e-9 relative is ~5 orders of magnitude above double noise and
-   ~5 below anything the game layer can distinguish. *)
-let warmstart_anchor ?telemetry () =
-  with_temp_dir (fun dir ->
-      let params = Dcf.Params.default in
-      let tol = 1e-9 in
-      let n = 5 in
-      let cold = Macgame.Oracle.analytic params in
-      let used =
-        Telemetry.Registry.counter Telemetry.Registry.default
-          "oracle.warmstart.used"
-      in
-      let used_before = Telemetry.Metric.count used in
-      let warm_taus =
-        Store.with_store dir (fun store ->
-            (* Populate the neighbour table: solve w = 64 cold, then ask a
-               warm-started oracle (sharing the store) for nearby windows. *)
-            ignore
-              (Macgame.Oracle.uniform
-                 (Macgame.Oracle.create ~backend:Analytic ~store params)
-                 ~n ~w:64);
-            let warm =
-              Macgame.Oracle.create ~backend:Analytic ~store
-                ~warm_start:true params
-            in
-            List.map
-              (fun w -> (w, (Macgame.Oracle.uniform warm ~n ~w).tau))
-              [ 48; 96; 128 ])
-      in
-      let fired = Telemetry.Metric.count used - used_before in
-      let worst =
-        List.fold_left
-          (fun acc (w, warm_tau) ->
-            let cold_tau = (Macgame.Oracle.uniform cold ~n ~w).tau in
-            Float.max acc
-              (Float.abs (warm_tau -. cold_tau) /. (tol *. Float.abs cold_tau)))
-          0. warm_taus
-      in
-      (* A vacuous pass (no solve actually warm-started) must fail: the
-         anchor exists to bound the warm path, not the cold one. *)
-      let margin = if fired < List.length warm_taus then infinity else worst in
-      Check.v ~id:"serving.warmstart.anchor" ~group:"serving"
-        ~detail:
-          (Printf.sprintf
-             "%d warm-started solves within %.0e relative of cold (n=%d)"
-             fired tol n)
-        ~margin ()
-      |> fun check ->
-      Check.emit ?telemetry check;
-      check)
+(* A batch envelope's members warm-start from the class τs solved before
+   them, trading bit-identity for iterations; the trade is only sound if
+   every answer stays within a strict tolerance of the cold solve.  1e-9
+   relative is ~5 orders of magnitude above double noise and ~5 below
+   anything the game layer can distinguish.  The envelope is shaped like
+   the serve_cold benchmark's: one class's window steps by 1 across 8
+   payoff members beside fixed classes. *)
+let batch_anchor ?telemetry () =
+  let params = Dcf.Params.default in
+  let tol = 1e-9 in
+  let registry = Telemetry.Registry.create () in
+  let server =
+    Serve.Server.create (Macgame.Oracle.create ~telemetry:registry params)
+  in
+  let members =
+    List.init 8 (fun k -> [| 500; 64 + k; 33; 900; 64 + k; 500; 128 |])
+  in
+  let reply =
+    ask server
+      (Printf.sprintf "{\"op\":\"batch\",\"requests\":[%s]}"
+         (String.concat "," (List.map payoff_line members)))
+  in
+  let replies =
+    match Option.bind (Jx.member "result" reply) (Jx.member "replies") with
+    | Some (Jx.List replies) -> replies
+    | _ -> []
+  in
+  let cold = Macgame.Oracle.analytic params in
+  let gap member reply =
+    let served = result_floats "payoffs" reply in
+    let direct = Macgame.Oracle.payoffs cold member in
+    if not (reply_ok reply && Array.length served = Array.length direct) then
+      infinity
+    else
+      Array.fold_left Float.max 0.
+        (Array.map2
+           (fun u c -> Float.abs (u -. c) /. Float.abs c)
+           served direct)
+  in
+  let worst =
+    if List.length replies <> List.length members then infinity
+    else
+      List.fold_left2
+        (fun acc m r -> Float.max acc (gap m r))
+        0. members replies
+  in
+  let warm =
+    Telemetry.Metric.observations
+      (Telemetry.Registry.histogram registry "oracle.solve.iterations.warm")
+  in
+  (* A vacuous pass (no member actually warm-started) must fail: the
+     anchor exists to bound the warm path, not the cold one. *)
+  let margin =
+    if warm < List.length members - 1 then infinity else worst /. tol
+  in
+  Check.v ~id:"serving.batch.anchor" ~group:"serving"
+    ~detail:
+      (Printf.sprintf
+         "%d batch-warm solves of %d members within %.0e relative of cold"
+         warm (List.length members) tol)
+    ~margin ()
+  |> fun check ->
+  Check.emit ?telemetry check;
+  check
 
 (* Malformed input must produce error replies, never exceptions and never
    [ok: true]. *)
@@ -280,6 +293,6 @@ let checks ?telemetry ~tier () =
       bitmatch_uniform ?telemetry ();
       bitmatch_payoff ?telemetry ();
       restart_store_tier ?telemetry ();
-      warmstart_anchor ?telemetry ();
+      batch_anchor ?telemetry ();
       error_replies ?telemetry ();
     ]

@@ -54,7 +54,6 @@ type t = {
   solves : Telemetry.Metric.counter;
   store_hits : Telemetry.Metric.counter;
   store_misses : Telemetry.Metric.counter;
-  warm_used : Telemetry.Metric.counter;
   nonconverged : Telemetry.Metric.counter;
   warm_iters : Telemetry.Metric.histogram;
   cold_iters : Telemetry.Metric.histogram;
@@ -71,13 +70,6 @@ type t = {
      without a store may never need its identity.  Forced on first store
      access or [identity] call. *)
   store_prefix : string Lazy.t;
-  warm_start : bool;
-  (* (n, w) → τ of every degenerate uniform solution this oracle can reach
-     without solving: persisted store rows loaded at open plus everything
-     memoized since.  The warm-start neighbour search scans this table,
-     so a fresh process inherits the whole fleet's solved grid as
-     starting points. *)
-  neighbor_taus : (int * int, float) Hashtbl.t;
 }
 
 (* Flight-recorder names, interned once (intern takes a lock).  Payload
@@ -162,29 +154,6 @@ let uniform_store_key t ~n ~s =
 let profile_store_key t sorted =
   profile_repr (Lazy.force t.store_prefix) "|profile|" sorted
 
-(* Parse (n, w) back out of a degenerate uniform store key — used once, at
-   open, to seed the neighbour table from persisted rows.  Multi-knob
-   uniform rows use the "|s=" tail and are deliberately not parsed: the
-   warm-start neighbour model predicts τ from windows alone. *)
-let parse_uniform_key ~prefix key =
-  let marker = prefix ^ "|uniform|n=" in
-  let mlen = String.length marker in
-  if String.length key > mlen && String.sub key 0 mlen = marker then
-    match
-      String.split_on_char '|'
-        (String.sub key mlen (String.length key - mlen))
-    with
-    | [ n_part; w_part ] when String.length w_part > 2 ->
-        Option.bind (int_of_string_opt n_part) (fun n ->
-            if String.sub w_part 0 2 = "w=" then
-              Option.map
-                (fun w -> (n, w))
-                (int_of_string_opt
-                   (String.sub w_part 2 (String.length w_part - 2)))
-            else None)
-    | _ -> None
-  else None
-
 let view_to_json (v : uniform_view) =
   Telemetry.Jsonx.Obj
     [
@@ -253,8 +222,7 @@ let classes_of_json json =
   | _ -> None
 
 let create ?(telemetry = Telemetry.Registry.default) ?p_hn
-    ?(backend = Analytic) ?store ?(warm_start = false) ?solver_max_iter
-    (params : Dcf.Params.t) =
+    ?(backend = Analytic) ?store ?solver_max_iter (params : Dcf.Params.t) =
   validate_backend backend;
   (match solver_max_iter with
   | Some i when i < 1 ->
@@ -264,20 +232,15 @@ let create ?(telemetry = Telemetry.Registry.default) ?p_hn
   | Some f when not (f > 0. && f <= 1.) ->
       invalid_arg "Oracle.create: p_hn must be in (0, 1]"
   | _ -> ());
-  let store_prefix = lazy (store_prefix_of ~params ~p_hn ~backend) in
-  let neighbor_taus = Hashtbl.create 64 in
-  (* Inherit the persisted grid as warm-start seeds.  The rows themselves
-     stay out of the memo — a first-touch answer served from disk must be
-     attributable to the store tier, not mistaken for a memo hit.  A v1
-     row anywhere in the store poisons the open: refuse it loudly rather
-     than leave entries the v2 schema can never address.  Only the
-     uniform rows are parsed. *)
+  (* A v1 row anywhere in the store poisons the open: refuse it loudly
+     rather than leave entries the v2 schema can never address.  The scan
+     reads keys only.  Rows stay out of the memo, so a first-touch answer
+     served from disk is attributed to the store tier, not mistaken for a
+     memo hit. *)
   Option.iter
     (fun s ->
-      Store.iter s (fun ~key value ->
-          let klen = String.length key in
-          let plen = String.length v1_prefix in
-          if klen >= plen && String.sub key 0 plen = v1_prefix then
+      Store.iter s (fun key ->
+          if String.starts_with ~prefix:v1_prefix key then
             raise
               (Store.Corrupt
                  (Printf.sprintf
@@ -285,13 +248,7 @@ let create ?(telemetry = Telemetry.Registry.default) ?p_hn
                      profiles) predates multi-knob strategies and cannot be \
                      reinterpreted; delete the row or regenerate the store \
                      under oracle|v2"
-                    key));
-          match parse_uniform_key ~prefix:(Lazy.force store_prefix) key with
-          | Some (n, w) ->
-              Option.iter
-                (fun v -> Hashtbl.replace neighbor_taus (n, w) v.tau)
-                (view_of_json (Lazy.force value))
-          | None -> ()))
+                    key))))
     store;
   {
     params;
@@ -303,7 +260,6 @@ let create ?(telemetry = Telemetry.Registry.default) ?p_hn
     solves = Telemetry.Registry.counter telemetry "oracle.cache.solves";
     store_hits = Telemetry.Registry.counter telemetry "oracle.store.hits";
     store_misses = Telemetry.Registry.counter telemetry "oracle.store.misses";
-    warm_used = Telemetry.Registry.counter telemetry "oracle.warmstart.used";
     nonconverged =
       Telemetry.Registry.counter telemetry "oracle.solve.nonconverged";
     solver_max_iter;
@@ -315,9 +271,7 @@ let create ?(telemetry = Telemetry.Registry.default) ?p_hn
     uniform_memo = Uniform_memo.create 64;
     profile_memo = Profile_memo.create 64;
     store;
-    store_prefix;
-    warm_start;
-    neighbor_taus;
+    store_prefix = lazy (store_prefix_of ~params ~p_hn ~backend);
   }
 
 let analytic ?telemetry ?p_hn params = create ?telemetry ?p_hn params
@@ -358,36 +312,9 @@ let memo_insert t find add tbl key value =
   Mutex.unlock t.lock;
   value
 
-let note_neighbor t ~n ~w tau =
-  Mutex.lock t.lock;
-  Hashtbl.replace t.neighbor_taus (n, w) tau;
-  Mutex.unlock t.lock
-
-(* Nearest warm-start seed: same player count, closest window.  The τ of
-   (n, w') predicts τ(n, w) after rescaling by the no-collision ratio
-   (τ ≈ 2/(W+1) up to the collision correction), which is plenty to
-   bracket Brent. *)
-let nearest_tau t ~n ~w =
-  Mutex.lock t.lock;
-  let best = ref None in
-  Hashtbl.iter
-    (fun (n', w') tau ->
-      if n' = n && w' <> w then
-        match !best with
-        | Some (d, _, _) when abs (w' - w) >= d -> ()
-        | _ -> best := Some (abs (w' - w), w', tau))
-    t.neighbor_taus;
-  Mutex.unlock t.lock;
-  match !best with
-  | None -> None
-  | Some (_, w', tau) ->
-      let scaled = tau *. float_of_int (w' + 1) /. float_of_int (w + 1) in
-      if scaled > 0. && scaled < 1. then Some scaled else Some tau
-
 let note_iterations t ~warm iters =
   let h = if warm then t.warm_iters else t.cold_iters in
-  Telemetry.Metric.observe h (float_of_int iters);
-  if warm then Telemetry.Metric.incr t.warm_used
+  Telemetry.Metric.observe h (float_of_int iters)
 
 (* A non-converged fixed point must never masquerade as an answer:
    raising here (before any [memo_insert] or [store_put] runs) keeps the
@@ -469,18 +396,14 @@ let solve_uniform t ~n ~s =
   match t.backend with
   | Analytic when Dcf.Strategy_space.is_degenerate s ->
       (* Mirrors Dcf.Model.homogeneous operation for operation, so a
-         memoized analytic oracle is bit-identical to direct model calls
-         — unless warm-started, in which case the narrowed bracket makes
-         the answer tolerance-identical instead (the conformance suite
-         anchors the gap). *)
+         memoized analytic oracle is bit-identical to direct model calls. *)
       let w = s.Dcf.Strategy_space.cw in
-      let guess = if t.warm_start then nearest_tau t ~n ~w else None in
       let iters = ref 0 in
       let tau, p =
         Dcf.Solver.solve_homogeneous ~telemetry:t.telemetry ~iterations:iters
-          ?guess t.params ~n ~w
+          t.params ~n ~w
       in
-      note_iterations t ~warm:(guess <> None) !iters;
+      note_iterations t ~warm:false !iters;
       let metrics = Dcf.Metrics.of_taus t.params (Array.make n tau) in
       Telemetry.Metric.incr t.solves;
       {
@@ -493,12 +416,11 @@ let solve_uniform t ~n ~s =
         slot_time = metrics.slot_time;
       }
   | Analytic ->
-      let iters = ref 0 in
       let solved =
-        Dcf.Model.solve_strategies ?p_hn:t.p_hn ~iterations:iters
-          ?max_iter:t.solver_max_iter t.params (Array.make n s)
+        Dcf.Model.solve_strategies ?p_hn:t.p_hn ?max_iter:t.solver_max_iter
+          t.params (Array.make n s)
       in
-      note_iterations t ~warm:false !iters;
+      note_iterations t ~warm:false solved.Dcf.Model.iterations;
       Telemetry.Metric.incr t.solves;
       if not solved.Dcf.Model.converged then
         refuse_nonconverged t (uniform_key ~n s);
@@ -556,13 +478,9 @@ let uniform_strategy_outcome t ~n (s : Dcf.Strategy_space.t) =
       match store_find t store_key view_of_json with
       | Some view ->
           Telemetry.Recorder.instant recorder nid_store_hit n s.cw;
-          let view =
-            memo_insert t Uniform_memo.find_opt Uniform_memo.add
-              t.uniform_memo (n, s) view
-          in
-          if Dcf.Strategy_space.is_degenerate s then
-            note_neighbor t ~n ~w:s.cw view.tau;
-          (view, Store)
+          ( memo_insert t Uniform_memo.find_opt Uniform_memo.add
+              t.uniform_memo (n, s) view,
+            Store )
       | None ->
           let solved =
             Telemetry.Recorder.with_span recorder nid_solve n s.cw (fun () ->
@@ -572,8 +490,6 @@ let uniform_strategy_outcome t ~n (s : Dcf.Strategy_space.t) =
             memo_insert t Uniform_memo.find_opt Uniform_memo.add
               t.uniform_memo (n, s) solved
           in
-          if Dcf.Strategy_space.is_degenerate s then
-            note_neighbor t ~n ~w:s.cw view.tau;
           store_put t store_key (view_to_json view);
           (view, Cold))
 
@@ -636,44 +552,30 @@ let class_rows (sorted : Dcf.Strategy_space.t array) ~counts values =
 
 (* Solve a canonical sorted profile, returning the per-class utilities and
    the per-class (strategy, τ) pairs — the latter feed batch warm starts.
-   [tau_hint], when given (a batch context), overrides the oracle-level
-   warm-start neighbour search. *)
+   [tau_hint] comes from a batch context. *)
 let solve_profile ?tau_hint t (sorted : Dcf.Strategy_space.t array) =
   match t.backend with
   | Analytic when Profile.is_degenerate sorted ->
-      let n = Array.length sorted in
-      let cws = Profile.cws sorted in
       let tau_hint =
-        match tau_hint with
-        | Some hint ->
-            Some (fun w -> hint (Dcf.Strategy_space.of_cw w))
-        | None ->
-            if t.warm_start then
-              Some
-                (fun w ->
-                  Mutex.lock t.lock;
-                  let tau = Hashtbl.find_opt t.neighbor_taus (n, w) in
-                  Mutex.unlock t.lock;
-                  tau)
-            else None
+        Option.map
+          (fun hint w -> hint (Dcf.Strategy_space.of_cw w))
+          tau_hint
       in
-      let iters = ref 0 in
       let { Dcf.Model.classes; class_utilities; _ } =
-        Dcf.Model.solve_profile_classes ?p_hn:t.p_hn ~iterations:iters
-          ?tau_hint ?max_iter:t.solver_max_iter t.params cws
+        Dcf.Model.solve_profile_classes ?p_hn:t.p_hn ?tau_hint
+          ?max_iter:t.solver_max_iter t.params (Profile.cws sorted)
       in
-      note_iterations t ~warm:(tau_hint <> None) !iters;
+      note_iterations t ~warm:(tau_hint <> None) classes.iterations;
       Telemetry.Metric.incr t.solves;
       if not classes.converged then refuse_nonconverged t (profile_key sorted);
       ( class_rows sorted ~counts:classes.counts class_utilities,
         class_rows sorted ~counts:classes.counts classes.class_taus )
   | Analytic ->
-      let iters = ref 0 in
       let solved =
-        Dcf.Model.solve_strategies ?p_hn:t.p_hn ~iterations:iters ?tau_hint
+        Dcf.Model.solve_strategies ?p_hn:t.p_hn ?tau_hint
           ?max_iter:t.solver_max_iter t.params sorted
       in
-      note_iterations t ~warm:(tau_hint <> None) !iters;
+      note_iterations t ~warm:(tau_hint <> None) solved.Dcf.Model.iterations;
       Telemetry.Metric.incr t.solves;
       if not solved.Dcf.Model.converged then
         refuse_nonconverged t (profile_key sorted);
@@ -708,15 +610,15 @@ let class_utility (classes : classes) s =
   in
   find 0 (Array.length classes)
 
-(* {2 Batch evaluation: sweep-column warm starts}
+(* {2 Batch evaluation: the one warm start}
 
    A batch context carries the class τs of every profile it has solved,
    so consecutive cold solves in a sweep start from the previous point's
-   fixed point instead of the no-collision guess.  Contexts are cheap,
-   single-threaded by design (one per sweep column / serve batch
-   envelope), and only influence *cold* solves — memo and store tiers are
-   untouched.  Like [warm_start], a batch-warm answer agrees with the
-   cold solve at tolerance level, not bit level. *)
+   fixed point instead of the cold-start proxy.  Contexts are cheap,
+   single-threaded by design (one per serve batch envelope), and only
+   influence *cold* solves — memo and store tiers are untouched.  A
+   batch-warm answer agrees with the cold solve at tolerance level, not
+   bit level. *)
 
 type batch = {
   owner : t;
@@ -729,9 +631,8 @@ let batch_hint b (s : Dcf.Strategy_space.t) =
   match Hashtbl.find_opt b.batch_taus (Dcf.Strategy_space.to_key s) with
   | Some (_, tau) -> Some tau
   | None ->
-      (* Nearest previously-solved class by CW, rescaled by the
-         no-collision ratio — the same neighbour model as the oracle-level
-         warm start. *)
+      (* Nearest previously-solved class by CW, its τ rescaled by the
+         no-collision ratio τ ≈ 2/(W+1). *)
       let best = ref None in
       Hashtbl.iter
         (fun _ ((s' : Dcf.Strategy_space.t), tau) ->
@@ -812,19 +713,6 @@ let payoffs_profile_outcome ?batch t (profile : Profile.t) =
   end
 
 let payoffs_profile t profile = fst (payoffs_profile_outcome t profile)
-
-let payoffs_batch_outcome t profiles =
-  let b = batch t in
-  Array.map
-    (fun profile ->
-      match payoffs_profile_outcome ~batch:b t profile with
-      | result -> Ok result
-      | exception Non_converged reason -> Error reason)
-    profiles
-
-let payoffs_batch t profiles =
-  let b = batch t in
-  Array.map (fun p -> fst (payoffs_profile_outcome ~batch:b t p)) profiles
 
 let payoffs_outcome t cws = payoffs_profile_outcome t (Profile.of_cws cws)
 let payoffs t cws = fst (payoffs_outcome t cws)

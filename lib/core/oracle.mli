@@ -52,11 +52,10 @@
     CW from the strategies projecting onto it, so reinterpreting them
     would silently alias distinct strategies.
 
-    With [warm_start], analytic solves on a store/memo miss are seeded from
-    the nearest already-solved (n, w) neighbour (loaded from the store at
-    open and accumulated since), cutting iteration counts.  Warm-started
-    answers agree with cold solves at {e tolerance} level, not bit level,
-    so [warm_start] defaults to off; the conformance suite anchors the gap.
+    The one warm start is a {!batch} context, which the serving layer
+    opens per batch envelope: its cold solves start from the class τs of
+    the profiles solved before them in the same context.  Every other
+    evaluation solves cold.
 
     {2 Telemetry}
 
@@ -70,9 +69,8 @@
       solves exceeds misses);
     - ["oracle.store.hits"] / ["oracle.store.misses"] — persistent-store
       outcomes, counted only on memo misses of a store-backed oracle;
-    - ["oracle.warmstart.used"] — solves that started from a neighbour's τ;
     - ["oracle.solve.iterations.warm"] / [".cold"] — iteration-count
-      histograms of warm-started vs cold analytic solves (the warm-start
+      histograms of batch-warm vs cold analytic solves (the warm-start
       saving, measured). *)
 
 type sim_config = {
@@ -134,8 +132,7 @@ type t
 val create :
   ?telemetry:Telemetry.Registry.t ->
   ?p_hn:float -> ?backend:backend ->
-  ?store:Store.t -> ?warm_start:bool -> ?solver_max_iter:int ->
-  Dcf.Params.t -> t
+  ?store:Store.t -> ?solver_max_iter:int -> Dcf.Params.t -> t
 (** [create params] builds an oracle with an empty memo.  [backend]
     defaults to [Analytic].  [p_hn] is the hidden-node degradation factor
     applied to analytic utilities (default 1); the simulated backends
@@ -144,15 +141,11 @@ val create :
     and any solver/simulator events.
 
     [store], when given, backs the memo with persistent rows: memo misses
-    consult the store, cold solves write through, and the store's
-    degenerate uniform rows (for this oracle's exact evaluation identity)
-    seed the warm-start neighbour table at open.
+    consult the store and cold solves write through.  Opening scans the
+    store's keys, not its values.
     @raise Store.Corrupt if the store holds any legacy [oracle|v1|…] row
     (regenerate or delete it — the v2 strategy-keyed schema cannot address
-    v1 rows).  [warm_start] (default [false]) additionally
-    seeds analytic solves from the nearest solved neighbour — trading the
-    bit-stability of cold solves for fewer iterations; leave it off
-    wherever bit-identity with {!Dcf.Model} is asserted.
+    v1 rows).
 
     [solver_max_iter] (≥ 1) bounds the analytic class solver's iteration
     budget (the Brent uniform path is unaffected).  Solves that exhaust
@@ -213,15 +206,17 @@ val payoffs_profile : t -> Profile.t -> float array
 
 (** {2 Batch evaluation}
 
-    Sweep columns and the serve daemon's batch envelopes evaluate many
-    neighbouring profiles in sequence; a batch context lets each cold
-    solve start from the previous point's class τs (the multi-knob end of
-    the warm-start throughline), which typically cuts a cold Newton solve
-    to a handful of accepted steps.  Contexts are single-threaded by
-    design — create one per sweep column, not one per oracle.  Like
-    [warm_start], batch-warm answers agree with cold solves at tolerance
-    level, not bit level; the memoized/persisted entry is whichever solve
-    ran first. *)
+    The serve daemon's batch envelopes evaluate many neighbouring profiles
+    in sequence; a batch context lets each cold solve start from the
+    class τs solved before it, which typically cuts a cold Newton solve
+    to a handful of accepted steps.  It is the oracle's only warm start.
+    Contexts are single-threaded by design — create one per envelope or
+    sweep column, not one per oracle.  Batch-warm answers agree with cold
+    solves at tolerance level, not bit level (the [serving.batch.anchor]
+    conformance check bounds the gap at 1e-9 relative); the
+    memoized/persisted entry is whichever solve ran first.  Catch
+    {!Non_converged} per evaluation to keep one diverging point from
+    ending a column. *)
 
 type batch
 (** Mutable warm-start context accumulating (strategy, τ) pairs across
@@ -237,17 +232,6 @@ val payoffs_profile_outcome :
     threads a sweep context (see {!batch}) whose accumulated class τs
     warm-start this evaluation's cold solve — memo and store tiers are
     unaffected. *)
-
-val payoffs_batch_outcome :
-  t -> Profile.t array -> (float array * tier, string) result array
-(** Evaluate a sweep column in order under one fresh batch context.
-    Each element is [Ok (payoffs, tier)] or [Error reason] when that
-    profile's solve raised {!Non_converged} — one diverging point does
-    not poison the rest of the column. *)
-
-val payoffs_batch : t -> Profile.t array -> float array array
-(** Like {!payoffs_batch_outcome} but returning the payoffs only.
-    @raise Non_converged on the first non-converged profile. *)
 
 val payoffs : t -> int array -> float array
 (** CW-only shorthand: [payoffs t cws] =

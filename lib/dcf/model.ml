@@ -5,6 +5,7 @@ type solved = {
   ps : float array;
   metrics : Metrics.t;
   utilities : float array;
+  iterations : int;
   converged : bool;
 }
 
@@ -14,11 +15,8 @@ type priced_classes = {
   metrics : Metrics.t;
 }
 
-let solve_profile_classes ?p_hn ?iterations ?tau_hint ?max_iter
-    (params : Params.t) cws =
-  let classes =
-    Solver.solve_profile_classes ?iterations ?tau_hint ?max_iter params cws
-  in
+let solve_profile_classes ?p_hn ?tau_hint ?max_iter (params : Params.t) cws =
+  let classes = Solver.solve_profile_classes ?tau_hint ?max_iter params cws in
   let metrics =
     Metrics.of_taus params (Solver.per_node classes classes.class_taus)
   in
@@ -32,10 +30,9 @@ let solve_profile_classes ?p_hn ?iterations ?tau_hint ?max_iter
   in
   { classes; class_utilities; metrics }
 
-let solve_profile ?p_hn ?iterations ?tau_hint ?max_iter (params : Params.t)
-    cws =
+let solve_profile ?p_hn ?tau_hint ?max_iter (params : Params.t) cws =
   let { classes; class_utilities; metrics } =
-    solve_profile_classes ?p_hn ?iterations ?tau_hint ?max_iter params cws
+    solve_profile_classes ?p_hn ?tau_hint ?max_iter params cws
   in
   {
     params;
@@ -44,6 +41,7 @@ let solve_profile ?p_hn ?iterations ?tau_hint ?max_iter (params : Params.t)
     ps = Solver.per_node classes classes.class_ps;
     metrics;
     utilities = Solver.per_node classes class_utilities;
+    iterations = classes.iterations;
     converged = classes.converged;
   }
 
@@ -55,6 +53,7 @@ type strategy_solved = {
   slot_time : float;
   utilities : float array;
   goodputs : float array;
+  iterations : int;
   converged : bool;
 }
 
@@ -62,8 +61,7 @@ type strategy_solved = {
    CW-only subspace inherits its bit-identity guarantee structurally; the
    general branch prices per-strategy channel occupancy through the
    heterogeneous slot model. *)
-let solve_strategies ?p_hn ?iterations ?tau_hint ?max_iter (params : Params.t)
-    strategies =
+let solve_strategies ?p_hn ?tau_hint ?max_iter (params : Params.t) strategies =
   let n = Array.length strategies in
   if n = 0 then invalid_arg "Model.solve_strategies: empty network";
   Array.iter
@@ -78,7 +76,7 @@ let solve_strategies ?p_hn ?iterations ?tau_hint ?max_iter (params : Params.t)
     let tau_hint =
       Option.map (fun hint w -> hint (Strategy_space.of_cw w)) tau_hint
     in
-    let s = solve_profile ?p_hn ?iterations ?tau_hint ?max_iter params cws in
+    let s = solve_profile ?p_hn ?tau_hint ?max_iter params cws in
     {
       params;
       strategies;
@@ -87,6 +85,7 @@ let solve_strategies ?p_hn ?iterations ?tau_hint ?max_iter (params : Params.t)
       slot_time = s.metrics.slot_time;
       utilities = s.utilities;
       goodputs = s.metrics.per_node_throughput;
+      iterations = s.iterations;
       converged = s.converged;
     }
   end
@@ -106,8 +105,7 @@ let solve_strategies ?p_hn ?iterations ?tau_hint ?max_iter (params : Params.t)
       |> List.sort (fun (a, _) (b, _) -> Strategy_space.compare a b)
     in
     let solved =
-      Solver.solve_strategy_classes ?iterations ?tau_hint ?max_iter params
-        class_list
+      Solver.solve_strategy_classes ?tau_hint ?max_iter params class_list
     in
     let by_key = Hashtbl.create 8 in
     List.iter2
@@ -143,6 +141,7 @@ let solve_strategies ?p_hn ?iterations ?tau_hint ?max_iter (params : Params.t)
       slot_time = hetero.slot_time;
       utilities;
       goodputs = hetero.per_node_goodput;
+      iterations = solved.iterations;
       converged = solved.converged;
     }
   end

@@ -12,13 +12,14 @@ type solved = {
   ps : float array;
   metrics : Metrics.t;
   utilities : float array;  (** payoff rates u_i *)
+  iterations : int;  (** iterations of the underlying class solve *)
   converged : bool;
       (** whether the underlying fixed point actually converged — callers
           that persist or serve answers must check this *)
 }
 
 val solve_profile :
-  ?p_hn:float -> ?iterations:int ref -> ?tau_hint:(int -> float option) ->
+  ?p_hn:float -> ?tau_hint:(int -> float option) ->
   ?max_iter:int -> Params.t -> int array -> solved
 (** Solve the fixed point for a heterogeneous profile and evaluate
     metrics and utilities.  [p_hn] (default 1) is the multi-hop
@@ -26,8 +27,8 @@ val solve_profile :
     point is {!Solver.solve_profile}'s: class-reduced over distinct
     windows, so equal windows get bit-identical (τ, p, u) and the result
     is invariant under profile permutation.  The payoff oracle's
-    heterogeneous path.  [iterations], [tau_hint] (warm start) and
-    [max_iter] pass through to {!Solver.solve_profile}. *)
+    heterogeneous path.  [tau_hint] (warm start) and [max_iter] pass
+    through to {!Solver.solve_profile}. *)
 
 type priced_classes = {
   classes : Solver.profile_classes;
@@ -40,7 +41,7 @@ type priced_classes = {
 }
 
 val solve_profile_classes :
-  ?p_hn:float -> ?iterations:int ref -> ?tau_hint:(int -> float option) ->
+  ?p_hn:float -> ?tau_hint:(int -> float option) ->
   ?max_iter:int -> Params.t -> int array -> priced_classes
 (** {!solve_profile} in class form: one τ, p and utility per distinct
     window, each with the bits every member of the class gets from
@@ -58,13 +59,13 @@ type strategy_solved = {
   goodputs : float array;
       (** per-node normalised goodput (burst payload credited to the
           access) *)
+  iterations : int;  (** iterations of the underlying class solve *)
   converged : bool;  (** threaded from the underlying class solve *)
 }
 
 val solve_strategies :
-  ?p_hn:float -> ?iterations:int ref ->
-  ?tau_hint:(Strategy_space.t -> float option) -> ?max_iter:int ->
-  Params.t -> Strategy_space.t array -> strategy_solved
+  ?p_hn:float -> ?tau_hint:(Strategy_space.t -> float option) ->
+  ?max_iter:int -> Params.t -> Strategy_space.t array -> strategy_solved
 (** Solve a full multi-knob strategy profile.  When every strategy is
     degenerate (CW-only) this delegates to {!solve_profile} verbatim, so
     the degenerate subspace reproduces the CW-only answers bit-identically

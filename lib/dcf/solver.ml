@@ -12,7 +12,7 @@ type class_solution = {
 }
 
 let solve_homogeneous ?(telemetry = Telemetry.Registry.default) ?iterations
-    ?guess ?(tol = 1e-14) (params : Params.t) ~n ~w =
+    ?(tol = 1e-14) (params : Params.t) ~n ~w =
   if n < 1 then invalid_arg "Solver.solve_homogeneous: need n >= 1";
   if w < 1 then invalid_arg "Solver.solve_homogeneous: window must be >= 1";
   let m = params.max_backoff_stage in
@@ -35,27 +35,14 @@ let solve_homogeneous ?(telemetry = Telemetry.Registry.default) ?iterations
   else begin
     (* Defect h(τ) = τ − τ_model(p(τ)): negative at τ→0 and positive at
        τ = 1, with a single crossing (uniqueness per Bianchi).  (w, m) is
-       checked once here; Brent keeps τ inside the bracket ⊂ [eps, 1], so
+       checked once here; Brent keeps τ inside the bracket [1e-15, 1], so
        p(τ) is in [0, 1] and eq. 2 is evaluated unchecked. *)
     Bianchi.check_chain ~w ~m;
     let wf = float_of_int w and others = float_of_int (n - 1) in
     let p_of_tau tau = 1. -. ((1. -. tau) ** others) in
     let defect tau = tau -. Bianchi.tau_unchecked ~wf ~m (p_of_tau tau) in
-    let eps = 1e-15 in
     let iters = ref 0 in
-    (* Warm start: a neighbouring solution's τ narrows the Brent bracket
-       to [g/2, 2g] when that interval still straddles the sign change;
-       otherwise fall back to the full interval.  The root found is the
-       same crossing either way (tolerance-level, not bit-level —
-       callers that need bit-stability must not pass a guess). *)
-    let lo, hi =
-      match guess with
-      | Some g when g > 0. && g < 1. ->
-          let lo = Float.max eps (g /. 2.) and hi = Float.min 1. (g *. 2.) in
-          if defect lo < 0. && defect hi > 0. then (lo, hi) else (eps, 1.)
-      | _ -> (eps, 1.)
-    in
-    let tau = Numerics.Roots.brent ~iterations:iters ~tol defect lo hi in
+    let tau = Numerics.Roots.brent ~iterations:iters ~tol defect 1e-15 1. in
     report !iters;
     (tau, p_of_tau tau)
   end
@@ -139,8 +126,8 @@ let newton_cold_x0 ?telemetry (params : Params.t) ~ws ~wfs ~ks =
         else None
   end
 
-(* The class engine behind [solve_classes], [solve_strategy_classes],
-   [solve_batch] and [solve_profile]: class j has [ks.(j)] members on
+(* The class engine behind [solve_classes], [solve_strategy_classes] and
+   [solve_profile]: class j has [ks.(j)] members on
    window [ws.(j)] that defer [aifs.(j)] extra slots (0 for CW-only
    classes).  AIFS enters the coupled system through an eligibility
    factor: a node deferring a extra slots after every busy period can
@@ -166,9 +153,10 @@ let newton_cold_x0 ?telemetry (params : Params.t) ~ws ~wfs ~ks =
    map argument ({!Numerics.Newton.solve}), so the Newton step and the
    final probabilities find the product and every p_j of their iterate
    already computed, with the same bits; they recompute only if the
-   iterate's bits differ from [at]. *)
-let solve_class_arrays ?telemetry ?iterations ?x0 ~tol ~max_iter
-    (params : Params.t) ~ws ~aifs ~ks =
+   iterate's bits differ from [at].  The solve runs to a max-norm defect
+   of 1e-14. *)
+let solve_class_arrays ?telemetry ?x0 ~max_iter (params : Params.t) ~ws
+    ~aifs ~ks =
   let m = params.max_backoff_stage in
   let c = Array.length ws in
   Array.iter (fun w -> Bianchi.check_chain ~w ~m) ws;
@@ -307,10 +295,9 @@ let solve_class_arrays ?telemetry ?iterations ?x0 ~tol ~max_iter
         | None -> Array.init c default_x0)
   in
   let o =
-    Numerics.Newton.solve ?telemetry ~damping:0.5 ~tol ~max_iter ~lo:0.
+    Numerics.Newton.solve ?telemetry ~damping:0.5 ~tol:1e-14 ~max_iter ~lo:0.
       ~hi:1. ~step:newton_step step x0
   in
-  (match iterations with Some r -> r := o.iterations | None -> ());
   collide_at o.value;
   { taus = o.value; ps; iterations = o.iterations; converged = o.converged }
 
@@ -332,13 +319,12 @@ let hinted_x0 tau_hint keys =
 (* CW classes as engine arrays: every class at AIFS 0, seeded from the
    hint.  The one CW entry into the engine, behind [solve_classes] and
    [solve_profile]. *)
-let solve_cw_arrays ?telemetry ?iterations ?tau_hint ?(tol = 1e-14)
-    ?(max_iter = 50_000) (params : Params.t) ~ws ~ks =
-  solve_class_arrays ?telemetry ?iterations ?x0:(hinted_x0 tau_hint ws) ~tol
-    ~max_iter params ~ws ~aifs:(Array.make (Array.length ws) 0) ~ks
+let solve_cw_arrays ?telemetry ?tau_hint ?(max_iter = 50_000)
+    (params : Params.t) ~ws ~ks =
+  solve_class_arrays ?telemetry ?x0:(hinted_x0 tau_hint ws) ~max_iter params
+    ~ws ~aifs:(Array.make (Array.length ws) 0) ~ks
 
-let solve_classes ?telemetry ?iterations ?tau_hint ?tol ?max_iter
-    (params : Params.t) classes =
+let solve_classes ?telemetry ?tau_hint ?max_iter (params : Params.t) classes =
   if classes = [] then invalid_arg "Solver.solve_classes: no classes";
   List.iter
     (fun (w, k) ->
@@ -346,7 +332,7 @@ let solve_classes ?telemetry ?iterations ?tau_hint ?tol ?max_iter
       if k < 1 then invalid_arg "Solver.solve_classes: count must be >= 1")
     classes;
   class_solution
-    (solve_cw_arrays ?telemetry ?iterations ?tau_hint ?tol ?max_iter params
+    (solve_cw_arrays ?telemetry ?tau_hint ?max_iter params
        ~ws:(Array.of_list (List.map fst classes))
        ~ks:(Array.of_list (List.map snd classes)))
 
@@ -369,51 +355,12 @@ let strategy_arrays classes =
     Array.map (fun (s : Strategy_space.t) -> s.aifs) ss,
     Array.of_list (List.map snd classes) )
 
-let solve_strategy_classes ?telemetry ?iterations ?tau_hint ?(tol = 1e-14)
-    ?(max_iter = 50_000) (params : Params.t) classes =
+let solve_strategy_classes ?telemetry ?tau_hint ?(max_iter = 50_000)
+    (params : Params.t) classes =
   let ss, ws, aifs, ks = strategy_arrays classes in
   class_solution
-    (solve_class_arrays ?telemetry ?iterations ?x0:(hinted_x0 tau_hint ss)
-       ~tol ~max_iter params ~ws ~aifs ~ks)
-
-let solve_batch ?telemetry ?(tol = 1e-14) ?(max_iter = 50_000)
-    (params : Params.t) problems =
-  (* Sweep columns vary one knob between consecutive points, so the
-     previous point's τ vector is a near-fixed-point start for the next —
-     position-wise when the class shape repeats (the common case), else
-     matched by strategy.  Newton from a warm start typically converges
-     in 2–4 accepted steps. *)
-  let prev : (solution * Strategy_space.t array) option ref = ref None in
-  Array.map
-    (fun classes ->
-      let ss, ws, aifs, ks = strategy_arrays classes in
-      let x0 =
-        match !prev with
-        | Some (sol, prev_ss) when Array.length prev_ss = Array.length ss ->
-            Some (Array.copy sol.taus)
-        | Some (sol, prev_ss) ->
-            (* Shape changed: carry over per-strategy matches, let the
-               engine fill the rest with the cold default. *)
-            Some
-              (Array.map
-                 (fun s ->
-                   let found = ref 0. in
-                   Array.iteri
-                     (fun i s' ->
-                       if Strategy_space.compare s s' = 0 then
-                         found := sol.taus.(i))
-                     prev_ss;
-                   !found)
-                 ss)
-        | None -> None
-      in
-      let sol =
-        solve_class_arrays ?telemetry ?x0 ~tol ~max_iter params ~ws ~aifs
-          ~ks
-      in
-      prev := Some (sol, ss);
-      class_solution sol)
-    problems
+    (solve_class_arrays ?telemetry ?x0:(hinted_x0 tau_hint ss) ~max_iter
+       params ~ws ~aifs ~ks)
 
 type profile_classes = {
   windows : int array;
@@ -425,8 +372,8 @@ type profile_classes = {
   converged : bool;
 }
 
-let solve_profile_classes ?telemetry ?iterations ?tau_hint ?tol ?max_iter
-    (params : Params.t) cws =
+let solve_profile_classes ?telemetry ?tau_hint ?max_iter (params : Params.t)
+    cws =
   let n = Array.length cws in
   if n = 0 then invalid_arg "Solver.solve_profile: empty network";
   Array.iter
@@ -464,10 +411,7 @@ let solve_profile_classes ?telemetry ?iterations ?tau_hint ?tol ?max_iter
     done;
     node_class.(i) <- !lo
   done;
-  let solved =
-    solve_cw_arrays ?telemetry ?iterations ?tau_hint ?tol ?max_iter params ~ws
-      ~ks
-  in
+  let solved = solve_cw_arrays ?telemetry ?tau_hint ?max_iter params ~ws ~ks in
   {
     windows = ws;
     counts = ks;
@@ -486,12 +430,8 @@ let per_node pc values =
   done;
   out
 
-let solve_profile ?telemetry ?iterations ?tau_hint ?tol ?max_iter
-    (params : Params.t) cws =
-  let pc =
-    solve_profile_classes ?telemetry ?iterations ?tau_hint ?tol ?max_iter
-      params cws
-  in
+let solve_profile ?telemetry ?tau_hint ?max_iter (params : Params.t) cws =
+  let pc = solve_profile_classes ?telemetry ?tau_hint ?max_iter params cws in
   {
     taus = per_node pc pc.class_taus;
     ps = per_node pc pc.class_ps;

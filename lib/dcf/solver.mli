@@ -30,28 +30,20 @@ type class_solution = {
 }
 
 val solve_homogeneous :
-  ?telemetry:Telemetry.Registry.t -> ?iterations:int ref -> ?guess:float ->
+  ?telemetry:Telemetry.Registry.t -> ?iterations:int ref ->
   ?tol:float -> Params.t -> n:int -> w:int -> float * float
 (** [(τ, p)] for [n ≥ 1] nodes all using window [w]: the scalar fixed point
-    τ = τ(1 − (1−τ)^{n−1}), solved by Brent's method on the defect.  Orders
-    of magnitude faster than the vector solve; used by the CW sweeps.
-    [iterations], when given, receives Brent's iteration count (0 for the
-    trivial n = 1 case) — the scalar path's analogue of
-    [solution.iterations]; the same count is reported in a
-    ["solver_convergence"] event.
-
-    [guess] warm-starts the solve from a neighbouring problem's τ: when
-    [[g/2, 2g]] still brackets the sign change, Brent runs on that
-    interval instead of the full (0, 1], typically halving the iteration
-    count.  The answer agrees with the cold solve at tolerance level,
-    {e not} bit level — callers that promise bit-stability (the memoized
-    oracle's default path) must not pass a guess. *)
+    τ = τ(1 − (1−τ)^{n−1}), solved by Brent's method on the defect over
+    (0, 1] to [tol] (default 1e-14; the class engine's cold-start proxy
+    asks for 1e-6).  Orders of magnitude faster than the vector solve;
+    used by the CW sweeps.  [iterations], when given, receives Brent's
+    iteration count (0 for the trivial n = 1 case) — the scalar path's
+    analogue of [solution.iterations]; the same count is reported in a
+    ["solver_convergence"] event. *)
 
 val solve_classes :
-  ?telemetry:Telemetry.Registry.t -> ?iterations:int ref ->
-  ?tau_hint:(int -> float option) ->
-  ?tol:float -> ?max_iter:int ->
-  Params.t -> (int * int) list -> class_solution
+  ?telemetry:Telemetry.Registry.t -> ?tau_hint:(int -> float option) ->
+  ?max_iter:int -> Params.t -> (int * int) list -> class_solution
 (** [solve_classes params [(w1, k1); …]] solves a network of Σk_c nodes in
     which [k_c] nodes share window [w_c], reducing the fixed point to one
     (τ, p) pair per class:
@@ -62,19 +54,19 @@ val solve_classes :
     iteration count and the {e real} convergence flag.  This is what the
     coalition analyses use — a 3-class problem costs the same as n = 3.
     Windows must be ≥ 1 and counts ≥ 1; classes may repeat a window.
-    Defaults: [tol = 1e-14] on the max-norm defect, [max_iter = 50_000].
-    [tau_hint w] may seed class [w]'s starting iterate with a τ from a
-    neighbouring solved problem (warm start); hints outside (0, 1) are
-    ignored.  The iteration converges to the same fixed point from any
-    interior start, so hints trade bit-stability for iterations exactly
-    like {!solve_homogeneous}'s [guess].  Telemetry flows through
+    The solve runs to a max-norm defect of 1e-14, within [max_iter]
+    iterations (default 50 000).  [tau_hint w] may seed class [w]'s
+    starting iterate with a τ from a neighbouring solved problem (warm
+    start); hints outside (0, 1) are ignored.  The iteration converges to
+    the same fixed point from any interior start, so a hint trades
+    bit-stability for iterations: the answer agrees with the cold solve
+    at tolerance level.  Telemetry flows through
     {!Numerics.Newton.solve} on [telemetry] (default: the global
     registry). *)
 
 val solve_strategy_classes :
-  ?telemetry:Telemetry.Registry.t -> ?iterations:int ref ->
-  ?tau_hint:(Strategy_space.t -> float option) ->
-  ?tol:float -> ?max_iter:int ->
+  ?telemetry:Telemetry.Registry.t ->
+  ?tau_hint:(Strategy_space.t -> float option) -> ?max_iter:int ->
   Params.t -> (Strategy_space.t * int) list -> class_solution
 (** Multi-knob analogue of {!solve_classes}: [k_c] nodes share strategy
     [s_c].  AIFS couples into the fixed point through an eligibility
@@ -88,30 +80,14 @@ val solve_strategy_classes :
     contention fixed point untouched (they are priced in channel occupancy
     and utility downstream).  Returns per-class [(τ'_c, p_c)] in input
     order.  [tau_hint s] warm-starts class [s] like {!solve_classes}'s
-    window-keyed hint — this is the multi-knob end of the PR 7 warm-start
-    throughline.  Both entry points run one class engine, so CW-only
+    window-keyed hint; the oracle's batch context seeds multi-knob
+    profiles through it.  Both entry points run one class engine, so CW-only
     classes solve bit-identically to {!solve_classes} on their windows
     (same pairs, iterations and [converged]). *)
 
-val solve_batch :
-  ?telemetry:Telemetry.Registry.t ->
-  ?tol:float -> ?max_iter:int ->
-  Params.t -> (Strategy_space.t * int) list array -> class_solution array
-(** [solve_batch params problems] solves a sweep column of strategy-class
-    problems in order, reusing each point's τ vector as the next point's
-    starting iterate — position-wise when consecutive problems share a
-    class shape (the common case in sweep grids), matched by strategy when
-    the shape changes.  Newton from a warm start typically needs 2–4
-    accepted steps, so a dense sweep amortizes to a fraction of the cold
-    per-point cost.  Answers agree with per-point cold solves at tolerance
-    level, {e not} bit level — the batched path is for sweeps and grids,
-    not for the oracle's bit-stable memoized entries. *)
-
 val solve_profile :
-  ?telemetry:Telemetry.Registry.t -> ?iterations:int ref ->
-  ?tau_hint:(int -> float option) ->
-  ?tol:float -> ?max_iter:int ->
-  Params.t -> int array -> solution
+  ?telemetry:Telemetry.Registry.t -> ?tau_hint:(int -> float option) ->
+  ?max_iter:int -> Params.t -> int array -> solution
 (** [solve_profile params cws] solves the network in which node i uses
     window [cws.(i)], class-reduced: nodes sharing a window share (τ, p)
     by symmetry, so the profile is grouped into distinct-window classes
@@ -137,10 +113,8 @@ type profile_classes = {
 }
 
 val solve_profile_classes :
-  ?telemetry:Telemetry.Registry.t -> ?iterations:int ref ->
-  ?tau_hint:(int -> float option) ->
-  ?tol:float -> ?max_iter:int ->
-  Params.t -> int array -> profile_classes
+  ?telemetry:Telemetry.Registry.t -> ?tau_hint:(int -> float option) ->
+  ?max_iter:int -> Params.t -> int array -> profile_classes
 (** {!solve_profile} before its per-node expansion: the same validation,
     grouping and class solve, returned per class.  {!solve_profile} is
     this followed by {!per_node} on the τs and the ps. *)

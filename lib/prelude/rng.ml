@@ -60,7 +60,9 @@ let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let float t x =
+(* Inlined into [bernoulli] and [exponential] so that the float stays
+   unboxed between the draw and its use. *)
+let[@inline] float t x =
   (* 53 random bits scaled to [0,1), as in the stdlib. *)
   let b = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   x *. (b *. 0x1p-53)

@@ -32,9 +32,10 @@
 type t
 
 val create : ?telemetry:Telemetry.Registry.t -> Macgame.Oracle.t -> t
-(** Wrap an oracle.  Persistence and warm-starting are the oracle's
-    affair: back it with a store / enable warm start at
-    {!Macgame.Oracle.create} time. *)
+(** Wrap an oracle.  Persistence is the oracle's affair: back it with a
+    store at {!Macgame.Oracle.create} time.  Each batch envelope opens
+    one {!Macgame.Oracle.batch} context, which warm-starts its members'
+    cold solves. *)
 
 val handle_line : t -> string -> string option
 (** Serve one request line, returning the reply line (no newline).

@@ -299,11 +299,9 @@ let entries t =
 
 let iter t f =
   Mutex.lock t.mutex;
-  let snapshot = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.index [] in
+  let snapshot = Hashtbl.fold (fun k _ acc -> k :: acc) t.index [] in
   Mutex.unlock t.mutex;
-  List.iter
-    (fun (key, payload) -> f ~key (lazy (Codec.value payload)))
-    snapshot
+  List.iter f snapshot
 
 (* Fold every live entry into one fresh sealed segment (written next to
    its final name and renamed, so a crash mid-compaction leaves the old

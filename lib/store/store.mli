@@ -30,8 +30,7 @@
     The in-memory index maps each key to its entry's payload bytes, the
     JSON document after the digest.  Opening verifies every line (digest,
     then a full parse) but keeps only those bytes; {!find} parses a
-    payload each time it returns one, and {!iter} only when its caller
-    forces the value.
+    payload each time it returns one; {!iter} hands out keys only.
 
     {2 Locking}
 
@@ -89,9 +88,9 @@ val put : t -> key:string -> Telemetry.Jsonx.t -> unit
 val entries : t -> int
 (** Number of live (deduplicated) entries. *)
 
-val iter : t -> (key:string -> Telemetry.Jsonx.t Lazy.t -> unit) -> unit
-(** Iterate over a snapshot of the live entries (unspecified order).  A
-    value is parsed only when it is forced. *)
+val iter : t -> (string -> unit) -> unit
+(** Iterate over the keys of a snapshot of the live entries (unspecified
+    order).  Nothing is parsed. *)
 
 val compact : t -> unit
 (** Merge all files into one fresh sealed segment and truncate the log.

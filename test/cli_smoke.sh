@@ -75,6 +75,8 @@ refused serve --socket "$dir/missing/sock" --max-connections 0
 echo keep >"$dir/regular.txt"
 refused serve --socket "$dir/regular.txt" --max-connections 0
 [ -f "$dir/regular.txt" ] || fail "'serve --socket' deleted a regular file"
+# No such option: a batch envelope is the way to warm-start solves.
+refused serve --stdin --warm-start </dev/null
 
 # lists TRACE NAME...: `trace summary TRACE` lists every NAME.
 lists() {

@@ -5,6 +5,11 @@
 # answer the same questions from the store (tier "store" in the replies —
 # the acceptance criterion "store hits > 0 on a second run") and both
 # runs must turn a malformed line into an error reply instead of dying.
+# The batch envelope carries two neighbouring payoff members, so the
+# second is warm-started by the envelope's batch context; with
+# elapsed_ms and tier masked, the two runs' transcripts must be
+# identical: every answer, batch-warm ones included, comes back from the
+# store bit for bit.
 set -eu
 
 cli="$1"
@@ -13,7 +18,7 @@ trap 'rm -rf "$dir"' EXIT INT TERM
 
 requests='{"id":1,"op":"tau","n":5,"w":64}
 {"id":2,"op":"ne","n":2}
-{"id":3,"op":"batch","requests":[{"op":"welfare","n":5,"w":64},{"op":"tau","n":5,"w":128}]}
+{"id":3,"op":"batch","requests":[{"op":"welfare","n":5,"w":64},{"op":"tau","n":5,"w":128},{"op":"payoff","profile":[40,40,300,700]},{"op":"payoff","profile":[41,41,300,700]}]}
 this line is not json'
 
 fail() {
@@ -50,5 +55,13 @@ esac
 # Both runs answered every line: 3 replies + 1 error each.
 [ "$(printf '%s\n' "$first" | wc -l)" -eq 4 ] || fail "first run reply count != 4"
 [ "$(printf '%s\n' "$second" | wc -l)" -eq 4 ] || fail "second run reply count != 4"
+
+mask() {
+  printf '%s\n' "$1" |
+    sed -e 's/"elapsed_ms":[-0-9.e+]*/"elapsed_ms":_/g' \
+      -e 's/"tier":"[a-z]*"/"tier":_/g'
+}
+[ "$(mask "$first")" = "$(mask "$second")" ] ||
+  fail "stored answers differ from the cold run's (elapsed_ms and tier masked)"
 
 echo "serve-smoke: ok ($store_hits store-tier replies on the second run)"

@@ -590,45 +590,6 @@ let test_solver_reports_nonconvergence () =
   in
   Alcotest.(check bool) "solve_profile" false solution.converged
 
-let test_solve_batch_matches_cold () =
-  (* A warm-started sweep column must agree with per-point cold solves at
-     tolerance level, whatever the warm start did to the iterate path. *)
-  let problems =
-    Array.init 16 (fun i ->
-        [ (strategy ~cw:(32 + (8 * i)) ~aifs:(i mod 2), 1);
-          (strategy ~cw:128 ~aifs:0, 9) ])
-  in
-  let batched = Dcf.Solver.solve_batch default problems in
-  Array.iteri
-    (fun i (solved : Dcf.Solver.class_solution) ->
-      Alcotest.(check bool) "batched point converged" true solved.converged;
-      let cold = Dcf.Solver.solve_strategy_classes default problems.(i) in
-      List.iter2
-        (fun (tau_b, p_b) (tau_c, p_c) ->
-          check_close ~eps:1e-9 "tau" tau_c tau_b;
-          check_close ~eps:1e-9 "p" p_c p_b)
-        solved.class_pairs cold.class_pairs)
-    batched;
-  (* Cold Newton solves warm-start themselves from the pooled homogeneous
-     proxy, so on this coarse column (CW steps of 8, AIFS flipping every
-     point) the neighbour seed has no decisive edge over cold — but it must
-     never be pathological: allow at most one extra iteration per point. *)
-  let batched_iters =
-    Array.fold_left
-      (fun acc (s : Dcf.Solver.class_solution) -> acc + s.iterations)
-      0 batched
-  in
-  let cold_iters =
-    Array.fold_left
-      (fun acc problem ->
-        acc + (Dcf.Solver.solve_strategy_classes default problem).iterations)
-      0 problems
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "batched %d iters <= cold %d + 16" batched_iters cold_iters)
-    true
-    (batched_iters <= cold_iters + Array.length problems)
-
 (* Both class entry points run one engine: CW classes lifted to CW-only
    strategies must solve bit for bit alike — pairs, iterations and
    [converged] — whatever the stage count, the hints or the budget. *)
@@ -696,8 +657,6 @@ let suite_solver =
     QCheck_alcotest.to_alcotest test_uniqueness_probe;
     Alcotest.test_case "non-convergence surfaces" `Quick
       test_solver_reports_nonconvergence;
-    Alcotest.test_case "batched sweep matches cold" `Quick
-      test_solve_batch_matches_cold;
     QCheck_alcotest.to_alcotest test_cw_classes_one_engine;
   ]
 

@@ -184,7 +184,7 @@ let test_store_keys_pinned () =
            |]);
       ignore (Macgame.Oracle.uniform oracle ~n:5 ~w:64);
       let keys = ref [] in
-      Store.iter store (fun ~key _ -> keys := key :: !keys);
+      Store.iter store (fun key -> keys := key :: !keys);
       Alcotest.(check (list string))
         "store keys"
         (List.map (( ^ ) prefix)
@@ -487,8 +487,13 @@ let test_nonconverged_surfaces_at_every_layer () =
 
 let test_batch_outcome_isolates_failures () =
   let oracle = Macgame.Oracle.create ~solver_max_iter:1 params in
+  let batch = Macgame.Oracle.batch oracle in
   let results =
-    Macgame.Oracle.payoffs_batch_outcome oracle
+    Array.map
+      (fun profile ->
+        match Macgame.Oracle.payoffs_profile_outcome ~batch oracle profile with
+        | result -> Ok result
+        | exception Macgame.Oracle.Non_converged reason -> Error reason)
       [|
         Macgame.Profile.of_cws (Array.make 4 64) (* uniform: Brent path *);
         Macgame.Profile.of_cws hostile (* heterogeneous: refused *);
@@ -513,7 +518,13 @@ let test_batch_agrees_with_unbatched () =
     Array.init 8 (fun i ->
         Macgame.Profile.of_cws [| 32 + (16 * i); 128; 128; 128 |])
   in
-  let batched = Macgame.Oracle.payoffs_batch oracle profiles in
+  let batch = Macgame.Oracle.batch oracle in
+  let batched =
+    Array.map
+      (fun profile ->
+        fst (Macgame.Oracle.payoffs_profile_outcome ~batch oracle profile))
+      profiles
+  in
   let reference = Macgame.Oracle.analytic params in
   Array.iteri
     (fun i payoffs ->

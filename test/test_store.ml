@@ -1,7 +1,7 @@
 (* Tests for the persistent equilibrium store: codec round-trips (qcheck),
    persistence across reopen, crash-safety (a failed write, torn final
    line, bit flips, kill mid-write), the advisory lock, compaction, and
-   the oracle's store/warm-start integration. *)
+   the oracle's store integration. *)
 
 module J = Telemetry.Jsonx
 
@@ -609,30 +609,6 @@ let test_oracle_profile_store_tier () =
             (Int64.bits_of_float u))
         payoffs)
 
-let test_warm_start_counts_and_agrees () =
-  let dir = temp_dir () in
-  let registry = Telemetry.Registry.create () in
-  let tau_cold =
-    (Macgame.Oracle.uniform (Macgame.Oracle.analytic params) ~n:6 ~w:200).tau
-  in
-  Store.with_store dir (fun store ->
-      ignore
-        (Macgame.Oracle.uniform
-           (Macgame.Oracle.create ~telemetry:registry ~backend:Analytic ~store
-              params)
-           ~n:6 ~w:128));
-  Store.with_store dir (fun store ->
-      let oracle =
-        Macgame.Oracle.create ~telemetry:registry ~backend:Analytic ~store
-          ~warm_start:true params
-      in
-      let tau_warm = (Macgame.Oracle.uniform oracle ~n:6 ~w:200).tau in
-      Alcotest.(check int) "warm start used" 1
-        (Telemetry.Metric.count
-           (Telemetry.Registry.counter registry "oracle.warmstart.used"));
-      Alcotest.(check bool) "tolerance-level agreement" true
-        (Float.abs (tau_warm -. tau_cold) <= 1e-9 *. Float.abs tau_cold))
-
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "store"
@@ -665,6 +641,5 @@ let () =
         [
           quick "store tier bit-identical" test_oracle_store_bit_identical;
           quick "profile rows persist" test_oracle_profile_store_tier;
-          quick "warm start counts and agrees" test_warm_start_counts_and_agrees;
         ] );
     ]

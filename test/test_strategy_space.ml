@@ -260,7 +260,7 @@ let test_store_keys_are_v2 () =
               ~dev:{ (S.of_cw 16) with aifs = 1 })));
   Store.with_store dir (fun store ->
       let total = ref 0 in
-      Store.iter store (fun ~key _ ->
+      Store.iter store (fun key ->
           incr total;
           Alcotest.(check bool)
             (Printf.sprintf "key %s carries v2 prefix" key)

@@ -708,9 +708,8 @@ let test_homogeneous_iteration_count () =
   let iterations1 = ref (-1) in
   let _ = Dcf.Solver.solve_homogeneous ~iterations:iterations1 params ~n:1 ~w:64 in
   Alcotest.(check int) "n=1 is closed-form" 0 !iterations1;
-  let ic = ref (-1) in
-  let _ = Dcf.Solver.solve_classes ~iterations:ic params [ (64, 3); (128, 4) ] in
-  Alcotest.(check bool) "class iterations reported" true (!ic > 0)
+  let ic = (Dcf.Solver.solve_classes params [ (64, 3); (128, 4) ]).iterations in
+  Alcotest.(check bool) "class iterations reported" true (ic > 0)
 
 let test_repeated_game_cache_and_events () =
   let outcome, r, events =
