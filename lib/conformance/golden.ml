@@ -458,6 +458,258 @@ let class_solver () =
   in
   classes @ strategies @ profiles @ oracle_rows @ oracle_batch
 
+(* {2 The serving wire}
+
+   Request lines and the service's reply lines, byte for byte, each
+   ["elapsed_ms"] value masked: what [Request.of_line] accepts or refuses
+   and what [Reply.to_line] writes.  One fresh analytic service answers
+   the lines in order, so a first touch is cold and a repeat memo. *)
+
+let serve_memo_mix =
+  List.concat_map
+    (fun n ->
+      List.concat_map
+        (fun w ->
+          [
+            Printf.sprintf {|{"op":"tau","n":%d,"w":%d}|} n w;
+            Printf.sprintf {|{"op":"welfare","n":%d,"w":%d}|} n w;
+          ])
+        [ 16; 32; 64; 128; 256 ])
+    [ 2; 5; 10; 20 ]
+  @ [
+      {|{"op":"payoff","profile":[16,32,32,64]}|};
+      {|{"op":"payoff","profile":[32,32,32,64,128]}|};
+    ]
+
+let payoff_line entries =
+  Printf.sprintf {|{"op":"payoff","profile":[%s]}|} (String.concat "," entries)
+
+let tau_batch members =
+  Printf.sprintf {|{"op":"batch","requests":[%s]}|}
+    (String.concat ","
+       (List.init members (fun _ -> {|{"op":"tau","n":5,"w":32}|})))
+
+(* The serve test's parse-error lines, in its order. *)
+let parse_error_lines =
+  [
+    {|not json at all|}; {||}; {|{"op":"tau","n":5,"w":32|}; {|[1,2]|};
+    {|{"n":5,"w":32}|}; {|{"op":7,"n":5,"w":32}|}; {|{"op":"frobnicate"}|};
+    {|{"op":"tau","n":5}|}; {|{"op":"tau","w":32}|};
+    {|{"op":"tau","n":"5","w":32}|}; {|{"op":"tau","n":5.0,"w":32}|};
+    {|{"op":"tau","n":0,"w":32}|}; {|{"op":"tau","n":5,"w":-1}|};
+    {|{"op":"tau","n":5,"w":true}|}; {|{"op":"welfare","n":5}|};
+    {|{"op":"welfare","n":-3,"w":32}|}; {|{"op":"ne"}|}; {|{"op":"ne","n":0}|};
+    {|{"op":"ne","n":null}|}; {|{"op":"payoff"}|};
+    {|{"op":"payoff","profile":[]}|}; {|{"op":"payoff","profile":{"cw":16}}|};
+    {|{"op":"payoff","profile":[16,"x"]}|};
+    {|{"op":"payoff","profile":[16,0]}|};
+    {|{"op":"payoff","profile":[16,{"cw":16,"aifs":-1}]}|};
+    {|{"op":"payoff","profile":[{"aifs":1}]}|};
+    {|{"op":"tau","n":5,"w":32,"deadline_ms":"soon"}|};
+    {|{"op":"tau","n":5,"w":32,"deadline_ms":-1}|}; {|{"op":"batch"}|};
+    {|{"op":"batch","requests":[]}|};
+    {|{"op":"batch","requests":{"op":"tau"}}|};
+    {|{"op":"batch","requests":[{"op":"batch","requests":[]}]}|};
+    {|{"op":"batch","requests":[{"op":"tau","n":5,"w":32},{"op":"tau"}]}|};
+    {|{"op":"batch","requests":[{"op":"tau","n":0},{"op":"nope"}]}|};
+    {|{"op":"batch","requests":[{"op":"ne","n":5,"deadline_ms":"x"}]}|};
+    {|{"op":"nope","n":0,"w":0,"deadline_ms":-5}|};
+    {|{"n":0,"w":0,"deadline_ms":-5}|};
+    {|{"op":"batch","requests":[{"op":"tau"}],"deadline_ms":"late"}|};
+    {|{"op":"nope","n":0,"w":0}|}; {|{"op":5,"n":0,"w":0}|};
+    {|{"op":"tau","n":0,"w":0}|}; {|{"op":"tau","n":"x","w":"y"}|};
+    {|{"op":"welfare","w":0}|}; {|{"op":"tau","n":5,"w":0}|};
+    {|{"op":"tau","n":0,"w":32,"n":5}|};
+    {|{"op":"welfare","n":4611686018427387903,"w":32}|};
+    {|{"op":"tau","n":5,"w":4611686018427387903}|};
+    {|{"op":"tau","n":1000000000,"w":1000000000}|};
+    {|{"op":"tau","n":10001,"w":32}|}; {|{"op":"ne","n":10001}|};
+    {|{"op":"welfare","n":5,"w":1048577}|};
+    payoff_line (List.init 10_001 (fun _ -> "16"));
+    payoff_line [ "16"; {|{"cw":1048577,"aifs":1}|} ];
+    tau_batch 1_025;
+  ]
+
+(* Every op; ids of every JSON kind; escaped, repeated and unknown keys;
+   whitespace; extreme integers; malformed JSON; deadlines 0 and 1e9. *)
+let wire_lines =
+  let ids =
+    [ "null"; "true"; "false"; "0"; "-1"; "4611686018427387903";
+      "-4611686018427387904"; "9223372036854775808"; "1.5"; "-0.0"; "1e300";
+      "2.5e-8"; {|""|}; {|"req-9"|};
+      {|"q\"b\\s\/l\n\té😀\u0001"|}; "[]"; {|[1,[2,"x"],{}]|};
+      "{}"; {|{"a":{"b":null},"c":[true,1.25]}|} ]
+  in
+  List.map
+    (fun id -> Printf.sprintf {|{"id":%s,"op":"tau","n":5,"w":64}|} id)
+    ids
+  @ [
+      {|{"op":"ne","n":2}|};
+      {|{"id":4,"op":"ne","n":3}|};
+      {|{"id":5,"op":"ne","n":2}|};
+      {|{"op":"payoff","profile":[16,{"cw":32,"aifs":2,"txop":3},{"cw":48,"rate":0.5},64]}|};
+      {|{"op":"payoff","profile":[{"cw":64,"aifs":1,"txop":2,"rate":2}]}|};
+      {|{"op":"payoff","profile":[{"txop":1,"cw":32},{"rate":1,"aifs":0,"cw":32}]}|};
+      {|{"op":"payoff","profile":[16,{"cw":16,"rate":0}]}|};
+      {|{"op":"payoff","profile":[16,{"cw":16,"txop":0}]}|};
+      {|{"op":"payoff","profile":[16,{"cw":"16"}]}|};
+      {|{"op":"payoff","profile":[16,{"cw":16,"aifs":1.5}]}|};
+      {|{"op":"payoff","profile":[16,{"cw":16,"rate":"x"}]}|};
+      {|{"op":"payoff","profile":[16,16.0]}|};
+      {|{"op":"payoff","profile":[16,-4611686018427387904]}|};
+      {|{"op":"payoff","profile":[1048577,"x"]}|};
+      {|{"op":"payoff","profile":"wide"}|};
+      (* Escaped keys and values. *)
+      {|{"\u006fp":"tau","n":5,"w":64}|};
+      {|{"op":"t\u0061u","\u006e":5,"w":64}|};
+      {|{"op":"p\u0061yoff","pr\u006ffile":[16,32,32,64]}|};
+      {|{"op":"tau","n":5,"w":64,"id":"a\/b"}|};
+      {|{"op":"tau","n":5,"w\u0000":64}|};
+      {|{"op":"tau\u0000","n":5,"w":64}|};
+      {|{"op":"payoff","profile":[16,{"\u0063w":32}]}|};
+      {|{"op":"b\u0061tch","re\u0071uests":[{"op":"ne","n":2}]}|};
+      (* Repeated keys: the first counts. *)
+      {|{"op":"tau","op":"ne","n":5,"w":64,"n":6}|};
+      {|{"id":1,"id":2,"op":"welfare","n":5,"w":64}|};
+      {|{"op":"tau","n":"x","w":64,"n":5}|};
+      {|{"op":"payoff","profile":[16,32],"profile":"x"}|};
+      {|{"op":"batch","requests":[{"op":"tau","n":5,"w":64}],"requests":[]}|};
+      (* Unknown keys, skipped whatever they hold. *)
+      {|{"op":"tau","n":5,"w":64,"extra":[1,{"x":[null,"y"]}],"zz":null}|};
+      {|{"why":{"op":"ne"},"op":"welfare","n":5,"w":64,"requests":[1]}|};
+      {|{"op":"tau","n":5,"w":64,"profile":[0,"x"],"requests":{}}|};
+      (* Whitespace. *)
+      {| { "op" : "tau" , "n" : 5 , "w" : 64 } |};
+      "\t{\"op\":\"tau\",\r\n\"n\":5,\t\"w\":64}\r";
+      "   ";
+      "";
+      (* Extreme integers and numbers. *)
+      {|{"op":"tau","n":-4611686018427387904,"w":64}|};
+      {|{"op":"tau","n":9007199254740992,"w":64}|};
+      {|{"op":"tau","n":9223372036854775808,"w":64}|};
+      {|{"op":"tau","n":-0,"w":64}|};
+      {|{"op":"tau","n":1e1,"w":64}|};
+      {|{"op":"tau","n":5,"w":64,"deadline_ms":4611686018427387903}|};
+      {|{"op":"tau","n":5,"w":64,"deadline_ms":1.5e300}|};
+      {|{"op":"tau","n":5,"w":64,"deadline_ms":-0.0}|};
+      {|{"op":"tau","n":5,"w":64,"deadline_ms":null}|};
+      {|{"op":"tau","n":5,"w":64,"deadline_ms":1e400}|};
+      (* Malformed JSON. *)
+      {|{"op":"tau","n":5,"w":64}x|};
+      {|{"op":"tau","n":01,"w":64}|};
+      {|{"op":"tau","n":+1,"w":64}|};
+      {|{"op":"tau","n":.5,"w":64}|};
+      {|{"op":"tau","n":5,"w":64,}|};
+      {|{"op" "tau"}|};
+      {|{,}|};
+      {|{"id":"\ud800","op":"tau","n":5,"w":64}|};
+      {|{"id":"\x","op":"tau","n":5,"w":64}|};
+      "{\"id\":\"a\001b\",\"op\":\"tau\",\"n\":5,\"w\":64}";
+      {|{"op":"tau","n":5,"w":64}{}|};
+      {|{"op":"batch","requests":[{"op":"tau","n":0},{"op":"tau","n":5,"w":]}|};
+      {|{"op":"nope","n":0,"junk":tru}|};
+      {|{"op":"tau","n":5,"w":64|};
+      (* The id an error reply echoes. *)
+      {|{"id":"s1","op":"frobnicate","n":[}|};
+      {|{"id":"s2","op":"tau","n":0}|};
+      {|{"op":"tau","id":[{"s":3}],"n":5}|};
+      {|[{"id":1}]|};
+      (* Batches. *)
+      {|{"id":"b0","op":"batch","requests":[{"op":"tau","n":5,"w":64}],"deadline_ms":0}|};
+      {|{"id":"b1","op":"batch","requests":[{"id":1,"op":"tau","n":5,"w":64,"deadline_ms":0},{"id":2,"op":"welfare","n":5,"w":64,"deadline_ms":1e9},{"op":"ne","n":2},{"op":"payoff","profile":[16,32,32,64]}],"deadline_ms":1e9}|};
+      {|{"id":[1],"op":"batch","requests":[{"op":"payoff","profile":[40,40,300,700]},{"op":"payoff","profile":[41,41,300,700]},{"op":"payoff","profile":[42,{"cw":42},300,700]}]}|};
+      {|{"op":"batch","requests":[7,{"op":"tau","n":5,"w":64}]}|};
+      {|{"op":"batch","requests":[{"op":"payoff","profile":[16,"x"]},{"op":"nope"}]}|};
+      {|{"op":"batch","requests":[{"id":{"k":"v"},"op":"tau","n":2,"w":16,"requests":[{"op":"x"}]}]}|};
+      {|{"op":"tau","n":5,"w":64,"deadline_ms":0}|};
+      {|{"op":"tau","n":5,"w":64,"deadline_ms":1000000000}|};
+    ]
+
+(* Unique payoff profiles drawn the way the serve_cold benchmark draws
+   them: 2-32 window classes of 1-3 nodes, windows 16-1023; single leaves
+   and one batch of 8 sweep points (one class's window stepped by 1). *)
+let cold_lines () =
+  let rng = Prelude.Rng.create 29 in
+  let distinct c =
+    let rec go acc k =
+      if k = 0 then acc
+      else
+        let w = Prelude.Rng.int_in rng 16 1023 in
+        if List.mem w acc then go acc k else go (w :: acc) (k - 1)
+    in
+    go [] c
+  in
+  let nodes w = List.init (Prelude.Rng.int_in rng 1 3) (fun _ -> w) in
+  let line cws = payoff_line (List.map string_of_int cws) in
+  let single () =
+    line (List.concat_map nodes (distinct (Prelude.Rng.int_in rng 2 32)))
+  in
+  let batch () =
+    let others = distinct (Prelude.Rng.int_in rng 1 31) in
+    let w0 = Prelude.Rng.int_in rng 16 1016 in
+    let swept = List.length (nodes w0) in
+    let rest = List.concat_map nodes others in
+    Printf.sprintf {|{"op":"batch","requests":[%s]}|}
+      (String.concat ","
+         (List.init 8 (fun k -> line (List.init swept (fun _ -> w0 + k) @ rest))))
+  in
+  let singles = List.init 4 (fun _ -> single ()) in
+  singles @ [ batch () ]
+
+(* Each "elapsed_ms" number replaced by "_". *)
+let mask_elapsed reply =
+  let key = {|"elapsed_ms":|} in
+  let k = String.length key and n = String.length reply in
+  let b = Buffer.create n in
+  let rec go i =
+    if i >= n then ()
+    else if i + k <= n && String.sub reply i k = key then begin
+      Buffer.add_string b key;
+      Buffer.add_char b '_';
+      let rec skip j =
+        if j < n && String.contains "-+.eE0123456789" reply.[j] then skip (j + 1)
+        else j
+      in
+      go (skip (i + k))
+    end
+    else begin
+      Buffer.add_char b reply.[i];
+      go (i + 1)
+    end
+  in
+  go 0;
+  Buffer.contents b
+
+let serve_wire () =
+  let registry = Telemetry.Registry.create ~label:"golden-serve-wire" () in
+  let oracle = Macgame.Oracle.analytic ~telemetry:registry Dcf.Params.default in
+  let server = Serve.Server.create ~telemetry:registry oracle in
+  let lines =
+    serve_memo_mix @ serve_memo_mix @ parse_error_lines @ wire_lines
+    @ cold_lines ()
+  in
+  List.mapi
+    (fun i line ->
+      (* Long lines are kept as their length and digest. *)
+      let request =
+        if String.length line <= 4096 then [ ("request", String line) ]
+        else
+          [
+            ("request_bytes", Int (String.length line));
+            ( "request_fnv1a64",
+              String (Prelude.Util.hex64 (Prelude.Util.fnv1a64 line)) );
+          ]
+      in
+      let reply =
+        match Serve.Server.handle_line server line with
+        | Some reply -> String (mask_elapsed reply)
+        | None -> Null
+      in
+      Obj
+        ((("id", String (Printf.sprintf "wire.%03d" i)) :: request)
+        @ [ ("reply", reply) ]))
+    lines
+
 let snapshots () =
   [
     {
@@ -498,6 +750,7 @@ let snapshots () =
       policy = Exact;
       generate = class_solver;
     };
+    { name = "serve_wire"; tier = Check.Fast; policy = Exact; generate = serve_wire };
   ]
 
 (* {2 Field-level diffing} *)
