@@ -298,6 +298,31 @@ let tests =
                (Serve.Server.handle_line
                   (Serve.Server.create (Macgame.Oracle.analytic params))
                   "{\"op\":\"tau\",\"n\":10,\"w\":128}")));
+      (* The serve_memo mix's 5-entry payoff line on a warmed server: the
+         decoder's profile path and a reply of five payoffs. *)
+      Test.make ~name:"serve_handle_line_payoff_warm"
+        (Staged.stage
+           (let server =
+              Serve.Server.create (Macgame.Oracle.analytic params)
+            in
+            let line = "{\"op\":\"payoff\",\"profile\":[32,32,32,64,128]}" in
+            ignore (Serve.Server.handle_line server line);
+            fun () -> ignore (Serve.Server.handle_line server line)));
+      (* A batch of four memo hits: the decoder's batch path, four member
+         replies inside one envelope. *)
+      Test.make ~name:"serve_handle_line_batch_warm"
+        (Staged.stage
+           (let server =
+              Serve.Server.create (Macgame.Oracle.analytic params)
+            in
+            let line =
+              "{\"op\":\"batch\",\"requests\":[{\"op\":\"tau\",\"n\":5,\"w\":64},\
+               {\"op\":\"welfare\",\"n\":10,\"w\":128},\
+               {\"op\":\"payoff\",\"profile\":[16,32,32,64]},\
+               {\"op\":\"tau\",\"n\":20,\"w\":256}]}"
+            in
+            ignore (Serve.Server.handle_line server line);
+            fun () -> ignore (Serve.Server.handle_line server line)));
       (* A cold payoff leaf, the serve_cold workload's unit: one payoff
          line of 24 window classes (1-3 nodes each, 48 nodes) on a fresh
          oracle and server, so the line pays for canonicalisation, the
@@ -445,10 +470,11 @@ let kernel_ns json =
    shared machines is real — so tripping it means the kernel genuinely
    lost its edge.  Guarded: every spatial kernel — the event-core ones
    and the grid/scan/sharded scale ones — the slotted and unsaturated
-   contention loops, the Newton solver kernel, the warm and cold
-   serving kernels, whose time is mostly request parsing and reply
-   rendering, the cold payoff leaf, and a memo hit among 3 000
-   one-deviant profiles. *)
+   contention loops, the Newton solver kernel, the serving kernels —
+   warm and cold tau lines, a warm payoff line and a warm batch, whose
+   time is mostly request decoding and reply rendering — the cold
+   payoff leaf, and a memo hit among 3 000 one-deviant profiles.  A
+   kernel missing from the baseline is skipped until a baseline has it. *)
 let guarded_kernel name =
   String.starts_with ~prefix:"spatial" name
   || List.mem name
@@ -458,6 +484,8 @@ let guarded_kernel name =
          "newton_cold_n50";
          "serve_handle_line_warm";
          "serve_handle_line_cold";
+         "serve_handle_line_payoff_warm";
+         "serve_handle_line_batch_warm";
          "serve_payoff_leaf_cold";
          "oracle_memo_hit_3000";
        ]

@@ -116,10 +116,19 @@ type source = {
 let draw_backoff node =
   Prelude.Rng.int node.rng (node.window lsl node.stage)
 
+(* Exp(rate) drawn as [Rng.exponential] draws it — one uniform, redrawn
+   while zero — from [Rng.bits53], whose int comes back unboxed where
+   [exponential]'s float would be boxed, once per arrival. *)
 let[@inline] schedule_arrival nd src now =
   src.clocks.next_arrival <-
     (if src.rate <= 0. then infinity
-     else now +. Prelude.Rng.exponential nd.rng src.rate)
+     else begin
+       let b = ref (Prelude.Rng.bits53 nd.rng) in
+       while !b = 0 do
+         b := Prelude.Rng.bits53 nd.rng
+       done;
+       now +. (-.log (float_of_int !b *. 0x1p-53) /. src.rate)
+     end)
 
 (* Charge [dt] to the queue integrals of the [nq] nodes listed in
    [queued]; every other queue is empty. *)
@@ -298,11 +307,10 @@ let run ?(telemetry = Telemetry.Registry.default) ?(bianchi_ticks = false)
   (* The loop, written once and inlined at its two calls below, so each
      copy keeps only its own traffic's branches ([poisson] is a constant
      in each) and the saturated copy runs what a loop written for
-     saturated stations alone would run.  It calls no closure, and
-     allocates only the floats [Prelude.Rng] returns boxed: two per
-     inter-arrival, one per channel-error draw.  The clock and the
-     airtime sums are locals of this function that no closure captures,
-     so they stay unboxed.  Every defer is permanently 0 on the
+     saturated stations alone would run.  It calls no closure and
+     allocates nothing per slot, transmission or arrival (but when a
+     queue's ring doubles).  The clock and the airtime sums are locals of
+     this function that no closure captures, so they stay unboxed.  Every defer is permanently 0 on the
      degenerate subspace, so the per-slot defer bookkeeping is gated
      behind [has_aifs] too. *)
   let[@inline] simulate poisson =

@@ -60,6 +60,8 @@ let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
+let bits53 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 11)
+
 (* Inlined into [bernoulli] and [exponential] so that the float stays
    unboxed between the draw and its use. *)
 let[@inline] float t x =

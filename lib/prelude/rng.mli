@@ -42,6 +42,14 @@ val int_in : t -> int -> int -> int
 val float : t -> float -> float
 (** [float t x] is uniform on [0, x). *)
 
+val bits53 : t -> int
+(** The next 53 uniform bits, the draw behind {!float}:
+    [float t x = x *. (float_of_int (bits53 t) *. 0x1p-53)], bit for bit,
+    for the same state.  An [int] comes back unboxed, so a caller in
+    another module can build its float without the boxed return of
+    [float] (dev builds pass [-opaque], so nothing inlines across
+    modules). *)
+
 val float_in : t -> float -> float -> float
 (** [float_in t lo hi] is uniform on [lo, hi). *)
 

@@ -1,7 +1,8 @@
-type t = Telemetry.Jsonx.t
+module Jx = Telemetry.Jsonx
 
-let tier_field tier =
-  ("tier", Telemetry.Jsonx.String (Macgame.Oracle.tier_name tier))
+type t = Jx.t
+
+let tier_field tier = ("tier", Jx.String (Macgame.Oracle.tier_name tier))
 
 (* One field per tier, built once: a memo hit allocates none. *)
 let memo_field = tier_field Macgame.Oracle.Memo
@@ -9,12 +10,10 @@ let store_field = tier_field Macgame.Oracle.Store
 let cold_field = tier_field Macgame.Oracle.Cold
 
 let ok ~id ?tier ~elapsed_ms result =
-  let tail =
-    [ ("elapsed_ms", Telemetry.Jsonx.Float elapsed_ms); ("result", result) ]
-  in
-  Telemetry.Jsonx.Obj
+  let tail = [ ("elapsed_ms", Jx.Float elapsed_ms); ("result", result) ] in
+  Jx.Obj
     (("id", id)
-    :: ("ok", Telemetry.Jsonx.Bool true)
+    :: ("ok", Jx.Bool true)
     ::
     (match (tier : Macgame.Oracle.tier option) with
     | Some Memo -> memo_field :: tail
@@ -23,11 +22,81 @@ let ok ~id ?tier ~elapsed_ms result =
     | None -> tail))
 
 let error ~id reason =
-  Telemetry.Jsonx.Obj
-    [
-      ("id", id);
-      ("ok", Telemetry.Jsonx.Bool false);
-      ("error", Telemetry.Jsonx.String reason);
-    ]
+  Jx.Obj [ ("id", id); ("ok", Jx.Bool false); ("error", Jx.String reason) ]
 
-let to_line t = Telemetry.Jsonx.to_string t
+(* {2 Rendering}
+
+   The envelopes [ok] and [error] build are written with their keys and
+   punctuation as literals, pre-escaped, and only the id, elapsed time,
+   result and error text through [Jx]'s renderers; a batch's member
+   replies are envelopes too.  Any other tree is rendered whole.  Either
+   way the bytes are [Jx.to_string]'s. *)
+
+(* What follows the id of an ok reply with [tier], up to its elapsed
+   time. *)
+let tier_prefix = function
+  | "memo" -> Some {|,"ok":true,"tier":"memo","elapsed_ms":|}
+  | "store" -> Some {|,"ok":true,"tier":"store","elapsed_ms":|}
+  | "cold" -> Some {|,"ok":true,"tier":"cold","elapsed_ms":|}
+  | _ -> None
+
+let write_id w id =
+  Jx.write_raw w {|{"id":|};
+  Jx.write w id
+
+let rec write w (t : t) =
+  match t with
+  | Obj
+      [
+        ("id", id);
+        ("ok", Bool true);
+        ("tier", String tier);
+        ("elapsed_ms", Float elapsed_ms);
+        ("result", result);
+      ] -> (
+      match tier_prefix tier with
+      | Some prefix ->
+          write_id w id;
+          Jx.write_raw w prefix;
+          Jx.write_float w elapsed_ms;
+          Jx.write_raw w {|,"result":|};
+          write_result w result;
+          Jx.write_raw w "}"
+      | None -> Jx.write w t)
+  | Obj
+      [
+        ("id", id);
+        ("ok", Bool true);
+        ("elapsed_ms", Float elapsed_ms);
+        ("result", result);
+      ] ->
+      write_id w id;
+      Jx.write_raw w {|,"ok":true,"elapsed_ms":|};
+      Jx.write_float w elapsed_ms;
+      Jx.write_raw w {|,"result":|};
+      write_result w result;
+      Jx.write_raw w "}"
+  | Obj [ ("id", id); ("ok", Bool false); ("error", String reason) ] ->
+      write_id w id;
+      Jx.write_raw w {|,"ok":false,"error":|};
+      Jx.write_string w reason;
+      Jx.write_raw w "}"
+  | t -> Jx.write w t
+
+(* A batch's result lists its members' replies. *)
+and write_result w = function
+  | Obj [ ("replies", List (first :: rest)) ] ->
+      Jx.write_raw w {|{"replies":[|};
+      write w first;
+      List.iter
+        (fun reply ->
+          Jx.write_raw w ",";
+          write w reply)
+        rest;
+      Jx.write_raw w "]}"
+  | result -> Jx.write w result
+
+let to_line t =
+  let w = Jx.writer () in
+  write w t;
+  Jx.contents w

@@ -64,4 +64,17 @@ val max_batch : int
 val of_line : string -> (t, string) result
 (** Parse one request line.  [Error reason] on malformed JSON, missing,
     ill-typed or over-limit fields, unknown ops, or nested batches — never
-    raises. *)
+    raises.
+
+    The line is read once, in place: fields the protocol names are
+    decoded as they stream past (the first of a repeated key counts),
+    other values are checked and dropped, and only the id and strategy
+    objects become {!Telemetry.Jsonx.t} trees.  Malformed JSON anywhere
+    in the line outranks every other refusal, and the others come in a
+    fixed order whatever the order of the keys: [deadline_ms], then
+    [op], then the op's fields ([n] before [w]), then batch members in
+    order. *)
+
+val decode : string -> (t, Telemetry.Jsonx.t * string) result
+(** [of_line], with the id an error reply echoes: the line's first
+    top-level ["id"] when the line is a JSON object, else [Null]. *)

@@ -199,23 +199,18 @@ let rec reply_to ?batch t ~received_at (req : Request.t) : Reply.t =
                 Telemetry.Metric.incr t.errors;
                 Reply.error ~id:req.id reason))
 
-(* Salvage the request id from a line whose envelope failed to parse as a
-   request, so the client can still correlate the error reply. *)
-let salvage_id line =
-  match Jx.parse line with
-  | exception Jx.Parse_error _ -> Jx.Null
-  | json -> Option.value (Jx.member "id" json) ~default:Jx.Null
-
 let handle_line t line =
   let received_at = now_ms () in
   if String.trim line = "" then None
   else
     let reply =
-      match Request.of_line line with
-      | Error reason ->
+      (* A refused line still echoes its id, so the client can correlate
+         the error reply. *)
+      match Request.decode line with
+      | Error (id, reason) ->
           Telemetry.Metric.incr t.requests;
           Telemetry.Metric.incr t.errors;
-          Reply.error ~id:(salvage_id line) reason
+          Reply.error ~id reason
       | Ok req -> (
           try reply_to t ~received_at req
           with exn ->

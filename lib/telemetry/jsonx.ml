@@ -31,10 +31,28 @@ let[@inline] put_char w c =
   Bytes.unsafe_set w.bytes w.len c;
   w.len <- w.len + 1
 
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* Keys, literals and short strings are copied a word at a time (the
+   last word overlapping the one before): cheaper than the C blit that
+   longer ones take. *)
 let[@inline] put_string w s =
-  let n = String.length s in
-  Bytes.unsafe_blit_string s 0 w.bytes w.len n;
-  w.len <- w.len + n
+  let n = String.length s and b = w.bytes and pos = w.len in
+  if n > 64 then Bytes.unsafe_blit_string s 0 b pos n
+  else if n >= 8 then begin
+    let i = ref 0 in
+    while !i < n - 8 do
+      set64u b (pos + !i) (get64u s !i);
+      i := !i + 8
+    done;
+    set64u b (pos + n - 8) (get64u s (n - 8))
+  end
+  else
+    for i = 0 to n - 1 do
+      Bytes.unsafe_set b (pos + i) (String.unsafe_get s i)
+    done;
+  w.len <- pos + n
 
 (* Checked: for punctuation and literals. *)
 let[@inline] add_char w c =
@@ -110,6 +128,13 @@ let add_int buf i =
   let b = Bytes.create (if i < 0 then 20 else ndigits i) in
   Buffer.add_subbytes buf b 0 (put_int b 0 i)
 
+(* [n] ASCII zeros from [b.[pos]] on: at most a few, which a loop writes
+   for less than a C call costs. *)
+let put_zeros b pos n =
+  for i = pos to pos + n - 1 do
+    Bytes.unsafe_set b i '0'
+  done
+
 (* C's [%.<p>g] layout of the [p]-digit significand [d] times
    10^(x-p+1): trailing zeros dropped, positional when -4 <= x < p,
    otherwise d.ddde±XX.  The digits go in place, then the leading ones
@@ -137,12 +162,14 @@ let put_g w p d x =
   else if x >= 0 then begin
     if nd <= x + 1 then begin
       put_digits b pos d nd;
-      Bytes.fill b (pos + nd) (x + 1 - nd) '0';
+      put_zeros b (pos + nd) (x + 1 - nd);
       w.len <- pos + x + 1
     end
     else begin
       put_digits b (pos + 1) d nd;
-      Bytes.blit b (pos + 1) b pos (x + 1);
+      for i = pos to pos + x do
+        Bytes.unsafe_set b i (Bytes.unsafe_get b (i + 1))
+      done;
       Bytes.unsafe_set b (pos + x + 1) '.';
       w.len <- pos + nd + 1
     end
@@ -150,7 +177,7 @@ let put_g w p d x =
   else begin
     Bytes.unsafe_set b pos '0';
     Bytes.unsafe_set b (pos + 1) '.';
-    Bytes.fill b (pos + 2) (-x - 1) '0';
+    put_zeros b (pos + 2) (-x - 1);
     put_digits b (pos + 1 - x) d nd;
     w.len <- pos + 1 - x + nd
   end
@@ -275,12 +302,19 @@ let put_printf w f =
 let put_float w f =
   reserve w 32;
   if not (Float.is_finite f) then put_string w "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then put_integral w f
   else
+    (* The bits without the sign: exponent and fraction. *)
     let bits = Int64.to_int (Int64.bits_of_float f) in
     let e2 = ((bits lsr 52) land 0x7FF) - 1023 in
-    if e2 < exact_lo || e2 > exact_hi then put_printf w f
-    else put_exact w f ~e2 ~m:(bits land ((1 lsl 52) - 1) lor (1 lsl 52))
+    let frac = bits land ((1 lsl 52) - 1) in
+    (* [Float.is_integer f], read off the bits: zero, or no fraction bit
+       below the binary point. *)
+    let integral =
+      bits = 0 || e2 >= 52 || (e2 >= 0 && frac land ((1 lsl (52 - e2)) - 1) = 0)
+    in
+    if integral && Float.abs f < 1e15 then put_integral w f
+    else if e2 < exact_lo || e2 > exact_hi then put_printf w f
+    else put_exact w f ~e2 ~m:(frac lor (1 lsl 52))
 
 (* Copies the bytes of [s] from [i] on to [b] from [j] on, up to the
    first quote, backslash or control byte, whose index it returns. *)
@@ -361,10 +395,17 @@ and put_field w (k, v) =
   add_char w ':';
   put_value w v
 
+let writer () = { bytes = Bytes.create 256; len = 0 }
+let write = put_value
+let write_float = put_float
+let write_string = escape
+let write_raw = add_literal
+let contents w = Bytes.sub_string w.bytes 0 w.len
+
 let to_string v =
-  let w = { bytes = Bytes.create 256; len = 0 } in
+  let w = writer () in
   put_value w v;
-  Bytes.sub_string w.bytes 0 w.len
+  contents w
 
 (* {1 Parsing} *)
 
@@ -375,10 +416,10 @@ type cursor = { s : string; mutable pos : int }
 let error c msg =
   raise (Parse_error (Printf.sprintf "%s at offset %d" msg c.pos))
 
-let at_end c = c.pos >= String.length c.s
+let[@inline] at_end c = c.pos >= String.length c.s
 
 (* The byte under the cursor; callers check [at_end] first. *)
-let peek c = String.unsafe_get c.s c.pos
+let[@inline] peek c = String.unsafe_get c.s c.pos
 
 let rec ws_end s i =
   if i = String.length s then i
@@ -387,10 +428,17 @@ let rec ws_end s i =
     | ' ' | '\t' | '\n' | '\r' -> ws_end s (i + 1)
     | _ -> i
 
-let skip_ws c = c.pos <- ws_end c.s c.pos
+(* Every whitespace byte is at most ' ', so one compare settles the
+   common case of none without a call. *)
+let[@inline] skip_ws c =
+  let i = c.pos in
+  if i >= String.length c.s || String.unsafe_get c.s i <= ' ' then
+    c.pos <- ws_end c.s i
 
-let expect c ch =
-  if at_end c || peek c <> ch then error c (Printf.sprintf "expected %C" ch);
+let expected c ch = error c (Printf.sprintf "expected %C" ch)
+
+let[@inline] expect c ch =
+  if at_end c || peek c <> ch then expected c ch;
   c.pos <- c.pos + 1
 
 let literal c word value =
@@ -445,13 +493,19 @@ let unicode_escape c buf =
 
 (* The end of the run of string content from [i]: the quote, a
    backslash, or a control byte RFC 8259 forbids raw ends it. *)
-let rec plain_end s i =
-  if i = String.length s then i
-  else
-    let ch = String.unsafe_get s i in
-    if ch = '"' || ch = '\\' || ch < ' ' then i else plain_end s (i + 1)
+let[@inline] plain_run s i =
+  let i = ref i in
+  while
+    !i < String.length s
+    &&
+    let ch = String.unsafe_get s !i in
+    ch <> '"' && ch <> '\\' && ch >= ' '
+  do
+    incr i
+  done;
+  !i
 
-let skip_plain c = c.pos <- plain_end c.s c.pos
+let skip_plain c = c.pos <- plain_run c.s c.pos
 
 let rec escaped_string c buf =
   let run = c.pos in
@@ -496,9 +550,9 @@ let string_lit c =
     escaped_string c buf
   end
 
-let is_digit ch = ch >= '0' && ch <= '9'
+let[@inline] is_digit ch = ch >= '0' && ch <= '9'
 
-(* At least one digit; returns how many. *)
+(* At least one digit. *)
 let digits c what =
   let s = c.s and start = c.pos in
   let i = ref start in
@@ -506,53 +560,73 @@ let digits c what =
     incr i
   done;
   c.pos <- !i;
-  if !i = start then error c ("expected a digit " ^ what);
-  !i - start
+  if !i = start then error c ("expected a digit " ^ what)
+
+(* The end of the number at the cursor when it is an [Int] — integral
+   (no fraction or exponent) and in range — else -1. *)
+let[@inline] int_end c =
+  let s = c.s and n = String.length c.s in
+  let i = c.pos in
+  let j = if i < n && String.unsafe_get s i = '-' then i + 1 else i in
+  if j >= n || not (is_digit (String.unsafe_get s j)) then -1
+  else begin
+    let k = ref (j + 1) in
+    if String.unsafe_get s j <> '0' then
+      while !k < n && is_digit (String.unsafe_get s !k) do
+        incr k
+      done;
+    let k = !k in
+    if k < n && (match String.unsafe_get s k with '.' | 'e' | 'E' -> true | _ -> false)
+    then -1
+    else if k - j <= 18 then k
+    else
+      match int_of_string_opt (String.sub s i (k - i)) with
+      | Some _ -> k
+      | None -> -1
+  end
+
+(* The [Int] from the cursor to [k], [int_end]'s answer. *)
+let int_upto c k =
+  let s = c.s and i = c.pos in
+  c.pos <- k;
+  let negative = String.unsafe_get s i = '-' in
+  let j = if negative then i + 1 else i in
+  if k - j <= 18 then begin
+    let v = ref 0 in
+    for d = j to k - 1 do
+      v := (!v * 10) + (Char.code (String.unsafe_get s d) - 48)
+    done;
+    if negative then - !v else !v
+  end
+  else int_of_string (String.sub s i (k - i))
 
 (* RFC 8259: an optional '-', then 0 or a digit run without a leading
    zero, then optionally '.' and digits, then optionally e or E, a sign
    and digits.  An integral literal that fits is an [Int]; anything else a
    finite [Float]. *)
 let number c =
-  let start = c.pos in
-  let negative = peek c = '-' in
-  if negative then c.pos <- c.pos + 1;
-  let int_start = c.pos in
-  let n_int =
-    if (not (at_end c)) && peek c = '0' then begin
+  let k = int_end c in
+  if k >= 0 then Int (int_upto c k)
+  else begin
+    let start = c.pos in
+    if peek c = '-' then c.pos <- c.pos + 1;
+    if (not (at_end c)) && peek c = '0' then c.pos <- c.pos + 1
+    else digits c "in the number";
+    if (not (at_end c)) && peek c = '.' then begin
       c.pos <- c.pos + 1;
-      1
-    end
-    else digits c "in the number"
-  in
-  let integral = ref true in
-  if (not (at_end c)) && peek c = '.' then begin
-    integral := false;
-    c.pos <- c.pos + 1;
-    ignore (digits c "after '.'")
-  end;
-  if (not (at_end c)) && (peek c = 'e' || peek c = 'E') then begin
-    integral := false;
-    c.pos <- c.pos + 1;
-    if (not (at_end c)) && (peek c = '+' || peek c = '-') then
+      digits c "after '.'"
+    end;
+    if (not (at_end c)) && (peek c = 'e' || peek c = 'E') then begin
       c.pos <- c.pos + 1;
-    ignore (digits c "in the exponent")
-  end;
-  if !integral && n_int <= 18 then begin
-    let v = ref 0 in
-    for i = int_start to c.pos - 1 do
-      v := (!v * 10) + (Char.code (String.unsafe_get c.s i) - 48)
-    done;
-    Int (if negative then - !v else !v)
-  end
-  else
+      if (not (at_end c)) && (peek c = '+' || peek c = '-') then
+        c.pos <- c.pos + 1;
+      digits c "in the exponent"
+    end;
     let text = String.sub c.s start (c.pos - start) in
-    match if !integral then int_of_string_opt text else None with
-    | Some i -> Int i
-    | None ->
-        let f = float_of_string text in
-        if Float.is_finite f then Float f
-        else error c (Printf.sprintf "number %s out of range" text)
+    let f = float_of_string text in
+    if Float.is_finite f then Float f
+    else error c (Printf.sprintf "number %s out of range" text)
+  end
 
 let rec value c =
   skip_ws c;
@@ -611,12 +685,148 @@ and fields c acc =
       List.rev ((k, v) :: acc)
   | _ -> error c "expected ',' or '}'"
 
+let finish c =
+  skip_ws c;
+  if not (at_end c) then error c "trailing garbage"
+
 let parse s =
   let c = { s; pos = 0 } in
   let v = value c in
-  skip_ws c;
-  if not (at_end c) then error c "trailing garbage";
+  finish c;
   v
+
+(* {1 Reading in place}
+
+   The reader walks the grammar [value] walks, in the same order, and
+   raises the same errors at the same offsets; what it adds is reading a
+   value without building it.  Each function below reads one whole value
+   or, where it says so, nothing but whitespace, leaving the value to
+   [value]. *)
+
+type reader = cursor
+
+let reader s = { s; pos = 0 }
+
+(* The index of the name that the [len] bytes of [s] from [start]
+   spell, or -1. *)
+let find_name s start len names =
+  let found = ref (-1) and i = ref 0 in
+  while !found < 0 && !i < Array.length names do
+    let name = Array.unsafe_get names !i in
+    if String.length name = len then begin
+      let j = ref 0 in
+      while
+        !j < len
+        && String.unsafe_get s (start + !j) = String.unsafe_get name !j
+      do
+        incr j
+      done;
+      if !j = len then found := !i
+    end;
+    incr i
+  done;
+  !found
+
+(* Reads a string; the index of the name it decodes to, or -1.  An
+   escape-free string is matched where it lies. *)
+let[@inline] string_index c names =
+  expect c '"';
+  let s = c.s and start = c.pos in
+  let e = plain_run s start in
+  if e < String.length s && String.unsafe_get s e = '"' then begin
+    c.pos <- e + 1;
+    find_name s start (e - start) names
+  end
+  else
+    let k = escaped_string c (Buffer.create (e - start + 16)) in
+    find_name k 0 (String.length k) names
+
+let fields c keys f =
+  skip_ws c;
+  if at_end c || peek c <> '{' then ignore (value c)
+  else begin
+    c.pos <- c.pos + 1;
+    skip_ws c;
+    if (not (at_end c)) && peek c = '}' then c.pos <- c.pos + 1
+    else begin
+      let seen = ref 0 and open_ = ref true in
+      while !open_ do
+        skip_ws c;
+        let i = string_index c keys in
+        skip_ws c;
+        expect c ':';
+        if i >= 0 && !seen land (1 lsl i) = 0 then begin
+          seen := !seen lor (1 lsl i);
+          f i
+        end
+        else ignore (value c);
+        skip_ws c;
+        if at_end c then error c "expected ',' or '}'";
+        match peek c with
+        | ',' -> c.pos <- c.pos + 1
+        | '}' ->
+            c.pos <- c.pos + 1;
+            open_ := false
+        | _ -> error c "expected ',' or '}'"
+      done
+    end
+  end
+
+let items c f =
+  skip_ws c;
+  if at_end c || peek c <> '[' then false
+  else begin
+    c.pos <- c.pos + 1;
+    skip_ws c;
+    if (not (at_end c)) && peek c = ']' then c.pos <- c.pos + 1
+    else begin
+      let open_ = ref true in
+      while !open_ do
+        f ();
+        skip_ws c;
+        if at_end c then error c "expected ',' or ']'";
+        match peek c with
+        | ',' -> c.pos <- c.pos + 1
+        | ']' ->
+            c.pos <- c.pos + 1;
+            open_ := false
+        | _ -> error c "expected ',' or ']'"
+      done
+    end;
+    true
+  end
+
+let is_int c =
+  skip_ws c;
+  int_end c >= 0
+
+let int c =
+  skip_ws c;
+  let k = int_end c in
+  if k < 0 then error c "expected an integer";
+  int_upto c k
+
+(* An escaped string is decoded to be matched; a malformed one is left
+   for [value] to refuse. *)
+let name c names =
+  skip_ws c;
+  if at_end c || peek c <> '"' then -1
+  else
+    let s = c.s and start = c.pos in
+    let e = plain_run s (start + 1) in
+    let i =
+      if e < String.length s && String.unsafe_get s e = '"' then begin
+        let i = find_name s (start + 1) (e - start - 1) names in
+        if i >= 0 then c.pos <- e + 1;
+        i
+      end
+      else
+        match string_lit c with
+        | k -> find_name k 0 (String.length k) names
+        | exception Parse_error _ -> -1
+    in
+    if i < 0 then c.pos <- start;
+    i
 
 let rec find_field key = function
   | [] -> None

@@ -172,6 +172,18 @@ let test_rng_known_answers () =
       Alcotest.(check (float 0.)) "exponential" want (Rng.exponential e 2.0))
     [ 0x1.26b7a9a0ab2p-1; 0x1.5688599c1b0d6p-1; 0x1.cc229263021f4p-3 ]
 
+(* [bits53] is the draw behind [float]: on copies of one state, the two
+   give the same float bit for bit, every time. *)
+let test_rng_bits53_is_float () =
+  let a = Rng.create 59 in
+  let b = Rng.copy a in
+  for _ = 1 to 10_000 do
+    let x = float_of_int (Rng.bits53 a) *. 0x1p-53 in
+    let y = Rng.float b 1.0 in
+    if Int64.bits_of_float x <> Int64.bits_of_float y then
+      Alcotest.failf "bits53 gives %h, float gives %h" x y
+  done
+
 (* {1 Stats} *)
 
 let test_stats_empty () =
@@ -412,6 +424,7 @@ let suite_rng =
     Alcotest.test_case "pick membership" `Quick test_rng_pick;
     Alcotest.test_case "shuffle is permutation" `Quick test_rng_shuffle_permutation;
     Alcotest.test_case "known answers" `Quick test_rng_known_answers;
+    Alcotest.test_case "bits53 is float's draw" `Quick test_rng_bits53_is_float;
   ]
 
 let suite_stats =

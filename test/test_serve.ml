@@ -560,6 +560,257 @@ let test_fuzz_request_boundary =
       | Some reply -> typed_reply (Jx.parse reply)
       | None -> String.trim line = "")
 
+(* {2 The tree decoder, kept as a reference}
+
+   What [Request.of_line] did before it read lines in one pass: parse the
+   whole line into a tree, then take the envelope apart with
+   [Jx.member].  The one-pass decoder must agree with it on every line:
+   the same request, or the same refusal text. *)
+
+module Reference = struct
+  open Serve.Request
+
+  let id_of json =
+    match Jx.member "id" json with Some v -> v | None -> Jx.Null
+
+  let int_field name json =
+    match Jx.member name json with
+    | Some (Jx.Int v) -> Ok v
+    | Some _ -> Error (Printf.sprintf "field %S must be an integer" name)
+    | None -> Error (Printf.sprintf "missing field %S" name)
+
+  let bounded_field name ~limit json =
+    Result.bind (int_field name json) (fun v ->
+        if v < 1 then Error (Printf.sprintf "field %S must be >= 1" name)
+        else if v > limit then
+          Error (Printf.sprintf "field %S must be <= %d" name limit)
+        else Ok v)
+
+  let profile_field json =
+    match Jx.member "profile" json with
+    | Some (Jx.List items) when List.length items > max_profile ->
+        Error
+          (Printf.sprintf "field \"profile\" must have at most %d entries"
+             max_profile)
+    | Some (Jx.List _ as items) -> (
+        match Macgame.Profile.of_json items with
+        | Ok profile -> (
+            match
+              Array.find_opt
+                (fun (s : Dcf.Strategy_space.t) -> s.cw > max_window)
+                profile
+            with
+            | Some s ->
+                Error
+                  (Printf.sprintf
+                     "field \"profile\": cw must be <= %d (got %d)" max_window
+                     s.cw)
+            | None -> Ok profile)
+        | Error reason -> Error (Printf.sprintf "field \"profile\": %s" reason))
+    | Some _ -> Error "field \"profile\" must be a non-empty list"
+    | None -> Error "missing field \"profile\""
+
+  let deadline_field json =
+    match Jx.member "deadline_ms" json with
+    | None -> Ok None
+    | Some v -> (
+        match Jx.to_float_opt v with
+        | Some d when d >= 0. -> Ok (Some d)
+        | _ -> Error "field \"deadline_ms\" must be a number >= 0")
+
+  let rec of_json ~depth json =
+    let ( let* ) = Result.bind in
+    let* deadline_ms = deadline_field json in
+    let leaf op = Ok { id = id_of json; op; deadline_ms } in
+    match Jx.member "op" json with
+    | Some (Jx.String "ne") ->
+        let* n = bounded_field "n" ~limit:max_n json in
+        leaf (Ne { n })
+    | Some (Jx.String "payoff") ->
+        let* profile = profile_field json in
+        leaf (Payoff { profile })
+    | Some (Jx.String "welfare") ->
+        let* n = bounded_field "n" ~limit:max_n json in
+        let* w = bounded_field "w" ~limit:max_window json in
+        leaf (Welfare { n; w })
+    | Some (Jx.String "tau") ->
+        let* n = bounded_field "n" ~limit:max_n json in
+        let* w = bounded_field "w" ~limit:max_window json in
+        leaf (Tau { n; w })
+    | Some (Jx.String "batch") ->
+        if depth > 0 then Error "batch requests may not nest"
+        else
+          let* members =
+            match Jx.member "requests" json with
+            | Some (Jx.List items) when List.length items > max_batch ->
+                Error
+                  (Printf.sprintf
+                     "field \"requests\" must have at most %d members"
+                     max_batch)
+            | Some (Jx.List items) when items <> [] ->
+                let rec parse acc = function
+                  | [] -> Ok (List.rev acc)
+                  | item :: rest ->
+                      let* req = of_json ~depth:(depth + 1) item in
+                      parse (req :: acc) rest
+                in
+                parse [] items
+            | Some _ -> Error "field \"requests\" must be a non-empty list"
+            | None -> Error "missing field \"requests\""
+          in
+          leaf (Batch members)
+    | Some (Jx.String other) -> Error (Printf.sprintf "unknown op %S" other)
+    | Some _ -> Error "field \"op\" must be a string"
+    | None -> Error "missing field \"op\""
+
+  let of_line line =
+    match Jx.parse line with
+    | exception Jx.Parse_error msg ->
+        Error (Printf.sprintf "malformed JSON: %s" msg)
+    | json -> of_json ~depth:0 json
+end
+
+(* {2 Random request lines}
+
+   Envelopes written by hand, so that the generator controls what a
+   renderer would normalise away: field order, repeated keys, keys and
+   names spelled with escapes, whitespace between tokens.  Values are
+   drawn near the protocol's edges, and a line is sometimes mutated
+   into malformed JSON. *)
+
+let pick st a = a.(Random.State.int st (Array.length a))
+
+(* A string literal of [s], some of its bytes written as \u escapes. *)
+let quoted st s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b {|\"|}
+      | '\\' -> Buffer.add_string b {|\\|}
+      | c when c < ' ' || Random.State.int st 8 = 0 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+let ws st = pick st [| ""; ""; ""; " "; "\t"; "\r\n "; "  " |]
+
+let obj st fields =
+  "{" ^ ws st
+  ^ String.concat ("," ^ ws st)
+      (List.map (fun (k, v) -> quoted st k ^ ws st ^ ":" ^ ws st ^ v) fields)
+  ^ ws st ^ "}"
+
+let list st items = "[" ^ ws st ^ String.concat ("," ^ ws st) items ^ ws st ^ "]"
+
+let int_text st =
+  pick st
+    [| "1"; "2"; "5"; "16"; "64"; "1024"; "0"; "-1"; "-0"; "10000"; "10001";
+       "1048576"; "1048577"; string_of_int max_int; string_of_int min_int;
+       "9223372036854775808"; "5.0"; "1e2"; "2.5"; "\"5\""; "null"; "true";
+       "[]"; "{}" |]
+
+let rec json st depth =
+  match Random.State.int st (if depth > 2 then 6 else 8) with
+  | 0 -> "null"
+  | 1 -> pick st [| "true"; "false" |]
+  | 2 -> int_text st
+  | 3 -> pick st [| "0.5"; "-0.0"; "1e300"; "2.5e-8"; "-17.25" |]
+  | 4 -> quoted st (pick st [| ""; "req-9"; "tau"; "q\"b\\s"; "é😀"; "a\001b" |])
+  | 5 -> quoted st (pick st [| "ne"; "payoff"; "welfare"; "batch"; "x" |])
+  | 6 -> list st (List.init (Random.State.int st 3) (fun _ -> json st (depth + 1)))
+  | _ ->
+      obj st
+        (List.init (Random.State.int st 3) (fun _ ->
+             (pick st [| "a"; "id"; "op"; "n" |], json st (depth + 1))))
+
+let strategy st =
+  match Random.State.int st 5 with
+  | 0 | 1 | 2 -> int_text st
+  | _ ->
+      let knobs =
+        [ ("cw", int_text st); ("aifs", pick st [| "0"; "1"; "2"; "-1"; "1.5" |]);
+          ("txop", pick st [| "1"; "2"; "0" |]);
+          ("rate", pick st [| "1"; "0.5"; "2"; "0"; "\"x\"" |]) ]
+      in
+      obj st (List.filter (fun _ -> Random.State.int st 3 > 0) knobs)
+
+let op_text st =
+  match Random.State.int st 10 with
+  | 0 -> json st 1
+  | 1 -> quoted st "nope"
+  | _ -> quoted st (pick st [| "tau"; "welfare"; "payoff"; "ne"; "batch" |])
+
+let rec envelope st ~depth =
+  let field () =
+    match Random.State.int st 12 with
+    | 0 -> ("id", json st 1)
+    | 1 | 2 -> ("op", op_text st)
+    | 3 | 4 -> ("n", int_text st)
+    | 5 | 6 -> ("w", int_text st)
+    | 7 ->
+        ( "profile",
+          if Random.State.int st 8 = 0 then json st 1
+          else list st (List.init (Random.State.int st 5) (fun _ -> strategy st)) )
+    | 8 ->
+        ( "deadline_ms",
+          pick st [| "0"; "1e9"; "250.5"; "-1"; "\"soon\""; "null"; "1000" |] )
+    | 9 when depth < 2 ->
+        ( "requests",
+          if Random.State.int st 8 = 0 then json st 1
+          else
+            list st
+              (List.init (Random.State.int st 4) (fun _ ->
+                   envelope st ~depth:(depth + 1))) )
+    | _ -> (pick st [| "extra"; "zz"; "ID"; "o" |], json st 1)
+  in
+  let fields = List.init (Random.State.int st 7) (fun _ -> field ()) in
+  (* Usually a well-formed leaf or batch underneath the noise. *)
+  let core =
+    match Random.State.int st 4 with
+    | 0 -> [ ("op", {|"tau"|}); ("n", "5"); ("w", "64") ]
+    | 1 -> [ ("op", {|"payoff"|}); ("profile", list st [ strategy st; strategy st ]) ]
+    | 2 when depth = 0 ->
+        [ ("op", {|"batch"|});
+          ("requests", list st [ envelope st ~depth:1; envelope st ~depth:1 ]) ]
+    | _ -> []
+  in
+  let all = fields @ core in
+  let shuffled =
+    List.map snd
+      (List.sort compare (List.map (fun f -> (Random.State.bits st, f)) all))
+  in
+  obj st shuffled
+
+let gen_request_line st =
+  let line = envelope st ~depth:0 in
+  if Random.State.int st 6 = 0 then mutate st line else line
+
+let same_decoding line =
+  let got = Serve.Request.of_line line and want = Reference.of_line line in
+  got = want
+  ||
+  let show = function
+    | Ok (r : Serve.Request.t) ->
+        Printf.sprintf "Ok (id %s)" (Jx.to_string r.id)
+    | Error e -> "Error " ^ e
+  in
+  QCheck.Test.fail_reportf "one pass: %s\ntree: %s" (show got) (show want)
+
+let test_decoder_matches_reference =
+  QCheck.Test.make ~count:5000 ~name:"one-pass decoder = tree decoder"
+    (QCheck.make ~print:String.escaped gen_request_line)
+    same_decoding
+
+(* The fixed lines too: the parse-error table and the fuzzer's seeds. *)
+let test_reference_on_fixed_lines () =
+  List.iter
+    (fun line -> ignore (same_decoding line))
+    (List.map fst parse_errors @ at_limits @ Array.to_list seed_lines)
+
 (* Each extreme in each integer field of the request mix (n, w, profile
    windows, strategy cw/aifs/txop, deadline_ms, batch members, ids). *)
 let test_extreme_integers () =
@@ -682,6 +933,183 @@ let test_socket_roundtrip () =
   Alcotest.(check bool) "socket file removed on exit" true
     (not (Sys.file_exists path))
 
+(* {1 Concurrent socket clients}
+
+   Several clients on one socket send interleaved tau, payoff, batch and
+   deadline lines at once.  With elapsed_ms and tier masked, every reply
+   must be the one a serial [handle_line] gives the same line, and
+   whatever the service put must be in the store after a reopen: a
+   reader or writer that shared state between the transport's threads
+   would garble replies here. *)
+
+let mask reply =
+  let b = Buffer.create (String.length reply) in
+  let n = String.length reply in
+  let rec go i =
+    if i < n then
+      let at key =
+        i + String.length key <= n && String.sub reply i (String.length key) = key
+      in
+      if at {|"elapsed_ms":|} then begin
+        Buffer.add_string b {|"elapsed_ms":_|};
+        let rec skip j =
+          if j < n && String.contains "-+.eE0123456789" reply.[j] then skip (j + 1)
+          else j
+        in
+        go (skip (i + 13))
+      end
+      else if at {|"tier":"|} then begin
+        Buffer.add_string b {|"tier":_|};
+        go (String.index_from reply (i + 8) '"' + 1)
+      end
+      else begin
+        Buffer.add_char b reply.[i];
+        go (i + 1)
+      end
+  in
+  go 0;
+  Buffer.contents b
+
+(* Profiles a batch names are answered before the clients start: a batch
+   warm-starts its cold members (to within 1e-9, not bit for bit), so a
+   cold batch member would make the answer depend on arrival order. *)
+let batch_profiles = [ "[16,32,32,64]"; "[40,40,300,700]"; "[41,41,300,700]" ]
+
+let client_lines k =
+  let windows = [| 16; 32; 64; 128 |] in
+  List.concat
+    (List.init 30 (fun i ->
+         let n = 2 + ((i + k) mod 4) and w = windows.((i * 3 + k) mod 4) in
+         let p = List.nth batch_profiles ((i + k) mod 3) in
+         [
+           Printf.sprintf {|{"id":[%d,%d],"op":"tau","n":%d,"w":%d}|} k i n w;
+           Printf.sprintf {|{"op":"welfare","w":%d,"n":%d,"id":"c%d"}|} w n k;
+           Printf.sprintf {|{"op":"payoff","profile":[%d,%d,%d]}|} (16 + i)
+             (32 + k) 64;
+           Printf.sprintf
+             {|{"id":%d,"op":"batch","requests":[{"op":"tau","n":%d,"w":%d},{"op":"payoff","profile":%s},{"op":"tau","n":3,"w":32,"deadline_ms":0}]}|}
+             i n w p;
+           Printf.sprintf {|{"op":"tau","n":%d,"w":%d,"deadline_ms":%s}|} n w
+             (if i mod 2 = 0 then "0" else "1e9");
+           (if i mod 10 = 0 then Printf.sprintf {|{"op":"ne","n":%d}|} (2 + (i mod 3))
+            else {|{"op":"tau","n":0}|});
+           "not json";
+         ]))
+
+let test_concurrent_clients () =
+  let dir = temp_dir () in
+  let warm =
+    List.map (fun p -> Printf.sprintf {|{"op":"payoff","profile":%s}|} p)
+      batch_profiles
+  in
+  let clients = 4 in
+  let lines = Array.init clients client_lines in
+  (* The serial reference: one fresh service, the warm-up, then every
+     line in turn. *)
+  let reference, _, _ = fresh () in
+  List.iter (fun l -> ignore (Serve.Server.handle_line reference l)) warm;
+  let serial l = mask (Option.get (Serve.Server.handle_line reference l)) in
+  let expected = Array.map (List.map serial) lines in
+  let path = Filename.concat dir "sock" in
+  let served =
+    Store.with_store (Filename.concat dir "store") (fun store ->
+        let server, _, _ = fresh ~store () in
+        List.iter (fun l -> ignore (Serve.Server.handle_line server l)) warm;
+        let listener =
+          Thread.create
+            (fun () ->
+              Serve.Server.serve_socket server ~path ~max_inflight:4
+                ~max_connections:clients ())
+            ()
+        in
+        let rec wait tries =
+          if not (Sys.file_exists path) then
+            if tries = 0 then Alcotest.fail "socket never appeared"
+            else begin
+              Thread.delay 0.01;
+              wait (tries - 1)
+            end
+        in
+        wait 500;
+        let replies = Array.make clients [] in
+        let client k () =
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Unix.connect fd (Unix.ADDR_UNIX path);
+          let ic = Unix.in_channel_of_descr fd
+          and oc = Unix.out_channel_of_descr fd in
+          List.iter
+            (fun l ->
+              output_string oc l;
+              output_char oc '\n')
+            lines.(k);
+          flush oc;
+          Unix.shutdown fd Unix.SHUTDOWN_SEND;
+          replies.(k) <- List.map (fun _ -> input_line ic) lines.(k);
+          Unix.close fd
+        in
+        let threads = List.init clients (fun k -> Thread.create (client k) ()) in
+        List.iter Thread.join threads;
+        Thread.join listener;
+        (* Threads of one domain switch only at blocking calls and ticks,
+           so the same lines also go through [handle_line] from two
+           domains at once, where shared state would race for real: both
+           start together and each sends its clients' lines 30 times. *)
+        let ready = Atomic.make 0 in
+        let domain ks () =
+          Atomic.incr ready;
+          while Atomic.get ready < 2 do
+            Domain.cpu_relax ()
+          done;
+          List.concat_map
+            (fun k ->
+              List.init 30 (fun _ ->
+                  ( k,
+                    List.map
+                      (fun l -> Option.get (Serve.Server.handle_line server l))
+                      lines.(k) )))
+            ks
+        in
+        let parallel =
+          List.map Domain.join
+            [ Domain.spawn (domain [ 0; 2 ]); Domain.spawn (domain [ 1; 3 ]) ]
+        in
+        List.iter
+          (List.iter (fun (k, got) ->
+               List.iter2
+                 (fun (line, want) got ->
+                   Alcotest.(check string)
+                     (Printf.sprintf "domain, client %d: %s" k line) want
+                     (mask got))
+                 (List.combine lines.(k) expected.(k))
+                 got))
+          parallel;
+        replies)
+  in
+  Array.iteri
+    (fun k want ->
+      List.iter2
+        (fun (line, want) got ->
+          Alcotest.(check string) (Printf.sprintf "client %d: %s" k line) want
+            (mask got))
+        (List.combine lines.(k) want)
+        served.(k))
+    expected;
+  (* Reopened, the store answers every leaf the clients asked about: a
+     fresh service over it solves nothing cold. *)
+  Store.with_store (Filename.concat dir "store") (fun store ->
+      let server, _, count = fresh ~store () in
+      Array.iter
+        (List.iter (fun l ->
+             match Serve.Server.handle_line server l with
+             | Some reply ->
+                 Alcotest.(check string) ("reopened: " ^ l) (serial l) (mask reply)
+             | None -> Alcotest.fail "no reply"))
+        lines;
+      Alcotest.(check int) "nothing solved cold after the reopen" 0
+        (count "serve.tier.cold");
+      Alcotest.(check bool) "leaves came from the store" true
+        (count "serve.tier.store" > 0))
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "serve"
@@ -709,10 +1137,17 @@ let () =
       ( "fuzz",
         [
           QCheck_alcotest.to_alcotest test_fuzz_request_boundary;
+          QCheck_alcotest.to_alcotest test_decoder_matches_reference;
+          quick "one-pass decoder = tree decoder on fixed lines"
+            test_reference_on_fixed_lines;
           Alcotest.test_case "extreme integers: typed errors only" `Quick
             test_extreme_integers;
         ] );
       ( "persistence",
         [ quick "NE rows survive a server restart" test_ne_store_roundtrip ] );
-      ("socket", [ quick "socket round-trip" test_socket_roundtrip ]);
+      ( "socket",
+        [
+          quick "socket round-trip" test_socket_roundtrip;
+          quick "concurrent clients get serial replies" test_concurrent_clients;
+        ] );
     ]
