@@ -116,19 +116,15 @@ type source = {
 let draw_backoff node =
   Prelude.Rng.int node.rng (node.window lsl node.stage)
 
-(* Exp(rate) drawn as [Rng.exponential] draws it — one uniform, redrawn
-   while zero — from [Rng.bits53], whose int comes back unboxed where
+(* Exp(rate) drawn as [Rng.exponential] draws it, from
+   [Rng.bits53_nonzero], whose int comes back unboxed where
    [exponential]'s float would be boxed, once per arrival. *)
 let[@inline] schedule_arrival nd src now =
   src.clocks.next_arrival <-
     (if src.rate <= 0. then infinity
-     else begin
-       let b = ref (Prelude.Rng.bits53 nd.rng) in
-       while !b = 0 do
-         b := Prelude.Rng.bits53 nd.rng
-       done;
-       now +. (-.log (float_of_int !b *. 0x1p-53) /. src.rate)
-     end)
+     else
+       let u = float_of_int (Prelude.Rng.bits53_nonzero nd.rng) *. 0x1p-53 in
+       now +. (-.log u /. src.rate))
 
 (* Charge [dt] to the queue integrals of the [nq] nodes listed in
    [queued]; every other queue is empty. *)

@@ -60,29 +60,31 @@ let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let bits53 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 11)
+(* 53 uniform bits, the draw behind [float] and [exponential]. *)
+let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 11)
 
-(* Inlined into [bernoulli] and [exponential] so that the float stays
-   unboxed between the draw and its use. *)
+(* Inlined into [bernoulli] so that the float stays unboxed between the
+   draw and its use. *)
 let[@inline] float t x =
   (* 53 random bits scaled to [0,1), as in the stdlib. *)
-  let b = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
-  x *. (b *. 0x1p-53)
+  x *. (float_of_int (bits53 t) *. 0x1p-53)
 
 let float_in t lo hi = lo +. float t (hi -. lo)
 
 
 let bernoulli t p = float t 1.0 < p
 
+let bits53_nonzero t =
+  (* A loop, not a per-call closure, so nothing allocates. *)
+  let b = ref (bits53 t) in
+  while !b = 0 do
+    b := bits53 t
+  done;
+  !b
+
 let exponential t rate =
   if rate <= 0. then invalid_arg "Rng.exponential: rate must be positive";
-  (* Redraw a zero; a loop, not a per-call closure, so nothing allocates
-     but the result. *)
-  let u = ref (float t 1.0) in
-  while not (!u > 0.) do
-    u := float t 1.0
-  done;
-  -.log !u /. rate
+  -.log (float_of_int (bits53_nonzero t) *. 0x1p-53) /. rate
 
 let normal t ~mean ~stddev =
   let rec positive () =

@@ -42,14 +42,6 @@ val int_in : t -> int -> int -> int
 val float : t -> float -> float
 (** [float t x] is uniform on [0, x). *)
 
-val bits53 : t -> int
-(** The next 53 uniform bits, the draw behind {!float}:
-    [float t x = x *. (float_of_int (bits53 t) *. 0x1p-53)], bit for bit,
-    for the same state.  An [int] comes back unboxed, so a caller in
-    another module can build its float without the boxed return of
-    [float] (dev builds pass [-opaque], so nothing inlines across
-    modules). *)
-
 val float_in : t -> float -> float -> float
 (** [float_in t lo hi] is uniform on [lo, hi). *)
 
@@ -58,6 +50,15 @@ val bernoulli : t -> float -> bool
 
 val exponential : t -> float -> float
 (** [exponential t rate] samples Exp(rate); [rate > 0]. *)
+
+val bits53_nonzero : t -> int
+(** The draw behind {!exponential}: 53 uniform bits, redrawn while all
+    zero, so that
+    [exponential t rate = -. log (float_of_int (bits53_nonzero t) *. 0x1p-53) /. rate]
+    bit for bit for the same state.  An [int] comes back unboxed, so a
+    caller in another module can sample without the boxed return of
+    [exponential] (dev builds pass [-opaque], so nothing inlines across
+    modules). *)
 
 val normal : t -> mean:float -> stddev:float -> float
 (** Gaussian sample via Box–Muller. *)

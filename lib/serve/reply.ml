@@ -2,13 +2,20 @@ module Jx = Telemetry.Jsonx
 
 type t = Jx.t
 
-let tier_field tier = ("tier", Jx.String (Macgame.Oracle.tier_name tier))
+(* Per tier: the field [ok] puts in a reply, built once so that a memo
+   hit allocates none, and the bytes [to_line] writes between such a
+   reply's id and its elapsed time.  Both spell the tier through
+   [Oracle.tier_name]. *)
+let tiered tier =
+  let name = Jx.String (Macgame.Oracle.tier_name tier) in
+  ( ("tier", name),
+    Printf.sprintf {|,"ok":true,"tier":%s,"elapsed_ms":|} (Jx.to_string name) )
 
-(* One field per tier, built once: a memo hit allocates none. *)
-let memo_field = tier_field Macgame.Oracle.Memo
-let store_field = tier_field Macgame.Oracle.Store
-let cold_field = tier_field Macgame.Oracle.Cold
+let memo_field, memo_prefix = tiered Macgame.Oracle.Memo
+let store_field, store_prefix = tiered Macgame.Oracle.Store
+let cold_field, cold_prefix = tiered Macgame.Oracle.Cold
 
+(* [write] below matches the trees [ok] and [error] build, key for key. *)
 let ok ~id ?tier ~elapsed_ms result =
   let tail = [ ("elapsed_ms", Jx.Float elapsed_ms); ("result", result) ] in
   Jx.Obj
@@ -32,13 +39,14 @@ let error ~id reason =
    replies are envelopes too.  Any other tree is rendered whole.  Either
    way the bytes are [Jx.to_string]'s. *)
 
-(* What follows the id of an ok reply with [tier], up to its elapsed
-   time. *)
-let tier_prefix = function
-  | "memo" -> Some {|,"ok":true,"tier":"memo","elapsed_ms":|}
-  | "store" -> Some {|,"ok":true,"tier":"store","elapsed_ms":|}
-  | "cold" -> Some {|,"ok":true,"tier":"cold","elapsed_ms":|}
-  | _ -> None
+(* The prefix of a tier field [ok] put in a reply — it is one of the three
+   above, so a physical match finds it without reading the name — or ""
+   for any other field. *)
+let tier_prefix field =
+  if field == memo_field then memo_prefix
+  else if field == store_field then store_prefix
+  else if field == cold_field then cold_prefix
+  else ""
 
 let write_id w id =
   Jx.write_raw w {|{"id":|};
@@ -50,19 +58,13 @@ let rec write w (t : t) =
       [
         ("id", id);
         ("ok", Bool true);
-        ("tier", String tier);
+        field;
         ("elapsed_ms", Float elapsed_ms);
         ("result", result);
-      ] -> (
-      match tier_prefix tier with
-      | Some prefix ->
-          write_id w id;
-          Jx.write_raw w prefix;
-          Jx.write_float w elapsed_ms;
-          Jx.write_raw w {|,"result":|};
-          write_result w result;
-          Jx.write_raw w "}"
-      | None -> Jx.write w t)
+      ] ->
+      let prefix = tier_prefix field in
+      if String.length prefix = 0 then Jx.write w t
+      else write_ok w id prefix elapsed_ms result
   | Obj
       [
         ("id", id);
@@ -70,18 +72,22 @@ let rec write w (t : t) =
         ("elapsed_ms", Float elapsed_ms);
         ("result", result);
       ] ->
-      write_id w id;
-      Jx.write_raw w {|,"ok":true,"elapsed_ms":|};
-      Jx.write_float w elapsed_ms;
-      Jx.write_raw w {|,"result":|};
-      write_result w result;
-      Jx.write_raw w "}"
+      write_ok w id {|,"ok":true,"elapsed_ms":|} elapsed_ms result
   | Obj [ ("id", id); ("ok", Bool false); ("error", String reason) ] ->
       write_id w id;
       Jx.write_raw w {|,"ok":false,"error":|};
       Jx.write_string w reason;
       Jx.write_raw w "}"
   | t -> Jx.write w t
+
+(* [prefix] runs from after the id to the elapsed time. *)
+and write_ok w id prefix elapsed_ms result =
+  write_id w id;
+  Jx.write_raw w prefix;
+  Jx.write_float w elapsed_ms;
+  Jx.write_raw w {|,"result":|};
+  write_result w result;
+  Jx.write_raw w "}"
 
 (* A batch's result lists its members' replies. *)
 and write_result w = function

@@ -94,22 +94,26 @@ let push e (s : Dcf.Strategy_space.t) =
   e.len <- e.len + 1;
   if e.wide = 0 && s.cw > max_window then e.wide <- s.cw
 
+let decoded e = function
+  | Ok s -> push e s
+  | Error reason -> e.refused <- Some reason
+
 (* A profile entry is either a bare window (the historical CW-only wire
    format, kept as shorthand) or a strategy object
-   [{"cw": …, "aifs": …?, "txop": …?, "rate": …?}]. *)
+   [{"cw": …, "aifs": …?, "txop": …?, "rate": …?}].  [Strategy_space]
+   owns the rules and their refusals; an accepted window skips the
+   tree. *)
 let entry r e =
   e.count <- e.count + 1;
   if e.count > max_profile || e.refused != None then ignore (Jx.value r)
   else if Jx.is_int r then begin
     let w = Jx.int r in
-    if w >= 1 then
-      push e { Dcf.Strategy_space.cw = w; aifs = 0; txop_frames = 1; rate = 1.0 }
-    else e.refused <- Some (Printf.sprintf "cw must be >= 1 (got %d)" w)
+    if w >= 1 then push e (Dcf.Strategy_space.of_cw w)
+    else decoded e (Dcf.Strategy_space.of_json (Jx.Int w))
   end
-  else
-    match Dcf.Strategy_space.of_json (Jx.value r) with
-    | Ok s -> push e s
-    | Error reason -> e.refused <- Some reason
+  else decoded e (Dcf.Strategy_space.of_json (Jx.value r))
+
+let in_profile reason = Error (Printf.sprintf "field \"profile\": %s" reason)
 
 let profile_of r =
   let p = placeholder in
@@ -125,11 +129,14 @@ let profile_of r =
     Error
       (Printf.sprintf "field \"profile\" must have at most %d entries"
          max_profile)
-  else if e.count = 0 then
-    Error "field \"profile\": profile must be a non-empty list"
+  else if e.count = 0 then (
+    (* [Profile] words the refusal of an empty list. *)
+    match Macgame.Profile.of_json (Jx.List []) with
+    | Error reason -> in_profile reason
+    | accepted -> accepted)
   else
     match e.refused with
-    | Some reason -> Error (Printf.sprintf "field \"profile\": %s" reason)
+    | Some reason -> in_profile reason
     | None when e.wide > 0 ->
         Error
           (Printf.sprintf "field \"profile\": cw must be <= %d (got %d)"

@@ -34,13 +34,13 @@ let[@inline] put_char w c =
 external get64u : string -> int -> int64 = "%caml_string_get64u"
 external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-(* Keys, literals and short strings are copied a word at a time (the
-   last word overlapping the one before): cheaper than the C blit that
-   longer ones take. *)
+(* A word at a time, the last word overlapping the one before, and byte
+   by byte under a word.  Everything written here is short — keys,
+   literals, escapes, a float's text — and on those this beats the C
+   blit (EXPERIMENTS.md § Each writer edit timed). *)
 let[@inline] put_string w s =
   let n = String.length s and b = w.bytes and pos = w.len in
-  if n > 64 then Bytes.unsafe_blit_string s 0 b pos n
-  else if n >= 8 then begin
+  if n >= 8 then begin
     let i = ref 0 in
     while !i < n - 8 do
       set64u b (pos + !i) (get64u s !i);
@@ -129,7 +129,8 @@ let add_int buf i =
   Buffer.add_subbytes buf b 0 (put_int b 0 i)
 
 (* [n] ASCII zeros from [b.[pos]] on: at most a few, which a loop writes
-   for less than a C call costs. *)
+   for less than a C call costs (as does [put_g]'s shift loop; both timed
+   in EXPERIMENTS.md § Each writer edit timed). *)
 let put_zeros b pos n =
   for i = pos to pos + n - 1 do
     Bytes.unsafe_set b i '0'
@@ -742,6 +743,8 @@ let[@inline] string_index c names =
     find_name k 0 (String.length k) names
 
 let fields c keys f =
+  (* [seen] holds one bit per key. *)
+  if Array.length keys > 62 then invalid_arg "Jsonx.fields: more than 62 keys";
   skip_ws c;
   if at_end c || peek c <> '{' then ignore (value c)
   else begin

@@ -90,7 +90,8 @@ val fields : reader -> string array -> (int -> unit) -> unit
     field whose key (escaped or not) is [keys.(i)] calls [f i] with [r]
     at the field's value, which [f] must read whole; other fields —
     later repeats of a key, keys outside [keys] — are checked and
-    dropped, and so is a value that is not an object.  At most 62 keys. *)
+    dropped, and so is a value that is not an object.
+    @raise Invalid_argument when [keys] holds more than 62 keys. *)
 
 val items : reader -> (unit -> unit) -> bool
 (** [items r f]: when the next value is a list, calls [f] once per item

@@ -719,7 +719,7 @@ let test_contention_loops_allocation_free () =
         { params = default; cws = Array.make 10 64; duration; seed = 9 })
     20.;
   (* Below saturation, where queues stay short: an arrival is drawn from
-     Rng.bits53, which returns unboxed. *)
+     Rng.bits53_nonzero, which returns unboxed. *)
   let rate = 0.6 *. Netsim.Unsaturated.saturation_rate default ~n:10 ~w:128 in
   check_allocation_free ~unit:"delivered packets"
     "Unsaturated.run load 0.6"

@@ -172,16 +172,16 @@ let test_rng_known_answers () =
       Alcotest.(check (float 0.)) "exponential" want (Rng.exponential e 2.0))
     [ 0x1.26b7a9a0ab2p-1; 0x1.5688599c1b0d6p-1; 0x1.cc229263021f4p-3 ]
 
-(* [bits53] is the draw behind [float]: on copies of one state, the two
-   give the same float bit for bit, every time. *)
-let test_rng_bits53_is_float () =
+(* [bits53_nonzero] is the draw behind [exponential]: on copies of one
+   state, the two give the same sample bit for bit, every time. *)
+let test_rng_bits53_nonzero_is_exponential () =
   let a = Rng.create 59 in
   let b = Rng.copy a in
   for _ = 1 to 10_000 do
-    let x = float_of_int (Rng.bits53 a) *. 0x1p-53 in
-    let y = Rng.float b 1.0 in
+    let x = -.log (float_of_int (Rng.bits53_nonzero a) *. 0x1p-53) /. 2.0 in
+    let y = Rng.exponential b 2.0 in
     if Int64.bits_of_float x <> Int64.bits_of_float y then
-      Alcotest.failf "bits53 gives %h, float gives %h" x y
+      Alcotest.failf "bits53_nonzero gives %h, exponential gives %h" x y
   done
 
 (* {1 Stats} *)
@@ -424,7 +424,8 @@ let suite_rng =
     Alcotest.test_case "pick membership" `Quick test_rng_pick;
     Alcotest.test_case "shuffle is permutation" `Quick test_rng_shuffle_permutation;
     Alcotest.test_case "known answers" `Quick test_rng_known_answers;
-    Alcotest.test_case "bits53 is float's draw" `Quick test_rng_bits53_is_float;
+    Alcotest.test_case "bits53_nonzero is exponential's draw" `Quick
+      test_rng_bits53_nonzero_is_exponential;
   ]
 
 let suite_stats =

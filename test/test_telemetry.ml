@@ -644,6 +644,32 @@ let test_member_first_and_objects_only () =
       T.Jsonx.List [ T.Jsonx.Obj [ ("a", T.Jsonx.Int 1) ] ];
     ]
 
+(* The reader's [fields] keeps one bit per key: the 62nd key still has
+   its first occurrence win, and a 63rd key set is refused outright. *)
+let test_fields_key_limit () =
+  let keys = Array.init 62 (Printf.sprintf "k%d") in
+  let last = keys.(61) in
+  let r = T.Jsonx.reader (Printf.sprintf {|{"%s":1,"%s":2}|} last last) in
+  let got = ref [] in
+  T.Jsonx.fields r keys (fun i -> got := (i, T.Jsonx.int r) :: !got);
+  T.Jsonx.finish r;
+  Alcotest.(check (list (pair int int))) "first of the 62nd key" [ (61, 1) ]
+    !got;
+  Alcotest.check_raises "63 keys"
+    (Invalid_argument "Jsonx.fields: more than 62 keys") (fun () ->
+      T.Jsonx.fields (T.Jsonx.reader "{}") (Array.make 63 "k") ignore)
+
+(* Raw bytes of every length up to ten words, one after another, come
+   back as written. *)
+let test_writer_raw_lengths () =
+  let w = T.Jsonx.writer () and want = Buffer.create 4096 in
+  for n = 0 to 80 do
+    let s = String.init n (fun i -> Char.chr (33 + ((n + i) mod 90))) in
+    T.Jsonx.write_raw w s;
+    Buffer.add_string want s
+  done;
+  Alcotest.(check string) "contents" (Buffer.contents want) (T.Jsonx.contents w)
+
 let test_registry_isolation () =
   let a = registry () and b = registry () in
   T.Metric.incr (T.Registry.counter a "shared.name");
@@ -823,6 +849,10 @@ let () =
             test_renderer_across_domains;
           Alcotest.test_case "member: first key, objects only" `Quick
             test_member_first_and_objects_only;
+          Alcotest.test_case "fields: at most 62 keys" `Quick
+            test_fields_key_limit;
+          Alcotest.test_case "writer: raw bytes of every length" `Quick
+            test_writer_raw_lengths;
         ] );
       ( "instrumentation",
         [
