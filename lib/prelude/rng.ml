@@ -60,7 +60,8 @@ let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-(* 53 uniform bits, the draw behind [float] and [exponential]. *)
+(* 53 uniform bits: the draw behind [float] and, redrawn while zero,
+   behind [exponential] and [normal]'s radius. *)
 let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 11)
 
 (* Inlined into [bernoulli] so that the float stays unboxed between the
@@ -87,11 +88,8 @@ let exponential t rate =
   -.log (float_of_int (bits53_nonzero t) *. 0x1p-53) /. rate
 
 let normal t ~mean ~stddev =
-  let rec positive () =
-    let u = float t 1.0 in
-    if u > 0. then u else positive ()
-  in
-  let u1 = positive () and u2 = float t 1.0 in
+  let u1 = float_of_int (bits53_nonzero t) *. 0x1p-53 in
+  let u2 = float t 1.0 in
   let r = sqrt (-2. *. log u1) in
   mean +. (stddev *. r *. cos (2. *. Float.pi *. u2))
 
